@@ -5,14 +5,14 @@ CSV of per-index statistics plus a JSON summary, and exits with a verdict
 code:
 
     0  pass
-    1  config/schema error
+    1  config/schema error, or an observable the system does not support
     2  inconclusive (statistics did not certify the claim)
     3  hypothesis-gate refusal
     4  counterexample found
 
-Reruns with the same config are byte-identical apart from nothing: the
-version lives in the header, and all sampling is derived from the config
-seed.  FOLNER_LAB_THREADS caps worker threads without changing results.
+Reruns with the same config are byte-identical: the version lives in the
+header, and all sampling is derived from the config seed.  FOLNER_LAB_THREADS
+caps worker threads without changing results.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .families import classify, family_from_json
 from .folner import (defect_profile, make_folner, ratios_look_divergent,
                      tempelman_report, tempered_report)
 from .groups import BudgetError, EnumBudget, Group
-from .systems import System, observable_from_json
+from .systems import System, UnsupportedObservable, observable_from_json
 from .tiling import standard_cert, tiles_window_report, window_set
 
 VERSION = "0.1.0"
@@ -98,6 +98,14 @@ def _schedule(cfg: dict) -> list:
         raise ConfigError("n_schedule must be a strictly increasing list of "
                           "positive integers, length >= 2")
     return sched
+
+
+def _indices(cfg: dict, default: list) -> list:
+    idx = cfg.get("indices", default)
+    if (not isinstance(idx, list) or not idx
+            or not all(isinstance(n, int) and n >= 1 for n in idx)):
+        raise ConfigError("indices must be a non-empty list of positive integers")
+    return idx
 
 
 def _samples(cfg: dict) -> int:
@@ -169,7 +177,7 @@ def _verdict(code: int) -> str:
 def _cmd_verify_folner(cfg: dict):
     group = _build_group(cfg)
     seq = _build_seq(group, cfg)
-    indices = cfg.get("indices", [1, 2, 4, 8, 16])
+    indices = _indices(cfg, [1, 2, 4, 8, 16])
     upto = cfg.get("growth_upto", max(4, min(12, max(indices))))
     rows = []
     profile = defect_profile(seq, indices)
@@ -292,11 +300,12 @@ def _common_run_parts(cfg: dict):
     group = _build_group(cfg)
     seq = _build_seq(group, cfg)
     system = _build_system(cfg, group)
-    return group, seq, system, _schedule(cfg), _samples(cfg), _seed(cfg)
+    return seq, system, _samples(cfg), _seed(cfg)
 
 
 def _cmd_converge(cfg: dict):
-    _, seq, system, schedule, samples, seed = _common_run_parts(cfg)
+    seq, system, samples, seed = _common_run_parts(cfg)
+    schedule = _schedule(cfg)
     fam = _build_family(cfg)
     tols = _tolerances(cfg)
     rep = kingman_run(fam, seq, system, schedule, samples, seed=seed,
@@ -328,7 +337,8 @@ def _cmd_converge(cfg: dict):
 
 
 def _cmd_limsup(cfg: dict):
-    _, seq, system, schedule, samples, seed = _common_run_parts(cfg)
+    seq, system, samples, seed = _common_run_parts(cfg)
+    schedule = _schedule(cfg)
     fam = _build_family(cfg)
     mode = cfg.get("mode", "bi_invariant")
     tols = _tolerances(cfg)
@@ -351,17 +361,15 @@ def _cmd_limsup(cfg: dict):
 
 
 def _cmd_maximal(cfg: dict):
-    group = _build_group(cfg)
-    seq = _build_seq(group, cfg)
-    system = _build_system(cfg, group)
+    seq, system, samples, seed = _common_run_parts(cfg)
     fam = _build_family(cfg)
-    samples = _samples(cfg)
-    seed = _seed(cfg)
     alpha = _require(cfg, "alpha")
     if not isinstance(alpha, (int, float)) or alpha <= 0:
         raise ConfigError("alpha must be positive")
     N = cfg.get("N", 3)
-    rep = maximal_inequality_check(fam, seq, system, float(alpha), int(N),
+    if not isinstance(N, int) or N < 1:
+        raise ConfigError("N must be a positive integer")
+    rep = maximal_inequality_check(fam, seq, system, float(alpha), N,
                                    samples, seed=seed,
                                    M=cfg.get("M"),
                                    nu_term=cfg.get("nu_term"),
@@ -380,12 +388,8 @@ def _cmd_maximal(cfg: dict):
 
 
 def _cmd_decompose(cfg: dict):
-    group = _build_group(cfg)
-    seq = _build_seq(group, cfg)
-    system = _build_system(cfg, group)
+    seq, system, samples, seed = _common_run_parts(cfg)
     fam = _build_family(cfg)
-    samples = _samples(cfg)
-    seed = _seed(cfg)
     n = cfg.get("n", 32)
     rep = ergodic_decomposition_check(fam, system, seq, n, samples, seed=seed)
     rows = [(n, "mixture_mean", rep["mixture"]["mean"]),
@@ -400,7 +404,8 @@ def _cmd_decompose(cfg: dict):
 
 
 def _cmd_birkhoff(cfg: dict):
-    _, seq, system, schedule, samples, seed = _common_run_parts(cfg)
+    seq, system, samples, seed = _common_run_parts(cfg)
+    schedule = _schedule(cfg)
     try:
         obs = observable_from_json(_require(cfg, "observable"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -497,11 +502,9 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = _load_config(args.config)
         code, rows, summary = _HANDLERS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetError as exc:
-        # requested windows exceed the enumeration budget before any gate runs
+    except (ConfigError, BudgetError, UnsupportedObservable) as exc:
+        # a budget blow-up here means the requested windows exceed the
+        # enumeration budget before any gate runs
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except GateRefusal as exc:

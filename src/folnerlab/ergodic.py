@@ -23,15 +23,14 @@ import numpy as np
 
 from .families import (AdditiveFamily, ClassifyReport, DerivedPrimeM, Family,
                        Truncated, classify)
-from .folner import (FolnerSeq, make_folner, ratios_look_divergent,
-                     tempelman_report, tempered_report)
-from .groups import (EnumBudget, FinSet, Group, enumerate_finsets, finset,
-                     inverse_set, product_set, translate_right)
+from .folner import FolnerSeq, make_folner, tempelman_report, tempered_report
+from .groups import (BudgetError, EnumBudget, FinSet, Group, enumerate_finsets,
+                     finset, inverse_set, product_set, translate_right)
 from .systems import (Observable, System, conditional_expectation,
                       split_leaves)
 from .tiling import (LatticeCenters, PrefixShiftCenters, TilingCert,
-                     ZSumLatticeCenters, compose, enumerate_tiles,
-                     standard_cert)
+                     TilingOverlapError, ZSumLatticeCenters, compose,
+                     enumerate_tiles, standard_cert)
 
 
 class GateRefusal(RuntimeError):
@@ -42,6 +41,35 @@ class GateRefusal(RuntimeError):
         self.hypothesis = hypothesis
         self.detail = detail
         self.extra = extra or {}
+
+
+def _require(report: ClassifyReport, props, detail: str) -> None:
+    """Refuse on the first property the classifier did not pass."""
+    for prop in props:
+        if not report.passed(prop):
+            raise GateRefusal(f"family {prop}", detail,
+                              {"counterexample": report.counterexample(prop)})
+
+
+def _require_tiling(seq: FolnerSeq, indices) -> None:
+    for n in indices:
+        if standard_cert(seq, n) is None:
+            raise GateRefusal("tiling sequence",
+                              f"no tiling certificate at index {n}")
+
+
+def _anytime_min(values, eps: float):
+    """Running minimum of a stream: (best, trend, stabilized), where the
+    trend counts as stabilized once its second half moved by at most eps."""
+    best, trend = None, []
+    for v in values:
+        best = v if best is None or v < best else best
+        trend.append(best)
+    if best is None:
+        raise ValueError("no candidate sets enumerated")
+    half = len(trend) // 2
+    stabilized = len(trend) >= 2 and float(trend[half]) - float(trend[-1]) <= eps
+    return best, trend, stabilized
 
 
 # ---------------------------------------------------------------------------
@@ -221,26 +249,24 @@ class LimitReport:
                 "status": self.status}
 
 
+def _setfn_gate(f: SetFunction, group: Group, prop: str) -> None:
+    rep = setfn_classify(f, group)
+    if not (rep["invariant"] and rep[prop]):
+        raise GateRefusal(f"setfn {prop}+invariant",
+                          "set function failed exact checks",
+                          {"counterexample": rep["counterexample"]})
+
+
 def _limit_from_enumeration(f: SetFunction, seq: FolnerSeq, indices,
                             candidates, tol: Optional[float]) -> LimitReport:
-    seq_vals = []
-    for n in indices:
-        seq_vals.append(f.normalized(seq.generate(n)))
-    best = None
-    trend = []
-    for T in candidates:
-        v = f.normalized(T)
-        best = v if best is None or v < best else best
-        trend.append(best)
-    if best is None:
-        raise ValueError("no candidate sets enumerated")
+    seq_vals = [f.normalized(seq.generate(n)) for n in indices]
+    best, trend, stabilized = _anytime_min(
+        (f.normalized(T) for T in candidates), 1e-12)
     limit = float(seq_vals[-1])
     inf_v = float(best)
     gap = abs(limit - inf_v)
     if tol is None:
         tol = 0.05 * (1.0 + abs(limit))
-    half = len(trend) // 2
-    stabilized = len(trend) >= 2 and float(trend[half]) - float(trend[-1]) <= 1e-12
     status = "converged" if gap <= tol else "inconclusive"
     return LimitReport(name=f.name, seq_values=tuple(seq_vals),
                        limit_value=limit, inf_value=inf_v,
@@ -254,18 +280,10 @@ def setfn_limit_tiling(f: SetFunction, seq: FolnerSeq, indices,
                        precheck: bool = True) -> LimitReport:
     """Normalized limit along a tiling sequence against the infimum over
     enumerated tiles."""
-    group = seq.group
     if precheck:
-        rep = setfn_classify(f, group)
-        if not (rep["invariant"] and rep["subadditive"]):
-            raise GateRefusal("setfn subadditive+invariant",
-                              "set function failed exact checks",
-                              {"counterexample": rep["counterexample"]})
-    for n in indices:
-        if standard_cert(seq, n) is None:
-            raise GateRefusal("tiling sequence",
-                              f"no tiling certificate at index {n}")
-    tiles = [c.tile for c in enumerate_tiles(group, max_card, max_index)]
+        _setfn_gate(f, seq.group, "subadditive")
+    _require_tiling(seq, indices)
+    tiles = [c.tile for c in enumerate_tiles(seq.group, max_card, max_index)]
     return _limit_from_enumeration(f, seq, indices, tiles, tol)
 
 
@@ -281,16 +299,11 @@ def setfn_limit_strong(f: SetFunction, seq: FolnerSeq, indices,
     caller-supplied ladder of larger sets (the exhaustive stream alone cannot
     reach the cardinalities that cardinality-driven functions need).
     """
-    group = seq.group
     if precheck:
-        rep = setfn_classify(f, group)
-        if not (rep["invariant"] and rep["strongly_subadditive"]):
-            raise GateRefusal("setfn strongly_subadditive+invariant",
-                              "set function failed exact checks",
-                              {"counterexample": rep["counterexample"]})
+        _setfn_gate(f, seq.group, "strongly_subadditive")
     if budget is None:
         budget = EnumBudget(max_card=4, lo=-2, hi=2, max_index=2, max_sets=4000)
-    sets = list(enumerate_finsets(group, budget))
+    sets = list(enumerate_finsets(seq.group, budget))
     if ladder_sets:
         sets.extend(ladder_sets)
     return _limit_from_enumeration(f, seq, indices, sets, tol)
@@ -303,7 +316,7 @@ def setfn_limit_strong(f: SetFunction, seq: FolnerSeq, indices,
 def _seq_is_tiling(seq: FolnerSeq, indices) -> bool:
     try:
         return all(standard_cert(seq, n) is not None for n in indices)
-    except Exception:
+    except BudgetError:
         return False
 
 
@@ -329,13 +342,7 @@ def nu_estimate(fam: Family, seq: FolnerSeq, system: System, n: int,
                 samples: int, seed: int = 99,
                 report: Optional[ClassifyReport] = None) -> Estimate:
     """Monte Carlo estimate of the normalized mean value at index n."""
-    if report is None:
-        report = classify(fam, seq.group, system)
-    _nu_gate(report, seq, [n])
-    pts = sample_points(system, samples, seed)
-    F = seq.generate(n)
-    vals = family_values(fam, system, F, pts) / len(F)
-    return _estimate(vals, seed)
+    return nu_trend(fam, seq, system, [n], samples, seed, report)[0]
 
 
 def nu_trend(fam: Family, seq: FolnerSeq, system: System, indices,
@@ -440,10 +447,6 @@ def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
     if core.is_empty:
         raise GateRefusal("non-empty core", f"index {n} too small for N={N}")
     windows = [seq.generate(i) for i in range(1, N + 1)]
-    if M is None:
-        # exact Tempelman witness over the first N indices
-        M = max(Fraction(len(product_set(finset(grp, acc), Fi)), len(Fi))
-                for acc, Fi in _running_inverse_unions(seq, N))
 
     # first-exceedance classes over the core
     moved = {g: system.apply(g, y) for g in core.elems}
@@ -470,19 +473,22 @@ def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
                 occupied |= cells
         chosen[i] = tuple(keep)
 
-    # exact counting: coverage inclusion and both inequality sides
+    # exact counting: coverage inclusion and both inequality sides; the
+    # unions U_i also give the exact Tempelman witness over the first N indices
     union_bound = Fraction(0)
     temp_bound = Fraction(0)
+    witness = Fraction(0)
     cover_cells: set = set()
     inv_acc: set = set()
     for i, Fi in enumerate(windows):
         inv_acc |= set(inverse_set(Fi).elems)
         Ui = product_set(finset(grp, inv_acc), Fi)
+        witness = max(witness, Fraction(len(Ui), len(Fi)))
         union_bound += Fraction(len(Ui)) * len(chosen[i])
         temp_bound += Fraction(len(Fi)) * len(chosen[i])
         for c in chosen[i]:
             cover_cells |= {grp.mul(u, c) for u in Ui.elems}
-    temp_bound *= M
+    temp_bound *= witness if M is None else M
     exceed = sum(len(c) for c in classes)
     covered = all(g in cover_cells for cls in classes for g in cls)
 
@@ -543,16 +549,11 @@ def maximal_inequality_check(fam: Family, seq: FolnerSeq, system: System,
     """
     if report is None:
         report = classify(fam, seq.group, system)
-    for prop in ("nonnegative", "supadditive", "invariant"):
-        if not report.passed(prop):
-            raise GateRefusal(f"family {prop}",
-                              "maximal inequality needs a non-negative "
-                              "sup-additive invariant family",
-                              {"counterexample": report.counterexample(prop)})
+    _require(report, ("nonnegative", "supadditive", "invariant"),
+             "maximal inequality needs a non-negative sup-additive "
+             "invariant family")
     if M is None:
-        M = float(max(
-            Fraction(len(product_set(finset(seq.group, acc), Fi)), len(Fi))
-            for acc, Fi in _running_inverse_unions(seq, N)))
+        M = float(tempelman_report(seq, N).witness)
     if nu_term is None:
         idx = nu_index if nu_index is not None else max(N, 8)
         est = nu_estimate(fam, seq, system, idx, min(samples, 2000), seed + 1,
@@ -578,14 +579,6 @@ def maximal_inequality_check(fam: Family, seq: FolnerSeq, system: System,
                          mass_stderr=se, bound=float(bound),
                          nu_term=float(nu_term), M=float(M), ok=bool(ok),
                          greedy_witness_stats=tuple(stats))
-
-
-def _running_inverse_unions(seq: FolnerSeq, N: int):
-    acc: set = set()
-    for i in range(1, N + 1):
-        Fi = seq.generate(i)
-        acc |= set(inverse_set(Fi).elems)
-        yield set(acc), Fi
 
 
 # ---------------------------------------------------------------------------
@@ -647,11 +640,7 @@ def birkhoff_check(obs: Observable, seq: FolnerSeq, system: System,
     """Pointwise averaging check: trajectories of window averages against the
     per-component expectation."""
     schedule = _validate_schedule(schedule)
-    ok, witness = _tempered_gate(seq, schedule)
-    if not ok:
-        raise GateRefusal("tempered sequence",
-                          "growth ratios diverge at the budget",
-                          {"witness": float(witness)})
+    witness = _tempered_gate(seq, schedule)
     fam = AdditiveFamily(obs)
     pts = sample_points(system, samples, seed)
     V = trajectory_matrix(fam, system, seq, schedule, pts)
@@ -675,27 +664,25 @@ def birkhoff_check(obs: Observable, seq: FolnerSeq, system: System,
         gates=gates, passed=bool(passed))
 
 
-def _tempered_gate(seq: FolnerSeq, schedule):
+def _tempered_gate(seq: FolnerSeq, schedule) -> Fraction:
+    """The exact tempered witness, or a refusal when the growth ratios look
+    divergent or blow the enumeration budget."""
     upto = min(max(schedule), 12) if seq.seq_kind != "explicit" else len(schedule)
     try:
         rep = tempered_report(seq, max(2, upto))
-    except Exception as exc:  # budget blowups count as refusals
+    except BudgetError as exc:
         raise GateRefusal("tempered sequence", str(exc))
-    return (not ratios_look_divergent(rep.ratios)), rep.witness
-
-
-def _schedule_tempelman(seq: FolnerSeq, schedule) -> tuple:
-    """Exact Tempelman ratios over the scheduled subsequence."""
-    sets = tuple(seq.generate(n) for n in schedule)
-    sub = make_folner(seq.group, "explicit", sets=sets)
-    rep = tempelman_report(sub, len(sets))
-    return rep.ratios, rep.witness
+    if not rep.ok:
+        raise GateRefusal("tempered sequence",
+                          "growth ratios diverge at the budget",
+                          {"witness": float(rep.witness)})
+    return rep.witness
 
 
 def _subgroup_product_full(cert_m: TilingCert, cert_p: TilingCert) -> Optional[bool]:
     a, b = cert_m.centers, cert_p.centers
     if isinstance(a, LatticeCenters) and isinstance(b, LatticeCenters):
-        if not (a.is_subgroup() and b.is_subgroup()):
+        if not (a.is_subgroup and b.is_subgroup):
             return None
         return all(math.gcd(x, y) == 1 for x, y in zip(a.moduli, b.moduli))
     if isinstance(a, PrefixShiftCenters) and isinstance(b, PrefixShiftCenters):
@@ -752,15 +739,9 @@ def _candidate_infimum(fam: Family, leaf: System, candidates, samples: int,
             return {"inf": float(m0), "trend": [float(m0)],
                     "stabilized": True, "ergodic": leaf.ergodic}
     pts = sample_points(leaf, samples, seed)
-    best, trend = None, []
-    for T in candidates:
-        m = float(family_values(fam, leaf, T, pts).mean()) / len(T)
-        best = m if best is None or m < best else best
-        trend.append(best)
-    if best is None:
-        raise ValueError("no candidate sets")
-    half = len(trend) // 2
-    stabilized = len(trend) >= 2 and trend[half] - trend[-1] <= 1e-9
+    best, trend, stabilized = _anytime_min(
+        (float(family_values(fam, leaf, T, pts).mean()) / len(T)
+         for T in candidates), 1e-9)
     return {"inf": best, "trend": trend, "stabilized": stabilized,
             "ergodic": leaf.ergodic}
 
@@ -779,9 +760,9 @@ def _leaf_targets(fam: Family, system: System, pts, candidates,
     for k, (leaf, idx, _) in enumerate(buckets):
         info = _candidate_infimum(fam, leaf, candidates, conc_samples,
                                   seed + 1009 * (k + 1))
-        infos.append({"n_points": int(len(idx)), **{
-            "inf": info["inf"], "stabilized": info["stabilized"],
-            "ergodic": info["ergodic"]}})
+        infos.append({"n_points": int(len(idx)), "inf": info["inf"],
+                      "stabilized": info["stabilized"],
+                      "ergodic": info["ergodic"]})
         all_erg &= bool(info["ergodic"])
         all_stab &= bool(info["stabilized"])
         targets[np.asarray(idx)] = info["inf"]
@@ -807,7 +788,7 @@ def _composition_chain_ok(seq: FolnerSeq, schedule, certs: dict) -> bool:
                 if compose(cert, Ft).as_set() == big.as_set():
                     found = True
                     break
-            except Exception:
+            except TilingOverlapError:
                 continue
         if not found:
             return False
@@ -838,11 +819,7 @@ def kingman_run(fam: Family, seq: FolnerSeq, system: System, schedule,
 
     if report is None:
         report = classify(fam, seq.group, system)
-    for prop in ("subadditive", "invariant"):
-        if not report.passed(prop):
-            raise GateRefusal(f"family {prop}",
-                              "classifier found a violation",
-                              {"counterexample": report.counterexample(prop)})
+    _require(report, ("subadditive", "invariant"), "classifier found a violation")
     gates["classify"] = True
 
     certs = {n: standard_cert(seq, n) for n in schedule}
@@ -855,7 +832,7 @@ def kingman_run(fam: Family, seq: FolnerSeq, system: System, schedule,
     sub = make_folner(seq.group, "explicit",
                       sets=tuple(seq.generate(n) for n in schedule))
     growth = tempelman_report(sub, len(schedule))
-    if ratios_look_divergent(growth.ratios) or growth.witness > tempelman_cap:
+    if not growth.ok or growth.witness > tempelman_cap:
         raise GateRefusal("bounded inverse-union growth",
                           "ratios diverge on the scheduled subsequence",
                           {"ratios": [float(r) for r in growth.ratios]})
@@ -977,21 +954,10 @@ def limsup_identity_check(fam: Family, seq: FolnerSeq, system: System,
         report = classify(fam, seq.group, system)
     needed = (("bi_invariant", "subadditive") if mode == "bi_invariant"
               else ("strongly_subadditive", "invariant"))
-    for prop in needed:
-        if not report.passed(prop):
-            raise GateRefusal(f"family {prop}",
-                              "classifier found a violation",
-                              {"counterexample": report.counterexample(prop)})
-    ok, witness = _tempered_gate(seq, schedule)
-    if not ok:
-        raise GateRefusal("tempered sequence",
-                          "growth ratios diverge at the budget",
-                          {"witness": float(witness)})
+    _require(report, needed, "classifier found a violation")
+    witness = _tempered_gate(seq, schedule)
     if mode == "bi_invariant":
-        for n in schedule:
-            if standard_cert(seq, n) is None:
-                raise GateRefusal("tiling sequence",
-                                  f"no tiling certificate at index {n}")
+        _require_tiling(seq, schedule)
         candidates = [c.tile for c in enumerate_tiles(seq.group, *tile_budget)]
     else:
         if budget is None:
@@ -1041,11 +1007,7 @@ def dprime_m_diagnostics(fam: Family, seq: FolnerSeq, system: System,
     """
     if report is None:
         report = classify(fam, seq.group, system)
-    for prop in ("subadditive", "invariant"):
-        if not report.passed(prop):
-            raise GateRefusal(f"family {prop}",
-                              "classifier found a violation",
-                              {"counterexample": report.counterexample(prop)})
+    _require(report, ("subadditive", "invariant"), "classifier found a violation")
     m_indices = sorted(int(m) for m in m_indices)
     Fn = seq.generate(n_index)
     pts = sample_points(system, samples, seed)

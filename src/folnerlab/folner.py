@@ -200,10 +200,13 @@ def tempelman_ratio(seq: FolnerSeq, n: int) -> Fraction:
     return _inv_union_ratios(seq, n, 0)[-1]
 
 
-def tempelman_report(seq: FolnerSeq, upto: int) -> GrowthReport:
-    ratios = tuple(_inv_union_ratios(seq, upto, 0))
-    return GrowthReport(ratios=ratios, witness=max(ratios),
+def _growth(ratios: list) -> GrowthReport:
+    return GrowthReport(ratios=tuple(ratios), witness=max(ratios),
                         ok=not ratios_look_divergent(ratios))
+
+
+def tempelman_report(seq: FolnerSeq, upto: int) -> GrowthReport:
+    return _growth(_inv_union_ratios(seq, upto, 0))
 
 
 def tempelman_bound(seq: FolnerSeq, upto: int) -> Fraction:
@@ -217,9 +220,7 @@ def tempered_report(seq: FolnerSeq, upto: int) -> GrowthReport:
     """
     if upto < 2:
         raise ValueError("need at least two indices")
-    ratios = tuple(_inv_union_ratios(seq, upto - 1, 1))
-    return GrowthReport(ratios=ratios, witness=max(ratios),
-                        ok=not ratios_look_divergent(ratios))
+    return _growth(_inv_union_ratios(seq, upto - 1, 1))
 
 
 def ratios_look_divergent(ratios) -> bool:
@@ -243,7 +244,7 @@ def tempered_check(seq: FolnerSeq, upto: int) -> tuple:
     """(ok, witness M): exact ratios up to the budget plus the divergence
     heuristic; ok=False means the sequence looks non-tempered."""
     rep = tempered_report(seq, upto)
-    return (not ratios_look_divergent(rep.ratios), rep.witness)
+    return rep.ok, rep.witness
 
 
 def defect_profile(seq: FolnerSeq, indices, gens=None) -> list:

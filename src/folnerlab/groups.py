@@ -229,6 +229,15 @@ class _SparseSumBase(Group):
             out.append(tuple((int(i), int(v)) for i, v in enumerate(row) if v != 0))
         return out
 
+    def translate_rows(self, rows: np.ndarray, g) -> np.ndarray:
+        width = rows.shape[1]
+        gv = np.zeros(width, dtype=np.int64)
+        for i, v in g:
+            if i >= width:
+                raise ValueError("dense width too small for translation")
+            gv[i] = v
+        return rows + gv
+
     def elem_key(self, e) -> int:
         h = GOLDEN64
         for i, v in e:
@@ -290,13 +299,7 @@ class CyclicSum(_SparseSumBase):
         return np.asarray([self.period(i) for i in range(width)], dtype=np.int64)
 
     def translate_rows(self, rows: np.ndarray, g) -> np.ndarray:
-        width = rows.shape[1]
-        gv = np.zeros(width, dtype=np.int64)
-        for i, v in g:
-            if i >= width:
-                raise ValueError("dense width too small for translation")
-            gv[i] = v
-        return (rows + gv) % self.periods_vector(width)
+        return super().translate_rows(rows, g) % self.periods_vector(rows.shape[1])
 
     def generators(self) -> list:
         return [((0, 1),)]
@@ -332,15 +335,6 @@ class ZSum(_SparseSumBase):
 
     def inv(self, a):
         return tuple((i, -v) for i, v in a)
-
-    def translate_rows(self, rows: np.ndarray, g) -> np.ndarray:
-        width = rows.shape[1]
-        gv = np.zeros(width, dtype=np.int64)
-        for i, v in g:
-            if i >= width:
-                raise ValueError("dense width too small for translation")
-            gv[i] = v
-        return rows + gv
 
     def generators(self) -> list:
         return [((0, 1),)]

@@ -332,27 +332,30 @@ class Observable:
         return dict(self.json) if self.json is not None else {"kind": self.name}
 
 
-def _require_bernoulli(leaf, name):
+def _require_bernoulli(leaf, name, symbol=None):
     if not isinstance(leaf, BernoulliShift):
         raise UnsupportedObservable(f"{name} needs a Bernoulli shift")
+    if symbol is not None and not 0 <= symbol < len(leaf.probs):
+        raise UnsupportedObservable(f"{name}: symbol {symbol} is outside the "
+                                    f"{len(leaf.probs)}-symbol alphabet")
 
 
 def indicator_symbol(symbol: int = 1) -> Observable:
     """f(y) = 1 when the symbol at the identity cell equals ``symbol``."""
 
     def value_fn(leaf, y):
-        _require_bernoulli(leaf, "indicator_symbol")
+        _require_bernoulli(leaf, "indicator_symbol", symbol)
         return 1.0 if leaf.symbol(y) == symbol else 0.0
 
     def window_fn(leaf, batch, F):
-        _require_bernoulli(leaf, "indicator_symbol")
+        _require_bernoulli(leaf, "indicator_symbol", symbol)
         u = leaf.window_uniforms(batch, F)
         lo = leaf.cum[symbol - 1] if symbol > 0 else 0.0
         hi = leaf.cum[symbol]
         return ((u >= lo) & (u < hi)).astype(np.float64)
 
     def exact_mean_fn(leaf):
-        _require_bernoulli(leaf, "indicator_symbol")
+        _require_bernoulli(leaf, "indicator_symbol", symbol)
         return leaf.probs[symbol]
 
     return Observable(

@@ -120,8 +120,15 @@ def centers_from_json(group: Group, d: dict):
 # Self-similar isomorphisms G -> G_T
 
 
+class _Iso:
+    """Shared image map; subclasses define ``group`` and ``apply``."""
+
+    def image_set(self, F: FinSet) -> FinSet:
+        return FinSet(self.group, tuple(sorted(self.apply(e) for e in F.elems)))
+
+
 @dataclass(frozen=True)
-class ScaleIso:
+class ScaleIso(_Iso):
     """ZPower: coordinatewise scaling onto diag(scale) Z^d."""
 
     group: ZPower
@@ -130,12 +137,9 @@ class ScaleIso:
     def apply(self, e):
         return tuple(int(s) * int(x) for s, x in zip(self.scale, e))
 
-    def image_set(self, F: FinSet) -> FinSet:
-        return FinSet(self.group, tuple(sorted(self.apply(e) for e in F.elems)))
-
 
 @dataclass(frozen=True)
-class ShiftIso:
+class ShiftIso(_Iso):
     """CyclicSum: index shift by s; valid only when the period pattern repeats."""
 
     group: CyclicSum
@@ -144,12 +148,9 @@ class ShiftIso:
     def apply(self, e):
         return tuple((i + self.shift, v) for i, v in e)
 
-    def image_set(self, F: FinSet) -> FinSet:
-        return FinSet(self.group, tuple(sorted(self.apply(e) for e in F.elems)))
-
 
 @dataclass(frozen=True)
-class ZSumScaleIso:
+class ZSumScaleIso(_Iso):
     """ZSum: scale coordinate i by shape[i] for i < m, identity beyond."""
 
     group: ZSum
@@ -159,9 +160,6 @@ class ZSumScaleIso:
         return tuple(
             (i, v * self.shape[i]) if i < len(self.shape) else (i, v) for i, v in e
         )
-
-    def image_set(self, F: FinSet) -> FinSet:
-        return FinSet(self.group, tuple(sorted(self.apply(e) for e in F.elems)))
 
 
 def shift_iso_compatible(group: CyclicSum, shift: int) -> bool:

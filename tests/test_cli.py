@@ -294,3 +294,41 @@ def test_theorem_table_lists_real_subcommands(capsys):
     assert len(lines) == len(_THEOREM_TABLE) == 13
     for _, cmd, _ in _THEOREM_TABLE:
         assert cmd.split()[0] in _HANDLERS
+
+
+# ---------------------------------------------------------------------------
+# exit code 1: malformed values caught at the boundary, not as tracebacks
+
+
+def _maximal_cfg(**over):
+    cfg = {"group": _z_group(), "sequence": {"kind": "z_boxes"},
+           "system": _bernoulli_system(),
+           "family": {"kind": "additive",
+                      "observable": {"kind": "indicator_symbol", "symbol": 1}},
+           "alpha": 0.6, "N": 2, "samples": 20, "seed": 3}
+    cfg.update(over)
+    return cfg
+
+
+@pytest.mark.parametrize("cmd, cfg, message", [
+    ("verify-folner",
+     {"group": _z_group(), "sequence": {"kind": "z_boxes"},
+      "indices": [1, 2, "x"]},
+     "indices must be a non-empty list of positive integers"),
+    ("maximal", _maximal_cfg(N=0), "N must be a positive integer"),
+    ("maximal",
+     _maximal_cfg(family={"kind": "additive",
+                          "observable": {"kind": "indicator_symbol",
+                                         "symbol": 5}}),
+     "symbol 5 is outside the 2-symbol alphabet"),
+    ("birkhoff",
+     {**_torus_cfg(), "observable": {"kind": "indicator_symbol", "symbol": 1}},
+     "indicator_symbol needs a Bernoulli shift"),
+], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus"])
+def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
+    code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
+    assert code == 1
+    assert summary is None
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from folnerlab import ergodic
 from folnerlab.ergodic import (
     GateRefusal,
     SetFunction,
@@ -29,12 +30,15 @@ from folnerlab.ergodic import (
 from folnerlab.families import (
     AdditiveFamily,
     AdditivePlus,
+    PROPERTIES,
+    ClassifyReport,
     DerivedPrime,
     Family,
     MaxOfAdditives,
+    PropertyVerdict,
 )
 from folnerlab.folner import make_folner
-from folnerlab.groups import EnumBudget, ZPower, ZSum
+from folnerlab.groups import CyclicSum, EnumBudget, ZPower, ZSum
 from folnerlab.systems import (
     BernoulliShift,
     FiniteMixture,
@@ -44,6 +48,7 @@ from folnerlab.systems import (
     symbol_value,
     torus_coordinate,
 )
+from folnerlab.tiling import standard_cert
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -484,3 +489,164 @@ def test_dprime_diagnostics_closed_form():
         assert set(row["verdicts"].values()) == {"PASS"}
     # the trend falls like 1/sqrt(m) but has not vanished at this budget
     assert not out["vanishing_trend"]
+
+
+# ---------------------------------------------------------------------------
+# refusal strings: they reach the CLI summary verbatim
+
+
+def _report(*failing):
+    """A classifier report passing every property except `failing`."""
+    verdicts = {p: PropertyVerdict(p, "FAIL" if p in failing else "PASS", 1,
+                                   0.0, {"prop": p} if p in failing else None)
+                for p in PROPERTIES}
+    return ClassifyReport("fixture", verdicts, 0)
+
+
+def _diagonal_cubes():
+    zs = ZSum()
+    return make_folner(zs, "zsum_boxes"), BernoulliShift(zs, (0.7, 0.3), seed=5)
+
+
+def _explicit_boxes():
+    return make_folner(_z(), "explicit",
+                       sets=[_seq().generate(n) for n in (1, 2, 3)])
+
+
+_CARD_SQ = SetFunction("card_sq", lambda F: float(len(F)) ** 2, True)
+_FAMILY_DETAIL = "classifier found a violation"
+_MAXIMAL_DETAIL = ("maximal inequality needs a non-negative sup-additive "
+                   "invariant family")
+_DIVERGE_DETAIL = "growth ratios diverge at the budget"
+
+_REFUSALS = {
+    "maximal-nonnegative": (
+        lambda: maximal_inequality_check(
+            _additive(), _seq(), _system(), 0.5, 2, 10,
+            report=_report("nonnegative", "invariant")),
+        "family nonnegative", _MAXIMAL_DETAIL, {"counterexample"}),
+    "maximal-supadditive": (
+        lambda: maximal_inequality_check(
+            _additive(), _seq(), _system(), 0.5, 2, 10,
+            report=_report("supadditive")),
+        "family supadditive", _MAXIMAL_DETAIL, {"counterexample"}),
+    "maximal-invariant": (
+        lambda: maximal_inequality_check(
+            _additive(), _seq(), _system(), 0.5, 2, 10,
+            report=_report("invariant")),
+        "family invariant", _MAXIMAL_DETAIL, {"counterexample"}),
+    "kingman-subadditive": (
+        lambda: kingman_run(_additive(), _seq(), _system(), [2, 4], 10,
+                            report=_report("subadditive", "invariant")),
+        "family subadditive", _FAMILY_DETAIL, {"counterexample"}),
+    "kingman-invariant": (
+        lambda: kingman_run(_additive(), _seq(), _system(), [2, 4], 10,
+                            report=_report("invariant")),
+        "family invariant", _FAMILY_DETAIL, {"counterexample"}),
+    "limsup-bi-invariant-family": (
+        lambda: limsup_identity_check(
+            _additive(), _seq(), _system(), "bi_invariant", [2, 4], 10,
+            report=_report("bi_invariant", "subadditive")),
+        "family bi_invariant", _FAMILY_DETAIL, {"counterexample"}),
+    "limsup-strong-family": (
+        lambda: limsup_identity_check(
+            _additive(), _seq(), _system(), "strongly_subadditive", [2, 4],
+            10, report=_report("invariant")),
+        "family invariant", _FAMILY_DETAIL, {"counterexample"}),
+    "dprime-subadditive": (
+        lambda: dprime_m_diagnostics(_additive(), _seq(), _system(), [2], 4,
+                                     10, report=_report("subadditive")),
+        "family subadditive", _FAMILY_DETAIL, {"counterexample"}),
+    "birkhoff-tempered": (
+        lambda: birkhoff_check(symbol_value(), _diagonal_cubes()[0],
+                               _diagonal_cubes()[1], [1, 2, 3, 4, 5], 10),
+        "tempered sequence", _DIVERGE_DETAIL, {"witness"}),
+    "birkhoff-tempered-budget": (
+        lambda: birkhoff_check(
+            symbol_value(), make_folner(CyclicSum((2, 10 ** 7)), "cyclic_prefix"),
+            BernoulliShift(CyclicSum((2, 10 ** 7)), (0.5, 0.5), seed=1),
+            [1, 2], 10),
+        "tempered sequence", "prefix set too large", set()),
+    "limsup-tempered": (
+        lambda: limsup_identity_check(
+            _additive(), *_diagonal_cubes(), "bi_invariant", [1, 2, 3, 4, 5],
+            10, report=_report()),
+        "tempered sequence", _DIVERGE_DETAIL, {"witness"}),
+    "limsup-tiling": (
+        lambda: limsup_identity_check(
+            _additive(), _explicit_boxes(), _system(), "bi_invariant",
+            [1, 2, 3], 10, report=_report()),
+        "tiling sequence", "no tiling certificate at index 1", set()),
+    "setfn-tiling-precheck": (
+        lambda: setfn_limit_tiling(_CARD_SQ, _seq(), [2, 4, 8]),
+        "setfn subadditive+invariant", "set function failed exact checks",
+        {"counterexample"}),
+    "setfn-strong-precheck": (
+        lambda: setfn_limit_strong(_CARD_SQ, _seq(), [2, 4, 8]),
+        "setfn strongly_subadditive+invariant",
+        "set function failed exact checks", {"counterexample"}),
+    "setfn-tiling-certificate": (
+        lambda: setfn_limit_tiling(setfn_registry(_z())["card"],
+                                   _explicit_boxes(), [1, 2, 3]),
+        "tiling sequence", "no tiling certificate at index 1", set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusal_strings_are_pinned(case):
+    run, hypothesis, detail, extra_keys = _REFUSALS[case]
+    with pytest.raises(GateRefusal) as exc:
+        run()
+    assert exc.value.hypothesis == hypothesis
+    assert exc.value.detail == detail
+    assert set(exc.value.extra) == extra_keys
+
+
+# ---------------------------------------------------------------------------
+# invariance route and narrowed exception handling
+
+
+def _route_certs(seq, schedule):
+    return {n: standard_cert(seq, n) for n in schedule}
+
+
+@pytest.mark.parametrize("group, kind, schedule, route", [
+    (ZPower(1), "z_boxes", [2, 3], "subgroup_product"),
+    (ZPower(2), "z_boxes", [2, 4], None),
+    (CyclicSum((2,)), "cyclic_prefix", [1, 2], None),
+    (ZSum(), "zsum_boxes", [2, 3], "subgroup_product"),
+], ids=["z-coprime", "z-shared-factor", "cyclic-prefix", "zsum-coprime"])
+def test_route_gate_subgroup_product_branch(group, kind, schedule, route):
+    report = _report("bi_invariant", "strongly_subadditive")
+    certs = _route_certs(make_folner(group, kind), schedule)
+    if route is not None:
+        assert ergodic._route_gate(report, certs, schedule) == route
+    else:
+        with pytest.raises(GateRefusal) as exc:
+            ergodic._route_gate(report, certs, schedule)
+        assert exc.value.hypothesis == "invariance route"
+
+
+def _raise_arithmetic(*args, **kwargs):
+    raise ArithmeticError("injected")
+
+
+def test_tempered_gate_lets_unexpected_errors_through(monkeypatch):
+    monkeypatch.setattr(ergodic, "tempered_report", _raise_arithmetic)
+    with pytest.raises(ArithmeticError):
+        birkhoff_check(symbol_value(), _seq(), _system(), [2, 4], 10)
+
+
+def test_composition_chain_lets_unexpected_errors_through(monkeypatch):
+    schedule = [2, 4]
+    certs = _route_certs(_seq(), schedule)
+    assert ergodic._composition_chain_ok(_seq(), schedule, certs)
+    monkeypatch.setattr(ergodic, "compose", _raise_arithmetic)
+    with pytest.raises(ArithmeticError):
+        ergodic._composition_chain_ok(_seq(), schedule, certs)
+
+
+def test_tiling_probe_lets_unexpected_errors_through(monkeypatch):
+    monkeypatch.setattr(ergodic, "standard_cert", _raise_arithmetic)
+    with pytest.raises(ArithmeticError):
+        ergodic._seq_is_tiling(_seq(), [2])

@@ -266,6 +266,20 @@ def test_unsupported_observable_errors():
         indicator_symbol(1).value(tor, ty)
 
 
+@pytest.mark.parametrize("symbol", [-1, 2])
+def test_indicator_symbol_outside_alphabet_is_unsupported(symbol):
+    # the scalar, window and exact-mean paths must agree: all refuse
+    bern = _bernoulli()
+    pts = [bern.sample_point(np.random.default_rng(0))]
+    obs = indicator_symbol(symbol)
+    with pytest.raises(UnsupportedObservable):
+        obs.value(bern, pts[0])
+    with pytest.raises(UnsupportedObservable):
+        obs.window_values(bern, make_batch(bern, pts), _box(bern.group, 3))
+    with pytest.raises(UnsupportedObservable):
+        obs.exact_mean(bern)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
