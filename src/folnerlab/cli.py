@@ -5,7 +5,8 @@ CSV of per-index statistics plus a JSON summary, and exits with a verdict
 code:
 
     0  pass
-    1  config/schema error, or an observable the system does not support
+    1  config/schema error, an observable the system does not support, or
+       an enumeration budget exceeded before any gate runs
     2  inconclusive (statistics did not certify the claim)
     3  hypothesis-gate refusal
     4  counterexample found
@@ -108,6 +109,13 @@ def _indices(cfg: dict, default: list) -> list:
     return idx
 
 
+def _positive_int(cfg: dict, key: str, default: int) -> int:
+    v = cfg.get(key, default)
+    if not isinstance(v, int) or v < 1:
+        raise ConfigError(f"{key} must be a positive integer")
+    return v
+
+
 def _samples(cfg: dict) -> int:
     s = _require(cfg, "samples")
     if not isinstance(s, int) or s < 2:
@@ -208,7 +216,7 @@ def _cmd_verify_folner(cfg: dict):
 def _cmd_verify_tiling(cfg: dict):
     group = _build_group(cfg)
     seq = _build_seq(group, cfg)
-    indices = cfg.get("indices", [1, 2, 3, 4])
+    indices = _indices(cfg, [1, 2, 3, 4])
     radius = cfg.get("window_radius", 6)
     rows = []
     all_ok = True
@@ -237,7 +245,7 @@ def _cmd_check_family(cfg: dict):
     system = _build_system(cfg, group)
     fam = _build_family(cfg)
     seed = _seed(cfg)
-    trials = cfg.get("trials", 300)
+    trials = _positive_int(cfg, "trials", 300)
     report = classify(fam, group, system, trials=trials, seed=seed,
                       max_card=cfg.get("max_card", 6))
     expect = cfg.get("expect", sorted(fam.declared))
@@ -278,6 +286,8 @@ def _cmd_limit_setfn(cfg: dict):
                                  max_index=cfg.get("max_index", 4))
     elif route == "strong":
         b = cfg.get("budget", {})
+        if not isinstance(b, dict):
+            raise ConfigError("budget must be an object")
         budget = EnumBudget(max_card=b.get("max_card", 4),
                             lo=b.get("lo", -2), hi=b.get("hi", 2),
                             max_index=b.get("max_index", 2),
@@ -366,9 +376,7 @@ def _cmd_maximal(cfg: dict):
     alpha = _require(cfg, "alpha")
     if not isinstance(alpha, (int, float)) or alpha <= 0:
         raise ConfigError("alpha must be positive")
-    N = cfg.get("N", 3)
-    if not isinstance(N, int) or N < 1:
-        raise ConfigError("N must be a positive integer")
+    N = _positive_int(cfg, "N", 3)
     rep = maximal_inequality_check(fam, seq, system, float(alpha), N,
                                    samples, seed=seed,
                                    M=cfg.get("M"),
@@ -390,7 +398,7 @@ def _cmd_maximal(cfg: dict):
 def _cmd_decompose(cfg: dict):
     seq, system, samples, seed = _common_run_parts(cfg)
     fam = _build_family(cfg)
-    n = cfg.get("n", 32)
+    n = _positive_int(cfg, "n", 32)
     rep = ergodic_decomposition_check(fam, system, seq, n, samples, seed=seed)
     rows = [(n, "mixture_mean", rep["mixture"]["mean"]),
             (n, "weighted_component_mean", rep["weighted_components"]),

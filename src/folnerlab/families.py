@@ -23,8 +23,8 @@ import numpy as np
 
 from .groups import (FinSet, Group, diff, finset, intersect, inverse_set,
                      product_set, translate_left, translate_right, union)
-from .systems import (GenericBatch, Observable, System, make_batch,
-                      observable_from_json, resolve_leaf, split_leaves)
+from .systems import (GenericBatch, Observable, System, observable_from_json,
+                      split_leaves)
 from .tiling import TilingCert, compose, window_set
 
 _CHUNK = 64  # points per vectorized slab; bounds (chunk x |F|) working memory

@@ -17,13 +17,13 @@ from .groups import (
     Group,
     ZPower,
     ZSum,
-    _prefix_set_cyclic,
+    _box,
+    _prefix_ranges,
     finset,
     inverse_set,
     product_count,
     product_set,
     symdiff,
-    translate_left,
     zsum_box,
 )
 
@@ -59,12 +59,10 @@ class FolnerSeq:
             n = int(index)
             if n < 1:
                 raise ValueError("index must be >= 1")
-            card = 1
-            for i in range(n):
-                card *= self.group.period(i)
-                if card > _CARD_CAP:
-                    raise BudgetError("prefix set too large")
-            return _prefix_set_cyclic(self.group, n)
+            ranges = _prefix_ranges(self.group, n, _CARD_CAP)
+            if len(ranges) < n:
+                raise BudgetError("prefix set too large")
+            return _box(self.group, ranges)
         if self.seq_kind == "zsum_boxes":
             shape = self._zsum_shape(index)
             card = 1
@@ -95,17 +93,10 @@ class FolnerSeq:
         d = self.group.d
         if n ** d > _CARD_CAP:
             raise BudgetError("box too large")
-        import itertools
-
-        elems = tuple(sorted(itertools.product(range(n), repeat=d)))
-        box = FinSet(self.group, elems)
-        if self.anchors == "squares":
-            shift = [0] * d
-            shift[0] = n * n
-            box = translate_left(tuple(shift), box)
-        elif self.anchors is not None:
+        if self.anchors not in (None, "squares"):
             raise ValueError(f"unknown anchor rule {self.anchors!r}")
-        return box
+        start = n * n if self.anchors == "squares" else 0
+        return _box(self.group, [range(start, start + n)] + [range(n)] * (d - 1))
 
     def _zsum_shape(self, index) -> tuple:
         if isinstance(index, (tuple, list)):

@@ -16,10 +16,15 @@ deterministically.  ``FinSet`` carries all finite-subset algebra; every
 operation is exact.  Large Minkowski products switch to an occupancy-grid
 convolution engine whose integer counts are recovered by rounding (the slack
 is asserted) and which is cross-checked against the plain set path in tests.
+
+Every box is built here, by one builder (``_box``): the Folner boxes and
+prefix subgroups of ``folner``, the windows and tile shapes of ``tiling``,
+and the boxes of the enumeration stream.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -370,14 +375,18 @@ class FinSet:
         return iter(self.elems)
 
     def __contains__(self, e):
-        return e in set(self.elems) if len(self.elems) > 16 else e in self.elems
+        return e in self.as_set()
 
     @property
     def is_empty(self) -> bool:
         return not self.elems
 
     def as_set(self) -> frozenset:
-        return frozenset(self.elems)
+        # cached outside the fields, so ==, hash and repr never see it
+        s = self.__dict__.get("_set")
+        if s is None:
+            s = self.__dict__["_set"] = frozenset(self.elems)
+        return s
 
     def to_json(self) -> list:
         return [self.group.elem_to_json(e) for e in self.elems]
@@ -549,6 +558,55 @@ def product_count(K: FinSet, F: FinSet) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Boxes: the one place where coordinate ranges become elements
+
+
+def _box(grp: Group, ranges: Sequence[range]) -> FinSet:
+    """The elements whose coordinate i runs over the ascending ``ranges[i]``.
+
+    For ZPower the product is already in lexicographic order.  The sum kinds
+    drop zero coordinates, which reorders but stays injective for one width.
+    """
+    rows = itertools.product(*ranges)
+    if isinstance(grp, ZPower):
+        return FinSet(grp, tuple(rows))
+    return FinSet(grp, tuple(sorted(
+        tuple((i, v) for i, v in enumerate(row) if v != 0) for row in rows)))
+
+
+def _box_shapes(lengths: Iterable[int], top: int, max_card: int) -> list:
+    """Shapes with entries in 1..top and cardinality <= max_card, ordered by
+    (cardinality, shape)."""
+    shapes = []
+    for length in lengths:
+        for shape in itertools.product(range(1, top + 1), repeat=length):
+            card = math.prod(shape)
+            if card <= max_card:
+                shapes.append((card, shape))
+    shapes.sort()
+    return [shape for _, shape in shapes]
+
+
+def _prefix_ranges(grp: CyclicSum, n: int, max_card: Optional[int] = None) -> list:
+    """Coordinate ranges of the prefix subgroup on indices < n, cut at the
+    first index where its order would pass ``max_card``; ``ranges[:k]``
+    spans the prefix subgroup on indices < k."""
+    ranges = []
+    card = 1
+    for i in range(n):
+        card *= grp.period(i)
+        if max_card is not None and card > max_card:
+            break
+        ranges.append(range(grp.period(i)))
+    return ranges
+
+
+def zsum_box(grp: ZSum, shape: Sequence[int]) -> FinSet:
+    """The box of finite-support sequences with 0 <= x_i < shape[i]."""
+    return _box(grp, [range(int(s)) for s in shape])
+
+
+# ---------------------------------------------------------------------------
 # Deterministic enumeration of finite subsets
 
 
@@ -568,88 +626,33 @@ class EnumBudget:
     max_sets: Optional[int] = None
 
 
-def _boxes_zpower(grp: ZPower, budget: EnumBudget) -> list:
-    rng = range(budget.lo, budget.hi + 1)
-    per_axis = [(a, b) for a in rng for b in rng if a <= b]
-    boxes = []
-    for spans in itertools.product(per_axis, repeat=grp.d):
-        card = 1
-        for a, b in spans:
-            card *= b - a + 1
-        if card > budget.max_card:
-            continue
-        elems = tuple(sorted(itertools.product(*[range(a, b + 1) for a, b in spans])))
-        boxes.append((card, elems))
-    boxes.sort()
-    return [FinSet(grp, e) for _, e in boxes]
-
-
-def _prefix_set_cyclic(grp: CyclicSum, n: int) -> FinSet:
-    """All elements supported on indices < n (the standard prefix product)."""
-    ranges = [range(grp.period(i)) for i in range(n)]
-    elems = []
-    for dense in itertools.product(*ranges):
-        elems.append(tuple((i, v) for i, v in enumerate(dense) if v != 0))
-    return FinSet(grp, tuple(sorted(elems)))
-
-
-def zsum_box(grp: ZSum, shape: Sequence[int]) -> FinSet:
-    """The box of finite-support sequences with 0 <= x_i < shape[i]."""
-    ranges = [range(int(s)) for s in shape]
-    elems = []
-    for dense in itertools.product(*ranges):
-        elems.append(tuple((i, v) for i, v in enumerate(dense) if v != 0))
-    return FinSet(grp, tuple(sorted(elems)))
-
-
-def _boxes_sum(grp: Group, budget: EnumBudget) -> list:
-    max_index = budget.max_index if budget.max_index is not None else 4
-    out = []
-    if isinstance(grp, CyclicSum):
-        for n in range(1, max_index + 1):
-            card = 1
-            for i in range(n):
-                card *= grp.period(i)
-            if card > budget.max_card:
-                break
-            out.append(_prefix_set_cyclic(grp, n))
-    else:
-        assert isinstance(grp, ZSum)
-        shapes = []
-        top = budget.hi + 1
-        for length in range(1, max_index + 1):
-            for shape in itertools.product(range(1, max(2, top) + 1), repeat=length):
-                card = 1
-                for s in shape:
-                    card *= s
-                if card <= budget.max_card:
-                    shapes.append((card, shape))
-        shapes.sort()
-        seen = set()
-        for _, shape in shapes:
-            fs = zsum_box(grp, shape)
-            if fs.elems not in seen:
-                seen.add(fs.elems)
-                out.append(fs)
-    return out
-
-
-def _ground_set(grp: Group, budget: EnumBudget) -> list:
+def _boxes(grp: Group, budget: EnumBudget) -> list:
+    """The boxes of the stream: ZPower by (card, elems), the sum kinds by
+    (card, shape) (prefix subgroups on CyclicSum grow with n)."""
     if isinstance(grp, ZPower):
         rng = range(budget.lo, budget.hi + 1)
-        ground = sorted(itertools.product(rng, repeat=grp.d))
-    elif isinstance(grp, CyclicSum):
-        max_index = budget.max_index if budget.max_index is not None else 3
-        ground = sorted(_prefix_set_cyclic(grp, max_index).elems)
+        per_axis = [range(a, b + 1) for a in rng for b in rng if a <= b]
+        boxes = [_box(grp, ranges)
+                 for ranges in itertools.product(per_axis, repeat=grp.d)
+                 if math.prod(map(len, ranges)) <= budget.max_card]
+        return sorted(boxes, key=lambda fs: (len(fs), fs.elems))
+    max_index = budget.max_index if budget.max_index is not None else 4
+    if isinstance(grp, CyclicSum):
+        ranges = _prefix_ranges(grp, max_index, budget.max_card)
+        return [_box(grp, ranges[:n]) for n in range(1, len(ranges) + 1)]
+    shapes = _box_shapes(range(1, max_index + 1), max(2, budget.hi + 1),
+                         budget.max_card)
+    return [zsum_box(grp, shape) for shape in shapes]
+
+
+def _ground_set(grp: Group, budget: EnumBudget) -> tuple:
+    max_index = budget.max_index if budget.max_index is not None else 3
+    if isinstance(grp, CyclicSum):
+        ranges = _prefix_ranges(grp, max_index)
     else:
-        assert isinstance(grp, ZSum)
-        max_index = budget.max_index if budget.max_index is not None else 3
-        vals = [v for v in range(budget.lo, budget.hi + 1)]
-        dense_opts = itertools.product(vals, repeat=max_index)
-        ground = sorted(
-            tuple((i, v) for i, v in enumerate(dense) if v != 0) for dense in dense_opts
-        )
-        ground = sorted(set(ground))
+        width = grp.d if isinstance(grp, ZPower) else max_index
+        ranges = [range(budget.lo, budget.hi + 1)] * width
+    ground = _box(grp, ranges).elems
     if len(ground) > 100_000:
         raise BudgetError("enumeration ground set too large")
     return ground
@@ -664,11 +667,7 @@ def enumerate_finsets(grp: Group, budget: EnumBudget) -> Iterator[FinSet]:
     """
     emitted = 0
     seen = set()
-    if isinstance(grp, ZPower):
-        boxes = _boxes_zpower(grp, budget)
-    else:
-        boxes = _boxes_sum(grp, budget)
-    for fs in boxes:
+    for fs in _boxes(grp, budget):
         if fs.elems in seen or not fs.elems:
             continue
         seen.add(fs.elems)

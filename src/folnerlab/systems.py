@@ -17,12 +17,12 @@ scalar paths (same mixer, same comparisons), which tests assert.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._bits import GOLDEN64, MASK64, mix64, uniform_from_key, uniforms_from_keys
+from ._bits import GOLDEN64, mix64, uniform_from_key, uniforms_from_keys
 from .groups import FinSet, Group, ZPower
 
 

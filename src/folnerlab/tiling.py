@@ -8,7 +8,6 @@ is finite), and each window cell must be hit exactly once.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,11 +19,13 @@ from .groups import (
     Group,
     ZPower,
     ZSum,
-    _prefix_set_cyclic,
+    _box,
+    _box_shapes,
+    _prefix_ranges,
     finset,
     inverse_set,
     product_set,
-    translate_left,
+    zsum_box,
 )
 
 
@@ -209,18 +210,11 @@ def tiles_window(cert: TilingCert, window: FinSet) -> bool:
 
 def window_set(group: Group, radius: int, max_index: Optional[int] = None) -> FinSet:
     """A canonical finite window used for coverage checks."""
-    if isinstance(group, ZPower):
-        elems = tuple(sorted(itertools.product(range(-radius, radius + 1),
-                                               repeat=group.d)))
-        return FinSet(group, elems)
     if isinstance(group, CyclicSum):
-        return _prefix_set_cyclic(group, radius)
-    assert isinstance(group, ZSum)
-    m = max_index if max_index is not None else 3
-    elems = []
-    for dense in itertools.product(range(-radius, radius + 1), repeat=m):
-        elems.append(tuple((i, v) for i, v in enumerate(dense) if v != 0))
-    return FinSet(group, tuple(sorted(set(elems))))
+        return _box(group, _prefix_ranges(group, radius))
+    width = group.d if isinstance(group, ZPower) else (
+        max_index if max_index is not None else 3)
+    return _box(group, [range(-radius, radius + 1)] * width)
 
 
 def standard_cert(seq: FolnerSeq, index) -> Optional[TilingCert]:
@@ -311,56 +305,28 @@ def enumerate_tiles(group: Group, max_card: int,
     """Deterministic list of certified tiles, smallest first."""
     tiles = []
     if isinstance(group, ZPower):
-        d = group.d
-        shapes = []
-        for shape in itertools.product(range(1, max_card + 1), repeat=d):
-            card = 1
-            for s in shape:
-                card *= s
-            if card <= max_card:
-                shapes.append((card, shape))
-        shapes.sort()
-        for _, shape in shapes:
-            elems = tuple(sorted(itertools.product(*[range(s) for s in shape])))
-            tile = FinSet(group, elems)
+        for shape in _box_shapes([group.d], max_card, max_card):
+            tile = _box(group, [range(s) for s in shape])
             tiles.append(TilingCert(tile, LatticeCenters(group, shape),
                                     ScaleIso(group, shape)))
-        if d == 1 and include_arithmetic:
+        if group.d == 1 and include_arithmetic:
             for step in range(2, 5):
                 for m in range(2, max_card // step + 1):
-                    if m * step > max_card:
-                        continue
                     elems = tuple((i * step,) for i in range(m))
                     offsets = tuple((j,) for j in range(step))
                     centers = LatticeCenters(group, (m * step,), offsets)
                     tiles.append(TilingCert(FinSet(group, elems), centers))
     elif isinstance(group, CyclicSum):
         top = max_index if max_index is not None else 8
-        for n in range(1, top + 1):
-            card = 1
-            for i in range(n):
-                card *= group.period(i)
-            if card > max_card:
-                break
-            tile = _prefix_set_cyclic(group, n)
+        ranges = _prefix_ranges(group, top, max_card)
+        for n in range(1, len(ranges) + 1):
             iso = ShiftIso(group, n) if shift_iso_compatible(group, n) else None
-            tiles.append(TilingCert(tile, PrefixShiftCenters(group, n), iso))
+            tiles.append(TilingCert(_box(group, ranges[:n]),
+                                    PrefixShiftCenters(group, n), iso))
     else:
-        assert isinstance(group, ZSum)
-        from .groups import zsum_box
-
         top = max_index if max_index is not None else 3
-        shapes = []
-        for length in range(1, top + 1):
-            for shape in itertools.product(range(1, max_card + 1), repeat=length):
-                card = 1
-                for s in shape:
-                    card *= s
-                if card <= max_card:
-                    shapes.append((card, shape))
-        shapes.sort()
         seen = set()
-        for _, shape in shapes:
+        for shape in _box_shapes(range(1, top + 1), max_card, max_card):
             tile = zsum_box(group, shape)
             if tile.elems in seen:
                 continue

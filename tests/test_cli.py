@@ -324,7 +324,21 @@ def _maximal_cfg(**over):
     ("birkhoff",
      {**_torus_cfg(), "observable": {"kind": "indicator_symbol", "symbol": 1}},
      "indicator_symbol needs a Bernoulli shift"),
-], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus"])
+    ("verify-tiling",
+     {"group": _z_group(), "sequence": {"kind": "z_boxes"}, "indices": [1, "x"]},
+     "indices must be a non-empty list of positive integers"),
+    ("limit-setfn",
+     {"group": _z_group(), "sequence": {"kind": "z_boxes"}, "setfn": "card",
+      "n_schedule": [2, 4], "route": "strong", "budget": [1]},
+     "budget must be an object"),
+    ("check-family",
+     {"group": _z_group(), "system": _bernoulli_system(),
+      "family": {"kind": "additive", "observable": {"kind": "symbol_value"}},
+      "trials": "x"},
+     "trials must be a positive integer"),
+    ("decompose", _maximal_cfg(n="x"), "n must be a positive integer"),
+], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
+        "tiling-indices", "setfn-budget", "family-trials", "decompose-n"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1

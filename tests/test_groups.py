@@ -70,6 +70,26 @@ def test_finset_dedup_and_order():
     assert finset(Z1, []).is_empty
 
 
+@pytest.mark.parametrize("grp, absent, foreign", [
+    (Z2, (9, 9), ((0, 1),)),
+    (K2, ((9, 1),), (0, 1)),
+    (ZS, ((0, 7),), (0, 1)),
+], ids=["z_power", "cyclic_sum", "z_sum"])
+def test_finset_membership_matches_as_set(grp, absent, foreign):
+    rng = np.random.default_rng(3)
+    elems = [grp.random_elem(rng, 6) for _ in range(200)]
+    small, big = finset(grp, elems[:3]), finset(grp, elems)
+    assert len(big) > 16
+    for F in (small, big):
+        twin = finset(grp, F.elems)
+        for e in (*F.elems, absent, foreign, grp.identity()):
+            assert (e in F) == (e in F.as_set()) == (e in set(F.elems))
+        assert all(e in F for e in F.elems)
+        assert absent not in F and foreign not in F
+        assert F.as_set() is F.as_set()
+        assert F == twin and hash(F) == hash(twin) and repr(F) == repr(twin)
+
+
 def test_finset_algebra():
     A = finset(Z1, [(0,), (1,), (2,)])
     B = finset(Z1, [(2,), (3,)])
