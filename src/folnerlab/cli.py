@@ -10,6 +10,12 @@ code:
     2  inconclusive (statistics did not certify the claim)
     3  hypothesis-gate refusal
     4  counterexample found
+    5  internal error: the summary names the exception, the traceback goes
+       to stderr
+
+Handlers read the config only through ``_get`` (one type-checked value) and
+``_parts`` (the group and the objects built on it), so a malformed value
+exits 1 before any experiment runs.
 
 Reruns with the same config are byte-identical: the version lives in the
 header, and all sampling is derived from the config seed.  FOLNER_LAB_THREADS
@@ -20,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from ._bits import HASH_VERSION
@@ -27,7 +34,7 @@ from .ergodic import (GateRefusal, birkhoff_check, ergodic_decomposition_check,
                       kingman_run, limsup_identity_check,
                       maximal_inequality_check, setfn_limit_strong,
                       setfn_limit_tiling, setfn_registry)
-from .families import classify, family_from_json
+from .families import PROPERTIES, classify, family_from_json
 from .folner import (defect_profile, make_folner, ratios_look_divergent,
                      tempelman_report, tempered_report)
 from .groups import BudgetError, EnumBudget, Group
@@ -42,103 +49,92 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Config reading
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {key!r}")
-    return cfg[key]
+def _pos_ints(v) -> bool:
+    return (isinstance(v, list) and bool(v)
+            and all(type(n) is int and n >= 1 for n in v))
 
 
-def _build_group(cfg: dict) -> Group:
-    try:
-        return Group.from_json(_require(cfg, "group"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad group: {exc}")
+# (ok, what) pairs for `_get`.  `type(v) is int` keeps JSON true/false out.
+_INT = (lambda v: type(v) is int, "an integer")
+_POS_INT = (lambda v: type(v) is int and v >= 1, "a positive integer")
+_OPT_POS_INT = (lambda v: v is None or (type(v) is int and v >= 1),
+                "a positive integer or null")
+_NONNEG_INT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_SAMPLES = (lambda v: type(v) is int and v >= 2, "an integer >= 2")
+_NUM = (lambda v: type(v) in (int, float), "a number")
+_OPT_NUM = (lambda v: v is None or type(v) in (int, float), "a number or null")
+_POS_NUM = (lambda v: type(v) in (int, float) and v > 0, "a positive number")
+_OBJ = (lambda v: isinstance(v, dict), "an object")
+_SEQ_KIND = (lambda v: v in ("z_boxes", "cyclic_prefix", "zsum_boxes"),
+             "'z_boxes', 'cyclic_prefix' or 'zsum_boxes'")
+_ANCHORS = (lambda v: v in (None, "squares"), "'squares' or null")
+_PATH = (lambda v: v is None or isinstance(v, str), "a path or null")
+_INDICES = (_pos_ints, "a non-empty list of positive integers")
+_SCHEDULE = (lambda v: (_pos_ints(v) and len(v) >= 2
+                        and all(a < b for a, b in zip(v, v[1:]))),
+             "a strictly increasing list of positive integers, length >= 2")
 
 
-def _build_seq(group: Group, cfg: dict):
-    sd = _require(cfg, "sequence")
-    try:
-        return make_folner(group, sd["kind"], anchors=sd.get("anchors"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sequence: {exc}")
+def _get(cfg: dict, key: str, default, ok, what: str):
+    """``cfg[key]``, or ``default`` when absent (``...`` = required).
 
-
-def _build_system(cfg: dict, group: Group) -> System:
-    try:
-        return System.from_json(_require(cfg, "system"), group)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad system: {exc}")
-
-
-def _build_family(cfg: dict):
-    try:
-        return family_from_json(_require(cfg, "family"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad family: {exc}")
-
-
-def _schedule(cfg: dict) -> list:
-    sched = _require(cfg, "n_schedule")
-    if (not isinstance(sched, list) or len(sched) < 2
-            or not all(isinstance(n, int) and n >= 1 for n in sched)
-            or any(b <= a for a, b in zip(sched, sched[1:]))):
-        raise ConfigError("n_schedule must be a strictly increasing list of "
-                          "positive integers, length >= 2")
-    return sched
-
-
-def _indices(cfg: dict, default: list) -> list:
-    idx = cfg.get("indices", default)
-    if (not isinstance(idx, list) or not idx
-            or not all(isinstance(n, int) and n >= 1 for n in idx)):
-        raise ConfigError("indices must be a non-empty list of positive integers")
-    return idx
-
-
-def _positive_int(cfg: dict, key: str, default: int) -> int:
-    v = cfg.get(key, default)
-    if not isinstance(v, int) or v < 1:
-        raise ConfigError(f"{key} must be a positive integer")
+    A dotted key reads inside a nested object; a value failing ``ok`` is a
+    config error naming the key and ``what`` it must be.
+    """
+    outer, _, name = key.rpartition(".")
+    obj = _get(cfg, outer, {}, *_OBJ) if outer else cfg
+    if name not in obj:
+        if default is ...:
+            raise ConfigError(f"missing config key {key!r}")
+        return default
+    v = obj[name]
+    if not ok(v):
+        raise ConfigError(f"{key} must be {what}")
     return v
 
 
-def _samples(cfg: dict) -> int:
-    s = _require(cfg, "samples")
-    if not isinstance(s, int) or s < 2:
-        raise ConfigError("samples must be an integer >= 2")
-    return s
+_PARTS = {
+    "group": lambda g, d: Group.from_json(d),
+    "sequence": lambda g, d: make_folner(
+        g, _get(d, "kind", ..., *_SEQ_KIND), _get(d, "anchors", None, *_ANCHORS)),
+    "system": lambda g, d: System.from_json(d, g),
+    "family": lambda g, d: family_from_json(d),
+    "observable": lambda g, d: observable_from_json(d),
+}
 
 
-def _seed(cfg: dict) -> int:
-    s = cfg.get("seed", 7)
-    if not isinstance(s, int) or s < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    return s
-
-
-def _tolerances(cfg: dict) -> dict:
-    t = cfg.get("tolerances", {})
-    if not isinstance(t, dict):
-        raise ConfigError("tolerances must be an object")
-    return t
+def _parts(cfg: dict, *names: str) -> list:
+    """[group, *parts]: the group, then each named part built on it."""
+    built = []
+    for name in ("group",) + names:
+        spec = _get(cfg, name, ..., *_OBJ)
+        try:
+            built.append(_PARTS[name](built[0] if built else None, spec))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {name}: {exc}")
+    return built
 
 
 # ---------------------------------------------------------------------------
 # Result emission
+
+
+_VERDICT = {0: "pass", 1: "config_error", 2: "inconclusive",
+            3: "gate_refusal", 4: "counterexample", 5: "internal_error"}
 
 
 def _fmt(v) -> str:
@@ -149,15 +145,11 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _emit(cfg: dict, args, rows: list, summary: dict, exit_code: int) -> int:
-    out = cfg.get("output", {})
-    csv_path = args.csv or out.get("csv")
-    summary_path = args.summary or out.get("summary")
-    summary = dict(summary)
-    summary.setdefault("gaps", {})
-    summary["version"] = VERSION
-    summary["exit_code"] = exit_code
-    summary.setdefault("seeds", {})["hash"] = HASH_VERSION
+def _emit(args, output: tuple, rows, summary: dict, exit_code: int) -> int:
+    csv_path, summary_path = args.csv or output[0], args.summary or output[1]
+    summary = {"gaps": {}, **summary, "verdict": _VERDICT[exit_code],
+               "version": VERSION, "exit_code": exit_code,
+               "seeds": {**summary.get("seeds", {}), "hash": HASH_VERSION}}
     text = json.dumps(summary, sort_keys=True, indent=2, default=float)
     if csv_path:
         with open(csv_path, "w") as fh:
@@ -173,51 +165,40 @@ def _emit(cfg: dict, args, rows: list, summary: dict, exit_code: int) -> int:
     return exit_code
 
 
-def _verdict(code: int) -> str:
-    return {0: "pass", 1: "config_error", 2: "inconclusive",
-            3: "gate_refusal", 4: "counterexample"}[code]
-
-
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (exit_code, rows, summary)
+# Subcommand handlers: each returns (exit_code, rows, summary); `_emit` adds
+# the verdict, and empty `gaps` / `seeds` when a handler has none
 
 
 def _cmd_verify_folner(cfg: dict):
-    group = _build_group(cfg)
-    seq = _build_seq(group, cfg)
-    indices = _indices(cfg, [1, 2, 4, 8, 16])
-    upto = cfg.get("growth_upto", max(4, min(12, max(indices))))
-    rows = []
+    _, seq = _parts(cfg, "sequence")
+    indices = _get(cfg, "indices", [1, 2, 4, 8, 16], *_INDICES)
+    upto = _get(cfg, "growth_upto", max(4, min(12, max(indices))), *_POS_INT)
     profile = defect_profile(seq, indices)
-    for row in profile:
-        for key, val in row.items():
-            if key.startswith("defect_"):
-                rows.append((row["index"], key, float(val)))
+    rows = [(row["index"], key, float(val)) for row in profile
+            for key, val in row.items() if key.startswith("defect_")]
     temp = tempered_report(seq, upto)
     tpl = tempelman_report(seq, upto)
-    for i, r in enumerate(tpl.ratios, start=1):
-        rows.append((i, "tempelman_ratio", float(r)))
-    for i, r in enumerate(temp.ratios, start=1):
-        rows.append((i, "tempered_ratio", float(r)))
+    rows += [(i, "tempelman_ratio", float(r))
+             for i, r in enumerate(tpl.ratios, start=1)]
+    rows += [(i, "tempered_ratio", float(r))
+             for i, r in enumerate(temp.ratios, start=1)]
     first = max(v for k, v in profile[0].items() if k.startswith("defect_"))
     last = max(v for k, v in profile[-1].items() if k.startswith("defect_"))
     shrinking = last < first or (first == 0 and last == 0)
     divergent = ratios_look_divergent(temp.ratios)
-    code = 0 if (shrinking and not divergent) else 4
-    summary = {"verdict": _verdict(code),
-               "gaps": {"first_defect": float(first), "last_defect": float(last)},
-               "tempered_witness": float(temp.witness),
-               "tempelman_witness": float(tpl.witness),
-               "ratios_divergent": divergent,
-               "seeds": {}}
-    return code, rows, summary
+    return (0 if shrinking and not divergent else 4), rows, {
+        "gaps": {"first_defect": float(first), "last_defect": float(last)},
+        "tempered_witness": float(temp.witness),
+        "tempelman_witness": float(tpl.witness),
+        "ratios_divergent": divergent}
 
 
 def _cmd_verify_tiling(cfg: dict):
-    group = _build_group(cfg)
-    seq = _build_seq(group, cfg)
-    indices = _indices(cfg, [1, 2, 3, 4])
-    radius = cfg.get("window_radius", 6)
+    group, seq = _parts(cfg, "sequence")
+    indices = _get(cfg, "indices", [1, 2, 3, 4], *_INDICES)
+    radius = _get(cfg, "window_radius", 6, *_NONNEG_INT)
+    max_index = _get(cfg, "window_max_index", 3, *_POS_INT)
     rows = []
     all_ok = True
     windows_checked = 0
@@ -227,102 +208,81 @@ def _cmd_verify_tiling(cfg: dict):
             all_ok = False
             rows.append((n, "tiles_window", 0))
             continue
-        window = window_set(group, radius, cfg.get("window_max_index", 3))
+        window = window_set(group, radius, max_index)
         ok, uncovered, multi = tiles_window_report(cert, window)
         windows_checked += 1
         all_ok &= ok
         rows.append((n, "tiles_window", ok))
         rows.append((n, "uncovered_cells", len(uncovered)))
         rows.append((n, "multicovered_cells", len(multi)))
-    code = 0 if all_ok else 4
-    summary = {"verdict": _verdict(code), "windows_checked": windows_checked,
-               "gaps": {}, "seeds": {}}
-    return code, rows, summary
+    return (0 if all_ok else 4), rows, {"windows_checked": windows_checked}
 
 
 def _cmd_check_family(cfg: dict):
-    group = _build_group(cfg)
-    system = _build_system(cfg, group)
-    fam = _build_family(cfg)
-    seed = _seed(cfg)
-    trials = _positive_int(cfg, "trials", 300)
+    group, system, fam = _parts(cfg, "system", "family")
+    seed = _get(cfg, "seed", 7, *_NONNEG_INT)
+    trials = _get(cfg, "trials", 300, *_POS_INT)
+    max_card = _get(cfg, "max_card", 6, *_POS_INT)
+    expect = _get(cfg, "expect", sorted(fam.declared),
+                  lambda v: isinstance(v, list)
+                  and all(p in PROPERTIES for p in v),
+                  f"a list of properties from {', '.join(PROPERTIES)}")
     report = classify(fam, group, system, trials=trials, seed=seed,
-                      max_card=cfg.get("max_card", 6))
-    expect = cfg.get("expect", sorted(fam.declared))
+                      max_card=max_card)
     rows = []
-    bad = None
     for prop, pv in sorted(report.verdicts.items()):
         rows.append((0, f"passed_{prop}", pv.passed))
         rows.append((0, f"max_gap_{prop}", float(pv.max_gap)))
-    for prop in expect:
-        if prop not in report.verdicts:
-            raise ConfigError(f"unknown property {prop!r} in expect")
-        if not report.passed(prop):
-            bad = prop
-    code = 0 if bad is None else 4
-    summary = {"verdict": _verdict(code), "family": fam.name,
-               "expected": expect, "failed_property": bad,
-               "counterexample": report.counterexample(bad) if bad else None,
-               "gaps": {p: float(report.verdicts[p].max_gap)
-                        for p in report.verdicts},
-               "seeds": {"seed": seed}}
-    return code, rows, summary
+    failed = [p for p in expect if not report.passed(p)]
+    bad = failed[-1] if failed else None
+    return (0 if bad is None else 4), rows, {
+        "family": fam.name, "expected": expect, "failed_property": bad,
+        "counterexample": report.counterexample(bad) if bad else None,
+        "gaps": {p: float(report.verdicts[p].max_gap)
+                 for p in report.verdicts},
+        "seeds": {"seed": seed}}
 
 
 def _cmd_limit_setfn(cfg: dict):
-    group = _build_group(cfg)
-    seq = _build_seq(group, cfg)
-    name = _require(cfg, "setfn")
+    group, seq = _parts(cfg, "sequence")
     reg = setfn_registry(group)
-    if name not in reg:
-        raise ConfigError(f"unknown set function {name!r}; "
-                          f"choices: {sorted(reg)}")
-    f = reg[name]
-    indices = _schedule(cfg)
-    route = cfg.get("route", "tiling")
+    name = _get(cfg, "setfn", ..., lambda v: isinstance(v, str) and v in reg,
+                f"one of {sorted(reg)}")
+    indices = _get(cfg, "n_schedule", ..., *_SCHEDULE)
+    route = _get(cfg, "route", "tiling", lambda v: v in ("tiling", "strong"),
+                 "'tiling' or 'strong'")
     if route == "tiling":
-        rep = setfn_limit_tiling(f, seq, indices,
-                                 max_card=cfg.get("max_card", 12),
-                                 max_index=cfg.get("max_index", 4))
-    elif route == "strong":
-        b = cfg.get("budget", {})
-        if not isinstance(b, dict):
-            raise ConfigError("budget must be an object")
-        budget = EnumBudget(max_card=b.get("max_card", 4),
-                            lo=b.get("lo", -2), hi=b.get("hi", 2),
-                            max_index=b.get("max_index", 2),
-                            max_sets=b.get("max_sets", 4000))
-        rep = setfn_limit_strong(f, seq, indices, budget=budget)
+        rep = setfn_limit_tiling(
+            reg[name], seq, indices,
+            max_card=_get(cfg, "max_card", 12, *_POS_INT),
+            max_index=_get(cfg, "max_index", 4, *_POS_INT))
     else:
-        raise ConfigError("route must be 'tiling' or 'strong'")
-    rows = [(n, "normalized_value", v)
-            for n, v in zip(indices, rep.seq_values)]
+        budget = EnumBudget(
+            max_card=_get(cfg, "budget.max_card", 4, *_POS_INT),
+            lo=_get(cfg, "budget.lo", -2, *_INT),
+            hi=_get(cfg, "budget.hi", 2, *_INT),
+            max_index=_get(cfg, "budget.max_index", 2, *_OPT_POS_INT),
+            max_sets=_get(cfg, "budget.max_sets", 4000, *_OPT_POS_INT))
+        rep = setfn_limit_strong(reg[name], seq, indices, budget=budget)
+    rows = [(n, "normalized_value", v) for n, v in zip(indices, rep.seq_values)]
     rows += [(k, "inf_trend", v) for k, v in enumerate(rep.inf_trend)]
-    code = 0 if rep.status == "converged" else 2
-    summary = {"verdict": _verdict(code), "setfn": name, "route": route,
-               "limit": rep.limit_value, "inf": rep.inf_value,
-               "stabilized": rep.stabilized,
-               "gaps": {"limit_vs_inf": rep.gap}, "seeds": {}}
-    return code, rows, summary
-
-
-def _common_run_parts(cfg: dict):
-    group = _build_group(cfg)
-    seq = _build_seq(group, cfg)
-    system = _build_system(cfg, group)
-    return seq, system, _samples(cfg), _seed(cfg)
+    return (0 if rep.status == "converged" else 2), rows, {
+        "setfn": name, "route": route, "limit": rep.limit_value,
+        "inf": rep.inf_value, "stabilized": rep.stabilized,
+        "gaps": {"limit_vs_inf": rep.gap}}
 
 
 def _cmd_converge(cfg: dict):
-    seq, system, samples, seed = _common_run_parts(cfg)
-    schedule = _schedule(cfg)
-    fam = _build_family(cfg)
-    tols = _tolerances(cfg)
-    rep = kingman_run(fam, seq, system, schedule, samples, seed=seed,
-                      tol=tols.get("tol", 0.05),
-                      tail=tols.get("tail", 3),
-                      osc_tol=tols.get("osc_tol"),
-                      nu_floor=cfg.get("nu_floor", -25.0))
+    _, seq, system, fam = _parts(cfg, "sequence", "system", "family")
+    samples = _get(cfg, "samples", ..., *_SAMPLES)
+    seed = _get(cfg, "seed", 7, *_NONNEG_INT)
+    rep = kingman_run(
+        fam, seq, system, _get(cfg, "n_schedule", ..., *_SCHEDULE),
+        samples, seed=seed,
+        tol=_get(cfg, "tolerances.tol", 0.05, *_NUM),
+        tail=_get(cfg, "tolerances.tail", 3, *_POS_INT),
+        osc_tol=_get(cfg, "tolerances.osc_tol", None, *_OPT_NUM),
+        nu_floor=_get(cfg, "nu_floor", -25.0, *_NUM))
     rows = [(n, "mean_normalized_value", v)
             for n, v in zip(rep.schedule, rep.col_means)]
     rows += [(n, "l1_deviation", v) for n, v in zip(rep.schedule, rep.l1)]
@@ -331,9 +291,7 @@ def _cmd_converge(cfg: dict):
     rows.append((rep.schedule[-1], "converged_frac", rep.converged_frac))
     if rep.within_frac is not None:
         rows.append((rep.schedule[-1], "within_frac", rep.within_frac))
-    code = 0 if rep.passed else 2
-    summary = {"verdict": _verdict(code), "kind": rep.kind,
-               "family": fam.name, "gates": rep.gates,
+    summary = {"kind": rep.kind, "family": fam.name, "gates": rep.gates,
                "terminal": rep.terminal.to_json(),
                "converged_frac": rep.converged_frac,
                "within_frac": rep.within_frac,
@@ -343,98 +301,88 @@ def _cmd_converge(cfg: dict):
                "seeds": {"seed": seed}}
     if rep.kind == "truncation_ladder":
         summary["ladder"] = rep.extra["ladder"]
-    return code, rows, summary
+    return (0 if rep.passed else 2), rows, summary
 
 
 def _cmd_limsup(cfg: dict):
-    seq, system, samples, seed = _common_run_parts(cfg)
-    schedule = _schedule(cfg)
-    fam = _build_family(cfg)
-    mode = cfg.get("mode", "bi_invariant")
-    tols = _tolerances(cfg)
+    _, seq, system, fam = _parts(cfg, "sequence", "system", "family")
+    samples = _get(cfg, "samples", ..., *_SAMPLES)
+    seed = _get(cfg, "seed", 7, *_NONNEG_INT)
+    schedule = _get(cfg, "n_schedule", ..., *_SCHEDULE)
+    mode = _get(cfg, "mode", "bi_invariant",
+                lambda v: v in ("bi_invariant", "strongly_subadditive"),
+                "'bi_invariant' or 'strongly_subadditive'")
+    tol = _get(cfg, "tolerances.tol", 0.05, *_NUM)
     try:
         rep = limsup_identity_check(fam, seq, system, mode, schedule, samples,
-                                    seed=seed, tol=tols.get("tol", 0.05))
+                                    seed=seed, tol=tol)
     except ValueError as exc:
         raise ConfigError(str(exc))
     rows = [(0, "tail_max_mean", rep["tail_max_mean"]),
             (0, "within_frac", rep["within_frac"]),
             (0, "integral_gap", rep["integral_gap"])]
-    code = 0 if rep["passed"] else 2
-    summary = {"verdict": _verdict(code), "mode": mode,
-               "within_frac": rep["within_frac"],
-               "integral_ok": rep["integral_ok"],
-               "inf_stabilized": rep["inf_stabilized"],
-               "gaps": {"integral": rep["integral_gap"]},
-               "seeds": {"seed": seed}}
-    return code, rows, summary
+    return (0 if rep["passed"] else 2), rows, {
+        "mode": mode, "within_frac": rep["within_frac"],
+        "integral_ok": rep["integral_ok"],
+        "inf_stabilized": rep["inf_stabilized"],
+        "gaps": {"integral": rep["integral_gap"]}, "seeds": {"seed": seed}}
 
 
 def _cmd_maximal(cfg: dict):
-    seq, system, samples, seed = _common_run_parts(cfg)
-    fam = _build_family(cfg)
-    alpha = _require(cfg, "alpha")
-    if not isinstance(alpha, (int, float)) or alpha <= 0:
-        raise ConfigError("alpha must be positive")
-    N = _positive_int(cfg, "N", 3)
-    rep = maximal_inequality_check(fam, seq, system, float(alpha), N,
-                                   samples, seed=seed,
-                                   M=cfg.get("M"),
-                                   nu_term=cfg.get("nu_term"),
-                                   greedy_instances=cfg.get("greedy_instances", 3))
-    rows = [(N, "empirical_mass", rep.empirical_mass),
-            (N, "bound", rep.bound),
+    _, seq, system, fam = _parts(cfg, "sequence", "system", "family")
+    samples = _get(cfg, "samples", ..., *_SAMPLES)
+    seed = _get(cfg, "seed", 7, *_NONNEG_INT)
+    alpha = _get(cfg, "alpha", ..., *_POS_NUM)
+    N = _get(cfg, "N", 3, *_POS_INT)
+    rep = maximal_inequality_check(
+        fam, seq, system, float(alpha), N, samples, seed=seed,
+        M=_get(cfg, "M", None, *_OPT_NUM),
+        nu_term=_get(cfg, "nu_term", None, *_OPT_NUM),
+        greedy_instances=_get(cfg, "greedy_instances", 3, *_NONNEG_INT))
+    rows = [(N, "empirical_mass", rep.empirical_mass), (N, "bound", rep.bound),
             (N, "mass_stderr", rep.mass_stderr)]
     for k, g in enumerate(rep.greedy_witness_stats):
         rows.append((k, "greedy_exceed_count", g.exceed_count))
         rows.append((k, "greedy_tempelman_bound", float(g.tempelman_bound)))
-    code = 0 if rep.ok else 4
-    summary = {"verdict": _verdict(code), "report": rep.to_json(),
-               "gaps": {"mass_minus_bound": rep.empirical_mass - rep.bound},
-               "seeds": {"seed": seed}}
-    return code, rows, summary
+    return (0 if rep.ok else 4), rows, {
+        "report": rep.to_json(),
+        "gaps": {"mass_minus_bound": rep.empirical_mass - rep.bound},
+        "seeds": {"seed": seed}}
 
 
 def _cmd_decompose(cfg: dict):
-    seq, system, samples, seed = _common_run_parts(cfg)
-    fam = _build_family(cfg)
-    n = _positive_int(cfg, "n", 32)
+    _, seq, system, fam = _parts(cfg, "sequence", "system", "family")
+    samples = _get(cfg, "samples", ..., *_SAMPLES)
+    seed = _get(cfg, "seed", 7, *_NONNEG_INT)
+    n = _get(cfg, "n", 32, *_POS_INT)
     rep = ergodic_decomposition_check(fam, system, seq, n, samples, seed=seed)
     rows = [(n, "mixture_mean", rep["mixture"]["mean"]),
             (n, "weighted_component_mean", rep["weighted_components"]),
             (n, "gap", rep["gap"])]
-    code = 0 if rep["ok"] else 2
-    summary = {"verdict": _verdict(code),
-               "gaps": {"decomposition": rep["gap"]},
-               "combined_stderr": rep["combined_stderr"],
-               "seeds": {"seed": seed}}
-    return code, rows, summary
+    return (0 if rep["ok"] else 2), rows, {
+        "gaps": {"decomposition": rep["gap"]},
+        "combined_stderr": rep["combined_stderr"], "seeds": {"seed": seed}}
 
 
 def _cmd_birkhoff(cfg: dict):
-    seq, system, samples, seed = _common_run_parts(cfg)
-    schedule = _schedule(cfg)
-    try:
-        obs = observable_from_json(_require(cfg, "observable"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad observable: {exc}")
-    tols = _tolerances(cfg)
-    rep = birkhoff_check(obs, seq, system, schedule, samples, seed=seed,
-                         tol=tols.get("tol", 0.05),
-                         tail=tols.get("tail", 3),
-                         osc_tol=tols.get("osc_tol"))
+    _, seq, system, obs = _parts(cfg, "sequence", "system", "observable")
+    samples = _get(cfg, "samples", ..., *_SAMPLES)
+    seed = _get(cfg, "seed", 7, *_NONNEG_INT)
+    rep = birkhoff_check(
+        obs, seq, system, _get(cfg, "n_schedule", ..., *_SCHEDULE),
+        samples, seed=seed,
+        tol=_get(cfg, "tolerances.tol", 0.05, *_NUM),
+        tail=_get(cfg, "tolerances.tail", 3, *_POS_INT),
+        osc_tol=_get(cfg, "tolerances.osc_tol", None, *_OPT_NUM))
     rows = [(n, "mean_average", v) for n, v in zip(rep.schedule, rep.col_means)]
     rows += [(n, "l1_deviation", v) for n, v in zip(rep.schedule, rep.l1)]
     rows.append((rep.schedule[-1], "within_frac", rep.within_frac))
-    code = 0 if rep.passed else 2
-    summary = {"verdict": _verdict(code),
-               "terminal": rep.terminal.to_json(),
-               "within_frac": rep.within_frac,
-               "target": rep.target_summary,
-               "gaps": {"terminal_vs_target":
-                        abs(rep.terminal.mean - rep.target_summary["mean"])},
-               "seeds": {"seed": seed}}
-    return code, rows, summary
+    return (0 if rep.passed else 2), rows, {
+        "terminal": rep.terminal.to_json(), "within_frac": rep.within_frac,
+        "target": rep.target_summary,
+        "gaps": {"terminal_vs_target":
+                 abs(rep.terminal.mean - rep.target_summary["mean"])},
+        "seeds": {"seed": seed}}
 
 
 _THEOREM_TABLE = [
@@ -470,14 +418,6 @@ _THEOREM_TABLE = [
 ]
 
 
-def _cmd_list_theorems():
-    width = max(len(r[0]) for r in _THEOREM_TABLE)
-    cmdw = max(len(r[1]) for r in _THEOREM_TABLE)
-    for name, cmd, gates in _THEOREM_TABLE:
-        print(f"{name:<{width}}  {cmd:<{cmdw}}  {gates}")
-    return 0
-
-
 _HANDLERS = {
     "verify-folner": _cmd_verify_folner,
     "verify-tiling": _cmd_verify_tiling,
@@ -505,10 +445,16 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-theorems":
-        return _cmd_list_theorems()
+        width = max(len(r[0]) for r in _THEOREM_TABLE)
+        cmdw = max(len(r[1]) for r in _THEOREM_TABLE)
+        for name, cmd, gates in _THEOREM_TABLE:
+            print(f"{name:<{width}}  {cmd:<{cmdw}}  {gates}")
+        return 0
 
     try:
         cfg = _load_config(args.config)
+        output = (_get(cfg, "output.csv", None, *_PATH),
+                  _get(cfg, "output.summary", None, *_PATH))
         code, rows, summary = _HANDLERS[args.command](cfg)
     except (ConfigError, BudgetError, UnsupportedObservable) as exc:
         # a budget blow-up here means the requested windows exceed the
@@ -516,12 +462,13 @@ def main(argv: Optional[list] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except GateRefusal as exc:
-        code = 4 if exc.extra.get("counterexample") else 3
-        summary = {"verdict": _verdict(code), "refused_hypothesis": exc.hypothesis,
-                   "detail": exc.detail, "extra": exc.extra, "gaps": {},
-                   "seeds": {}}
-        return _emit(cfg, args, [], summary, code)
-    return _emit(cfg, args, rows, summary, code)
+        code, rows = (4 if exc.extra.get("counterexample") else 3), []
+        summary = {"refused_hypothesis": exc.hypothesis, "detail": exc.detail,
+                   "extra": exc.extra}
+    except Exception as exc:  # a bug: keep the traceback, still summarise
+        traceback.print_exc()
+        code, rows, summary = 5, [], {"error": f"{type(exc).__name__}: {exc}"}
+    return _emit(args, output, rows, summary, code)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """End-to-end runner contract: exit codes, CSV/JSON artifacts, determinism."""
 
+import copy
 import json
 import math
+import sys
 
 import pytest
 
+from folnerlab import cli
 from folnerlab._bits import HASH_VERSION
 from folnerlab.cli import _HANDLERS, _THEOREM_TABLE, VERSION, main
 
@@ -310,6 +313,26 @@ def _maximal_cfg(**over):
     return cfg
 
 
+def _folner_cfg(**over):
+    return {"group": _z_group(), "sequence": {"kind": "z_boxes"},
+            "indices": [1, 2], **over}
+
+
+def _family_cfg(**over):
+    return {"group": _z_group(), "system": _bernoulli_system(),
+            "family": {"kind": "additive", "observable": {"kind": "symbol_value"}},
+            "trials": 5, **over}
+
+
+def _setfn_cfg(**over):
+    return {"group": _z_group(), "sequence": {"kind": "z_boxes"},
+            "setfn": "card", "n_schedule": [2, 4], **over}
+
+
+def _converge_cfg(**over):
+    return {**_maximal_cfg(), "n_schedule": [2, 4], **over}
+
+
 @pytest.mark.parametrize("cmd, cfg, message", [
     ("verify-folner",
      {"group": _z_group(), "sequence": {"kind": "z_boxes"},
@@ -337,8 +360,35 @@ def _maximal_cfg(**over):
       "trials": "x"},
      "trials must be a positive integer"),
     ("decompose", _maximal_cfg(n="x"), "n must be a positive integer"),
+    ("verify-folner", _folner_cfg(growth_upto="x"),
+     "growth_upto must be a positive integer"),
+    ("verify-folner", _folner_cfg(growth_upto=True),
+     "growth_upto must be a positive integer"),
+    ("verify-tiling", _folner_cfg(window_radius="x"),
+     "window_radius must be a non-negative integer"),
+    ("check-family", _family_cfg(max_card="x"),
+     "max_card must be a positive integer"),
+    ("check-family", _family_cfg(expect=3), "expect must be a list of properties"),
+    ("limit-setfn", _setfn_cfg(max_card="x"), "max_card must be a positive integer"),
+    ("limit-setfn", _setfn_cfg(route="strong", budget={"max_card": "x"}),
+     "budget.max_card must be a positive integer"),
+    ("limit-setfn", _setfn_cfg(setfn=["x"]), "setfn must be one of"),
+    ("converge", _converge_cfg(tolerances={"tol": "x"}),
+     "tolerances.tol must be a number"),
+    ("converge", _converge_cfg(nu_floor="x"), "nu_floor must be a number"),
+    ("birkhoff", {**_torus_cfg(), "tolerances": {"tail": "x"}},
+     "tolerances.tail must be a positive integer"),
+    ("maximal", _maximal_cfg(M="x"), "M must be a number or null"),
+    ("maximal", _maximal_cfg(greedy_instances="x"),
+     "greedy_instances must be a non-negative integer"),
+    ("maximal", _maximal_cfg(output="x"), "output must be an object"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
-        "tiling-indices", "setfn-budget", "family-trials", "decompose-n"])
+        "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
+        "folner-growth-str", "folner-growth-bool", "tiling-radius",
+        "family-max-card", "family-expect", "setfn-max-card",
+        "setfn-budget-max-card", "setfn-name-list", "converge-tol",
+        "converge-nu-floor", "birkhoff-tail", "maximal-M",
+        "maximal-greedy-instances", "output-not-object"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1
@@ -346,3 +396,109 @@ def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert message in err
+
+
+# ---------------------------------------------------------------------------
+# exit code 5: a bug in a handler still writes a summary
+
+
+def test_internal_error_exit_five(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(_HANDLERS, "converge", broken)
+    code, summary, _ = _run("converge", _write(tmp_path, "cfg.json", {}),
+                            tmp_path)
+    assert code == 5
+    assert summary["verdict"] == "internal_error"
+    assert summary["error"] == "RuntimeError: boom"
+    assert summary["exit_code"] == 5
+    assert summary["seeds"]["hash"] == HASH_VERSION
+    assert "Traceback" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# every key a handler reads rejects a string and a JSON boolean
+
+
+class _Recorder(dict):
+    """A config object that records each key `folnerlab.cli` reads from it.
+
+    Nested objects are wrapped too, so `budget.max_card` or `output.csv` is
+    recorded under its dotted path.  Reads made by the library (for example
+    `Group.from_json` reading `group.kind`) are not recorded.
+    """
+
+    def __init__(self, data, reads, prefix=""):
+        super().__init__({k: _Recorder(v, reads, f"{prefix}{k}.")
+                          if isinstance(v, dict) else v
+                          for k, v in data.items()})
+        self.reads, self.prefix = reads, prefix
+
+    def _note(self, key):
+        if sys._getframe(2).f_globals.get("__name__") == cli.__name__:
+            self.reads.add(self.prefix + key)
+
+    def __contains__(self, key):
+        self._note(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self._note(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._note(key)
+        return super().get(key, default)
+
+
+def _set_path(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    *outer, last = path.split(".")
+    node = cfg
+    for key in outer:
+        node = node.setdefault(key, {})
+    node[last] = value
+    return cfg
+
+
+# valid configs, small enough to run in well under a second each; the
+# nested objects are present (if empty) so that their keys get recorded
+_KEY_CASES = [
+    ("verify-folner", _folner_cfg()),
+    ("verify-tiling", _folner_cfg(window_radius=2)),
+    ("check-family", _family_cfg(max_card=3)),
+    ("limit-setfn", _setfn_cfg(setfn="card_plus_one", max_card=3, max_index=2)),
+    ("limit-setfn", _setfn_cfg(route="strong",
+                               budget={"max_card": 2, "lo": -1, "hi": 1,
+                                       "max_sets": 50})),
+    ("converge", _converge_cfg(tolerances={})),
+    ("limsup", _converge_cfg(tolerances={})),
+    ("maximal", _maximal_cfg(greedy_instances=1)),
+    ("decompose", _maximal_cfg(n=4)),
+    ("birkhoff", {**_torus_cfg(), "n_schedule": [4, 16], "samples": 10,
+                  "tolerances": {}}),
+]
+
+# a string is a valid output path, so those keys are probed with a number
+_PATH_KEYS = {"output.csv", "output.summary"}
+
+
+@pytest.mark.parametrize("cmd, cfg", _KEY_CASES,
+                         ids=[f"{c}-{i}" for i, (c, _) in enumerate(_KEY_CASES)])
+def test_every_read_key_is_checked(tmp_path, capsys, monkeypatch, cmd, cfg):
+    cfg = {**cfg, "output": {}}
+    reads = set()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_load_config", lambda path: _Recorder(cfg, reads))
+        code, _, _ = _run(cmd, "unused.json", tmp_path, tag="base")
+    assert code not in (1, 5)
+    assert {"group", "output.csv", "output.summary"} <= reads
+    for key in sorted(reads):
+        for bad in ((3, True) if key in _PATH_KEYS else ("x", True)):
+            path = _write(tmp_path, "cfg.json", _set_path(cfg, key, bad))
+            capsys.readouterr()
+            code, summary, _ = _run(cmd, path, tmp_path, tag="probe")
+            err = capsys.readouterr().err
+            assert (code, summary is None) == (1, True), (key, bad, err)
+            assert err.startswith("config error:"), (key, bad, err)
