@@ -41,20 +41,13 @@ def mix64_np(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _S31)
 
 
-def derive_key(*parts: int) -> int:
-    """Deterministic 64-bit key from integer parts (order-sensitive)."""
-    h = GOLDEN64
-    for p in parts:
-        h = mix64(h ^ (p & MASK64))
-    return h
-
-
 TWO_NEG_64 = 2.0 ** -64
 
 
 def uniforms_from_keys(keys: np.ndarray, cfg: np.ndarray) -> np.ndarray:
-    """Uniform [0,1) matrix, one row per cfg word, one column per cell key."""
-    u = mix64_np(keys[None, :] ^ cfg[:, None])
+    """Uniform [0,1) matrix, one row per cfg word, one column per cell key;
+    ``keys`` is one row shared by every cfg or one row per cfg."""
+    u = mix64_np(keys ^ cfg[:, None])
     return u.astype(np.float64) * TWO_NEG_64
 
 

@@ -5,8 +5,9 @@ CSV of per-index statistics plus a JSON summary, and exits with a verdict
 code:
 
     0  pass
-    1  config/schema error, an observable the system does not support, or
-       an enumeration budget exceeded before any gate runs
+    1  config/schema error, an observable the system does not support, an
+       enumeration budget exceeded before any gate runs, or an output file
+       that cannot be written
     2  inconclusive (statistics did not certify the claim)
     3  hypothesis-gate refusal
     4  counterexample found
@@ -151,16 +152,20 @@ def _emit(args, output: tuple, rows, summary: dict, exit_code: int) -> int:
                "version": VERSION, "exit_code": exit_code,
                "seeds": {**summary.get("seeds", {}), "hash": HASH_VERSION}}
     text = json.dumps(summary, sort_keys=True, indent=2, default=float)
-    if csv_path:
-        with open(csv_path, "w") as fh:
-            fh.write(f"# folner-lab csv version={VERSION} hash={HASH_VERSION}\n")
-            fh.write("index,statistic,value\n")
-            for idx, stat, val in rows:
-                fh.write(f"{idx},{stat},{_fmt(val)}\n")
-    if summary_path:
-        with open(summary_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    try:
+        if csv_path:
+            with open(csv_path, "w") as fh:
+                fh.write(f"# folner-lab csv version={VERSION} hash={HASH_VERSION}\n")
+                fh.write("index,statistic,value\n")
+                for idx, stat, val in rows:
+                    fh.write(f"{idx},{stat},{_fmt(val)}\n")
+        if summary_path:
+            with open(summary_path, "w") as fh:
+                fh.write(text + "\n")
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    if not summary_path:
         print(text)
     return exit_code
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .groups import (FinSet, Group, diff, finset, intersect, inverse_set,
                      product_set, translate_left, translate_right, union)
-from .systems import (GenericBatch, Observable, System, observable_from_json,
-                      split_leaves)
+from .systems import Observable, System, observable_from_json, split_leaves
 from .tiling import TilingCert, compose, window_set
 
 _CHUNK = 64  # points per vectorized slab; bounds (chunk x |F|) working memory
@@ -63,21 +62,11 @@ class Family:
         return out
 
     def leaf_values(self, leaf: System, batch, F: FinSet) -> np.ndarray:
-        if isinstance(batch, GenericBatch):
-            return np.array([self.value(leaf, F, y) for y in batch.points])
         raise NotImplementedError(f"{self.name}: no vectorized path")
 
     def singleton_window(self, leaf: System, batch, F: FinSet) -> np.ndarray:
         """Matrix of d_{{e}}(g . y_p) for g in F."""
-        e = finset(F.group, [F.group.identity()])
-        pts = batch.points if isinstance(batch, GenericBatch) else None
-        if pts is None:
-            raise NotImplementedError(f"{self.name}: no singleton window path")
-        out = np.empty((len(pts), len(F)))
-        for i, y in enumerate(pts):
-            for j, g in enumerate(F.elems):
-                out[i, j] = self.value(leaf, e, leaf.apply(g, y))
-        return out
+        raise NotImplementedError(f"{self.name}: no singleton window path")
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -309,6 +298,10 @@ class DerivedPrime(Family):
         return (self.base.singleton_window(leaf, batch, F).sum(axis=1)
                 - self.base.leaf_values(leaf, batch, F))
 
+    def singleton_window(self, leaf, batch, F):
+        # d'_{e}(y) = d_{e}(e.y) - d_{e}(y)
+        return np.zeros((len(batch), len(F)))
+
     def to_json(self):
         return {"kind": "derived_prime", "base": self.base.to_json()}
 
@@ -379,6 +372,9 @@ class MinusCardSquared(Family):
 
     def leaf_values(self, leaf, batch, F):
         return self.base.leaf_values(leaf, batch, F) - float(len(F)) ** 2
+
+    def singleton_window(self, leaf, batch, F):
+        return self.base.singleton_window(leaf, batch, F) - 1.0
 
     def to_json(self):
         return {"kind": "minus_card_squared", "base": self.base.to_json()}

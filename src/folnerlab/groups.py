@@ -77,9 +77,10 @@ class Group:
     def rows_to_elems(self, rows: np.ndarray) -> list:
         raise NotImplementedError
 
-    def translate_rows(self, rows: np.ndarray, g) -> np.ndarray:
-        """Right-translate every row by ``g`` (abelian, so also left)."""
-        raise NotImplementedError
+    def translate_rows(self, rows: np.ndarray, offset_rows: np.ndarray) -> np.ndarray:
+        """(K, n, w): the n ``rows`` translated by each of the K ``offset_rows``
+        (abelian, so right and left agree)."""
+        return offset_rows[:, None, :] + rows[None, :, :]
 
     def elem_key(self, e) -> int:
         """Seed-free 64-bit key of an element (canonical across paths)."""
@@ -147,9 +148,6 @@ class ZPower(Group):
 
     def rows_to_elems(self, rows: np.ndarray) -> list:
         return [tuple(int(x) for x in row) for row in rows]
-
-    def translate_rows(self, rows: np.ndarray, g) -> np.ndarray:
-        return rows + np.asarray(g, dtype=np.int64)
 
     def elem_key(self, e) -> int:
         h = GOLDEN64
@@ -234,15 +232,6 @@ class _SparseSumBase(Group):
             out.append(tuple((int(i), int(v)) for i, v in enumerate(row) if v != 0))
         return out
 
-    def translate_rows(self, rows: np.ndarray, g) -> np.ndarray:
-        width = rows.shape[1]
-        gv = np.zeros(width, dtype=np.int64)
-        for i, v in g:
-            if i >= width:
-                raise ValueError("dense width too small for translation")
-            gv[i] = v
-        return rows + gv
-
     def elem_key(self, e) -> int:
         h = GOLDEN64
         for i, v in e:
@@ -303,8 +292,9 @@ class CyclicSum(_SparseSumBase):
     def periods_vector(self, width: int) -> np.ndarray:
         return np.asarray([self.period(i) for i in range(width)], dtype=np.int64)
 
-    def translate_rows(self, rows: np.ndarray, g) -> np.ndarray:
-        return super().translate_rows(rows, g) % self.periods_vector(rows.shape[1])
+    def translate_rows(self, rows: np.ndarray, offset_rows: np.ndarray) -> np.ndarray:
+        return (super().translate_rows(rows, offset_rows)
+                % self.periods_vector(rows.shape[1]))
 
     def generators(self) -> list:
         return [((0, 1),)]
@@ -439,11 +429,6 @@ def diff(E: FinSet, F: FinSet) -> FinSet:
 def symdiff(E: FinSet, F: FinSet) -> FinSet:
     _require_same_group(E, F)
     return FinSet(E.group, tuple(sorted(set(E.elems) ^ set(F.elems))))
-
-
-def is_subset(E: FinSet, F: FinSet) -> bool:
-    _require_same_group(E, F)
-    return set(E.elems) <= set(F.elems)
 
 
 _GRID_PAIR_THRESHOLD = 60_000

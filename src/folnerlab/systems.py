@@ -11,8 +11,11 @@ Points are small frozen records and the action law is exact by construction:
 * ``FiniteMixture`` draws a component per sample and delegates.
 
 The vectorized "window" paths evaluate an observable over every translate of
-a finite set for a batch of sample points; they are bit-identical to the
-scalar paths (same mixer, same comparisons), which tests assert.
+a finite set for a batch of sample points.  Every leaf batch takes them: a
+Bernoulli batch carries one offset per point, so translated points (as in
+the greedy covering) batch with the rest.  They are bit-identical to the
+scalar ``value_fn`` paths (same mixer, same comparisons), which tests assert
+and which stay as the reference.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._bits import GOLDEN64, mix64, uniform_from_key, uniforms_from_keys
-from .groups import FinSet, Group, ZPower
+from .groups import FinSet, Group, ZPower, _box
 
 
 class UnsupportedObservable(ValueError):
@@ -59,13 +62,13 @@ class MixturePoint:
 @dataclass
 class BernoulliBatch:
     cfgs: np.ndarray  # uint64, one per point
-    offset: tuple
+    offsets: list  # group element, one per point
 
     def __len__(self):
         return len(self.cfgs)
 
     def slice(self, sl):
-        return BernoulliBatch(self.cfgs[sl], self.offset)
+        return BernoulliBatch(self.cfgs[sl], self.offsets[sl])
 
 
 @dataclass
@@ -80,16 +83,9 @@ class TorusBatch:
         return TorusBatch(self.bases[sl], self.steps[sl])
 
 
-@dataclass
 class GenericBatch:
-    system: object
-    points: list
-
-    def __len__(self):
-        return len(self.points)
-
-    def slice(self, sl):
-        return GenericBatch(self.system, self.points[sl])
+    """Never built; the name stays for ``bench/tracer.py``, which counts the
+    window cells of batches of this type."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +163,21 @@ class BernoulliShift(System):
         return bisect_right(self.cum, self.uniform_at(y, h))
 
     def window_uniforms(self, batch: BernoulliBatch, F: FinSet) -> np.ndarray:
-        """Uniform matrix (P, |F|): cell g*offset for each g in F."""
+        """Uniform matrix (P, |F|): cell g*offset_p for each g in F.
+
+        Each cell is hashed once per distinct offset; the keys are gathered
+        per point only when the batch holds more than one offset."""
         grp = self.group
-        width = max(grp.dense_width(F.elems), grp.dense_width([batch.offset]))
-        rows = grp.dense_rows(F.elems, width)
-        rows = grp.translate_rows(rows, batch.offset)
-        keys = grp.keys_for_rows(rows)
-        return uniforms_from_keys(keys, batch.cfgs)
+        index: dict = {}
+        which = [index.setdefault(o, len(index)) for o in batch.offsets]
+        offsets = list(index)
+        width = max(grp.dense_width(F.elems), grp.dense_width(offsets))
+        cells = grp.translate_rows(grp.dense_rows(F.elems, width),
+                                   grp.dense_rows(offsets, width))
+        keys = grp.keys_for_rows(cells.reshape(-1, width))
+        keys = keys.reshape(len(offsets), len(F))
+        return uniforms_from_keys(keys[0] if len(offsets) == 1 else keys[which],
+                                  batch.cfgs)
 
     def to_json(self) -> dict:
         return {"kind": "bernoulli", "group": self.group.to_json(),
@@ -278,17 +282,12 @@ def split_leaves(system: System, points: list):
 
 def make_batch(leaf: System, points: list):
     if isinstance(leaf, BernoulliShift):
-        offsets = {y.offset for y in points}
-        if len(offsets) <= 1:
-            offset = points[0].offset if points else leaf.group.identity()
-            cfgs = np.asarray([y.cfg for y in points], dtype=np.uint64)
-            return BernoulliBatch(cfgs, offset)
-    if isinstance(leaf, TorusRotation):
-        bases = np.asarray([y.base for y in points], dtype=np.float64)
-        steps = np.asarray([y.steps for y in points], dtype=np.int64)
-        return TorusBatch(bases.reshape(len(points), leaf.group.d),
-                          steps.reshape(len(points), leaf.group.d))
-    return GenericBatch(leaf, list(points))
+        return BernoulliBatch(np.asarray([y.cfg for y in points], dtype=np.uint64),
+                              [y.offset for y in points])
+    bases = np.asarray([y.base for y in points], dtype=np.float64)
+    steps = np.asarray([y.steps for y in points], dtype=np.int64)
+    return TorusBatch(bases.reshape(len(points), leaf.group.d),
+                      steps.reshape(len(points), leaf.group.d))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def make_batch(leaf: System, points: list):
 class Observable:
     name: str
     value_fn: Callable
-    window_fn: Optional[Callable] = None
+    window_fn: Callable
     exact_mean_fn: Optional[Callable] = None
     bound: Optional[float] = None
     nonneg: bool = False
@@ -312,16 +311,7 @@ class Observable:
 
     def window_values(self, leaf: System, batch, F: FinSet) -> np.ndarray:
         """Matrix of f(g . y_p) for g in F (columns follow F's order)."""
-        if self.window_fn is not None and not isinstance(batch, GenericBatch):
-            return self.window_fn(leaf, batch, F)
-        pts = batch.points if isinstance(batch, GenericBatch) else None
-        if pts is None:
-            raise UnsupportedObservable(f"{self.name}: no window path for this batch")
-        out = np.empty((len(pts), len(F)))
-        for i, y in enumerate(pts):
-            for j, g in enumerate(F.elems):
-                out[i, j] = self.value_fn(leaf, leaf.apply(g, y))
-        return out
+        return self.window_fn(leaf, batch, F)
 
     def exact_mean(self, leaf: System) -> Optional[float]:
         if self.exact_mean_fn is None:
@@ -456,57 +446,37 @@ def neg_pow_run(base: float = 2.0, cap: int = 40) -> Observable:
     >= 1/base.
     """
 
-    def _is_one(leaf, u):
-        lo = leaf.cum[0]
-        hi = leaf.cum[1] if len(leaf.cum) > 1 else 1.0
-        return lo <= u < hi
-
-    def value_fn(leaf, y):
+    def _require_line(leaf):
         _require_bernoulli(leaf, "neg_pow_run")
         if not isinstance(leaf.group, ZPower) or leaf.group.d != 1:
             raise UnsupportedObservable("neg_pow_run needs a Bernoulli shift on Z")
+
+    def value_fn(leaf, y):
+        _require_line(leaf)
         r = 0
-        while r < cap and _is_one(leaf, leaf.uniform_at(y, (r,))):
+        while r < cap and leaf.symbol(y, (r,)) == 1:
             r += 1
         return -float(base) ** r
 
     def window_fn(leaf, batch, F):
-        _require_bernoulli(leaf, "neg_pow_run")
-        rows = leaf.group.dense_rows(F.elems, 1)[:, 0]
-        n = len(rows)
-        if n and rows.max() - rows.min() + 1 == n:
-            grp = leaf.group
-            ext = np.arange(rows.min(), rows.max() + cap + 1, dtype=np.int64)
-            ext_rows = grp.translate_rows(ext.reshape(-1, 1), batch.offset)
-            keys = grp.keys_for_rows(ext_rows)
-            u = uniforms_from_keys(keys, batch.cfgs)
-            lo = leaf.cum[0]
-            hi = leaf.cum[1] if len(leaf.cum) > 1 else 1.0
-            one = (u >= lo) & (u < hi)
-            ncol = one.shape[1]
-            out = np.zeros((len(batch), n))
-            nxt = np.zeros(len(batch))
-            for j in range(ncol - 1, -1, -1):
-                cur = np.where(one[:, j], nxt + 1.0, 0.0)
-                if j < n:
-                    out[:, j] = cur
-                nxt = cur
-            return -np.power(float(base), np.minimum(out, cap))
-        # non-contiguous window: scalar per cell
-        out = np.empty((len(batch), n))
-        for i, cfg in enumerate(batch.cfgs):
-            y = ShiftPoint(batch.offset, int(cfg))
-            for j, g in enumerate(F.elems):
-                out[i, j] = value_fn(leaf, leaf.apply(g, y))
-        return out
+        # runs over the cells [min F, max F + cap], then F's columns
+        _require_line(leaf)
+        cols = leaf.group.dense_rows(F.elems)[:, 0]
+        lo, hi = (int(cols.min()), int(cols.max())) if len(cols) else (0, 0)
+        ext = _box(leaf.group, [range(lo, hi + cap + 1)])
+        u = leaf.window_uniforms(batch, ext)
+        one = np.searchsorted(leaf._cum_np, u, side="right") == 1
+        pos = np.arange(len(ext))
+        # the run from cell j ends at the first cell >= j that is not a 1
+        stop = np.where(one, len(ext), pos)
+        run = np.minimum.accumulate(stop[:, ::-1], axis=1)[:, ::-1] - pos
+        return -np.power(float(base), np.minimum(run[:, cols - lo], cap))
 
     return Observable(
         name=f"neg_pow_run[{base},{cap}]",
         json={"kind": "neg_pow_run", "base": float(base), "cap": cap},
         value_fn=value_fn,
         window_fn=window_fn,
-        exact_mean_fn=None,
-        bound=None,
         nonneg=False,
     )
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .folner import FolnerSeq, folner_defect
+from .folner import _CARD_CAP, FolnerSeq, folner_defect
 from .groups import (
+    BudgetError,
     CyclicSum,
     FinSet,
     Group,
@@ -209,12 +210,20 @@ def tiles_window(cert: TilingCert, window: FinSet) -> bool:
 
 
 def window_set(group: Group, radius: int, max_index: Optional[int] = None) -> FinSet:
-    """A canonical finite window used for coverage checks."""
+    """A canonical finite window used for coverage checks; ``BudgetError``,
+    before any element is built, past the cell cap of the Folner boxes."""
     if isinstance(group, CyclicSum):
-        return _box(group, _prefix_ranges(group, radius))
-    width = group.d if isinstance(group, ZPower) else (
-        max_index if max_index is not None else 3)
-    return _box(group, [range(-radius, radius + 1)] * width)
+        ranges = _prefix_ranges(group, radius, _CARD_CAP)
+        too_big = len(ranges) < radius
+    else:
+        width = group.d if isinstance(group, ZPower) else (
+            max_index if max_index is not None else 3)
+        ranges = [range(-radius, radius + 1)] * width
+        too_big = (2 * radius + 1) ** width > _CARD_CAP
+    if too_big:
+        raise BudgetError(f"window of radius {radius} has more than "
+                          f"{_CARD_CAP} cells")
+    return _box(group, ranges)
 
 
 def standard_cert(seq: FolnerSeq, index) -> Optional[TilingCert]:

@@ -182,6 +182,17 @@ def test_oversized_window_exit_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("inner", ["minus_card_squared", "derived_prime"])
+def test_nested_defect_family_runs(tmp_path, inner):
+    # the defect of a family needs that family's singleton window
+    additive = {"kind": "additive",
+                "observable": {"kind": "indicator_symbol", "symbol": 1}}
+    cfg = _maximal_cfg(family={"kind": "derived_prime",
+                               "base": {"kind": inner, "base": additive}})
+    code, summary, _ = _run("maximal", _write(tmp_path, "cfg.json", cfg), tmp_path)
+    assert code in (0, 4), summary
+
+
 # ---------------------------------------------------------------------------
 # exit code 2: honest inconclusive
 
@@ -287,6 +298,28 @@ def test_rerun_is_byte_identical(tmp_path):
     assert sa == sb
 
 
+def test_results_independent_of_thread_count(tmp_path, monkeypatch):
+    # the criterion-08 mixture; 300 samples make three blocks, so two
+    # threads split the work
+    cfg = _write(tmp_path, "cfg.json", {
+        "group": {"kind": "z_power", "d": 2},
+        "sequence": {"kind": "z_boxes"},
+        "system": {"kind": "mixture", "seed": 23, "components": [
+            {"weight": 0.5, "system": _bernoulli_system((0.75, 0.25), seed=21)},
+            {"weight": 0.5, "system": _bernoulli_system((0.25, 0.75), seed=22)}]},
+        "family": {"kind": "additive",
+                   "observable": {"kind": "indicator_symbol", "symbol": 1}},
+        "n": 16, "samples": 300, "seed": 17,
+    })
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FOLNER_LAB_THREADS", threads)
+        code, _, csv = _run("decompose", cfg, tmp_path, tag=threads)
+        assert code == 0
+        outputs.append((csv, (tmp_path / f"out{threads}.json").read_text()))
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # discovery table
 
@@ -382,13 +415,22 @@ def _converge_cfg(**over):
     ("maximal", _maximal_cfg(greedy_instances="x"),
      "greedy_instances must be a non-negative integer"),
     ("maximal", _maximal_cfg(output="x"), "output must be an object"),
+    ("verify-tiling",
+     {"group": {"kind": "cyclic_sum", "periods": [2]},
+      "sequence": {"kind": "cyclic_prefix"}, "indices": [1], "window_radius": 23},
+     "window of radius 23 has more than 5000000 cells"),
+    ("verify-tiling",
+     {"group": {"kind": "z_power", "d": 2}, "sequence": {"kind": "z_boxes"},
+      "indices": [1], "window_radius": 1200},
+     "window of radius 1200 has more than 5000000 cells"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
         "folner-growth-str", "folner-growth-bool", "tiling-radius",
         "family-max-card", "family-expect", "setfn-max-card",
         "setfn-budget-max-card", "setfn-name-list", "converge-tol",
         "converge-nu-floor", "birkhoff-tail", "maximal-M",
-        "maximal-greedy-instances", "output-not-object"])
+        "maximal-greedy-instances", "output-not-object", "tiling-window-cyclic",
+        "tiling-window-plane"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1
@@ -396,6 +438,17 @@ def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert message in err
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--summary"])
+def test_unwritable_output_exit_one(tmp_path, capsys, flag):
+    cfg = _write(tmp_path, "cfg.json", _folner_cfg())
+    code = main(["verify-folner", "--config", cfg,
+                 flag, str(tmp_path / "missing" / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from folnerlab.groups import FinSet, ZPower
+from folnerlab.groups import CyclicSum, FinSet, ZPower, ZSum
 from folnerlab.systems import (
     BernoulliBatch,
     BernoulliShift,
@@ -23,6 +23,7 @@ from folnerlab.systems import (
     symbol_value,
     torus_coordinate,
 )
+from folnerlab.tiling import window_set
 
 ALPHA = (math.sqrt(5) - 1) / 2  # irrational rotation step
 
@@ -123,16 +124,38 @@ def test_torus_window_matches_scalar():
     assert np.allclose(mat, expect, rtol=0, atol=1e-12)
 
 
-def test_mixed_offsets_fall_back_to_generic_batch():
-    system = _bernoulli()
+# translations reaching past the window's support (one repeated)
+_MOVES = {
+    "z_power": [(3,), (-2,), (7,), (3,)],
+    "cyclic_sum": [((0, 1),), ((3, 1),), ((1, 1), (2, 1)), ((0, 1),)],
+    "z_sum": [((0, -1), (2, -3)), ((4, 2),), ((1, 1),), ((4, 2),)],
+}
+_MIXED_CASES = [
+    (grp, name, None)
+    for grp in (ZPower(1), CyclicSum((2,)), ZSum())
+    for name in ("indicator_symbol", "symbol_value", "neg_pow_run")
+    if name != "neg_pow_run" or isinstance(grp, ZPower)
+] + [(ZPower(1), "neg_pow_run", ((-3,), (0,), (1,), (5,), (9,)))]
+
+
+@pytest.mark.parametrize(
+    "grp, name, window", _MIXED_CASES,
+    ids=[f"{g.kind}-{n}" + ("-gappy" if w else "") for g, n, w in _MIXED_CASES])
+def test_mixed_offsets_stay_bernoulli_batch(grp, name, window):
+    # points translated by different offsets (and two sharing one) batch
+    # together and match the scalar path bit for bit
+    system = BernoulliShift(grp, (0.4, 0.6), seed=5)
+    obs = {"indicator_symbol": indicator_symbol(1), "symbol_value": symbol_value(),
+           "neg_pow_run": neg_pow_run(2.0, cap=12)}[name]
     rng = np.random.default_rng(3)
-    y = system.sample_point(rng)
-    pts = [y, system.apply((2,), y)]
+    y, z = system.sample_point(rng), system.sample_point(rng)
+    pts = [y, z] + [system.apply(g, p) for g in _MOVES[grp.kind] for p in (y, z)]
     batch = make_batch(system, pts)
-    assert not isinstance(batch, BernoulliBatch)
-    F = _box(system.group, 5)
-    obs = symbol_value()
+    assert isinstance(batch, BernoulliBatch)
+    F = (FinSet(grp, window) if window
+         else window_set(grp, 4 if grp.kind == "z_power" else 1))
     mat = obs.window_values(system, batch, F)
+    assert mat.shape == (len(pts), len(F))
     for r, p in enumerate(pts):
         for c, g in enumerate(F.elems):
             assert mat[r, c] == obs.value(system, system.apply(g, p))
@@ -278,6 +301,18 @@ def test_indicator_symbol_outside_alphabet_is_unsupported(symbol):
         obs.window_values(bern, make_batch(bern, pts), _box(bern.group, 3))
     with pytest.raises(UnsupportedObservable):
         obs.exact_mean(bern)
+
+
+def test_neg_pow_run_off_the_line_is_unsupported():
+    # the scalar and window paths must agree: both refuse Z^2
+    bern = _bernoulli(d=2)
+    pts = [bern.sample_point(np.random.default_rng(0))]
+    obs = neg_pow_run()
+    with pytest.raises(UnsupportedObservable):
+        obs.value(bern, pts[0])
+    with pytest.raises(UnsupportedObservable):
+        obs.window_values(bern, make_batch(bern, pts),
+                          FinSet(bern.group, ((0, 0), (1, 0), (2, 0))))
 
 
 # ---------------------------------------------------------------------------
