@@ -29,8 +29,9 @@ from .folner import (FolnerSeq, defect_profile, folner_defect,
                      tempered_check, tempered_report)
 from .groups import (BudgetError, CyclicSum, EnumBudget, FinSet, Group,
                      GroupMismatchError, ZPower, ZSum, diff, enumerate_finsets,
-                     finset, intersect, inverse_set, product_count,
-                     product_set, translate_left, translate_right, union)
+                     erode, finset, intersect, inverse_set, is_subset,
+                     multiplicity, product_set, symdiff, translate_left,
+                     translate_right, union)
 from .systems import (BernoulliShift, FiniteMixture, Observable, System,
                       TorusRotation, UnsupportedObservable,
                       conditional_expectation, indicator_symbol, neg_pow_run,

@@ -12,6 +12,7 @@ of producing numbers outside its contract.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,9 +24,11 @@ import numpy as np
 
 from .families import (AdditiveFamily, ClassifyReport, DerivedPrimeM, Family,
                        Truncated, classify)
-from .folner import FolnerSeq, make_folner, tempelman_report, tempered_report
-from .groups import (BudgetError, EnumBudget, FinSet, Group, enumerate_finsets,
-                     finset, inverse_set, product_set, translate_right)
+from .folner import (FolnerSeq, _inverse_unions, make_folner, tempelman_report,
+                     tempered_report)
+from .groups import (BudgetError, EnumBudget, FinSet, Group, diff,
+                     enumerate_finsets, erode, intersect, is_subset,
+                     product_set, translate_left, translate_right, union)
 from .systems import (Observable, System, conditional_expectation,
                       split_leaves)
 from .tiling import (LatticeCenters, PrefixShiftCenters, TilingCert,
@@ -192,7 +195,7 @@ def setfn_classify(f: SetFunction, group: Group, trials: int = 200,
     """Exact randomized checks of right-invariance and (strong)
     sub-additivity for a deterministic set function."""
     from .tiling import window_set
-    ground = list(window_set(group, span, 3).elems)
+    ground = window_set(group, span, 3)
     out = {"invariant": True, "subadditive": True, "strongly_subadditive": True,
            "counterexample": None}
 
@@ -203,13 +206,10 @@ def setfn_classify(f: SetFunction, group: Group, trials: int = 200,
         rng = np.random.default_rng([seed, t])
         kE = int(rng.integers(1, max_card + 1))
         kF = int(rng.integers(1, max_card + 1))
-        E = finset(group, [ground[i] for i in
-                           rng.choice(len(ground), min(kE, len(ground)), replace=False)])
-        F = finset(group, [ground[i] for i in
-                           rng.choice(len(ground), min(kF, len(ground)), replace=False)])
+        E = ground.take(rng.choice(len(ground), min(kE, len(ground)), replace=False))
+        F = ground.take(rng.choice(len(ground), min(kF, len(ground)), replace=False))
         g = group.random_elem(rng, span)
         tol = 0 if f.exact else 1e-12
-        from .groups import diff, intersect, union
         if abs(val(translate_right(E, g)) - val(E)) > tol:
             out["invariant"] = False
             out["counterexample"] = {"prop": "invariant", "E": E.to_json(),
@@ -421,15 +421,9 @@ class GreedyCoverReport:
 
 def _core_set(seq: FolnerSeq, n: int, N: int) -> FinSet:
     """F_n intersected with every erosion by F_1..F_N."""
-    grp = seq.group
     Fn = seq.generate(n)
-    inside = Fn.as_set()
-    keep = list(Fn.elems)
-    for i in range(1, N + 1):
-        Fi = seq.generate(i)
-        keep = [h for h in keep
-                if all(grp.mul(t, h) in inside for t in Fi.elems)]
-    return finset(grp, keep)
+    return functools.reduce(
+        intersect, (erode(Fn, seq.generate(i)) for i in range(1, N + 1)), Fn)
 
 
 def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
@@ -448,49 +442,43 @@ def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
         raise GateRefusal("non-empty core", f"index {n} too small for N={N}")
     windows = [seq.generate(i) for i in range(1, N + 1)]
 
-    # first-exceedance classes over the core
-    moved = {g: system.apply(g, y) for g in core.elems}
-    assigned: set = set()
-    classes = []
+    # first-exceedance classes over the core, as positions in core order
+    pts = [system.apply(g, y) for g in core.elems]
+    free = np.ones(len(core), dtype=bool)
+    class_pos = []
     for Fi in windows:
-        pts = [moved[g] for g in core.elems]
-        vals = fam.sample_values(system, Fi, pts) / len(Fi)
-        cls = [g for g, v in zip(core.elems, vals)
-               if g not in assigned and v > alpha]
-        assigned.update(cls)
-        classes.append(tuple(cls))
+        hit = free & (fam.sample_values(system, Fi, pts) / len(Fi) > alpha)
+        free &= ~hit
+        class_pos.append(np.flatnonzero(hit))
 
     # backward greedy maximal disjoint packings
-    occupied: set = set()
-    chosen = [()] * N
+    occupied = FinSet(grp)
+    chosen_pos = [None] * N
     for i in range(N - 1, -1, -1):
-        Fi = windows[i]
         keep = []
-        for c in classes[i]:
-            cells = {grp.mul(t, c) for t in Fi.elems}
-            if not (cells & occupied):
+        for c in class_pos[i]:
+            cells = translate_left(core.elems[c], windows[i])
+            if intersect(cells, occupied).is_empty:
                 keep.append(c)
-                occupied |= cells
-        chosen[i] = tuple(keep)
+                occupied = union(occupied, cells)
+        chosen_pos[i] = keep
 
     # exact counting: coverage inclusion and both inequality sides; the
     # unions U_i also give the exact Tempelman witness over the first N indices
     union_bound = Fraction(0)
     temp_bound = Fraction(0)
     witness = Fraction(0)
-    cover_cells: set = set()
-    inv_acc: set = set()
-    for i, Fi in enumerate(windows):
-        inv_acc |= set(inverse_set(Fi).elems)
-        Ui = product_set(finset(grp, inv_acc), Fi)
+    cover = FinSet(grp)
+    for (Fi, Ui), pos in zip(_inverse_unions(seq, N), chosen_pos):
         witness = max(witness, Fraction(len(Ui), len(Fi)))
-        union_bound += Fraction(len(Ui)) * len(chosen[i])
-        temp_bound += Fraction(len(Fi)) * len(chosen[i])
-        for c in chosen[i]:
-            cover_cells |= {grp.mul(u, c) for u in Ui.elems}
+        union_bound += Fraction(len(Ui)) * len(pos)
+        temp_bound += Fraction(len(Fi)) * len(pos)
+        cover = union(cover, product_set(Ui, core.take(pos)))
     temp_bound *= witness if M is None else M
-    exceed = sum(len(c) for c in classes)
-    covered = all(g in cover_cells for cls in classes for g in cls)
+    exceed = sum(len(pos) for pos in class_pos)
+    covered = is_subset(core.take(np.concatenate(class_pos)), cover)
+    classes, chosen = ([tuple(core.elems[j] for j in pos) for pos in picks]
+                       for picks in (class_pos, chosen_pos))
 
     value_chain_ok: Optional[bool] = None
     total_weight = sum(len(w) * len(ch) for w, ch in zip(windows, chosen))
@@ -779,20 +767,17 @@ def _composition_chain_ok(seq: FolnerSeq, schedule, certs: dict) -> bool:
         if cert is None or cert.iso is None:
             return False
         big = seq.generate(b)
-        found = False
-        for t in range(1, limit + 1):
-            Ft = seq.generate(t)
-            if len(cert.tile) * len(Ft) != len(big):
-                continue
-            try:
-                if compose(cert, Ft).as_set() == big.as_set():
-                    found = True
-                    break
-            except TilingOverlapError:
-                continue
-        if not found:
+        if not any(_composes_to(cert, seq.generate(t), big)
+                   for t in range(1, limit + 1)):
             return False
     return True
+
+
+def _composes_to(cert: TilingCert, F: FinSet, big: FinSet) -> bool:
+    try:
+        return len(cert.tile) * len(F) == len(big) and compose(cert, F) == big
+    except TilingOverlapError:
+        return False
 
 
 def kingman_run(fam: Family, seq: FolnerSeq, system: System, schedule,

@@ -14,6 +14,7 @@ declared properties are what the theorem gates consume.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,8 +22,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .groups import (FinSet, Group, diff, finset, intersect, inverse_set,
-                     product_set, translate_left, translate_right, union)
+from .groups import (FinSet, Group, diff, erode, finset, intersect,
+                     multiplicity, product_set, translate_left, translate_right,
+                     union)
 from .systems import Observable, System, observable_from_json, split_leaves
 from .tiling import TilingCert, compose, window_set
 
@@ -35,12 +37,12 @@ def _chunks(n: int, size: int = _CHUNK):
 
 
 class Family:
+    """Base class: each family gives the scalar ``value(system, F, y)`` and
+    ``to_json``, and overrides the vectorized paths it supports."""
+
     name: str = "family"
     declared: frozenset = frozenset()
     exact_values: bool = False  # values are exactly-represented floats
-
-    def value(self, system: System, F: FinSet, y) -> float:
-        raise NotImplementedError
 
     def act(self, system: System, g, y):
         """Point translation matching right set translation (overridable)."""
@@ -67,9 +69,6 @@ class Family:
     def singleton_window(self, leaf: System, batch, F: FinSet) -> np.ndarray:
         """Matrix of d_{{e}}(g . y_p) for g in F."""
         raise NotImplementedError(f"{self.name}: no singleton window path")
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
 
 def evaluate(fam: Family, system: System, F: FinSet, y) -> float:
@@ -272,6 +271,11 @@ class Truncated(Family):
         return {"kind": "truncated", "base": self.base.to_json(), "N": self.N}
 
 
+@functools.lru_cache(maxsize=None)
+def _identity_set(group: Group) -> FinSet:
+    return finset(group, [group.identity()])
+
+
 class DerivedPrime(Family):
     """Defect against the singleton sum: sum over g in F of d_{{e}}(g.y),
     minus d_F(y).  Non-negative and sup-additive when the base family is
@@ -290,7 +294,7 @@ class DerivedPrime(Family):
     def value(self, system, F, y):
         if F.is_empty:
             return 0.0
-        e = finset(F.group, [F.group.identity()])
+        e = _identity_set(F.group)
         s = sum(self.base.value(system, e, system.apply(g, y)) for g in F.elems)
         return float(s) - self.base.value(system, F, y)
 
@@ -338,16 +342,18 @@ class DerivedPrimeM(Family):
                                   system.apply(self.cert.iso.apply(g), y))
         return s
 
-    def sample_values(self, system, F, points):
-        if F.is_empty:
-            return np.zeros(len(points))
-        big = compose(self.cert, F)
-        out = self.prime.sample_values(system, big, points)
-        tile = self.cert.tile
+    def leaf_values(self, leaf, batch, F):
+        # the tile at iso(g) . y is the translate T iso(g) at y: observables
+        # see a point only through its cells, which agree cell for cell
+        out = self.prime.leaf_values(leaf, batch, compose(self.cert, F))
         for g in F.elems:
-            moved = [system.apply(self.cert.iso.apply(g), y) for y in points]
-            out -= self.prime.sample_values(system, tile, moved)
+            out -= self.prime.leaf_values(
+                leaf, batch, translate_right(self.cert.tile, self.cert.iso.apply(g)))
         return out
+
+    def singleton_window(self, leaf, batch, F):
+        # d^m_{e} = d'_T - d'_T = 0: composing with {e} gives the tile itself
+        return np.zeros((len(batch), len(F)))
 
     def to_json(self):
         return {"kind": "derived_prime_m", "base": self.prime.base.to_json(),
@@ -471,11 +477,11 @@ class ClassifyReport:
                 "properties": {p: v.to_json() for p, v in self.verdicts.items()}}
 
 
-def _random_subset(rng, ground: list, max_card: int, grp: Group) -> FinSet:
+def _random_subset(rng, ground: FinSet, max_card: int) -> FinSet:
     k = int(rng.integers(1, max_card + 1))
     k = min(k, len(ground))
     idx = rng.choice(len(ground), size=k, replace=False)
-    return finset(grp, [ground[i] for i in idx])
+    return ground.take(idx)
 
 
 def classify(fam: Family, group: Group, system: System, trials: int = 300,
@@ -487,7 +493,7 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
     handful of sets each property needs, and compares with tolerance 0 for
     exactly-representable families and 1e-12 otherwise.
     """
-    ground = list(window_set(group, span, 3).elems)
+    ground = window_set(group, span, 3)
     tol = 0.0 if fam.exact_values else 1e-12
     state: dict = {p: {"fail": None, "max_gap": 0.0, "count": 0}
                    for p in properties}
@@ -500,16 +506,17 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
         if ok:
             st["max_gap"] = max(st["max_gap"], abs(lhs - rhs))
         elif st["fail"] is None:
-            st["fail"] = {"lhs": lhs, "rhs": rhs, "trial": t, **ctx}
+            st["fail"] = {"lhs": lhs, "rhs": rhs, "trial": t, **ctx()}
 
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        E = _random_subset(rng, ground, max_card, group)
-        F = _random_subset(rng, ground, max_card, group)
+        E = _random_subset(rng, ground, max_card)
+        F = _random_subset(rng, ground, max_card)
         g = group.random_elem(rng, span)
         y = system.sample_point(rng)
-        ctx = {"E": E.to_json(), "F": F.to_json(),
-               "g": group.elem_to_json(g), "seed": seed}
+        # the counterexample context, built only for a first failure
+        ctx = lambda E=E, F=F, g=g: {"E": E.to_json(), "F": F.to_json(),  # noqa: E731
+                                     "g": group.elem_to_json(g), "seed": seed}
 
         vE = evaluate(fam, system, E, y)
         vF = evaluate(fam, system, F, y)
@@ -545,7 +552,7 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
             if not Fd.is_empty:
                 vFd = evaluate(fam, system, Fd, y)
                 vUd = evaluate(fam, system, union(E, Fd), y)
-                ctx2 = dict(ctx, F=Fd.to_json())
+                ctx2 = lambda Fd=Fd, ctx=ctx: dict(ctx(), F=Fd.to_json())  # noqa: E731
                 record("subadditive", vUd, vE + vFd,
                        vUd <= vE + vFd + tol, ctx2, t)
                 record("supadditive", vUd, vE + vFd,
@@ -573,43 +580,28 @@ def translate_multiplicity(T: FinSet, E: FinSet) -> dict:
     """Multiplicity map of the product multiset T * E: both the sum of
     left-translate indicators and the sum of right-translate indicators
     equal this function."""
-    grp = T.group
-    out: dict = {}
-    for t in T.elems:
-        for e in E.elems:
-            x = grp.mul(t, e)
-            out[x] = out.get(x, 0) + 1
-    return out
+    TE = product_set(T, E)
+    return dict(zip(TE.elems, multiplicity(T, E, TE).tolist()))
 
 
 def folner_core(F: FinSet, T: FinSet) -> FinSet:
     """Elements g with T*g entirely inside F."""
-    grp = F.group
-    inside = F.as_set()
-    cands = product_set(inverse_set(T), F)
-    keep = [g for g in cands.elems
-            if all(grp.mul(t, g) in inside for t in T.elems)]
-    return finset(grp, keep)
+    return erode(F, T)
 
 
 def box_core_decomposition(F: FinSet, T: FinSet):
     """Exact decomposition 1_F = (1/|T|) * sum over core g of 1_{Tg} plus a
     layer-cake residual, returned as [(coefficient, set)] with Fraction
     coefficients."""
-    grp = F.group
     core = folner_core(F, T)
-    mult: dict = {x: 0 for x in F.elems}
-    for g in core.elems:
-        for t in T.elems:
-            mult[grp.mul(t, g)] += 1
     terms = [(Fraction(1, len(T)), translate_right(T, g)) for g in core.elems]
-    residual = {x: 1 - Fraction(m, len(T)) for x, m in mult.items()}
-    if any(w < 0 for w in residual.values()):
+    residual = [1 - Fraction(m, len(T)) for m in multiplicity(T, core, F).tolist()]
+    if any(w < 0 for w in residual):
         raise ValueError("core translates overflow the target set")
-    levels = sorted({w for w in residual.values() if w > 0}, reverse=True)
+    levels = sorted({w for w in residual if w > 0}, reverse=True)
     # peel superlevel sets from the top so coefficients stay positive
     for j, w in enumerate(levels):
-        layer = finset(grp, [x for x, wx in residual.items() if wx >= w])
+        layer = F.take([wx >= w for wx in residual])
         coeff = w - (levels[j + 1] if j + 1 < len(levels) else Fraction(0))
         terms.append((coeff, layer))
     return terms
@@ -617,16 +609,13 @@ def box_core_decomposition(F: FinSet, T: FinSet):
 
 def indicator_identity_holds(E: FinSet, terms) -> bool:
     """Exact check that the weighted indicator sum reproduces 1_E."""
-    grp = E.group
     support: dict = {}
     for a, Ei in terms:
-        a = Fraction(a) if not isinstance(a, Fraction) else a
         for x in Ei.elems:
-            support[x] = support.get(x, Fraction(0)) + a
-    for x, w in support.items():
-        if w != (1 if x in E else 0):
-            return False
-    return all(x in support for x in E.elems)
+            support[x] = support.get(x, 0) + Fraction(a)
+    want = dict.fromkeys(E.elems, 1)
+    return (want.keys() <= support.keys()
+            and all(w == want.get(x, 0) for x, w in support.items()))
 
 
 def indicator_decomposition_check(fam: Family, system: System, E: FinSet,

@@ -19,11 +19,13 @@ from .groups import (
     ZSum,
     _box,
     _prefix_ranges,
+    erode,
     finset,
     inverse_set,
-    product_count,
+    is_subset,
     product_set,
     symdiff,
+    union,
     zsum_box,
 )
 
@@ -81,7 +83,7 @@ class FolnerSeq:
             sub = self.subset_fn(index, base_set)
             if sub.is_empty:
                 raise ValueError("subsequence sets must be non-empty")
-            if not set(sub.elems) <= set(base_set.elems):
+            if not is_subset(sub, base_set):
                 raise ValueError("subsequence sets must be subsets of the base sets")
             return sub
         raise ValueError(f"unknown sequence kind {self.seq_kind!r}")
@@ -150,17 +152,12 @@ def folner_defect(K: FinSet, F: FinSet) -> Fraction:
 def invariance_check(A: FinSet, K: FinSet, delta) -> tuple:
     """(K, delta)-invariance: |K^{-1}A  intersect  K^{-1}(complement A)| < delta |A|.
 
-    Returns (ok, exact boundary ratio).  The intersection is finite because it
-    is contained in K^{-1}A; membership is decided element by element.
+    Returns (ok, exact boundary ratio).  The intersection is K^{-1}A less the
+    erosion {x : Kx inside A}, so it is finite.
     """
     if A.is_empty:
         raise ValueError("A must be non-empty")
-    grp = A.group
-    a_set = set(A.elems)
-    boundary = 0
-    for x in product_set(inverse_set(K), A).elems:
-        if any(grp.mul(k, x) not in a_set for k in K.elems):
-            boundary += 1
+    boundary = len(product_set(inverse_set(K), A)) - len(erode(A, K))
     ratio = Fraction(boundary, len(A))
     return ratio < Fraction(delta), ratio
 
@@ -174,16 +171,19 @@ class GrowthReport:
     ok: bool = True
 
 
-def _inv_union_ratios(seq: FolnerSeq, upto: int, target_offset: int) -> list:
-    inv_union = set()
-    ratios = []
+def _inverse_unions(seq: FolnerSeq, upto: int, target_offset: int = 0):
+    """(F_t, U_n) for n = 1..upto, where t = n + target_offset and
+    U_n = (union_{k<=n} F_k^{-1}) F_t."""
+    inv_union = FinSet(seq.group)
     for n in range(1, upto + 1):
-        inv_union |= set(inverse_set(seq.generate(n)).elems)
-        t = n + target_offset
-        target = seq.generate(t)
-        size = product_count(finset(seq.group, inv_union), target)
-        ratios.append(Fraction(size, len(target)))
-    return ratios
+        inv_union = union(inv_union, inverse_set(seq.generate(n)))
+        target = seq.generate(n + target_offset)
+        yield target, product_set(inv_union, target)
+
+
+def _inv_union_ratios(seq: FolnerSeq, upto: int, target_offset: int) -> list:
+    return [Fraction(len(U), len(T))
+            for T, U in _inverse_unions(seq, upto, target_offset)]
 
 
 def tempelman_ratio(seq: FolnerSeq, n: int) -> Fraction:

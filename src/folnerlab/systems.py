@@ -93,22 +93,16 @@ class GenericBatch:
 
 
 class System:
+    """Base class: each system gives ``sample_point(rng)``, the exact action
+    ``apply(g, y)`` and ``to_json``."""
+
     group: Group
     seed: int
     ergodic: bool
 
-    def sample_point(self, rng):
-        raise NotImplementedError
-
-    def apply(self, g, y):
-        raise NotImplementedError
-
     def components(self):
         """Flattened list of (weight, leaf system)."""
         return [(1.0, self)]
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
     @staticmethod
     def from_json(d: dict, group: Optional[Group] = None) -> "System":
@@ -171,9 +165,8 @@ class BernoulliShift(System):
         index: dict = {}
         which = [index.setdefault(o, len(index)) for o in batch.offsets]
         offsets = list(index)
-        width = max(grp.dense_width(F.elems), grp.dense_width(offsets))
-        cells = grp.translate_rows(grp.dense_rows(F.elems, width),
-                                   grp.dense_rows(offsets, width))
+        width = max(F.width, grp.dense_width(offsets))
+        cells = grp.translate_rows(F.rows(width), grp.dense_rows(offsets, width))
         keys = grp.keys_for_rows(cells.reshape(-1, width))
         keys = keys.reshape(len(offsets), len(F))
         return uniforms_from_keys(keys[0] if len(offsets) == 1 else keys[which],
@@ -421,7 +414,7 @@ def torus_coordinate(i: int = 0) -> Observable:
     def window_fn(leaf, batch, F):
         if not isinstance(batch, TorusBatch):
             raise UnsupportedObservable("torus_coordinate needs a torus batch")
-        rows = leaf.group.dense_rows(F.elems)
+        rows = F.rows()
         v = (batch.bases[:, i][:, None]
              + (batch.steps[:, i][:, None] + rows[None, :, i]) * leaf.alphas[i])
         return v - np.floor(v)
@@ -461,7 +454,7 @@ def neg_pow_run(base: float = 2.0, cap: int = 40) -> Observable:
     def window_fn(leaf, batch, F):
         # runs over the cells [min F, max F + cap], then F's columns
         _require_line(leaf)
-        cols = leaf.group.dense_rows(F.elems)[:, 0]
+        cols = F.rows()[:, 0]
         lo, hi = (int(cols.min()), int(cols.max())) if len(cols) else (0, 0)
         ext = _box(leaf.group, [range(lo, hi + cap + 1)])
         u = leaf.window_uniforms(batch, ext)

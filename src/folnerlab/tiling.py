@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .folner import _CARD_CAP, FolnerSeq, folner_defect
 from .groups import (
     BudgetError,
@@ -25,6 +27,8 @@ from .groups import (
     _prefix_ranges,
     finset,
     inverse_set,
+    is_subset,
+    multiplicity,
     product_set,
     zsum_box,
 )
@@ -35,7 +39,8 @@ class TilingOverlapError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Center-set descriptors (algebraic, so window membership is decidable)
+# Center-set descriptors (algebraic, so window membership is decidable);
+# ``contains_rows`` tests dense rows, one verdict per row
 
 
 @dataclass(frozen=True)
@@ -56,11 +61,9 @@ class LatticeCenters:
     def is_subgroup(self) -> bool:
         return self.offsets == (self.group.identity(),)
 
-    def contains(self, e) -> bool:
-        for o in self.offsets:
-            if all((x - ox) % m == 0 for x, ox, m in zip(e, o, self.moduli)):
-                return True
-        return False
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        d = rows[:, None, :] - np.asarray(self.offsets)[None, :, :]
+        return (d % np.asarray(self.moduli) == 0).all(axis=2).any(axis=1)
 
     def to_json(self) -> dict:
         return {"kind": "lattice", "moduli": list(self.moduli),
@@ -74,8 +77,8 @@ class PrefixShiftCenters:
     group: CyclicSum
     n: int
 
-    def contains(self, e) -> bool:
-        return all(i >= self.n for i, _ in e)
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        return ~rows[:, :self.n].any(axis=1)
 
     @property
     def is_subgroup(self) -> bool:
@@ -92,11 +95,9 @@ class ZSumLatticeCenters:
     group: ZSum
     shape: tuple
 
-    def contains(self, e) -> bool:
-        for i, v in e:
-            if i < len(self.shape) and v % self.shape[i] != 0:
-                return False
-        return True
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        m = min(len(self.shape), rows.shape[1])
+        return (rows[:, :m] % np.asarray(self.shape[:m]) == 0).all(axis=1)
 
     @property
     def is_subgroup(self) -> bool:
@@ -123,10 +124,14 @@ def centers_from_json(group: Group, d: dict):
 
 
 class _Iso:
-    """Shared image map; subclasses define ``group`` and ``apply``."""
+    """Shared element and set maps; subclasses define ``group`` and the row
+    map ``map_rows``."""
+
+    def apply(self, e):
+        return self.group.rows_to_elems(self.map_rows(self.group.dense_rows([e])))[0]
 
     def image_set(self, F: FinSet) -> FinSet:
-        return FinSet(self.group, tuple(sorted(self.apply(e) for e in F.elems)))
+        return FinSet.from_rows(self.group, self.map_rows(F.rows()))
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,8 @@ class ScaleIso(_Iso):
     group: ZPower
     scale: tuple
 
-    def apply(self, e):
-        return tuple(int(s) * int(x) for s, x in zip(self.scale, e))
+    def map_rows(self, rows: np.ndarray) -> np.ndarray:
+        return rows * np.asarray(self.scale, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -147,8 +152,8 @@ class ShiftIso(_Iso):
     group: CyclicSum
     shift: int
 
-    def apply(self, e):
-        return tuple((i + self.shift, v) for i, v in e)
+    def map_rows(self, rows: np.ndarray) -> np.ndarray:
+        return np.pad(rows, ((0, 0), (self.shift, 0)))
 
 
 @dataclass(frozen=True)
@@ -158,10 +163,11 @@ class ZSumScaleIso(_Iso):
     group: ZSum
     shape: tuple
 
-    def apply(self, e):
-        return tuple(
-            (i, v * self.shape[i]) if i < len(self.shape) else (i, v) for i, v in e
-        )
+    def map_rows(self, rows: np.ndarray) -> np.ndarray:
+        m = min(len(self.shape), rows.shape[1])
+        out = rows.copy()
+        out[:, :m] *= np.asarray(self.shape[:m], dtype=np.int64)
+        return out
 
 
 def shift_iso_compatible(group: CyclicSum, shift: int) -> bool:
@@ -187,20 +193,14 @@ class TilingCert:
 
 
 def tiles_window_report(cert: TilingCert, window: FinSet):
-    """Exact-cover check of a window: (ok, uncovered, multicovered)."""
-    grp = window.group
-    wset = set(window.elems)
-    counts = {w: 0 for w in wset}
+    """Exact-cover check of a window: (ok, uncovered, multicovered), the
+    window cells that the center translates of the tile hit zero times and
+    more than once."""
     candidates = product_set(inverse_set(cert.tile), window)
-    for c in candidates.elems:
-        if not cert.centers.contains(c):
-            continue
-        for t in cert.tile.elems:
-            x = grp.mul(t, c)
-            if x in counts:
-                counts[x] += 1
-    uncovered = sorted(w for w, c in counts.items() if c == 0)
-    multi = sorted(w for w, c in counts.items() if c > 1)
+    centers = candidates.take(cert.centers.contains_rows(candidates.rows()))
+    hits = multiplicity(cert.tile, centers, window)
+    uncovered = list(window.take(hits == 0).elems)
+    multi = list(window.take(hits > 1).elems)
     return (not uncovered and not multi), uncovered, multi
 
 
@@ -284,17 +284,17 @@ def condition_b_witness(seq: FolnerSeq, m: int, p: int,
     cert = standard_cert(seq, m)
     if cert is None or cert.iso is None:
         raise ValueError("sequence member has no self-similar certificate")
-    Fp = set(seq.generate(p).elems)
+    Fp = seq.generate(p)
     size_p = len(Fp)
     size_m = len(seq.generate(m))
     limit = search_limit if search_limit is not None else max(2 * p, 4)
     n1 = None
     n2 = None
     for n in range(1, limit + 1):
-        composed = set(compose(cert, seq.generate(n)).elems)
-        if composed <= Fp:
+        composed = compose(cert, seq.generate(n))
+        if is_subset(composed, Fp):
             n2 = n
-        if composed >= Fp:
+        if is_subset(Fp, composed):
             n1 = n
             break
     if n1 is None or n2 is None:
@@ -334,13 +334,12 @@ def enumerate_tiles(group: Group, max_card: int,
                                     PrefixShiftCenters(group, n), iso))
     else:
         top = max_index if max_index is not None else 3
-        seen = set()
         for shape in _box_shapes(range(1, top + 1), max_card, max_card):
-            tile = zsum_box(group, shape)
-            if tile.elems in seen:
+            # a trailing 1 repeats the box of the shorter shape, listed first
+            if len(shape) > 1 and shape[-1] == 1:
                 continue
-            seen.add(tile.elems)
-            tiles.append(TilingCert(tile, ZSumLatticeCenters(group, shape),
+            tiles.append(TilingCert(zsum_box(group, shape),
+                                    ZSumLatticeCenters(group, shape),
                                     ZSumScaleIso(group, shape)))
     return tiles
 
@@ -374,39 +373,27 @@ def composed_seq_check(cert1: TilingCert, cert2: TilingCert, T: FinSet,
     prefix cases on CyclicSum.
     """
     grp = T.group
-    tile_in = all(cert1.centers.contains(e) for e in T.elems)
+    tile_in = bool(cert1.centers.contains_rows(T.rows()).all())
 
     window = window_set(grp, radius)
-    sub_window = finset(grp, [e for e in window.elems if cert1.centers.contains(e)])
+    sub_window = window.take(cert1.centers.contains_rows(window.rows()))
     part_cert = TilingCert(T, cert2.centers)
     partition_ok, _, _ = tiles_window_report(part_cert, sub_window)
 
+    gens = grp.generators()
     if isinstance(grp, ZPower):
-        gens = []
-        for i, m in enumerate(cert1.centers.moduli):
-            v = [0] * grp.d
-            v[i] = m
-            gens.append(tuple(v))
-    else:
-        gens = grp.generators()
+        gens = [ScaleIso(grp, cert1.centers.moduli).apply(g) for g in gens]
 
     defects = []
     tilings = []
     for n in indices:
         Fn = seq.generate(n)
         composed = product_set(T, cert2.iso.image_set(Fn))
-        defect = sum(
-            (folner_defect(finset(grp, [g]), composed) for g in gens),
-            start=Fraction(0),
-        )
-        defects.append(defect)
-        inner = standard_cert(seq, n)
-        inner_centers = _image_centers(cert2, inner)
-        if inner_centers is None:
-            tilings.append(False)
-            continue
-        ok, _, _ = tiles_window_report(TilingCert(composed, inner_centers), sub_window)
-        tilings.append(ok)
+        defects.append(sum((folner_defect(finset(grp, [g]), composed) for g in gens),
+                           start=Fraction(0)))
+        centers = _image_centers(cert2, standard_cert(seq, n))
+        tilings.append(centers is not None and tiles_window_report(
+            TilingCert(composed, centers), sub_window)[0])
     return ComposedSeqReport(tile_in, partition_ok, tuple(defects), tuple(tilings))
 
 

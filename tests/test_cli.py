@@ -423,6 +423,12 @@ def _converge_cfg(**over):
      {"group": {"kind": "z_power", "d": 2}, "sequence": {"kind": "z_boxes"},
       "indices": [1], "window_radius": 1200},
      "window of radius 1200 has more than 5000000 cells"),
+    ("verify-folner", _folner_cfg(group={"kind": "z_power", "d": True}),
+     "bad group: d must be an integer"),
+    ("verify-folner",
+     _folner_cfg(group={"kind": "cyclic_sum", "periods": [2, 2.0]},
+                 sequence={"kind": "cyclic_prefix"}),
+     "bad group: periods must be a list of integers"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
         "folner-growth-str", "folner-growth-bool", "tiling-radius",
@@ -430,7 +436,7 @@ def _converge_cfg(**over):
         "setfn-budget-max-card", "setfn-name-list", "converge-tol",
         "converge-nu-floor", "birkhoff-tail", "maximal-M",
         "maximal-greedy-instances", "output-not-object", "tiling-window-cyclic",
-        "tiling-window-plane"])
+        "tiling-window-plane", "group-d-bool", "group-periods-float"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1

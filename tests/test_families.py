@@ -28,7 +28,8 @@ from folnerlab.families import (
 )
 from folnerlab.folner import make_folner
 from folnerlab.groups import FinSet, ZPower
-from folnerlab.systems import BernoulliShift, indicator_symbol, symbol_value
+from folnerlab.systems import (BernoulliShift, TorusRotation, indicator_symbol,
+                               scaled, symbol_value, torus_coordinate)
 from folnerlab.tiling import standard_cert
 
 
@@ -159,6 +160,31 @@ def test_tile_derived_family_nonzero_base_is_invariant():
     assert rep.passed("nonnegative")
     assert rep.passed("supadditive")
     assert rep.declared_ok
+
+
+@pytest.mark.parametrize("system, observables", [
+    (_system(), (indicator_symbol(1), indicator_symbol(0))),
+    (TorusRotation(_group(), (0.3819660112501051,), seed=3),
+     (torus_coordinate(0), scaled(torus_coordinate(0), 0.5))),
+], ids=["bernoulli", "torus"])
+def test_wrapped_tile_derived_family_samples_on_its_leaf_path(system, observables):
+    # Truncated reaches DerivedPrimeM through leaf_values, on points with
+    # different offsets, and matches the scalar values (on the torus the max
+    # of two non-negative multiples is additive, so its values are all 0)
+    cert = standard_cert(_seq(), 2)
+    fam = Truncated(DerivedPrimeM(MaxOfAdditives(*observables), cert), 3)
+    rng = np.random.default_rng(4)
+    ys = [system.sample_point(rng) for _ in range(6)]
+    pts = ys + [system.apply((7,), y) for y in ys]
+    F = _seq().generate(4)
+    vals = fam.sample_values(system, F, pts)
+    ref = [fam.value(system, F, y) for y in pts]
+    np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
+    assert any(v != 0 for v in ref) == isinstance(system, BernoulliShift)
+    # a derived family over it reads its singleton values, which are 0
+    outer = DerivedPrime(fam.base)
+    np.testing.assert_allclose(outer.sample_values(system, F, pts),
+                               [outer.value(system, F, y) for y in pts], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 
 from folnerlab import (BudgetError, CyclicSum, EnumBudget, FinSet, Group,
                        GroupMismatchError, ZPower, ZSum, diff,
-                       enumerate_finsets, finset, intersect, inverse_set,
-                       product_count, product_set, translate_left,
-                       translate_right, union)
+                       enumerate_finsets, erode, finset, groups, intersect,
+                       inverse_set, is_subset, multiplicity, product_set,
+                       symdiff, translate_left, translate_right, union)
 from folnerlab._bits import (GOLDEN64, HASH_VERSION, mix64, mix64_np,
                              uniform_from_key, uniforms_from_keys)
 
@@ -19,13 +21,13 @@ ZS = ZSum()
 GROUPS = [Z1, Z2, K2, ZS]
 
 
-def elems_strategy(grp, span=4):
+def elems_strategy(grp, span=4, top=3):
     if isinstance(grp, ZPower):
         coord = st.integers(-span, span)
         return st.tuples(*([coord] * grp.d))
     # sparse (index, value) pairs, normalized through the group itself
     return st.lists(
-        st.tuples(st.integers(0, 3), st.integers(-span, span)),
+        st.tuples(st.integers(0, top), st.integers(-span, span)),
         max_size=3).map(grp._canon)
 
 
@@ -75,7 +77,7 @@ def test_finset_dedup_and_order():
     (K2, ((9, 1),), (0, 1)),
     (ZS, ((0, 7),), (0, 1)),
 ], ids=["z_power", "cyclic_sum", "z_sum"])
-def test_finset_membership_matches_as_set(grp, absent, foreign):
+def test_finset_membership_matches_elems(grp, absent, foreign):
     rng = np.random.default_rng(3)
     elems = [grp.random_elem(rng, 6) for _ in range(200)]
     small, big = finset(grp, elems[:3]), finset(grp, elems)
@@ -83,10 +85,9 @@ def test_finset_membership_matches_as_set(grp, absent, foreign):
     for F in (small, big):
         twin = finset(grp, F.elems)
         for e in (*F.elems, absent, foreign, grp.identity()):
-            assert (e in F) == (e in F.as_set()) == (e in set(F.elems))
+            assert (e in F) == (e in set(F.elems))
         assert all(e in F for e in F.elems)
         assert absent not in F and foreign not in F
-        assert F.as_set() is F.as_set()
         assert F == twin and hash(F) == hash(twin) and repr(F) == repr(twin)
 
 
@@ -120,7 +121,7 @@ def test_product_grid_matches_naive(grp):
         naive = {grp.mul(k, f) for k in K.elems for f in F.elems}
         got = product_set(K, F)
         assert set(got.elems) == naive
-        assert product_count(K, F) == len(naive)
+        assert len(got) == len(naive)
 
 
 def test_product_grid_large_agrees_on_boxes():
@@ -128,8 +129,8 @@ def test_product_grid_large_agrees_on_boxes():
     # against the closed form for interval sums
     K = finset(Z1, [(i,) for i in range(300)])
     F = finset(Z1, [(i,) for i in range(300)])
-    assert product_count(K, F) == 599
     got = product_set(K, F)
+    assert len(got) == 599
     assert got.elems[0] == (0,) and got.elems[-1] == (598,)
 
 
@@ -138,6 +139,115 @@ def test_zsum_product_sparse():
     b = finset(ZS, [((1, -2),)])
     got = product_set(a, b)
     assert set(got.elems) == {((1, -2),), ((0, 1), (1, -2))}
+
+
+# ---------------------------------------------------------------------------
+# differential: the key-array sets against a tuple-set reference
+
+
+class TupleRef:
+    """Finite-set algebra on Python sets of element tuples, from the group
+    laws alone: the oracle for the key arrays of ``FinSet``."""
+
+    def __init__(self, grp):
+        self.grp = grp
+
+    def product(self, K, F):
+        return {self.grp.mul(k, f) for k in K for f in F}
+
+    def counts(self, K, F):
+        return Counter(self.grp.mul(k, f) for k in K for f in F)
+
+    def translate(self, g, F):
+        return {self.grp.mul(g, x) for x in F}
+
+    def inverse(self, F):
+        return {self.grp.inv(x) for x in F}
+
+    def erode(self, F, T):
+        return {g for g in self.product(self.inverse(T), F)
+                if all(self.grp.mul(t, g) in F for t in T)}
+
+
+def _same(fs, ref):
+    # element order is the tuple order, and equal sets get equal keys
+    assert fs.elems == tuple(sorted(ref))
+    assert fs == FinSet(fs.group, ref) and hash(fs) == hash(FinSet(fs.group, ref))
+
+
+@pytest.mark.parametrize("grp", GROUPS + [CyclicSum((3,))], ids=lambda g: g.kind)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_set_algebra_matches_tuple_reference(grp, data):
+    elems = elems_strategy(grp, span=3, top=5)
+    E, F = (set(data.draw(st.lists(elems, max_size=7))) for _ in range(2))
+    g = data.draw(elems)
+    ref = TupleRef(grp)
+    FE, FF = finset(grp, E), finset(grp, F)
+    _same(FE, E)
+    _same(union(FE, FF), E | F)
+    _same(intersect(FE, FF), E & F)
+    _same(diff(FE, FF), E - F)
+    _same(symdiff(FE, FF), E ^ F)
+    for x in E | F | {g, grp.identity()}:
+        assert (x in FE) == (x in E)
+    assert is_subset(FE, FF) == (E <= F) and is_subset(FF, FE) == (F <= E)
+    _same(translate_left(g, FE), ref.translate(g, E))
+    _same(translate_right(FE, g), ref.translate(g, E))
+    _same(inverse_set(FE), ref.inverse(E))
+    P = product_set(FE, FF)
+    _same(P, ref.product(E, F))
+    assert dict(zip(P.elems, multiplicity(FE, FF, P).tolist())) == ref.counts(E, F)
+    _same(erode(FF, FE), ref.erode(F, E))
+
+
+def _subsets(grp, ranges, sizes, seed):
+    box = groups._box(grp, ranges)
+    rng = np.random.default_rng(seed)
+    return [box.take(np.sort(rng.choice(len(box), n, replace=False))) for n in sizes]
+
+
+@pytest.mark.parametrize("grp, ranges", [
+    (Z2, [range(-9, 10), range(-6, 7)]),
+    (ZS, [range(-2, 3), range(0, 4), range(-3, 1)]),
+    (CyclicSum((3, 2)), [range(3)] + [range(2)] * 5),
+], ids=["z_power", "z_sum", "cyclic_sum"])
+def test_product_grid_matches_key_path_cell_by_cell(grp, ranges, monkeypatch):
+    K, F = _subsets(grp, ranges, (40, 50), seed=11)
+    calls = []
+    convolve = groups._convolve
+    monkeypatch.setattr(groups, "_convolve",
+                        lambda *a: calls.append(a[2]) or convolve(*a))
+    monkeypatch.setattr(groups, "_GRID_PAIR_THRESHOLD", 0)
+    grid = groups._product(K, F)
+    assert calls == [isinstance(grp, CyclicSum)]  # the grid path ran
+    monkeypatch.setattr(groups, "_GRID_PAIR_THRESHOLD", len(K) * len(F))
+    direct = groups._product(K, F)
+    assert len(calls) == 1  # the key path ran
+    assert grid[:2] == direct[:2]
+    assert np.array_equal(grid[2], direct[2]) and np.array_equal(grid[3], direct[3])
+    # cell by cell against the reference multiset
+    cells = grp.rows_to_elems(groups._decode(*grid[:3]))
+    assert dict(zip(cells, grid[3].tolist())) == TupleRef(grp).counts(K.elems, F.elems)
+
+
+def test_product_grid_rounding_slack_is_asserted(monkeypatch):
+    K, F = _subsets(Z2, [range(-9, 10), range(-6, 7)], (40, 50), seed=3)
+    convolve = groups._convolve
+    monkeypatch.setattr(groups, "_convolve", lambda *a: convolve(*a) + 0.3)
+    monkeypatch.setattr(groups, "_GRID_PAIR_THRESHOLD", 0)
+    with pytest.raises(ArithmeticError, match="rounding slack"):
+        product_set(K, F)
+
+
+def test_box_past_int64_keys_is_a_budget_error():
+    with pytest.raises(BudgetError, match="does not fit int64 keys"):
+        finset(Z2, [(0, 0), (2**32, 2**32)])
+    with pytest.raises(BudgetError, match="does not fit int64 keys"):
+        finset(ZS, [((i, 1),) for i in range(70)])
+    far = finset(Z1, [(0,), (2**62,)])  # its own box fits, its product's does not
+    with pytest.raises(BudgetError, match="does not fit int64 keys"):
+        product_set(far, far)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Every name a module of ``folnerlab`` imports is used by that module, and
-every module-level function or class is referenced somewhere.
+"""Every name a module of ``folnerlab`` imports is used by that module,
+every module-level function or class is referenced somewhere, and finite
+sets stay in their one representation.
 
 No linter is part of the toolchain, so this is the check.  ``__init__.py``
 is exempt from the import check: its imports are the package's re-exports.
@@ -76,3 +77,40 @@ def test_no_unreferenced_definitions(module):
             and node.name not in elsewhere
             and node.name not in _referenced(tree, skip=node)]
     assert dead == []
+
+
+def _mentions_elems(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "elems"
+               for n in ast.walk(node))
+
+
+def _set_rebuilds(tree: ast.Module) -> list:
+    """Places that rebuild a ``FinSet`` as a Python set or a dense-row
+    matrix of its element tuples instead of using its key array."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "as_set":
+            out.append(f"line {node.lineno}: .as_set")
+        elif isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name in ("set", "frozenset", "dense_rows") and any(
+                    _mentions_elems(a) for a in node.args):
+                out.append(f"line {node.lineno}: {name}(... .elems ...)")
+        elif isinstance(node, ast.SetComp) and any(
+                _mentions_elems(g.iter) for g in node.generators):
+            out.append(f"line {node.lineno}: {{... for ... in .elems}}")
+    return out
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "groups.py"])
+def test_finite_sets_are_not_rebuilt_from_elems(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _set_rebuilds(tree) == []
+
+
+def test_set_rebuild_check_catches_each_form():
+    src = ("a = set(F.elems)\nb = frozenset(g(x) for x in F.elems)\n"
+           "c = grp.dense_rows(F.elems, 2)\nd = F.as_set()\n"
+           "e = {grp.mul(t, c) for t in F.elems}\nok = F.rows()\n")
+    assert len(_set_rebuilds(ast.parse(src))) == 5
