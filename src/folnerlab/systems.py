@@ -110,17 +110,26 @@ class System:
         if kind == "bernoulli":
             grp = group if group is not None else Group.from_json(d["group"])
             return BernoulliShift(grp, tuple(float(p) for p in d["probs"]),
-                                  int(d.get("seed", 0)))
+                                  _int_key(d, "seed", 0))
         if kind == "torus":
             alphas = tuple(float(a) for a in d["alphas"])
             grp = group if group is not None else ZPower(len(alphas))
-            return TorusRotation(grp, alphas, int(d.get("seed", 0)))
+            return TorusRotation(grp, alphas, _int_key(d, "seed", 0))
         if kind == "mixture":
             comps = []
             for c in d["components"]:
                 comps.append((float(c["weight"]), System.from_json(c["system"], group)))
-            return FiniteMixture(comps, int(d.get("seed", 0)))
+            return FiniteMixture(comps, _int_key(d, "seed", 0))
         raise ValueError(f"unknown system kind {kind!r}")
+
+
+def _int_key(d: dict, key: str, default: int) -> int:
+    """``d[key]`` (or ``default``), which must be a JSON integer: a boolean
+    or a float is refused, not coerced."""
+    v = d.get(key, default)
+    if type(v) is not int:
+        raise ValueError(f"{key} must be an integer")
+    return v
 
 
 class BernoulliShift(System):
@@ -477,15 +486,15 @@ def neg_pow_run(base: float = 2.0, cap: int = 40) -> Observable:
 def observable_from_json(d: dict) -> Observable:
     kind = d.get("kind", "")
     if kind.startswith("indicator_symbol"):
-        return indicator_symbol(int(d.get("symbol", 1)))
+        return indicator_symbol(_int_key(d, "symbol", 1))
     if kind == "symbol_value":
         return symbol_value()
     if kind.startswith("scaled"):
         return scaled(observable_from_json(d["base"]), float(d["c"]))
     if kind.startswith("torus_coordinate"):
-        return torus_coordinate(int(d.get("index", 0)))
+        return torus_coordinate(_int_key(d, "index", 0))
     if kind.startswith("neg_pow_run"):
-        return neg_pow_run(float(d.get("base", 2.0)), int(d.get("cap", 40)))
+        return neg_pow_run(float(d.get("base", 2.0)), _int_key(d, "cap", 40))
     raise ValueError(f"unknown observable kind {kind!r}")
 
 

@@ -429,6 +429,12 @@ def _converge_cfg(**over):
      _folner_cfg(group={"kind": "cyclic_sum", "periods": [2, 2.0]},
                  sequence={"kind": "cyclic_prefix"}),
      "bad group: periods must be a list of integers"),
+    ("check-family", _family_cfg(system=_bernoulli_system(seed=True)),
+     "bad system: seed must be an integer"),
+    ("birkhoff",
+     {**_torus_cfg(), "system": _bernoulli_system(),
+      "observable": {"kind": "indicator_symbol", "symbol": True}},
+     "bad observable: symbol must be an integer"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
         "folner-growth-str", "folner-growth-bool", "tiling-radius",
@@ -436,7 +442,8 @@ def _converge_cfg(**over):
         "setfn-budget-max-card", "setfn-name-list", "converge-tol",
         "converge-nu-floor", "birkhoff-tail", "maximal-M",
         "maximal-greedy-instances", "output-not-object", "tiling-window-cyclic",
-        "tiling-window-plane", "group-d-bool", "group-periods-float"])
+        "tiling-window-plane", "group-d-bool", "group-periods-float",
+        "system-seed-bool", "observable-symbol-bool"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1

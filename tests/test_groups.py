@@ -211,7 +211,9 @@ def _subsets(grp, ranges, sizes, seed):
     (Z2, [range(-9, 10), range(-6, 7)]),
     (ZS, [range(-2, 3), range(0, 4), range(-3, 1)]),
     (CyclicSum((3, 2)), [range(3)] + [range(2)] * 5),
-], ids=["z_power", "z_sum", "cyclic_sum"])
+    (Z1, [range(106)]),
+    (ZPower(3), [range(4), range(6), range(7)]),
+], ids=["z_power", "z_sum", "cyclic_sum", "z1_crop", "z3_crop"])
 def test_product_grid_matches_key_path_cell_by_cell(grp, ranges, monkeypatch):
     K, F = _subsets(grp, ranges, (40, 50), seed=11)
     calls = []
@@ -220,7 +222,13 @@ def test_product_grid_matches_key_path_cell_by_cell(grp, ranges, monkeypatch):
                         lambda *a: calls.append(a[2]) or convolve(*a))
     monkeypatch.setattr(groups, "_GRID_PAIR_THRESHOLD", 0)
     grid = groups._product(K, F)
-    assert calls == [isinstance(grp, CyclicSum)]  # the grid path ran
+    ext = grid[1]
+    if isinstance(grp, CyclicSum):
+        assert calls == [ext]  # the grid path ran, on the period grid
+    else:  # ... on the full extent padded to smooth lengths
+        assert calls == [tuple(map(groups._fast_len, ext))]
+    if grp in (Z1, ZPower(3)):  # the result is cropped from a padded grid
+        assert calls[0] != ext
     monkeypatch.setattr(groups, "_GRID_PAIR_THRESHOLD", len(K) * len(F))
     direct = groups._product(K, F)
     assert len(calls) == 1  # the key path ran

@@ -1,12 +1,15 @@
 """Every name a module of ``folnerlab`` imports is used by that module,
-every module-level function or class is referenced somewhere, and finite
-sets stay in their one representation.
+every module-level function or class is referenced somewhere, finite sets
+stay in their one representation, and the FFT products import no scipy.
 
 No linter is part of the toolchain, so this is the check.  ``__init__.py``
 is exempt from the import check: its imports are the package's re-exports.
 """
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,3 +117,25 @@ def test_set_rebuild_check_catches_each_form():
            "c = grp.dense_rows(F.elems, 2)\nd = F.as_set()\n"
            "e = {grp.mul(t, c) for t in F.elems}\nok = F.rows()\n")
     assert len(_set_rebuilds(ast.parse(src))) == 5
+
+
+_GRID_PRODUCTS = """
+import sys
+from folnerlab import CyclicSum, ZPower, groups
+ran = []
+convolve = groups._convolve
+groups._convolve = lambda *a: ran.append(grp) or convolve(*a)
+for grp, ranges in ((ZPower(2), [range(20)] * 2), (CyclicSum((2,)), [range(2)] * 7)):
+    box = groups._box(grp, ranges)
+    assert len(box) ** 2 > groups._GRID_PAIR_THRESHOLD
+    groups.product_set(box, box)
+    assert ran[-1:] == [grp]  # the grid ran: linear on Z^2, cyclic on the sum
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_grid_products_import_no_scipy():
+    out = subprocess.run([sys.executable, "-c", _GRID_PRODUCTS], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"
