@@ -33,23 +33,28 @@ _S31 = np.uint64(31)
 
 
 def mix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer; input must be uint64."""
-    x = x ^ (x >> _S30)
-    x = x * _A64
-    x = x ^ (x >> _S27)
-    x = x * _B64
-    return x ^ (x >> _S31)
+    """Vectorized SplitMix64 finalizer, computed in place in the uint64 array
+    ``x`` (which is returned) with one scratch array of its shape."""
+    t = np.empty_like(x)
+    x ^= np.right_shift(x, _S30, out=t)
+    x *= _A64
+    x ^= np.right_shift(x, _S27, out=t)
+    x *= _B64
+    x ^= np.right_shift(x, _S31, out=t)
+    return x
 
 
 TWO_NEG_64 = 2.0 ** -64
 
 
-def uniforms_from_keys(keys: np.ndarray, cfg: np.ndarray) -> np.ndarray:
-    """Uniform [0,1) matrix, one row per cfg word, one column per cell key;
-    ``keys`` is one row shared by every cfg or one row per cfg."""
-    u = mix64_np(keys ^ cfg[:, None])
-    return u.astype(np.float64) * TWO_NEG_64
+def words_from_keys(keys: np.ndarray, cfg: np.ndarray) -> np.ndarray:
+    """Hashed 64-bit words, one row per cfg word and one column per cell key;
+    ``keys`` is one row shared by every cfg or one row per cfg.  Word w reads
+    as the uniform w * 2**-64 (see ``uniform_from_key``)."""
+    return mix64_np(keys ^ cfg[:, None])
 
 
 def uniform_from_key(key: int, cfg: int) -> float:
+    """The word of (key, cfg) as a float in [0, 1]: the words from
+    2**64 - 1024 up round to 1.0."""
     return mix64(key ^ cfg) * TWO_NEG_64

@@ -28,10 +28,16 @@ from .groups import (FinSet, Group, diff, erode, finset, intersect,
 from .systems import Observable, System, observable_from_json, split_leaves
 from .tiling import TilingCert, compose, window_set
 
-_CHUNK = 64  # points per vectorized slab; bounds (chunk x |F|) working memory
+# a vectorized slab holds about _SLAB_CELLS cells (points x |F|), so that
+# its word and symbol matrices stay in cache, and at most _SLAB_POINTS
+# points: uncapped slabs of small sets raised the greedy covering's peak RSS
+_SLAB_CELLS = 1 << 16
+_SLAB_POINTS = 64
 
 
-def _chunks(n: int, size: int = _CHUNK):
+def _slabs(n: int, cells: int):
+    """Slices of n points, at ``cells`` cells per point."""
+    size = min(max(_SLAB_CELLS // cells, 1), _SLAB_POINTS)
     for s in range(0, n, size):
         yield slice(s, min(s + size, n))
 
@@ -58,7 +64,7 @@ class Family:
             return out
         for leaf, idx, batch in split_leaves(system, points):
             vals = np.empty(len(batch))
-            for sl in _chunks(len(batch)):
+            for sl in _slabs(len(batch), len(F)):
                 vals[sl] = self.leaf_values(leaf, batch.slice(sl), F)
             out[idx] = vals
         return out

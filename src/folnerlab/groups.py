@@ -351,7 +351,7 @@ class FinSet:
     have equal (lo, ext, keys).  ``elems`` (tuples) and ``rows()`` are
     decoded on demand, in tuple order (on ZPower, key order)."""
 
-    __slots__ = ("group", "lo", "ext", "keys", "_rows", "_elems")
+    __slots__ = ("group", "lo", "ext", "keys", "_rows", "_elems", "_cell_keys")
 
     def __init__(self, group: Group, elems: Iterable = ()):
         self._put(group, *_encode(group, group.dense_rows(list(elems))))
@@ -373,7 +373,7 @@ class FinSet:
             while w > 1 and lo[w - 1] == 0 and ext[w - 1] == 1:
                 w -= 1
         self.group, self.lo, self.ext = group, _pad(lo[:w], 1, 0), _pad(ext[:w], 1, 1)
-        self.keys, self._rows, self._elems = keys, None, None
+        self.keys, self._rows, self._elems, self._cell_keys = keys, None, None, None
 
     def __len__(self):
         return len(self.keys)
@@ -425,6 +425,15 @@ class FinSet:
                 rows = rows[np.lexsort(ranked.T[::-1])]
             self._rows = rows
         return _widen(self._rows, width)
+
+    def cell_keys(self) -> np.ndarray:
+        """The sampling keys of the elements (``Group.keys_for_rows``) in
+        element order: hashed once per set, and read-only."""
+        if self._cell_keys is None:
+            keys = self.group.keys_for_rows(self.rows())
+            keys.flags.writeable = False
+            self._cell_keys = keys
+        return self._cell_keys
 
     @property
     def elems(self) -> tuple:

@@ -14,8 +14,9 @@ The vectorized "window" paths evaluate an observable over every translate of
 a finite set for a batch of sample points.  Every leaf batch takes them: a
 Bernoulli batch carries one offset per point, so translated points (as in
 the greedy covering) batch with the rest.  They are bit-identical to the
-scalar ``value_fn`` paths (same mixer, same comparisons), which tests assert
-and which stay as the reference.
+scalar ``value_fn`` paths, which tests assert and which stay as the
+reference: the same mixer, and a symbol read from the hashed 64-bit word by
+integer cut points that reproduce the scalar float comparisons exactly.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._bits import GOLDEN64, mix64, uniform_from_key, uniforms_from_keys
+from ._bits import GOLDEN64, TWO_NEG_64, mix64, uniform_from_key, words_from_keys
 from .groups import FinSet, Group, ZPower, _box
 
 
@@ -109,16 +110,17 @@ class System:
         kind = d.get("kind")
         if kind == "bernoulli":
             grp = group if group is not None else Group.from_json(d["group"])
-            return BernoulliShift(grp, tuple(float(p) for p in d["probs"]),
-                                  _int_key(d, "seed", 0))
+            probs = tuple(_number(p, "probs") for p in d["probs"])
+            return BernoulliShift(grp, probs, _int_key(d, "seed", 0))
         if kind == "torus":
-            alphas = tuple(float(a) for a in d["alphas"])
+            alphas = tuple(_number(a, "alphas") for a in d["alphas"])
             grp = group if group is not None else ZPower(len(alphas))
             return TorusRotation(grp, alphas, _int_key(d, "seed", 0))
         if kind == "mixture":
             comps = []
             for c in d["components"]:
-                comps.append((float(c["weight"]), System.from_json(c["system"], group)))
+                comps.append((_number(c["weight"], "weight"),
+                              System.from_json(c["system"], group)))
             return FiniteMixture(comps, _int_key(d, "seed", 0))
         raise ValueError(f"unknown system kind {kind!r}")
 
@@ -130,6 +132,28 @@ def _int_key(d: dict, key: str, default: int) -> int:
     if type(v) is not int:
         raise ValueError(f"{key} must be an integer")
     return v
+
+
+def _number(v, key: str) -> float:
+    """``v``, read from ``key``, which must be a JSON number: a boolean or a
+    string is refused, not coerced."""
+    if type(v) not in (int, float):
+        raise ValueError(f"{key} must hold numbers, not {v!r}")
+    return float(v)
+
+
+def _word_cut(c: float) -> int:
+    """The smallest 64-bit word w whose uniform w * 2**-64 is >= c, or 2**64
+    when there is none.  The uniform is monotone in w (rounding to float is),
+    so a word reaches the cut exactly when its uniform reaches c."""
+    lo, hi = 0, 1 << 64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid * TWO_NEG_64 >= c:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class BernoulliShift(System):
@@ -148,7 +172,10 @@ class BernoulliShift(System):
             cum.append(acc)
         cum[-1] = 1.0
         self.cum = tuple(cum)
-        self._cum_np = np.asarray(cum)
+        # symbol k+1 starts at word cut k; none for cum[-1], so the words that
+        # round to the uniform 1.0 read as the last symbol
+        cuts = [_word_cut(c) for c in cum[:-1]]
+        self._cuts = np.asarray([t for t in cuts if t < 1 << 64], dtype=np.uint64)
 
     def sample_point(self, rng) -> ShiftPoint:
         word = int(rng.integers(0, 1 << 63)) | (int(rng.integers(0, 2)) << 63)
@@ -163,23 +190,38 @@ class BernoulliShift(System):
         return uniform_from_key(self.group.elem_key(cell), y.cfg)
 
     def symbol(self, y: ShiftPoint, h=None) -> int:
-        return bisect_right(self.cum, self.uniform_at(y, h))
+        """The number of entries of cum[:-1] that the uniform reaches: the
+        scalar reference of ``symbols``."""
+        return bisect_right(self.cum, self.uniform_at(y, h), 0, len(self.cum) - 1)
 
     def window_uniforms(self, batch: BernoulliBatch, F: FinSet) -> np.ndarray:
-        """Uniform matrix (P, |F|): cell g*offset_p for each g in F.
+        """The uniforms of the cells g*offset_p for g in F, as a (P, |F|)
+        matrix of 64-bit fixed-point words: word w is the uniform w * 2**-64.
 
-        Each cell is hashed once per distinct offset; the keys are gathered
-        per point only when the batch holds more than one offset."""
+        The identity offset reads F's own cell keys, hashed once per set.
+        Other cells are hashed once per distinct offset, and the keys are
+        gathered per point only when the batch holds more than one offset."""
         grp = self.group
         index: dict = {}
         which = [index.setdefault(o, len(index)) for o in batch.offsets]
         offsets = list(index)
+        if offsets == [grp.identity()]:
+            return words_from_keys(F.cell_keys(), batch.cfgs)
         width = max(F.width, grp.dense_width(offsets))
         cells = grp.translate_rows(F.rows(width), grp.dense_rows(offsets, width))
         keys = grp.keys_for_rows(cells.reshape(-1, width))
         keys = keys.reshape(len(offsets), len(F))
-        return uniforms_from_keys(keys[0] if len(offsets) == 1 else keys[which],
-                                  batch.cfgs)
+        return words_from_keys(keys[0] if len(offsets) == 1 else keys[which],
+                               batch.cfgs)
+
+    def symbols(self, words: np.ndarray) -> np.ndarray:
+        """The symbol of each word of ``window_uniforms``: the number of word
+        cuts it reaches, one compare-and-add per cut.  Equal to ``symbol`` on
+        the word's uniform."""
+        sym = np.zeros(words.shape, dtype=np.min_scalar_type(len(self.probs)))
+        for t in self._cuts:
+            sym += words >= t
+        return sym
 
     def to_json(self) -> dict:
         return {"kind": "bernoulli", "group": self.group.to_json(),
@@ -341,10 +383,7 @@ def indicator_symbol(symbol: int = 1) -> Observable:
 
     def window_fn(leaf, batch, F):
         _require_bernoulli(leaf, "indicator_symbol", symbol)
-        u = leaf.window_uniforms(batch, F)
-        lo = leaf.cum[symbol - 1] if symbol > 0 else 0.0
-        hi = leaf.cum[symbol]
-        return ((u >= lo) & (u < hi)).astype(np.float64)
+        return (leaf.symbols(leaf.window_uniforms(batch, F)) == symbol).astype(np.float64)
 
     def exact_mean_fn(leaf):
         _require_bernoulli(leaf, "indicator_symbol", symbol)
@@ -371,8 +410,7 @@ def symbol_value() -> Observable:
 
     def window_fn(leaf, batch, F):
         _require_bernoulli(leaf, "symbol_value")
-        u = leaf.window_uniforms(batch, F)
-        return np.searchsorted(leaf._cum_np, u, side="right").astype(np.float64)
+        return leaf.symbols(leaf.window_uniforms(batch, F)).astype(np.float64)
 
     def exact_mean_fn(leaf):
         _require_bernoulli(leaf, "symbol_value")
@@ -466,8 +504,7 @@ def neg_pow_run(base: float = 2.0, cap: int = 40) -> Observable:
         cols = F.rows()[:, 0]
         lo, hi = (int(cols.min()), int(cols.max())) if len(cols) else (0, 0)
         ext = _box(leaf.group, [range(lo, hi + cap + 1)])
-        u = leaf.window_uniforms(batch, ext)
-        one = np.searchsorted(leaf._cum_np, u, side="right") == 1
+        one = leaf.symbols(leaf.window_uniforms(batch, ext)) == 1
         pos = np.arange(len(ext))
         # the run from cell j ends at the first cell >= j that is not a 1
         stop = np.where(one, len(ext), pos)
@@ -490,11 +527,11 @@ def observable_from_json(d: dict) -> Observable:
     if kind == "symbol_value":
         return symbol_value()
     if kind.startswith("scaled"):
-        return scaled(observable_from_json(d["base"]), float(d["c"]))
+        return scaled(observable_from_json(d["base"]), _number(d["c"], "c"))
     if kind.startswith("torus_coordinate"):
         return torus_coordinate(_int_key(d, "index", 0))
     if kind.startswith("neg_pow_run"):
-        return neg_pow_run(float(d.get("base", 2.0)), _int_key(d, "cap", 40))
+        return neg_pow_run(_number(d.get("base", 2.0), "base"), _int_key(d, "cap", 40))
     raise ValueError(f"unknown observable kind {kind!r}")
 
 

@@ -435,6 +435,24 @@ def _converge_cfg(**over):
      {**_torus_cfg(), "system": _bernoulli_system(),
       "observable": {"kind": "indicator_symbol", "symbol": True}},
      "bad observable: symbol must be an integer"),
+    ("check-family", _family_cfg(system=_bernoulli_system(probs=(True, 0))),
+     "bad system: probs must hold numbers, not True"),
+    ("check-family", _family_cfg(system=_bernoulli_system(probs=("0.5", 0.5))),
+     "bad system: probs must hold numbers, not '0.5'"),
+    ("check-family",
+     _family_cfg(system={"kind": "mixture", "components": [
+         {"weight": True, "system": _bernoulli_system()}]}),
+     "bad system: weight must hold numbers, not True"),
+    ("birkhoff", {**_torus_cfg(), "system": {"kind": "torus", "alphas": ["0.6"]}},
+     "bad system: alphas must hold numbers, not '0.6'"),
+    ("check-family",
+     _family_cfg(family={"kind": "additive", "observable": {
+         "kind": "scaled", "base": {"kind": "symbol_value"}, "c": True}}),
+     "bad family: c must hold numbers, not True"),
+    ("check-family",
+     _family_cfg(family={"kind": "additive", "observable": {
+         "kind": "neg_pow_run", "base": "2"}}),
+     "bad family: base must hold numbers, not '2'"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
         "folner-growth-str", "folner-growth-bool", "tiling-radius",
@@ -443,7 +461,9 @@ def _converge_cfg(**over):
         "converge-nu-floor", "birkhoff-tail", "maximal-M",
         "maximal-greedy-instances", "output-not-object", "tiling-window-cyclic",
         "tiling-window-plane", "group-d-bool", "group-periods-float",
-        "system-seed-bool", "observable-symbol-bool"])
+        "system-seed-bool", "observable-symbol-bool", "system-probs-bool",
+        "system-probs-str", "system-weight-bool", "system-alphas-str",
+        "observable-c-bool", "observable-base-str"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1

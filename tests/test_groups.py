@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -10,8 +11,9 @@ from folnerlab import (BudgetError, CyclicSum, EnumBudget, FinSet, Group,
                        enumerate_finsets, erode, finset, groups, intersect,
                        inverse_set, is_subset, multiplicity, product_set,
                        symdiff, translate_left, translate_right, union)
-from folnerlab._bits import (GOLDEN64, HASH_VERSION, mix64, mix64_np,
-                             uniform_from_key, uniforms_from_keys)
+from folnerlab._bits import (GOLDEN64, HASH_VERSION, TWO_NEG_64, mix64,
+                             mix64_np, uniform_from_key, words_from_keys)
+from folnerlab.systems import BernoulliShift
 
 Z1 = ZPower(1)
 Z2 = ZPower(2)
@@ -285,20 +287,41 @@ def test_mix64_matches_independent_reference():
 
 def test_mix64_vector_matches_scalar():
     xs = np.arange(10_000, dtype=np.uint64) * np.uint64(2654435761)
-    vec = mix64_np(xs)
+    vec = mix64_np(xs.copy())
+    assert not np.array_equal(vec, xs)
     for i in (0, 1, 17, 9999):
         assert int(vec[i]) == mix64(int(xs[i]))
 
 
-def test_uniforms_bit_identical():
+def test_words_bit_identical():
     keys = np.array([3, 99, 2**63 + 5], dtype=np.uint64)
     cfgs = np.array([11, 2**60 + 1], dtype=np.uint64)
-    mat = uniforms_from_keys(keys, cfgs)
-    assert mat.shape == (2, 3)
+    mat = words_from_keys(keys, cfgs)
+    assert mat.shape == (2, 3) and mat.dtype == np.uint64
     for r, cfg in enumerate([11, 2**60 + 1]):
         for c, k in enumerate([3, 99, 2**63 + 5]):
-            assert mat[r, c] == uniform_from_key(k, cfg)
-    assert ((mat >= 0) & (mat < 1)).all()
+            assert int(mat[r, c]) * TWO_NEG_64 == uniform_from_key(k, cfg)
+
+
+@pytest.mark.parametrize("probs", [(0.3, 0.7), (0.5, 0.0, 0.5), (0.2, 0.5, 0.3)])
+def test_word_symbols_match_float_rule(probs):
+    # integer cuts against the scalar float rule, at every cut and at the
+    # top words that round to the uniform 1.0
+    leaf = BernoulliShift(Z1, probs)
+    cuts = [int(t) for t in leaf._cuts]
+    assert len(cuts) == len(probs) - 1
+    words = sorted({w for t in cuts for w in (t - 1, t, t + 1)}
+                   | {0, 2**64 - 1025, 2**64 - 1024, 2**64 - 1})
+    got = leaf.symbols(np.array(words, dtype=np.uint64))
+    for w, s in zip(words, got.tolist()):
+        u = w * TWO_NEG_64
+        assert s == bisect_right(leaf.cum[:-1], u), (w, s)
+    # the numpy cast rounds as the scalar rule does
+    assert (np.array(words, dtype=np.uint64).astype(np.float64) * TWO_NEG_64
+            == np.array([w * TWO_NEG_64 for w in words])).all()
+    assert (2**64 - 1024) * TWO_NEG_64 == 1.0 > (2**64 - 1025) * TWO_NEG_64
+    assert got[-1] == got[-2] == len(probs) - 1  # never outside the alphabet
+    assert got[0] == 0
 
 
 @given(st.integers(0, 2**64 - 1))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from folnerlab import families
 from folnerlab.groups import CyclicSum, FinSet, ZPower, ZSum
 from folnerlab.systems import (
     BernoulliBatch,
@@ -95,6 +96,35 @@ def test_bernoulli_window_bit_identical():
     for r, y in enumerate(pts):
         for c, g in enumerate(F.elems):
             assert mat[r, c] == obs.value(system, system.apply(g, y))
+
+
+def _slab_case(case):
+    rng = np.random.default_rng(12)
+    if case == "one-point-slabs":
+        # |F| above the slab budget: every slab holds a single point
+        system = _bernoulli(probs=(0.2, 0.5, 0.3))
+        F = _box(ZPower(1), families._SLAB_CELLS + 5)
+        pts = [system.sample_point(rng) for _ in range(3)]
+        return system, F, pts, symbol_value(), [0, 2]
+    if case == "mixture":
+        system = FiniteMixture([(0.4, _bernoulli(d=2, probs=(0.75, 0.25), seed=21)),
+                                (0.6, _bernoulli(d=2, probs=(0.25, 0.75), seed=22))],
+                               seed=23)
+        pts = [system.sample_point(rng) for _ in range(150)]
+        return system, _box(ZPower(2), 5), pts, indicator_symbol(1), range(150)
+    # distinct, non-identity offsets, over more than one slab
+    system = _bernoulli(d=2, probs=(0.2, 0.5, 0.3))
+    pts = [system.apply((i, -2 * i - 1), system.sample_point(rng)) for i in range(90)]
+    return system, _box(ZPower(2), 6), pts, symbol_value(), range(90)
+
+
+@pytest.mark.parametrize("case", ["one-point-slabs", "mixture", "offsets"])
+def test_sample_values_slabs_bit_identical(case):
+    system, F, pts, obs, subset = _slab_case(case)
+    fam = families.AdditiveFamily(obs)
+    vals = fam.sample_values(system, F, pts)
+    for i in subset:
+        assert vals[i] == fam.value(system, F, pts[i]), i
 
 
 def test_neg_pow_run_window_bit_identical():
