@@ -15,8 +15,9 @@ code:
        to stderr
 
 Handlers read the config only through ``_get`` (one type-checked value) and
-``_parts`` (the group and the objects built on it), so a malformed value
-exits 1 before any experiment runs.
+``_parts`` (the group and the objects built on it, whose parsers read through
+``_get`` too): ``_get`` is the one checked reader of ``folnerlab._config``, so
+a malformed value at any depth exits 1 before any experiment runs.
 
 Reruns with the same config are byte-identical: the version lives in the
 header, and all sampling is derived from the config seed.  FOLNER_LAB_THREADS
@@ -31,10 +32,13 @@ import traceback
 from typing import Optional
 
 from ._bits import HASH_VERSION
+from ._config import (_ANCHORS, _INDICES, _INT, _INT_GE_2, _NONNEG_INT, _NUM,
+                      _OBJ, _OPT_NUM, _OPT_POS_INT, _PATH, _POS_INT, _POS_NUM,
+                      _SCHEDULE, _SEQ_KIND, ConfigError, _get, _one_of)
 from .ergodic import (GateRefusal, birkhoff_check, ergodic_decomposition_check,
                       kingman_run, limsup_identity_check,
                       maximal_inequality_check, setfn_limit_strong,
-                      setfn_limit_tiling, setfn_registry)
+                      setfn_limit_tiling, setfn_registry, thread_cap)
 from .families import PROPERTIES, classify, family_from_json
 from .folner import (defect_profile, make_folner, ratios_look_divergent,
                      tempelman_report, tempered_report)
@@ -43,10 +47,6 @@ from .systems import System, UnsupportedObservable, observable_from_json
 from .tiling import standard_cert, tiles_window_report, window_set
 
 VERSION = "0.1.0"
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -62,50 +62,6 @@ def _load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
-
-
-def _pos_ints(v) -> bool:
-    return (isinstance(v, list) and bool(v)
-            and all(type(n) is int and n >= 1 for n in v))
-
-
-# (ok, what) pairs for `_get`.  `type(v) is int` keeps JSON true/false out.
-_INT = (lambda v: type(v) is int, "an integer")
-_POS_INT = (lambda v: type(v) is int and v >= 1, "a positive integer")
-_OPT_POS_INT = (lambda v: v is None or (type(v) is int and v >= 1),
-                "a positive integer or null")
-_NONNEG_INT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
-_SAMPLES = (lambda v: type(v) is int and v >= 2, "an integer >= 2")
-_NUM = (lambda v: type(v) in (int, float), "a number")
-_OPT_NUM = (lambda v: v is None or type(v) in (int, float), "a number or null")
-_POS_NUM = (lambda v: type(v) in (int, float) and v > 0, "a positive number")
-_OBJ = (lambda v: isinstance(v, dict), "an object")
-_SEQ_KIND = (lambda v: v in ("z_boxes", "cyclic_prefix", "zsum_boxes"),
-             "'z_boxes', 'cyclic_prefix' or 'zsum_boxes'")
-_ANCHORS = (lambda v: v in (None, "squares"), "'squares' or null")
-_PATH = (lambda v: v is None or isinstance(v, str), "a path or null")
-_INDICES = (_pos_ints, "a non-empty list of positive integers")
-_SCHEDULE = (lambda v: (_pos_ints(v) and len(v) >= 2
-                        and all(a < b for a, b in zip(v, v[1:]))),
-             "a strictly increasing list of positive integers, length >= 2")
-
-
-def _get(cfg: dict, key: str, default, ok, what: str):
-    """``cfg[key]``, or ``default`` when absent (``...`` = required).
-
-    A dotted key reads inside a nested object; a value failing ``ok`` is a
-    config error naming the key and ``what`` it must be.
-    """
-    outer, _, name = key.rpartition(".")
-    obj = _get(cfg, outer, {}, *_OBJ) if outer else cfg
-    if name not in obj:
-        if default is ...:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    v = obj[name]
-    if not ok(v):
-        raise ConfigError(f"{key} must be {what}")
-    return v
 
 
 _PARTS = {
@@ -125,7 +81,7 @@ def _parts(cfg: dict, *names: str) -> list:
         spec = _get(cfg, name, ..., *_OBJ)
         try:
             built.append(_PARTS[name](built[0] if built else None, spec))
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad {name}: {exc}")
     return built
 
@@ -178,7 +134,7 @@ def _emit(args, output: tuple, rows, summary: dict, exit_code: int) -> int:
 def _cmd_verify_folner(cfg: dict):
     _, seq = _parts(cfg, "sequence")
     indices = _get(cfg, "indices", [1, 2, 4, 8, 16], *_INDICES)
-    upto = _get(cfg, "growth_upto", max(4, min(12, max(indices))), *_POS_INT)
+    upto = _get(cfg, "growth_upto", max(4, min(12, max(indices))), *_INT_GE_2)
     profile = defect_profile(seq, indices)
     rows = [(row["index"], key, float(val)) for row in profile
             for key, val in row.items() if key.startswith("defect_")]
@@ -251,21 +207,20 @@ def _cmd_check_family(cfg: dict):
 def _cmd_limit_setfn(cfg: dict):
     group, seq = _parts(cfg, "sequence")
     reg = setfn_registry(group)
-    name = _get(cfg, "setfn", ..., lambda v: isinstance(v, str) and v in reg,
-                f"one of {sorted(reg)}")
+    name = _get(cfg, "setfn", ..., *_one_of(reg))
     indices = _get(cfg, "n_schedule", ..., *_SCHEDULE)
-    route = _get(cfg, "route", "tiling", lambda v: v in ("tiling", "strong"),
-                 "'tiling' or 'strong'")
+    route = _get(cfg, "route", "tiling", *_one_of(("tiling", "strong")))
     if route == "tiling":
         rep = setfn_limit_tiling(
             reg[name], seq, indices,
             max_card=_get(cfg, "max_card", 12, *_POS_INT),
             max_index=_get(cfg, "max_index", 4, *_POS_INT))
     else:
+        lo = _get(cfg, "budget.lo", -2, *_INT)
         budget = EnumBudget(
-            max_card=_get(cfg, "budget.max_card", 4, *_POS_INT),
-            lo=_get(cfg, "budget.lo", -2, *_INT),
-            hi=_get(cfg, "budget.hi", 2, *_INT),
+            max_card=_get(cfg, "budget.max_card", 4, *_POS_INT), lo=lo,
+            hi=_get(cfg, "budget.hi", 2, lambda v: type(v) is int and v >= lo,
+                    "an integer >= budget.lo"),
             max_index=_get(cfg, "budget.max_index", 2, *_OPT_POS_INT),
             max_sets=_get(cfg, "budget.max_sets", 4000, *_OPT_POS_INT))
         rep = setfn_limit_strong(reg[name], seq, indices, budget=budget)
@@ -279,7 +234,7 @@ def _cmd_limit_setfn(cfg: dict):
 
 def _cmd_converge(cfg: dict):
     _, seq, system, fam = _parts(cfg, "sequence", "system", "family")
-    samples = _get(cfg, "samples", ..., *_SAMPLES)
+    samples = _get(cfg, "samples", ..., *_INT_GE_2)
     seed = _get(cfg, "seed", 7, *_NONNEG_INT)
     rep = kingman_run(
         fam, seq, system, _get(cfg, "n_schedule", ..., *_SCHEDULE),
@@ -311,18 +266,14 @@ def _cmd_converge(cfg: dict):
 
 def _cmd_limsup(cfg: dict):
     _, seq, system, fam = _parts(cfg, "sequence", "system", "family")
-    samples = _get(cfg, "samples", ..., *_SAMPLES)
+    samples = _get(cfg, "samples", ..., *_INT_GE_2)
     seed = _get(cfg, "seed", 7, *_NONNEG_INT)
     schedule = _get(cfg, "n_schedule", ..., *_SCHEDULE)
     mode = _get(cfg, "mode", "bi_invariant",
-                lambda v: v in ("bi_invariant", "strongly_subadditive"),
-                "'bi_invariant' or 'strongly_subadditive'")
+                *_one_of(("bi_invariant", "strongly_subadditive")))
     tol = _get(cfg, "tolerances.tol", 0.05, *_NUM)
-    try:
-        rep = limsup_identity_check(fam, seq, system, mode, schedule, samples,
-                                    seed=seed, tol=tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    rep = limsup_identity_check(fam, seq, system, mode, schedule, samples,
+                                seed=seed, tol=tol)
     rows = [(0, "tail_max_mean", rep["tail_max_mean"]),
             (0, "within_frac", rep["within_frac"]),
             (0, "integral_gap", rep["integral_gap"])]
@@ -335,7 +286,7 @@ def _cmd_limsup(cfg: dict):
 
 def _cmd_maximal(cfg: dict):
     _, seq, system, fam = _parts(cfg, "sequence", "system", "family")
-    samples = _get(cfg, "samples", ..., *_SAMPLES)
+    samples = _get(cfg, "samples", ..., *_INT_GE_2)
     seed = _get(cfg, "seed", 7, *_NONNEG_INT)
     alpha = _get(cfg, "alpha", ..., *_POS_NUM)
     N = _get(cfg, "N", 3, *_POS_INT)
@@ -357,7 +308,7 @@ def _cmd_maximal(cfg: dict):
 
 def _cmd_decompose(cfg: dict):
     _, seq, system, fam = _parts(cfg, "sequence", "system", "family")
-    samples = _get(cfg, "samples", ..., *_SAMPLES)
+    samples = _get(cfg, "samples", ..., *_INT_GE_2)
     seed = _get(cfg, "seed", 7, *_NONNEG_INT)
     n = _get(cfg, "n", 32, *_POS_INT)
     rep = ergodic_decomposition_check(fam, system, seq, n, samples, seed=seed)
@@ -371,7 +322,7 @@ def _cmd_decompose(cfg: dict):
 
 def _cmd_birkhoff(cfg: dict):
     _, seq, system, obs = _parts(cfg, "sequence", "system", "observable")
-    samples = _get(cfg, "samples", ..., *_SAMPLES)
+    samples = _get(cfg, "samples", ..., *_INT_GE_2)
     seed = _get(cfg, "seed", 7, *_NONNEG_INT)
     rep = birkhoff_check(
         obs, seq, system, _get(cfg, "n_schedule", ..., *_SCHEDULE),
@@ -460,6 +411,7 @@ def main(argv: Optional[list] = None) -> int:
         cfg = _load_config(args.config)
         output = (_get(cfg, "output.csv", None, *_PATH),
                   _get(cfg, "output.summary", None, *_PATH))
+        thread_cap()  # a malformed FOLNER_LAB_THREADS stops before any run
         code, rows, summary = _HANDLERS[args.command](cfg)
     except (ConfigError, BudgetError, UnsupportedObservable) as exc:
         # a budget blow-up here means the requested windows exceed the

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._config import _INT_STR, _get
 from .families import (AdditiveFamily, ClassifyReport, DerivedPrimeM, Family,
                        Truncated, classify)
 from .folner import (FolnerSeq, _inverse_unions, make_folner, tempelman_report,
@@ -61,9 +62,12 @@ def _require_tiling(seq: FolnerSeq, indices) -> None:
                               f"no tiling certificate at index {n}")
 
 
-def _anytime_min(values, eps: float):
+_STABLE_EPS = 1e-9
+
+
+def _anytime_min(values):
     """Running minimum of a stream: (best, trend, stabilized), where the
-    trend counts as stabilized once its second half moved by at most eps."""
+    trend counts as stabilized once its second half moved by <= _STABLE_EPS."""
     best, trend = None, []
     for v in values:
         best = v if best is None or v < best else best
@@ -71,7 +75,7 @@ def _anytime_min(values, eps: float):
     if best is None:
         raise ValueError("no candidate sets enumerated")
     half = len(trend) // 2
-    stabilized = len(trend) >= 2 and float(trend[half]) - float(trend[-1]) <= eps
+    stabilized = len(trend) >= 2 and float(trend[half]) - float(trend[-1]) <= _STABLE_EPS
     return best, trend, stabilized
 
 
@@ -80,10 +84,8 @@ def _anytime_min(values, eps: float):
 
 
 def thread_cap() -> int:
-    v = os.environ.get("FOLNER_LAB_THREADS")
-    if v:
-        return max(1, int(v))
-    return min(4, os.cpu_count() or 1)
+    v = _get(os.environ, "FOLNER_LAB_THREADS", "", *_INT_STR)
+    return max(1, int(v)) if v else min(4, os.cpu_count() or 1)
 
 
 _BLOCK = 128  # points per worker block; results reassembled in block order
@@ -260,8 +262,7 @@ def _setfn_gate(f: SetFunction, group: Group, prop: str) -> None:
 def _limit_from_enumeration(f: SetFunction, seq: FolnerSeq, indices,
                             candidates, tol: Optional[float]) -> LimitReport:
     seq_vals = [f.normalized(seq.generate(n)) for n in indices]
-    best, trend, stabilized = _anytime_min(
-        (f.normalized(T) for T in candidates), 1e-12)
+    best, trend, stabilized = _anytime_min(f.normalized(T) for T in candidates)
     limit = float(seq_vals[-1])
     inf_v = float(best)
     gap = abs(limit - inf_v)
@@ -729,7 +730,7 @@ def _candidate_infimum(fam: Family, leaf: System, candidates, samples: int,
     pts = sample_points(leaf, samples, seed)
     best, trend, stabilized = _anytime_min(
         (float(family_values(fam, leaf, T, pts).mean()) / len(T)
-         for T in candidates), 1e-9)
+         for T in candidates))
     return {"inf": best, "trend": trend, "stabilized": stabilized,
             "ergodic": leaf.ergodic}
 
@@ -948,7 +949,8 @@ def limsup_identity_check(fam: Family, seq: FolnerSeq, system: System,
         if budget is None:
             budget = EnumBudget(max_card=4, lo=-2, hi=2, max_index=2,
                                 max_sets=3000)
-        candidates = enumerate_finsets(seq.group, budget)
+        # a list: each leaf of a mixture runs its own infimum over them
+        candidates = list(enumerate_finsets(seq.group, budget))
 
     pts = sample_points(system, samples, seed)
     V = trajectory_matrix(fam, system, seq, schedule, pts)

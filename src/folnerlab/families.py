@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._config import _INT, _NUM, _OBJ, _TWO_OBJS, _get, _kind, _one_of
 from .groups import (FinSet, Group, diff, erode, finset, intersect,
                      multiplicity, product_set, translate_left, translate_right,
                      union)
@@ -192,13 +193,14 @@ class AdditivePlus(Family):
 
     def __init__(self, obs: Observable, gamma: Callable, beta: float = 1.0,
                  gamma_name: str = "gamma"):
+        beta = float(beta)
         if beta < 0:
             raise ValueError("beta must be non-negative")
         _check_gamma(gamma, concave=False)
         self.inner = AdditiveFamily(obs)
         self.gamma = gamma
         self.gamma_name = gamma_name
-        self.beta = float(beta)
+        self.beta = beta
         self.name = f"additive_plus({obs.name},{gamma_name},{beta})"
         self.declared = frozenset({"invariant", "bi_invariant", "subadditive"})
 
@@ -325,9 +327,9 @@ class DerivedPrimeM(Family):
     subgroup, so `act` routes translations through the isomorphism.
     """
 
-    def __init__(self, base: Family, cert: TilingCert):
-        if cert.iso is None:
-            raise ValueError("composition requires a self-similar certificate")
+    def __init__(self, base: Family, cert: Optional[TilingCert]):
+        if cert is None or cert.iso is None:
+            raise ValueError("derived_prime_m needs a self-similar tiling certificate")
         self.prime = DerivedPrime(base)
         self.cert = cert
         self.name = f"derived_prime_m({base.name},|T|={len(cert.tile)})"
@@ -401,32 +403,38 @@ GAMMAS = {
 
 
 def family_from_json(d: dict, cert: Optional[TilingCert] = None) -> Family:
-    kind = d.get("kind")
-    if kind == "additive":
-        return AdditiveFamily(observable_from_json(d["observable"]))
-    if kind == "max":
-        return MaxFamily(observable_from_json(d["observable"]))
-    if kind == "concave_cardinality":
-        name = d["gamma"]
-        return ConcaveCardinality(GAMMAS[name], name)
-    if kind == "additive_plus":
-        name = d.get("gamma", "sqrt")
-        return AdditivePlus(observable_from_json(d["observable"]), GAMMAS[name],
-                            float(d.get("beta", 1.0)), name)
-    if kind == "max_of_additives":
-        o1, o2 = d["observables"]
-        return MaxOfAdditives(observable_from_json(o1), observable_from_json(o2))
-    if kind == "truncated":
-        return Truncated(family_from_json(d["base"], cert), int(d["N"]))
-    if kind == "derived_prime":
-        return DerivedPrime(family_from_json(d["base"], cert))
-    if kind == "derived_prime_m":
-        if cert is None:
-            raise ValueError("derived_prime_m needs a tiling certificate")
-        return DerivedPrimeM(family_from_json(d["base"]), cert)
-    if kind == "minus_card_squared":
-        return MinusCardSquared(family_from_json(d["base"], cert))
-    raise ValueError(f"unknown family kind {kind!r}")
+    return _kind(d, _FAMILY_KINDS)(d, cert)
+
+
+def _gamma_from_json(d: dict, default) -> dict:
+    name = _get(d, "gamma", default, *_one_of(GAMMAS))
+    return {"gamma": GAMMAS[name], "gamma_name": name}
+
+
+def _obs_from_json(d: dict) -> Observable:
+    return observable_from_json(_get(d, "observable", ..., *_OBJ))
+
+
+def _base_from_json(d: dict, cert: Optional[TilingCert]) -> Family:
+    return family_from_json(_get(d, "base", ..., *_OBJ), cert)
+
+
+_FAMILY_KINDS = {
+    "additive": lambda d, cert: AdditiveFamily(_obs_from_json(d)),
+    "max": lambda d, cert: MaxFamily(_obs_from_json(d)),
+    "concave_cardinality": lambda d, cert: ConcaveCardinality(
+        **_gamma_from_json(d, ...)),
+    "additive_plus": lambda d, cert: AdditivePlus(
+        _obs_from_json(d), beta=_get(d, "beta", 1.0, *_NUM),
+        **_gamma_from_json(d, "sqrt")),
+    "max_of_additives": lambda d, cert: MaxOfAdditives(
+        *map(observable_from_json, _get(d, "observables", ..., *_TWO_OBJS))),
+    "truncated": lambda d, cert: Truncated(_base_from_json(d, cert),
+                                           _get(d, "N", ..., *_INT)),
+    "derived_prime": lambda d, cert: DerivedPrime(_base_from_json(d, cert)),
+    "derived_prime_m": lambda d, cert: DerivedPrimeM(_base_from_json(d, None), cert),
+    "minus_card_squared": lambda d, cert: MinusCardSquared(_base_from_json(d, cert)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from ._bits import GOLDEN64, MASK64, mix64, mix64_np
+from ._config import _INT, _INTS, _get, _kind
 
 
 class GroupMismatchError(ValueError):
@@ -67,18 +68,7 @@ class Group:
 
     @staticmethod
     def from_json(d: dict) -> "Group":
-        kind = d.get("kind")
-        if kind == "z_power":
-            if type(d["d"]) is not int:
-                raise ValueError("d must be an integer")
-            return ZPower(d["d"])
-        if kind == "cyclic_sum":
-            if any(type(p) is not int for p in d["periods"]):
-                raise ValueError("periods must be a list of integers")
-            return CyclicSum(tuple(d["periods"]))
-        if kind == "z_sum":
-            return ZSum()
-        raise ValueError(f"unknown group kind: {kind!r}")
+        return _kind(d, _GROUP_KINDS)(d)
 
 
 @dataclass(frozen=True)
@@ -261,6 +251,13 @@ class ZSum(_SparseSumBase):
 
     def to_json(self) -> dict:
         return {"kind": "z_sum"}
+
+
+_GROUP_KINDS = {
+    "z_power": lambda d: ZPower(_get(d, "d", ..., *_INT)),
+    "cyclic_sum": lambda d: CyclicSum(tuple(_get(d, "periods", ..., *_INTS))),
+    "z_sum": lambda d: ZSum(),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._bits import GOLDEN64, TWO_NEG_64, mix64, uniform_from_key, words_from_keys
+from ._config import (_INT, _NONNEG_INT, _NUM, _NUMS, _OBJ, _OBJS, _get,
+                      _kind)
 from .groups import FinSet, Group, ZPower, _box
 
 
@@ -107,39 +109,7 @@ class System:
 
     @staticmethod
     def from_json(d: dict, group: Optional[Group] = None) -> "System":
-        kind = d.get("kind")
-        if kind == "bernoulli":
-            grp = group if group is not None else Group.from_json(d["group"])
-            probs = tuple(_number(p, "probs") for p in d["probs"])
-            return BernoulliShift(grp, probs, _int_key(d, "seed", 0))
-        if kind == "torus":
-            alphas = tuple(_number(a, "alphas") for a in d["alphas"])
-            grp = group if group is not None else ZPower(len(alphas))
-            return TorusRotation(grp, alphas, _int_key(d, "seed", 0))
-        if kind == "mixture":
-            comps = []
-            for c in d["components"]:
-                comps.append((_number(c["weight"], "weight"),
-                              System.from_json(c["system"], group)))
-            return FiniteMixture(comps, _int_key(d, "seed", 0))
-        raise ValueError(f"unknown system kind {kind!r}")
-
-
-def _int_key(d: dict, key: str, default: int) -> int:
-    """``d[key]`` (or ``default``), which must be a JSON integer: a boolean
-    or a float is refused, not coerced."""
-    v = d.get(key, default)
-    if type(v) is not int:
-        raise ValueError(f"{key} must be an integer")
-    return v
-
-
-def _number(v, key: str) -> float:
-    """``v``, read from ``key``, which must be a JSON number: a boolean or a
-    string is refused, not coerced."""
-    if type(v) not in (int, float):
-        raise ValueError(f"{key} must hold numbers, not {v!r}")
-    return float(v)
+        return _kind(d, _SYSTEM_KINDS)(d, group)
 
 
 def _word_cut(c: float) -> int:
@@ -229,8 +199,10 @@ class BernoulliShift(System):
 
 
 class TorusRotation(System):
-    def __init__(self, group: ZPower, alphas: Sequence[float], seed: int = 0):
+    def __init__(self, group: Optional[ZPower], alphas: Sequence[float],
+                 seed: int = 0):  # no group: Z^d, one coordinate per frequency
         alphas = tuple(float(a) for a in alphas)
+        group = ZPower(len(alphas)) if group is None else group
         if not isinstance(group, ZPower) or len(alphas) != group.d:
             raise ValueError("torus rotation needs one frequency per Z^d coordinate")
         if any(not 0.0 < a < 1.0 for a in alphas):
@@ -296,6 +268,20 @@ class FiniteMixture(System):
         return {"kind": "mixture", "seed": self.seed,
                 "components": [{"weight": w, "system": s.to_json()}
                                for w, s in self.parts]}
+
+
+_SYSTEM_KINDS = {
+    "bernoulli": lambda d, g: BernoulliShift(
+        Group.from_json(_get(d, "group", ..., *_OBJ)) if g is None else g,
+        _get(d, "probs", ..., *_NUMS), _get(d, "seed", 0, *_INT)),
+    "torus": lambda d, g: TorusRotation(
+        g, _get(d, "alphas", ..., *_NUMS), _get(d, "seed", 0, *_INT)),
+    "mixture": lambda d, g: FiniteMixture(
+        [(_get(c, "weight", ..., *_NUM),
+          System.from_json(_get(c, "system", ..., *_OBJ), g))
+         for c in _get(d, "components", ..., *_OBJS)],
+        _get(d, "seed", 0, *_INT)),
+}
 
 
 def resolve_leaf(system: System, y):
@@ -453,14 +439,19 @@ def scaled(base: Observable, c: float) -> Observable:
 
 
 def torus_coordinate(i: int = 0) -> Observable:
-    def value_fn(leaf, y):
+    def _require_torus(leaf):
         if not isinstance(leaf, TorusRotation):
             raise UnsupportedObservable("torus_coordinate needs a torus rotation")
+        if not 0 <= i < leaf.group.d:
+            raise UnsupportedObservable(f"torus_coordinate: index {i} is outside "
+                                        f"the {leaf.group.d}-coordinate torus")
+
+    def value_fn(leaf, y):
+        _require_torus(leaf)
         return float(leaf.coordinate(y, i))
 
     def window_fn(leaf, batch, F):
-        if not isinstance(batch, TorusBatch):
-            raise UnsupportedObservable("torus_coordinate needs a torus batch")
+        _require_torus(leaf)
         rows = F.rows()
         v = (batch.bases[:, i][:, None]
              + (batch.steps[:, i][:, None] + rows[None, :, i]) * leaf.alphas[i])
@@ -485,6 +476,7 @@ def neg_pow_run(base: float = 2.0, cap: int = 40) -> Observable:
     exact; the uncapped expectation is -infinity for symbol probabilities
     >= 1/base.
     """
+    base = float(base)
 
     def _require_line(leaf):
         _require_bernoulli(leaf, "neg_pow_run")
@@ -496,7 +488,7 @@ def neg_pow_run(base: float = 2.0, cap: int = 40) -> Observable:
         r = 0
         while r < cap and leaf.symbol(y, (r,)) == 1:
             r += 1
-        return -float(base) ** r
+        return -base ** r
 
     def window_fn(leaf, batch, F):
         # runs over the cells [min F, max F + cap], then F's columns
@@ -509,11 +501,11 @@ def neg_pow_run(base: float = 2.0, cap: int = 40) -> Observable:
         # the run from cell j ends at the first cell >= j that is not a 1
         stop = np.where(one, len(ext), pos)
         run = np.minimum.accumulate(stop[:, ::-1], axis=1)[:, ::-1] - pos
-        return -np.power(float(base), np.minimum(run[:, cols - lo], cap))
+        return -np.power(base, np.minimum(run[:, cols - lo], cap))
 
     return Observable(
         name=f"neg_pow_run[{base},{cap}]",
-        json={"kind": "neg_pow_run", "base": float(base), "cap": cap},
+        json={"kind": "neg_pow_run", "base": base, "cap": cap},
         value_fn=value_fn,
         window_fn=window_fn,
         nonneg=False,
@@ -521,18 +513,19 @@ def neg_pow_run(base: float = 2.0, cap: int = 40) -> Observable:
 
 
 def observable_from_json(d: dict) -> Observable:
-    kind = d.get("kind", "")
-    if kind.startswith("indicator_symbol"):
-        return indicator_symbol(_int_key(d, "symbol", 1))
-    if kind == "symbol_value":
-        return symbol_value()
-    if kind.startswith("scaled"):
-        return scaled(observable_from_json(d["base"]), _number(d["c"], "c"))
-    if kind.startswith("torus_coordinate"):
-        return torus_coordinate(_int_key(d, "index", 0))
-    if kind.startswith("neg_pow_run"):
-        return neg_pow_run(_number(d.get("base", 2.0), "base"), _int_key(d, "cap", 40))
-    raise ValueError(f"unknown observable kind {kind!r}")
+    return _kind(d, _OBSERVABLE_KINDS)(d)
+
+
+_OBSERVABLE_KINDS = {
+    "indicator_symbol": lambda d: indicator_symbol(_get(d, "symbol", 1, *_INT)),
+    "symbol_value": lambda d: symbol_value(),
+    "scaled": lambda d: scaled(observable_from_json(_get(d, "base", ..., *_OBJ)),
+                               _get(d, "c", ..., *_NUM)),
+    "torus_coordinate": lambda d: torus_coordinate(
+        _get(d, "index", 0, *_NONNEG_INT)),
+    "neg_pow_run": lambda d: neg_pow_run(_get(d, "base", 2.0, *_NUM),
+                                         _get(d, "cap", 40, *_NONNEG_INT)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -107,18 +107,6 @@ class ZSumLatticeCenters:
         return {"kind": "zsum_lattice", "shape": list(self.shape)}
 
 
-def centers_from_json(group: Group, d: dict):
-    kind = d.get("kind")
-    if kind == "lattice":
-        offsets = tuple(group.elem(o) for o in d.get("offsets", [[0] * group.d]))
-        return LatticeCenters(group, tuple(int(m) for m in d["moduli"]), offsets)
-    if kind == "prefix_shift":
-        return PrefixShiftCenters(group, int(d["n"]))
-    if kind == "zsum_lattice":
-        return ZSumLatticeCenters(group, tuple(int(s) for s in d["shape"]))
-    raise ValueError(f"unknown center-set kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Self-similar isomorphisms G -> G_T
 

@@ -3,13 +3,15 @@
 import copy
 import json
 import math
+import os
 import sys
 
 import pytest
 
-from folnerlab import cli
+from folnerlab import _config, cli
 from folnerlab._bits import HASH_VERSION
 from folnerlab.cli import _HANDLERS, _THEOREM_TABLE, VERSION, main
+from folnerlab.ergodic import thread_cap
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -226,6 +228,21 @@ def test_budget_limited_setfn_exit_two(tmp_path):
     assert summary["gaps"]["limit_vs_inf"] > 0.05
 
 
+def test_limsup_strong_mode_on_mixture_runs(tmp_path):
+    # each leaf of the mixture takes its infimum over the same enumerated
+    # candidate sets, so the second leaf must not find them used up
+    cfg = _write(tmp_path, "cfg.json", _converge_cfg(
+        mode="strongly_subadditive", n_schedule=[4, 16, 64], samples=100,
+        system={"kind": "mixture", "seed": 23, "components": [
+            {"weight": 0.5, "system": _bernoulli_system((0.75, 0.25), seed=21)},
+            {"weight": 0.5, "system": _bernoulli_system((0.25, 0.75), seed=22)}]},
+        family={"kind": "max_of_additives", "observables": [
+            {"kind": "indicator_symbol", "symbol": 1}, {"kind": "symbol_value"}]}))
+    code, summary, _ = _run("limsup", cfg, tmp_path)
+    assert code in (0, 2), summary
+    assert summary["inf_stabilized"]
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: hypothesis-gate refusal
 
@@ -394,9 +411,11 @@ def _converge_cfg(**over):
      "trials must be a positive integer"),
     ("decompose", _maximal_cfg(n="x"), "n must be a positive integer"),
     ("verify-folner", _folner_cfg(growth_upto="x"),
-     "growth_upto must be a positive integer"),
+     "growth_upto must be an integer >= 2"),
     ("verify-folner", _folner_cfg(growth_upto=True),
-     "growth_upto must be a positive integer"),
+     "growth_upto must be an integer >= 2"),
+    ("verify-folner", _folner_cfg(growth_upto=1),
+     "growth_upto must be an integer >= 2"),
     ("verify-tiling", _folner_cfg(window_radius="x"),
      "window_radius must be a non-negative integer"),
     ("check-family", _family_cfg(max_card="x"),
@@ -436,26 +455,62 @@ def _converge_cfg(**over):
       "observable": {"kind": "indicator_symbol", "symbol": True}},
      "bad observable: symbol must be an integer"),
     ("check-family", _family_cfg(system=_bernoulli_system(probs=(True, 0))),
-     "bad system: probs must hold numbers, not True"),
+     "bad system: probs must be a list of numbers"),
     ("check-family", _family_cfg(system=_bernoulli_system(probs=("0.5", 0.5))),
-     "bad system: probs must hold numbers, not '0.5'"),
+     "bad system: probs must be a list of numbers"),
     ("check-family",
      _family_cfg(system={"kind": "mixture", "components": [
          {"weight": True, "system": _bernoulli_system()}]}),
-     "bad system: weight must hold numbers, not True"),
+     "bad system: weight must be a number"),
     ("birkhoff", {**_torus_cfg(), "system": {"kind": "torus", "alphas": ["0.6"]}},
-     "bad system: alphas must hold numbers, not '0.6'"),
+     "bad system: alphas must be a list of numbers"),
     ("check-family",
      _family_cfg(family={"kind": "additive", "observable": {
          "kind": "scaled", "base": {"kind": "symbol_value"}, "c": True}}),
-     "bad family: c must hold numbers, not True"),
+     "bad family: c must be a number"),
     ("check-family",
      _family_cfg(family={"kind": "additive", "observable": {
          "kind": "neg_pow_run", "base": "2"}}),
-     "bad family: base must hold numbers, not '2'"),
+     "bad family: base must be a number"),
+    ("check-family",
+     _family_cfg(family={"kind": "additive", "observable": {"kind": True}}),
+     "bad family: kind must be one of ['indicator_symbol', 'neg_pow_run'"),
+    ("check-family", _family_cfg(family={"kind": "additive", "observable": 1}),
+     "bad family: observable must be an object"),
+    ("check-family",
+     _family_cfg(family={"kind": "max_of_additives", "observables": [1, 2]}),
+     "bad family: observables must be a list of two objects"),
+    ("check-family",
+     _family_cfg(family={"kind": "truncated", "N": True, "base": {
+         "kind": "additive", "observable": {"kind": "symbol_value"}}}),
+     "bad family: N must be an integer"),
+    ("check-family",
+     _family_cfg(family={"kind": "additive_plus", "beta": "2",
+                         "observable": {"kind": "symbol_value"}}),
+     "bad family: beta must be a number"),
+    ("check-family",
+     _family_cfg(system={"kind": "mixture", "components": [1]}),
+     "bad system: components must be a list of objects"),
+    ("birkhoff",
+     {**_torus_cfg(), "system": _bernoulli_system(),
+      "observable": {"kind": "indicator_symbolXYZ", "symbol": 1}},
+     "bad observable: kind must be one of ['indicator_symbol', 'neg_pow_run'"),
+    ("limit-setfn", _setfn_cfg(route="strong", budget={"lo": 2, "hi": -2}),
+     "budget.hi must be an integer >= budget.lo"),
+    ("birkhoff", {**_torus_cfg(), "observable": {"kind": "torus_coordinate",
+                                                 "index": 1}},
+     "torus_coordinate: index 1 is outside the 1-coordinate torus"),
+    ("birkhoff", {**_torus_cfg(), "observable": {"kind": "torus_coordinate",
+                                                 "index": -1}},
+     "bad observable: index must be a non-negative integer"),
+    ("check-family",
+     _family_cfg(family={"kind": "additive", "observable": {
+         "kind": "neg_pow_run", "cap": -5}}),
+     "bad family: cap must be a non-negative integer"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
-        "folner-growth-str", "folner-growth-bool", "tiling-radius",
+        "folner-growth-str", "folner-growth-bool", "folner-growth-one",
+        "tiling-radius",
         "family-max-card", "family-expect", "setfn-max-card",
         "setfn-budget-max-card", "setfn-name-list", "converge-tol",
         "converge-nu-floor", "birkhoff-tail", "maximal-M",
@@ -463,7 +518,11 @@ def _converge_cfg(**over):
         "tiling-window-plane", "group-d-bool", "group-periods-float",
         "system-seed-bool", "observable-symbol-bool", "system-probs-bool",
         "system-probs-str", "system-weight-bool", "system-alphas-str",
-        "observable-c-bool", "observable-base-str"])
+        "observable-c-bool", "observable-base-str", "observable-kind-bool",
+        "observable-not-object", "max-of-additives-not-objects",
+        "truncated-N-bool", "additive-plus-beta-str", "mixture-component-int",
+        "observable-kind-suffix", "setfn-budget-hi-below-lo",
+        "torus-index-range", "torus-index-negative", "neg-pow-cap-negative"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1
@@ -507,22 +566,32 @@ def test_internal_error_exit_five(tmp_path, capsys, monkeypatch):
 # every key a handler reads rejects a string and a JSON boolean
 
 
-class _Recorder(dict):
-    """A config object that records each key `folnerlab.cli` reads from it.
+def _wrap(v, reads, path):
+    """``v`` with every object inside it, at any depth, a `_Recorder`."""
+    if isinstance(v, dict):
+        return _Recorder(v, reads, f"{path}.")
+    if isinstance(v, list):
+        return [_wrap(x, reads, f"{path}.{i}") for i, x in enumerate(v)]
+    return v
 
-    Nested objects are wrapped too, so `budget.max_card` or `output.csv` is
-    recorded under its dotted path.  Reads made by the library (for example
-    `Group.from_json` reading `group.kind`) are not recorded.
+
+class _Recorder(dict):
+    """A config object that records each key the one config reader
+    (`folnerlab._config`) reads from it.
+
+    Nested objects are wrapped too, list entries included, so
+    `budget.max_card` or `system.components.0.weight` is recorded under its
+    dotted path, whether the CLI or a library parser made the read.  A read
+    that bypasses the reader is not recorded.
     """
 
     def __init__(self, data, reads, prefix=""):
-        super().__init__({k: _Recorder(v, reads, f"{prefix}{k}.")
-                          if isinstance(v, dict) else v
+        super().__init__({k: _wrap(v, reads, prefix + k)
                           for k, v in data.items()})
         self.reads, self.prefix = reads, prefix
 
     def _note(self, key):
-        if sys._getframe(2).f_globals.get("__name__") == cli.__name__:
+        if sys._getframe(2).f_globals.get("__name__") == _config.__name__:
             self.reads.add(self.prefix + key)
 
     def __contains__(self, key):
@@ -543,7 +612,7 @@ def _set_path(cfg, path, value):
     *outer, last = path.split(".")
     node = cfg
     for key in outer:
-        node = node.setdefault(key, {})
+        node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
     node[last] = value
     return cfg
 
@@ -564,7 +633,25 @@ _KEY_CASES = [
     ("decompose", _maximal_cfg(n=4)),
     ("birkhoff", {**_torus_cfg(), "n_schedule": [4, 16], "samples": 10,
                   "tolerances": {}}),
+    ("decompose", _maximal_cfg(n=4, system={
+        "kind": "mixture", "seed": 1, "components": [
+            {"weight": 0.5, "system": _bernoulli_system((0.75, 0.25), seed=2)},
+            {"weight": 0.5, "system": _bernoulli_system((0.25, 0.75), seed=3)}]})),
+    ("check-family", _family_cfg(max_card=3, family={
+        "kind": "additive", "observable": {
+            "kind": "scaled", "c": 2.0,
+            "base": {"kind": "indicator_symbol", "symbol": 0}}})),
+    ("check-family", _family_cfg(max_card=3, family={
+        "kind": "truncated", "N": 2, "base": {
+            "kind": "max_of_additives", "observables": [
+                {"kind": "symbol_value"},
+                {"kind": "neg_pow_run", "base": 2.0, "cap": 4}]}})),
+    ("check-family", _family_cfg(max_card=3, family={
+        "kind": "additive_plus", "gamma": "log1p", "beta": 0.5,
+        "observable": {"kind": "symbol_value"}})),
 ]
+
+_PARTS = ("group", "sequence", "system", "family", "observable")
 
 # a string is a valid output path, so those keys are probed with a number
 _PATH_KEYS = {"output.csv", "output.summary"}
@@ -580,6 +667,10 @@ def test_every_read_key_is_checked(tmp_path, capsys, monkeypatch, cmd, cfg):
         code, _, _ = _run(cmd, "unused.json", tmp_path, tag="base")
     assert code not in (1, 5)
     assert {"group", "output.csv", "output.summary"} <= reads
+    # the parts' own keys are read through the reader too
+    assert {f"{part}.kind" for part in _PARTS if part in cfg} <= reads
+    if cfg.get("system", {}).get("kind") == "mixture":
+        assert "system.components.1.system.probs" in reads
     for key in sorted(reads):
         for bad in ((3, True) if key in _PATH_KEYS else ("x", True)):
             path = _write(tmp_path, "cfg.json", _set_path(cfg, key, bad))
@@ -588,3 +679,24 @@ def test_every_read_key_is_checked(tmp_path, capsys, monkeypatch, cmd, cfg):
             err = capsys.readouterr().err
             assert (code, summary is None) == (1, True), (key, bad, err)
             assert err.startswith("config error:"), (key, bad, err)
+
+
+# ---------------------------------------------------------------------------
+# FOLNER_LAB_THREADS is outside input too
+
+
+@pytest.mark.parametrize("cmd", ["converge", "limsup"])
+def test_bad_thread_count_exit_one(tmp_path, capsys, monkeypatch, cmd):
+    monkeypatch.setenv("FOLNER_LAB_THREADS", "abc")
+    code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", _converge_cfg()),
+                            tmp_path)
+    assert (code, summary) == (1, None)
+    assert (capsys.readouterr().err
+            == "config error: FOLNER_LAB_THREADS must be an integer\n")
+
+
+@pytest.mark.parametrize("value, cap", [("3", 3), (" 2 ", 2), ("0", 1),
+                                        ("-4", 1), ("", min(4, os.cpu_count() or 1))])
+def test_thread_cap_reads_integers(monkeypatch, value, cap):
+    monkeypatch.setenv("FOLNER_LAB_THREADS", value)
+    assert thread_cap() == cap

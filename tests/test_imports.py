@@ -1,6 +1,7 @@
 """Every name a module of ``folnerlab`` imports is used by that module,
 every module-level function or class is referenced somewhere, finite sets
-stay in their one representation, and the FFT products import no scipy.
+stay in their one representation, config parsers read only through the
+checked reader, and the FFT products import no scipy.
 
 No linter is part of the toolchain, so this is the check.  ``__init__.py``
 is exempt from the import check: its imports are the package's re-exports.
@@ -117,6 +118,65 @@ def test_set_rebuild_check_catches_each_form():
            "c = grp.dense_rows(F.elems, 2)\nd = F.as_set()\n"
            "e = {grp.mul(t, c) for t in F.elems}\nok = F.rows()\n")
     assert len(_set_rebuilds(ast.parse(src))) == 5
+
+
+def _config_bypasses(tree: ast.Module) -> list:
+    """Places where a ``from_json``/``*_from_json`` function, or a
+    name->constructor table it hands to ``_kind``, reads its config object
+    around the checked reader: a coercing ``int(``/``float(``, a
+    ``.startswith(`` kind match, a subscript or ``.get`` of the config
+    argument (the first parameter of the function or of a table lambda), or
+    a subscript by a string key, as in ``c["weight"]`` on a nested object."""
+    tables = {t.id: node.value for node in tree.body
+              if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name)}
+    out = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.endswith("from_json")):
+            continue
+        scanned = [fn] + [tables[a.id] for call in ast.walk(fn)
+                          if isinstance(call, ast.Call)
+                          and getattr(call.func, "id", None) == "_kind"
+                          for a in call.args[1:2]
+                          if isinstance(a, ast.Name) and a.id in tables]
+        configs = {f.args.args[0].arg for body in scanned for f in ast.walk(body)
+                   if isinstance(f, (ast.FunctionDef, ast.Lambda)) and f.args.args}
+        for node in (n for body in scanned for n in ast.walk(body)):
+            at = f"{fn.name} line {node.lineno}" if hasattr(node, "lineno") else ""
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Name) and f.id in ("int", "float"):
+                    out.append(f"{at}: {f.id}(")
+                elif isinstance(f, ast.Attribute) and f.attr == "startswith":
+                    out.append(f"{at}: .startswith(")
+                elif (isinstance(f, ast.Attribute) and f.attr == "get"
+                      and getattr(f.value, "id", None) in configs):
+                    out.append(f"{at}: {f.value.id}.get(")
+            elif isinstance(node, ast.Subscript) and (
+                    getattr(node.value, "id", None) in configs
+                    or isinstance(getattr(node.slice, "value", None), str)):
+                out.append(f"{at}: {ast.unparse(node.value)}[...]")
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_config_parsers_read_only_through_the_reader(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert _config_bypasses(tree) == []
+
+
+def test_config_bypass_check_catches_each_form():
+    src = ("def from_json(d):\n    return _kind(d, _KINDS)(d)\n"
+           "_KINDS = {'a': lambda d: A(int(d.get('n', 1))),\n"
+           "          'b': lambda c: B(c['x'], float(_get(c, 'y', 0, *_NUM)))}\n"
+           "def x_from_json(d):\n    return d['kind'].startswith('x')\n"
+           "def y_from_json(d, parse):\n"
+           "    return [parse(c['system']) for c in _get(d, 'c', ..., *_OBJS)]\n"
+           "_GAMMAS = {'half': lambda k: float(k) / 2}\n"
+           "def to_json(d):\n    return {'n': int(d['n'])}\n")
+    found = [f.split(": ")[1] for f in _config_bypasses(ast.parse(src))]
+    assert sorted(found) == sorted(["int(", "d.get(", "c[...]", "float(",
+                                    "d[...]", ".startswith(", "c[...]"])
 
 
 _GRID_PRODUCTS = """

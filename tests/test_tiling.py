@@ -11,7 +11,6 @@ from folnerlab.tiling import (
     ScaleIso,
     TilingCert,
     TilingOverlapError,
-    centers_from_json,
     compose,
     composed_seq_check,
     condition_b_witness,
@@ -242,9 +241,3 @@ def test_cert_json_shape():
         "centers": {"kind": "lattice", "moduli": [3], "offsets": [[0]]},
         "self_similar": True,
     }
-
-
-def test_centers_json_roundtrip():
-    z = ZPower(1)
-    centers = LatticeCenters(z, (4,), ((0,), (1,)))
-    assert centers_from_json(z, centers.to_json()) == centers
