@@ -12,7 +12,7 @@ from folnerlab.folner import (
     tempelman_report,
     tempered_report,
 )
-from folnerlab.groups import CyclicSum, ZPower, ZSum, finset
+from folnerlab.groups import CyclicSum, FinSet, ZPower, ZSum
 
 
 def main() -> None:
@@ -20,14 +20,14 @@ def main() -> None:
     boxes = make_folner(z, "z_boxes")
 
     print("== boundary defects of integer boxes ==")
-    K = finset(z, [(1,)])
+    K = FinSet(z, [(1,)])
     for n in (5, 10, 40):
         F = boxes.generate(n)
         print(f"  |F_{n} △ (K F_{n})| / |F_{n}| = {folner_defect(K, F)}"
               f"  (shrinks like 2/n)")
 
     print("\n== (K, delta)-invariance of a box ==")
-    K2 = finset(z, [(-1,), (1,)])
+    K2 = FinSet(z, [(-1,), (1,)])
     for n in (10, 100):
         ok, ratio = invariance_check(boxes.generate(n), K2, Fraction(1, 10))
         print(f"  n={n:4d}: boundary ratio {ratio} < 1/10: {ok}")

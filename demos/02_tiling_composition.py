@@ -15,7 +15,7 @@ from folnerlab.tiling import (
     condition_b_witness,
     enumerate_tiles,
     standard_cert,
-    tiles_window,
+    tiles_window_report,
     window_set,
 )
 
@@ -28,7 +28,7 @@ def main() -> None:
     cert = standard_cert(seq, 4)
     win = window_set(z, 40)
     print(f"  F_4 with its lattice centers tiles a radius-40 window: "
-          f"{tiles_window(cert, win)}")
+          f"{tiles_window_report(cert, win)[0]}")
 
     print("\n== composition on Z: F_m * scaled(F_n) == F_mn ==")
     for m, n in [(3, 5), (4, 7)]:

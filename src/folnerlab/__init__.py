@@ -6,32 +6,29 @@ deterministic set-function limits.  Statistical layers: sampled dynamical
 systems, value families over finite index sets, and convergence runners with
 machine-checked hypothesis gates.
 """
-from ._bits import HASH_VERSION
-from .cli import VERSION
+from ._bits import HASH_VERSION, VERSION
 from .ergodic import (ConvergenceReport, Estimate, GateRefusal,
                       GreedyCoverReport, LimitReport, MaximalReport,
                       SetFunction, birkhoff_check, dprime_m_diagnostics,
                       ergodic_decomposition_check, greedy_cover, kingman_run,
                       limsup_identity_check, maximal_inequality_check,
-                      nu_estimate, nu_trend, sample_points, setfn_classify,
+                      nu_estimate, sample_points, setfn_classify,
                       setfn_limit_strong, setfn_limit_tiling, setfn_registry,
                       truncation_ladder)
 from .families import (AdditiveFamily, AdditivePlus, ClassifyReport,
                        ConcaveCardinality, DerivedPrime, DerivedPrimeM,
                        Family, GAMMAS, MaxFamily, MaxOfAdditives,
                        MinusCardSquared, PROPERTIES, Truncated, classify,
-                       box_core_decomposition, evaluate, evaluate_normalized,
-                       family_from_json, indicator_decomposition_check,
-                       translate_multiplicity)
+                       box_core_decomposition, evaluate, family_from_json,
+                       indicator_decomposition_check)
 from .folner import (FolnerSeq, defect_profile, folner_defect,
                      invariance_check, make_folner, ratios_look_divergent,
-                     subsequence_folner, tempelman_bound, tempelman_report,
-                     tempered_check, tempered_report)
+                     tempelman_report, tempered_report)
 from .groups import (BudgetError, CyclicSum, EnumBudget, FinSet, Group,
                      GroupMismatchError, ZPower, ZSum, diff, enumerate_finsets,
-                     erode, finset, intersect, inverse_set, is_subset,
-                     multiplicity, product_set, symdiff, translate_left,
-                     translate_right, union)
+                     erode, intersect, inverse_set, is_subset, multiplicity,
+                     product_set, symdiff, translate_left, translate_right,
+                     union)
 from .systems import (BernoulliShift, FiniteMixture, Observable, System,
                       TorusRotation, UnsupportedObservable,
                       conditional_expectation, indicator_symbol, neg_pow_run,
@@ -39,7 +36,6 @@ from .systems import (BernoulliShift, FiniteMixture, Observable, System,
                       torus_coordinate)
 from .tiling import (TilingCert, TilingOverlapError, compose,
                      composed_seq_check, condition_b_witness, enumerate_tiles,
-                     standard_cert, tiles_window, tiles_window_report,
-                     window_set)
+                     standard_cert, tiles_window_report, window_set)
 
 __version__ = VERSION

@@ -13,6 +13,7 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 HASH_VERSION = "splitmix64-v1"
+VERSION = "0.1.0"  # the package version, stamped on every CSV and summary
 
 
 def mix64(x: int) -> int:

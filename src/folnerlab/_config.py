@@ -31,8 +31,11 @@ _OPT_POS_INT = (lambda v: v is None or _POS_INT[0](v), "a positive integer or nu
 _NONNEG_INT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
 _INT_GE_2 = (lambda v: type(v) is int and v >= 2, "an integer >= 2")
 _NUM = (lambda v: type(v) in (int, float), "a number")
-_OPT_NUM = (lambda v: v is None or _NUM[0](v), "a number or null")
 _POS_NUM = (lambda v: _NUM[0](v) and v > 0, "a positive number")
+_NONNEG_NUM = (lambda v: _NUM[0](v) and v >= 0, "a non-negative number")
+_OPT_POS_NUM = (lambda v: v is None or _POS_NUM[0](v), "a positive number or null")
+_OPT_NONNEG_NUM = (lambda v: v is None or _NONNEG_NUM[0](v),
+                   "a non-negative number or null")
 _NUMS = (lambda v: isinstance(v, list) and all(map(_NUM[0], v)),
          "a list of numbers")
 _INTS = (lambda v: isinstance(v, list) and all(map(_INT[0], v)),

@@ -31,10 +31,11 @@ import sys
 import traceback
 from typing import Optional
 
-from ._bits import HASH_VERSION
-from ._config import (_ANCHORS, _INDICES, _INT, _INT_GE_2, _NONNEG_INT, _NUM,
-                      _OBJ, _OPT_NUM, _OPT_POS_INT, _PATH, _POS_INT, _POS_NUM,
-                      _SCHEDULE, _SEQ_KIND, ConfigError, _get, _one_of)
+from ._bits import HASH_VERSION, VERSION
+from ._config import (_ANCHORS, _INDICES, _INT, _INT_GE_2, _NONNEG_INT,
+                      _NONNEG_NUM, _NUM, _OBJ, _OPT_NONNEG_NUM, _OPT_POS_INT,
+                      _OPT_POS_NUM, _PATH, _POS_INT, _POS_NUM, _SCHEDULE,
+                      _SEQ_KIND, ConfigError, _get, _one_of)
 from .ergodic import (GateRefusal, birkhoff_check, ergodic_decomposition_check,
                       kingman_run, limsup_identity_check,
                       maximal_inequality_check, setfn_limit_strong,
@@ -45,8 +46,6 @@ from .folner import (defect_profile, make_folner, ratios_look_divergent,
 from .groups import BudgetError, EnumBudget, Group
 from .systems import System, UnsupportedObservable, observable_from_json
 from .tiling import standard_cert, tiles_window_report, window_set
-
-VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +238,9 @@ def _cmd_converge(cfg: dict):
     rep = kingman_run(
         fam, seq, system, _get(cfg, "n_schedule", ..., *_SCHEDULE),
         samples, seed=seed,
-        tol=_get(cfg, "tolerances.tol", 0.05, *_NUM),
+        tol=_get(cfg, "tolerances.tol", 0.05, *_NONNEG_NUM),
         tail=_get(cfg, "tolerances.tail", 3, *_POS_INT),
-        osc_tol=_get(cfg, "tolerances.osc_tol", None, *_OPT_NUM),
+        osc_tol=_get(cfg, "tolerances.osc_tol", None, *_OPT_NONNEG_NUM),
         nu_floor=_get(cfg, "nu_floor", -25.0, *_NUM))
     rows = [(n, "mean_normalized_value", v)
             for n, v in zip(rep.schedule, rep.col_means)]
@@ -271,7 +270,7 @@ def _cmd_limsup(cfg: dict):
     schedule = _get(cfg, "n_schedule", ..., *_SCHEDULE)
     mode = _get(cfg, "mode", "bi_invariant",
                 *_one_of(("bi_invariant", "strongly_subadditive")))
-    tol = _get(cfg, "tolerances.tol", 0.05, *_NUM)
+    tol = _get(cfg, "tolerances.tol", 0.05, *_NONNEG_NUM)
     rep = limsup_identity_check(fam, seq, system, mode, schedule, samples,
                                 seed=seed, tol=tol)
     rows = [(0, "tail_max_mean", rep["tail_max_mean"]),
@@ -292,8 +291,8 @@ def _cmd_maximal(cfg: dict):
     N = _get(cfg, "N", 3, *_POS_INT)
     rep = maximal_inequality_check(
         fam, seq, system, float(alpha), N, samples, seed=seed,
-        M=_get(cfg, "M", None, *_OPT_NUM),
-        nu_term=_get(cfg, "nu_term", None, *_OPT_NUM),
+        M=_get(cfg, "M", None, *_OPT_POS_NUM),
+        nu_term=_get(cfg, "nu_term", None, *_OPT_NONNEG_NUM),
         greedy_instances=_get(cfg, "greedy_instances", 3, *_NONNEG_INT))
     rows = [(N, "empirical_mass", rep.empirical_mass), (N, "bound", rep.bound),
             (N, "mass_stderr", rep.mass_stderr)]
@@ -327,9 +326,9 @@ def _cmd_birkhoff(cfg: dict):
     rep = birkhoff_check(
         obs, seq, system, _get(cfg, "n_schedule", ..., *_SCHEDULE),
         samples, seed=seed,
-        tol=_get(cfg, "tolerances.tol", 0.05, *_NUM),
+        tol=_get(cfg, "tolerances.tol", 0.05, *_NONNEG_NUM),
         tail=_get(cfg, "tolerances.tail", 3, *_POS_INT),
-        osc_tol=_get(cfg, "tolerances.osc_tol", None, *_OPT_NUM))
+        osc_tol=_get(cfg, "tolerances.osc_tol", None, *_OPT_NONNEG_NUM))
     rows = [(n, "mean_average", v) for n, v in zip(rep.schedule, rep.col_means)]
     rows += [(n, "l1_deviation", v) for n, v in zip(rep.schedule, rep.l1)]
     rows.append((rep.schedule[-1], "within_frac", rep.within_frac))

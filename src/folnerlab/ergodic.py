@@ -91,12 +91,12 @@ def thread_cap() -> int:
 _BLOCK = 128  # points per worker block; results reassembled in block order
 
 
-def pmap_blocks(fn: Callable, items: list, block: int = _BLOCK) -> np.ndarray:
-    """Map fn over fixed-size blocks of items; concatenate in block order so
-    the result is independent of the number of worker threads."""
+def pmap_blocks(fn: Callable, items: list) -> np.ndarray:
+    """Map fn over blocks of _BLOCK items; concatenate in block order so the
+    result is independent of the number of worker threads."""
     if not items:
         return np.empty(0)
-    blocks = [items[s:s + block] for s in range(0, len(items), block)]
+    blocks = [items[s:s + _BLOCK] for s in range(0, len(items), _BLOCK)]
     cap = thread_cap()
     if cap == 1 or len(blocks) == 1:
         parts = [fn(b) for b in blocks]
@@ -192,11 +192,12 @@ def setfn_registry(group: Group) -> dict:
     return reg
 
 
-def setfn_classify(f: SetFunction, group: Group, trials: int = 200,
-                   max_card: int = 6, span: int = 3, seed: int = 5) -> dict:
+def setfn_classify(f: SetFunction, group: Group, seed: int = 5) -> dict:
     """Exact randomized checks of right-invariance and (strong)
-    sub-additivity for a deterministic set function."""
+    sub-additivity for a deterministic set function: 200 trials, sets of at
+    most 6 elements from the radius-3 window, translations of span 3."""
     from .tiling import window_set
+    trials, max_card, span = 200, 6, 3
     ground = window_set(group, span, 3)
     out = {"invariant": True, "subadditive": True, "strongly_subadditive": True,
            "counterexample": None}
@@ -244,12 +245,6 @@ class LimitReport:
     stabilized: bool        # enumeration trend flattened
     status: str             # "converged" | "inconclusive"
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "seq_values": [float(v) for v in self.seq_values],
-                "limit": self.limit_value, "inf": self.inf_value,
-                "gap": self.gap, "stabilized": self.stabilized,
-                "status": self.status}
-
 
 def _setfn_gate(f: SetFunction, group: Group, prop: str) -> None:
     rep = setfn_classify(f, group)
@@ -260,15 +255,13 @@ def _setfn_gate(f: SetFunction, group: Group, prop: str) -> None:
 
 
 def _limit_from_enumeration(f: SetFunction, seq: FolnerSeq, indices,
-                            candidates, tol: Optional[float]) -> LimitReport:
+                            candidates) -> LimitReport:
     seq_vals = [f.normalized(seq.generate(n)) for n in indices]
     best, trend, stabilized = _anytime_min(f.normalized(T) for T in candidates)
     limit = float(seq_vals[-1])
     inf_v = float(best)
     gap = abs(limit - inf_v)
-    if tol is None:
-        tol = 0.05 * (1.0 + abs(limit))
-    status = "converged" if gap <= tol else "inconclusive"
+    status = "converged" if gap <= 0.05 * (1.0 + abs(limit)) else "inconclusive"
     return LimitReport(name=f.name, seq_values=tuple(seq_vals),
                        limit_value=limit, inf_value=inf_v,
                        inf_trend=tuple(float(t) for t in trend), gap=gap,
@@ -277,7 +270,6 @@ def _limit_from_enumeration(f: SetFunction, seq: FolnerSeq, indices,
 
 def setfn_limit_tiling(f: SetFunction, seq: FolnerSeq, indices,
                        max_card: int = 12, max_index: int = 4,
-                       tol: Optional[float] = None,
                        precheck: bool = True) -> LimitReport:
     """Normalized limit along a tiling sequence against the infimum over
     enumerated tiles."""
@@ -285,12 +277,11 @@ def setfn_limit_tiling(f: SetFunction, seq: FolnerSeq, indices,
         _setfn_gate(f, seq.group, "subadditive")
     _require_tiling(seq, indices)
     tiles = [c.tile for c in enumerate_tiles(seq.group, max_card, max_index)]
-    return _limit_from_enumeration(f, seq, indices, tiles, tol)
+    return _limit_from_enumeration(f, seq, indices, tiles)
 
 
 def setfn_limit_strong(f: SetFunction, seq: FolnerSeq, indices,
                        budget: Optional[EnumBudget] = None,
-                       tol: Optional[float] = None,
                        precheck: bool = True,
                        ladder_sets: Optional[list] = None) -> LimitReport:
     """Normalized limit along any Folner sequence against the infimum over
@@ -307,7 +298,7 @@ def setfn_limit_strong(f: SetFunction, seq: FolnerSeq, indices,
     sets = list(enumerate_finsets(seq.group, budget))
     if ladder_sets:
         sets.extend(ladder_sets)
-    return _limit_from_enumeration(f, seq, indices, sets, tol)
+    return _limit_from_enumeration(f, seq, indices, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -342,38 +333,27 @@ def _nu_gate(report: ClassifyReport, seq: FolnerSeq, indices):
 def nu_estimate(fam: Family, seq: FolnerSeq, system: System, n: int,
                 samples: int, seed: int = 99,
                 report: Optional[ClassifyReport] = None) -> Estimate:
-    """Monte Carlo estimate of the normalized mean value at index n."""
-    return nu_trend(fam, seq, system, [n], samples, seed, report)[0]
-
-
-def nu_trend(fam: Family, seq: FolnerSeq, system: System, indices,
-             samples: int, seed: int = 99,
-             report: Optional[ClassifyReport] = None) -> list:
-    """Common-random-number estimates along indices (non-increasing up to CI
-    for sub-additive invariant families on tiling sequences)."""
+    """Monte Carlo estimate of the normalized mean value at index n; the
+    points depend on the seed alone, so estimates at several indices share
+    them (common random numbers)."""
     if report is None:
         report = classify(fam, seq.group, system)
-    _nu_gate(report, seq, indices)
+    _nu_gate(report, seq, [n])
+    F = seq.generate(n)
     pts = sample_points(system, samples, seed)
-    out = []
-    for n in indices:
-        F = seq.generate(n)
-        vals = family_values(fam, system, F, pts) / len(F)
-        out.append(_estimate(vals, seed))
-    return out
+    return _estimate(family_values(fam, system, F, pts) / len(F), seed)
 
 
 def ergodic_decomposition_check(fam: Family, system: System, seq: FolnerSeq,
-                                n: int, samples: int, seed: int = 17,
-                                report: Optional[ClassifyReport] = None) -> dict:
+                                n: int, samples: int, seed: int = 17) -> dict:
     """Mixture-level normalized mean vs the weighted per-component means."""
     comps = system.components()
-    lhs = nu_estimate(fam, seq, system, n, samples, seed, report)
+    lhs = nu_estimate(fam, seq, system, n, samples, seed)
     rhs_mean = 0.0
     rhs_var = 0.0
     parts = []
     for k, (w, leaf) in enumerate(comps):
-        est = nu_estimate(fam, seq, leaf, n, samples, seed + 1 + k, report)
+        est = nu_estimate(fam, seq, leaf, n, samples, seed + 1 + k)
         rhs_mean += w * est.mean
         rhs_var += (w * est.stderr) ** 2
         parts.append({"weight": w, "estimate": est.to_json()})
@@ -428,14 +408,14 @@ def _core_set(seq: FolnerSeq, n: int, N: int) -> FinSet:
 
 
 def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
-                 alpha: float, N: int,
-                 M: Optional[Fraction] = None) -> GreedyCoverReport:
+                 alpha: float, N: int) -> GreedyCoverReport:
     """Exceedance classes and backward maximal disjoint packings.
 
     Classes assign each core element to its first index whose normalized
     value exceeds alpha; the packings are built from the last class down,
     each maximal among translates disjoint from everything already kept.
-    The resulting integer inequality is checked exactly.
+    The resulting integer inequality is checked exactly, with the exact
+    Tempelman witness over the first N indices as the constant M.
     """
     grp = seq.group
     core = _core_set(seq, n, N)
@@ -475,7 +455,7 @@ def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
         union_bound += Fraction(len(Ui)) * len(pos)
         temp_bound += Fraction(len(Fi)) * len(pos)
         cover = union(cover, product_set(Ui, core.take(pos)))
-    temp_bound *= witness if M is None else M
+    temp_bound *= witness
     exceed = sum(len(pos) for pos in class_pos)
     covered = is_subset(core.take(np.concatenate(class_pos)), cover)
     classes, chosen = ([tuple(core.elems[j] for j in pos) for pos in picks]
@@ -525,10 +505,8 @@ def maximal_inequality_check(fam: Family, seq: FolnerSeq, system: System,
                              seed: int = 31,
                              M: Optional[float] = None,
                              nu_term: Optional[float] = None,
-                             nu_index: Optional[int] = None,
                              report: Optional[ClassifyReport] = None,
-                             greedy_instances: int = 3,
-                             greedy_n: Optional[int] = None) -> MaximalReport:
+                             greedy_instances: int = 3) -> MaximalReport:
     """Empirical mass of the exceedance set against the covering bound.
 
     The family must pass non-negative + sup-additive + invariant checks.
@@ -544,9 +522,8 @@ def maximal_inequality_check(fam: Family, seq: FolnerSeq, system: System,
     if M is None:
         M = float(tempelman_report(seq, N).witness)
     if nu_term is None:
-        idx = nu_index if nu_index is not None else max(N, 8)
-        est = nu_estimate(fam, seq, system, idx, min(samples, 2000), seed + 1,
-                          report)
+        est = nu_estimate(fam, seq, system, max(N, 8), min(samples, 2000),
+                          seed + 1, report)
         nu_term = est.mean + 4.0 * est.stderr  # upper confidence value
     pts = sample_points(system, samples, seed)
     exceed = np.zeros(len(pts), dtype=bool)
@@ -558,10 +535,9 @@ def maximal_inequality_check(fam: Family, seq: FolnerSeq, system: System,
     se = math.sqrt(max(mass * (1 - mass), 1.0 / samples) / samples)
     bound = (M / alpha) * nu_term
     stats = []
-    gn = greedy_n if greedy_n is not None else max(2 * N, 6)
     for j in range(greedy_instances):
         y = system.sample_point(np.random.default_rng([seed, 10_000 + j]))
-        stats.append(greedy_cover(fam, system, y, seq, gn, alpha, N))
+        stats.append(greedy_cover(fam, system, y, seq, max(2 * N, 6), alpha, N))
     ok = (mass <= bound + 4.0 * se
           and all(s.inequality_ok and s.covered for s in stats))
     return MaximalReport(alpha=float(alpha), N=N, empirical_mass=mass,
@@ -590,19 +566,6 @@ class ConvergenceReport:
     gates: dict
     passed: bool
     extra: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "schedule": list(self.schedule),
-                "col_means": [float(v) for v in self.col_means],
-                "terminal": self.terminal.to_json(),
-                "converged_frac": self.converged_frac,
-                "osc_tol": self.osc_tol,
-                "target_summary": self.target_summary,
-                "within_frac": self.within_frac, "tol": self.tol,
-                "l1": [float(v) for v in self.l1],
-                "l1_decreasing": self.l1_decreasing,
-                "gates": self.gates, "passed": self.passed,
-                "extra": self.extra}
 
 
 def _cauchy_stats(V: np.ndarray, tail: int, osc_tol: Optional[float]):
@@ -982,8 +945,7 @@ def limsup_identity_check(fam: Family, seq: FolnerSeq, system: System,
 def dprime_m_diagnostics(fam: Family, seq: FolnerSeq, system: System,
                          m_indices, n_index: int, samples: int,
                          seed: int = 19,
-                         report: Optional[ClassifyReport] = None,
-                         classify_trials: int = 120) -> dict:
+                         report: Optional[ClassifyReport] = None) -> dict:
     """Normalized means of the tile-composed defect refinements.
 
     For each tile index m the refined defect is evaluated at a fixed index
@@ -1009,7 +971,7 @@ def dprime_m_diagnostics(fam: Family, seq: FolnerSeq, system: System,
         famm = DerivedPrimeM(fam, cert)
         vals = family_values(famm, system, Fn, pts) / (len(cert.tile) * len(Fn))
         est = _estimate(vals, seed)
-        rep = classify(famm, seq.group, system, trials=classify_trials,
+        rep = classify(famm, seq.group, system, trials=120,
                        properties=("nonnegative", "supadditive", "invariant"))
         rows.append({"m": m, "tile_card": len(cert.tile),
                      "estimate": est.to_json(),

@@ -23,9 +23,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._config import _INT, _NUM, _OBJ, _TWO_OBJS, _get, _kind, _one_of
-from .groups import (FinSet, Group, diff, erode, finset, intersect,
-                     multiplicity, product_set, translate_left, translate_right,
-                     union)
+from .groups import (FinSet, Group, diff, erode, intersect, multiplicity,
+                     translate_left, translate_right, union)
 from .systems import Observable, System, observable_from_json, split_leaves
 from .tiling import TilingCert, compose, window_set
 
@@ -45,7 +44,7 @@ def _slabs(n: int, cells: int):
 
 class Family:
     """Base class: each family gives the scalar ``value(system, F, y)`` and
-    ``to_json``, and overrides the vectorized paths it supports."""
+    overrides the vectorized paths it supports."""
 
     name: str = "family"
     declared: frozenset = frozenset()
@@ -84,12 +83,6 @@ def evaluate(fam: Family, system: System, F: FinSet, y) -> float:
     return fam.value(system, F, y)
 
 
-def evaluate_normalized(fam: Family, system: System, F: FinSet, y) -> float:
-    if F.is_empty:
-        raise ValueError("normalized evaluation needs a non-empty set")
-    return evaluate(fam, system, F, y) / len(F)
-
-
 class AdditiveFamily(Family):
     """d_F(y) = sum of f(g . y) over g in F."""
 
@@ -113,9 +106,6 @@ class AdditiveFamily(Family):
 
     def singleton_window(self, leaf, batch, F):
         return self.obs.window_values(leaf, batch, F)
-
-    def to_json(self):
-        return {"kind": "additive", "observable": self.obs.to_json()}
 
 
 class MaxFamily(Family):
@@ -143,16 +133,14 @@ class MaxFamily(Family):
     def singleton_window(self, leaf, batch, F):
         return self.obs.window_values(leaf, batch, F)
 
-    def to_json(self):
-        return {"kind": "max", "observable": self.obs.to_json()}
 
-
-def _check_gamma(gamma: Callable, *, concave: bool, upto: int = 64):
+def _check_gamma(gamma: Callable, *, concave: bool):
+    """Checks gamma(0) = 0, and concavity on 0..64 or sub-additivity on 1..32."""
     if abs(gamma(0)) > 1e-12:
         raise ValueError("cardinality term must vanish at 0")
-    vals = [float(gamma(k)) for k in range(upto + 1)]
+    vals = [float(gamma(k)) for k in range(65)]
     if concave:
-        for k in range(1, upto):
+        for k in range(1, 64):
             if vals[k + 1] - vals[k] > vals[k] - vals[k - 1] + 1e-12:
                 raise ValueError(f"cardinality term not concave at {k}")
     else:
@@ -168,7 +156,6 @@ class ConcaveCardinality(Family):
     def __init__(self, gamma: Callable, gamma_name: str = "gamma"):
         _check_gamma(gamma, concave=True)
         self.gamma = gamma
-        self.gamma_name = gamma_name
         self.name = f"concave_cardinality({gamma_name})"
         self.declared = frozenset({"invariant", "bi_invariant", "subadditive",
                                    "strongly_subadditive"}
@@ -184,9 +171,6 @@ class ConcaveCardinality(Family):
     def singleton_window(self, leaf, batch, F):
         return np.full((len(batch), len(F)), float(self.gamma(1)))
 
-    def to_json(self):
-        return {"kind": "concave_cardinality", "gamma": self.gamma_name}
-
 
 class AdditivePlus(Family):
     """d_F(y) = window sum of f plus beta * gamma(|F|), gamma subadditive."""
@@ -199,7 +183,6 @@ class AdditivePlus(Family):
         _check_gamma(gamma, concave=False)
         self.inner = AdditiveFamily(obs)
         self.gamma = gamma
-        self.gamma_name = gamma_name
         self.beta = beta
         self.name = f"additive_plus({obs.name},{gamma_name},{beta})"
         self.declared = frozenset({"invariant", "bi_invariant", "subadditive"})
@@ -214,10 +197,6 @@ class AdditivePlus(Family):
     def singleton_window(self, leaf, batch, F):
         return (self.inner.singleton_window(leaf, batch, F)
                 + self.beta * float(self.gamma(1)))
-
-    def to_json(self):
-        return {"kind": "additive_plus", "observable": self.inner.obs.to_json(),
-                "gamma": self.gamma_name, "beta": self.beta}
 
 
 class MaxOfAdditives(Family):
@@ -245,10 +224,6 @@ class MaxOfAdditives(Family):
         return np.maximum(self.a.singleton_window(leaf, batch, F),
                           self.b.singleton_window(leaf, batch, F))
 
-    def to_json(self):
-        return {"kind": "max_of_additives",
-                "observables": [self.a.obs.to_json(), self.b.obs.to_json()]}
-
 
 class Truncated(Family):
     """d_F(y) clipped below at -N * |F|."""
@@ -275,13 +250,10 @@ class Truncated(Family):
     def singleton_window(self, leaf, batch, F):
         return np.maximum(-self.N, self.base.singleton_window(leaf, batch, F))
 
-    def to_json(self):
-        return {"kind": "truncated", "base": self.base.to_json(), "N": self.N}
-
 
 @functools.lru_cache(maxsize=None)
 def _identity_set(group: Group) -> FinSet:
-    return finset(group, [group.identity()])
+    return FinSet(group, [group.identity()])
 
 
 class DerivedPrime(Family):
@@ -313,9 +285,6 @@ class DerivedPrime(Family):
     def singleton_window(self, leaf, batch, F):
         # d'_{e}(y) = d_{e}(e.y) - d_{e}(y)
         return np.zeros((len(batch), len(F)))
-
-    def to_json(self):
-        return {"kind": "derived_prime", "base": self.base.to_json()}
 
 
 class DerivedPrimeM(Family):
@@ -363,10 +332,6 @@ class DerivedPrimeM(Family):
         # d^m_{e} = d'_T - d'_T = 0: composing with {e} gives the tile itself
         return np.zeros((len(batch), len(F)))
 
-    def to_json(self):
-        return {"kind": "derived_prime_m", "base": self.prime.base.to_json(),
-                "tile_card": len(self.cert.tile)}
-
 
 class MinusCardSquared(Family):
     """Classifier fixture: d_F(y) - |F|^2 (kills sub-additivity, keeps
@@ -389,9 +354,6 @@ class MinusCardSquared(Family):
 
     def singleton_window(self, leaf, batch, F):
         return self.base.singleton_window(leaf, batch, F) - 1.0
-
-    def to_json(self):
-        return {"kind": "minus_card_squared", "base": self.base.to_json()}
 
 
 GAMMAS = {
@@ -457,14 +419,6 @@ class PropertyVerdict:
     def passed(self) -> bool:
         return self.verdict == "PASS"
 
-    @property
-    def exact_equality(self) -> bool:
-        return self.passed and self.max_gap <= 1e-12
-
-    def to_json(self) -> dict:
-        return {"property": self.prop, "verdict": self.verdict,
-                "trials": self.trials, "max_gap": self.max_gap,
-                "counterexample": self.counterexample}
 
 
 @dataclass(frozen=True)
@@ -485,11 +439,6 @@ class ClassifyReport:
         checked = [p for p in self.declared if p in self.verdicts]
         return all(self.passed(p) for p in checked)
 
-    def to_json(self) -> dict:
-        return {"family": self.family, "seed": self.seed,
-                "declared": sorted(self.declared),
-                "properties": {p: v.to_json() for p, v in self.verdicts.items()}}
-
 
 def _random_subset(rng, ground: FinSet, max_card: int) -> FinSet:
     k = int(rng.integers(1, max_card + 1))
@@ -499,7 +448,7 @@ def _random_subset(rng, ground: FinSet, max_card: int) -> FinSet:
 
 
 def classify(fam: Family, group: Group, system: System, trials: int = 300,
-             max_card: int = 6, span: int = 2, seed: int = 2024,
+             max_card: int = 6, seed: int = 2024,
              properties: Sequence[str] = PROPERTIES) -> ClassifyReport:
     """Randomized exact property check with counterexample emission.
 
@@ -507,6 +456,7 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
     handful of sets each property needs, and compares with tolerance 0 for
     exactly-representable families and 1e-12 otherwise.
     """
+    span = 2  # radius of the sets' window and of the random translations
     ground = window_set(group, span, 3)
     tol = 0.0 if fam.exact_values else 1e-12
     state: dict = {p: {"fail": None, "max_gap": 0.0, "count": 0}
@@ -590,24 +540,11 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
 # Indicator decompositions
 
 
-def translate_multiplicity(T: FinSet, E: FinSet) -> dict:
-    """Multiplicity map of the product multiset T * E: both the sum of
-    left-translate indicators and the sum of right-translate indicators
-    equal this function."""
-    TE = product_set(T, E)
-    return dict(zip(TE.elems, multiplicity(T, E, TE).tolist()))
-
-
-def folner_core(F: FinSet, T: FinSet) -> FinSet:
-    """Elements g with T*g entirely inside F."""
-    return erode(F, T)
-
-
 def box_core_decomposition(F: FinSet, T: FinSet):
     """Exact decomposition 1_F = (1/|T|) * sum over core g of 1_{Tg} plus a
     layer-cake residual, returned as [(coefficient, set)] with Fraction
     coefficients."""
-    core = folner_core(F, T)
+    core = erode(F, T)
     terms = [(Fraction(1, len(T)), translate_right(T, g)) for g in core.elems]
     residual = [1 - Fraction(m, len(T)) for m in multiplicity(T, core, F).tolist()]
     if any(w < 0 for w in residual):

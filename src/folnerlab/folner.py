@@ -6,9 +6,9 @@ integers divided by exact integers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .groups import (
     BudgetError,
@@ -20,9 +20,7 @@ from .groups import (
     _box,
     _prefix_ranges,
     erode,
-    finset,
     inverse_set,
-    is_subset,
     product_set,
     symdiff,
     union,
@@ -44,15 +42,12 @@ class FolnerSeq:
       * ``zsum_boxes``    on ZSum: F_shape for tuple indices; an integer index
                           n means the diagonal shape (n, ..., n) of length n.
       * ``explicit``      a caller-provided list of finite sets.
-      * ``subsequence``   subsets of a base sequence (see subsequence_folner).
     """
 
     group: Group
     seq_kind: str
     anchors: Optional[str] = None
     sets: Optional[tuple] = None
-    base: Optional["FolnerSeq"] = None
-    subset_fn: Optional[Callable] = field(default=None, compare=False)
 
     def generate(self, index) -> FinSet:
         if self.seq_kind == "z_boxes":
@@ -78,14 +73,6 @@ class FolnerSeq:
             if not 1 <= n <= len(self.sets):
                 raise ValueError(f"index {n} out of range for explicit sequence")
             return self.sets[n - 1]
-        if self.seq_kind == "subsequence":
-            base_set = self.base.generate(index)
-            sub = self.subset_fn(index, base_set)
-            if sub.is_empty:
-                raise ValueError("subsequence sets must be non-empty")
-            if not is_subset(sub, base_set):
-                raise ValueError("subsequence sets must be subsets of the base sets")
-            return sub
         raise ValueError(f"unknown sequence kind {self.seq_kind!r}")
 
     def _z_box(self, index) -> FinSet:
@@ -110,12 +97,6 @@ class FolnerSeq:
             raise ValueError("zsum shape entries must be >= 1")
         return shape
 
-    def to_json(self) -> dict:
-        d = {"kind": self.seq_kind}
-        if self.anchors:
-            d["anchors"] = self.anchors
-        return d
-
 
 def make_folner(group: Group, seq_kind: str, anchors: Optional[str] = None,
                 sets: Optional[Sequence[FinSet]] = None) -> FolnerSeq:
@@ -130,11 +111,6 @@ def make_folner(group: Group, seq_kind: str, anchors: Optional[str] = None,
             raise ValueError("explicit sequence needs sets")
         return FolnerSeq(group, "explicit", sets=tuple(sets))
     return FolnerSeq(group, seq_kind, anchors=anchors)
-
-
-def subsequence_folner(base: FolnerSeq, subset_fn: Callable) -> FolnerSeq:
-    """Wrap a sequence by taking validated non-empty subsets E_n <= F_n."""
-    return FolnerSeq(base.group, "subsequence", base=base, subset_fn=subset_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +162,14 @@ def _inv_union_ratios(seq: FolnerSeq, upto: int, target_offset: int) -> list:
             for T, U in _inverse_unions(seq, upto, target_offset)]
 
 
-def tempelman_ratio(seq: FolnerSeq, n: int) -> Fraction:
-    """|union_{k<=n} F_k^{-1} F_n| / |F_n|, exact."""
-    return _inv_union_ratios(seq, n, 0)[-1]
-
-
 def _growth(ratios: list) -> GrowthReport:
     return GrowthReport(ratios=tuple(ratios), witness=max(ratios),
                         ok=not ratios_look_divergent(ratios))
 
 
 def tempelman_report(seq: FolnerSeq, upto: int) -> GrowthReport:
+    """Ratios |union_{k<=n} F_k^{-1} F_n| / |F_n| for n <= upto, exact."""
     return _growth(_inv_union_ratios(seq, upto, 0))
-
-
-def tempelman_bound(seq: FolnerSeq, upto: int) -> Fraction:
-    return tempelman_report(seq, upto).witness
 
 
 def tempered_report(seq: FolnerSeq, upto: int) -> GrowthReport:
@@ -231,13 +199,6 @@ def ratios_look_divergent(ratios) -> bool:
     return growing and rs[-1] > 2 * rs[0]
 
 
-def tempered_check(seq: FolnerSeq, upto: int) -> tuple:
-    """(ok, witness M): exact ratios up to the budget plus the divergence
-    heuristic; ok=False means the sequence looks non-tempered."""
-    rep = tempered_report(seq, upto)
-    return rep.ok, rep.witness
-
-
 def defect_profile(seq: FolnerSeq, indices, gens=None) -> list:
     """Per-generator defects |F triangle gF|/|F| along the sequence."""
     gens = list(gens) if gens is not None else seq.group.generators()
@@ -246,6 +207,6 @@ def defect_profile(seq: FolnerSeq, indices, gens=None) -> list:
         F = seq.generate(n)
         row = {"index": n, "size": len(F)}
         for i, g in enumerate(gens):
-            row[f"defect_{i}"] = folner_defect(finset(seq.group, [g]), F)
+            row[f"defect_{i}"] = folner_defect(FinSet(seq.group, [g]), F)
         out.append(row)
     return out

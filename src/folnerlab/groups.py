@@ -49,11 +49,11 @@ class BudgetError(RuntimeError):
 
 class Group:
     """Base class of the group kinds.  Each kind gives exact element
-    arithmetic (``identity``, ``mul``, ``inv``; ``elem`` canonicalizes user
-    input, ``elem_to_json`` writes it back), dense rows for the array paths
+    arithmetic (``identity``, ``mul``, ``inv``; ``elem_to_json`` writes an
+    element as JSON), dense rows for the array paths
     (``dense_width``, ``dense_rows``, ``rows_to_elems``), the seed-free 64-bit
     cell keys of sampling (``elem_key``, ``keys_for_rows``, equal across the
-    two), ``random_elem`` and ``to_json``."""
+    two) and ``random_elem``."""
 
     kind: str = ""
 
@@ -89,12 +89,6 @@ class ZPower(Group):
     def inv(self, a):
         return tuple(-x for x in a)
 
-    def elem(self, raw):
-        t = tuple(int(x) for x in raw)
-        if len(t) != self.d:
-            raise ValueError(f"element must have {self.d} coordinates, got {len(t)}")
-        return t
-
     def elem_to_json(self, e):
         return list(e)
 
@@ -125,9 +119,6 @@ class ZPower(Group):
 
     def random_elem(self, rng, span: int = 3):
         return tuple(int(x) for x in rng.integers(-span, span + 1, size=self.d))
-
-    def to_json(self) -> dict:
-        return {"kind": "z_power", "d": self.d}
 
 
 class _SparseSumBase(Group):
@@ -163,15 +154,6 @@ class _SparseSumBase(Group):
     def random_elem(self, rng, span: int = 3):
         return self._canon([self._random_pair(rng, span)
                             for _ in range(int(rng.integers(0, 3)))])
-
-    def elem(self, raw):
-        if isinstance(raw, dict):
-            pairs = raw.items()
-        elif raw and not isinstance(raw[0], (tuple, list)):
-            pairs = enumerate(raw)  # dense list form
-        else:
-            pairs = raw
-        return self._canon(pairs)
 
     def elem_to_json(self, e):
         return [[i, v] for i, v in e]
@@ -238,9 +220,6 @@ class CyclicSum(_SparseSumBase):
         i = int(rng.integers(0, span + 1))
         return i, int(rng.integers(0, self.period(i)))
 
-    def to_json(self) -> dict:
-        return {"kind": "cyclic_sum", "periods": list(self.periods)}
-
 
 @dataclass(frozen=True)
 class ZSum(_SparseSumBase):
@@ -248,9 +227,6 @@ class ZSum(_SparseSumBase):
 
     def _random_pair(self, rng, span: int) -> tuple:
         return int(rng.integers(0, 4)), int(rng.integers(-span, span + 1))
-
-    def to_json(self) -> dict:
-        return {"kind": "z_sum"}
 
 
 _GROUP_KINDS = {
@@ -444,10 +420,6 @@ class FinSet:
 
     def to_json(self) -> list:
         return [self.group.elem_to_json(e) for e in self.elems]
-
-
-def finset(group: Group, elems: Iterable, validate: bool = False) -> FinSet:
-    return FinSet(group, (group.elem(e) for e in elems) if validate else elems)
 
 
 def _require_same_group(*sets: FinSet):

@@ -96,8 +96,8 @@ class GenericBatch:
 
 
 class System:
-    """Base class: each system gives ``sample_point(rng)``, the exact action
-    ``apply(g, y)`` and ``to_json``."""
+    """Base class: each system gives ``sample_point(rng)`` and the exact
+    action ``apply(g, y)``."""
 
     group: Group
     seed: int
@@ -193,10 +193,6 @@ class BernoulliShift(System):
             sym += words >= t
         return sym
 
-    def to_json(self) -> dict:
-        return {"kind": "bernoulli", "group": self.group.to_json(),
-                "probs": list(self.probs), "seed": self.seed}
-
 
 class TorusRotation(System):
     def __init__(self, group: Optional[ZPower], alphas: Sequence[float],
@@ -222,9 +218,6 @@ class TorusRotation(System):
     def coordinate(self, y: TorusPoint, i: int) -> float:
         v = y.base[i] + y.steps[i] * self.alphas[i]
         return v - np.floor(v)
-
-    def to_json(self) -> dict:
-        return {"kind": "torus", "alphas": list(self.alphas), "seed": self.seed}
 
 
 class FiniteMixture(System):
@@ -263,11 +256,6 @@ class FiniteMixture(System):
             for wi, leaf in s.components():
                 out.append((w * wi, leaf))
         return out
-
-    def to_json(self) -> dict:
-        return {"kind": "mixture", "seed": self.seed,
-                "components": [{"weight": w, "system": s.to_json()}
-                               for w, s in self.parts]}
 
 
 _SYSTEM_KINDS = {
@@ -333,7 +321,6 @@ class Observable:
     bound: Optional[float] = None
     nonneg: bool = False
     integer_valued: bool = False
-    json: Optional[dict] = None
 
     def value(self, system: System, y) -> float:
         leaf, y = resolve_leaf(system, y)
@@ -347,9 +334,6 @@ class Observable:
         if self.exact_mean_fn is None:
             return None
         return self.exact_mean_fn(leaf)
-
-    def to_json(self) -> dict:
-        return dict(self.json) if self.json is not None else {"kind": self.name}
 
 
 def _require_bernoulli(leaf, name, symbol=None):
@@ -377,7 +361,6 @@ def indicator_symbol(symbol: int = 1) -> Observable:
 
     return Observable(
         name=f"indicator_symbol[{symbol}]",
-        json={"kind": "indicator_symbol", "symbol": symbol},
         value_fn=value_fn,
         window_fn=window_fn,
         exact_mean_fn=exact_mean_fn,
@@ -404,7 +387,6 @@ def symbol_value() -> Observable:
 
     return Observable(
         name="symbol_value",
-        json={"kind": "symbol_value"},
         value_fn=value_fn,
         window_fn=window_fn,
         exact_mean_fn=exact_mean_fn,
@@ -428,7 +410,6 @@ def scaled(base: Observable, c: float) -> Observable:
 
     return Observable(
         name=f"scaled[{c}]({base.name})",
-        json={"kind": "scaled", "base": base.to_json(), "c": c},
         value_fn=value_fn,
         window_fn=window_fn,
         exact_mean_fn=exact_mean_fn,
@@ -459,7 +440,6 @@ def torus_coordinate(i: int = 0) -> Observable:
 
     return Observable(
         name=f"torus_coordinate[{i}]",
-        json={"kind": "torus_coordinate", "index": i},
         value_fn=value_fn,
         window_fn=window_fn,
         exact_mean_fn=lambda leaf: 0.5,
@@ -474,9 +454,15 @@ def neg_pow_run(base: float = 2.0, cap: int = 40) -> Observable:
     Defined on Bernoulli shifts over Z.  The run is capped (run lengths past
     the cap have probability ~2^-cap at desk scale) so float values stay
     exact; the uncapped expectation is -infinity for symbol probabilities
-    >= 1/base.
+    >= 1/base.  ``ValueError`` when base**cap is not a finite float.
     """
     base = float(base)
+    try:
+        finite = np.isfinite(base ** cap)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"neg_pow_run: base**cap = {base}**{cap} is not a finite float")
 
     def _require_line(leaf):
         _require_bernoulli(leaf, "neg_pow_run")
@@ -505,7 +491,6 @@ def neg_pow_run(base: float = 2.0, cap: int = 40) -> Observable:
 
     return Observable(
         name=f"neg_pow_run[{base},{cap}]",
-        json={"kind": "neg_pow_run", "base": base, "cap": cap},
         value_fn=value_fn,
         window_fn=window_fn,
         nonneg=False,

@@ -1,10 +1,11 @@
 """Tiling certificates: center-set descriptors, exact window verification,
 self-similar isomorphisms and tile composition.
 
-A certificate is (tile, centers, iso?).  ``tiles_window`` decides coverage of
-a finite window by direct counting: every candidate center whose translate
-meets the window is enumerated (candidates live in tile^{-1} . window, which
-is finite), and each window cell must be hit exactly once.
+A certificate is (tile, centers, iso?).  ``tiles_window_report`` decides
+coverage of a finite window by direct counting: every candidate center whose
+translate meets the window is enumerated (candidates live in
+tile^{-1} . window, which is finite), and each window cell must be hit
+exactly once.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .groups import (
     _box,
     _box_shapes,
     _prefix_ranges,
-    finset,
     inverse_set,
     is_subset,
     multiplicity,
@@ -65,10 +65,6 @@ class LatticeCenters:
         d = rows[:, None, :] - np.asarray(self.offsets)[None, :, :]
         return (d % np.asarray(self.moduli) == 0).all(axis=2).any(axis=1)
 
-    def to_json(self) -> dict:
-        return {"kind": "lattice", "moduli": list(self.moduli),
-                "offsets": [list(o) for o in self.offsets]}
-
 
 @dataclass(frozen=True)
 class PrefixShiftCenters:
@@ -83,9 +79,6 @@ class PrefixShiftCenters:
     @property
     def is_subgroup(self) -> bool:
         return True
-
-    def to_json(self) -> dict:
-        return {"kind": "prefix_shift", "n": self.n}
 
 
 @dataclass(frozen=True)
@@ -102,9 +95,6 @@ class ZSumLatticeCenters:
     @property
     def is_subgroup(self) -> bool:
         return True
-
-    def to_json(self) -> dict:
-        return {"kind": "zsum_lattice", "shape": list(self.shape)}
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +164,6 @@ class TilingCert:
     centers: object
     iso: object = None
 
-    def to_json(self) -> dict:
-        d = {"tile": self.tile.to_json(), "centers": self.centers.to_json()}
-        d["self_similar"] = self.iso is not None
-        return d
-
 
 def tiles_window_report(cert: TilingCert, window: FinSet):
     """Exact-cover check of a window: (ok, uncovered, multicovered), the
@@ -190,11 +175,6 @@ def tiles_window_report(cert: TilingCert, window: FinSet):
     uncovered = list(window.take(hits == 0).elems)
     multi = list(window.take(hits > 1).elems)
     return (not uncovered and not multi), uncovered, multi
-
-
-def tiles_window(cert: TilingCert, window: FinSet) -> bool:
-    ok, _, _ = tiles_window_report(cert, window)
-    return ok
 
 
 def window_set(group: Group, radius: int, max_index: Optional[int] = None) -> FinSet:
@@ -377,7 +357,7 @@ def composed_seq_check(cert1: TilingCert, cert2: TilingCert, T: FinSet,
     for n in indices:
         Fn = seq.generate(n)
         composed = product_set(T, cert2.iso.image_set(Fn))
-        defects.append(sum((folner_defect(finset(grp, [g]), composed) for g in gens),
+        defects.append(sum((folner_defect(FinSet(grp, [g]), composed) for g in gens),
                            start=Fraction(0)))
         centers = _image_centers(cert2, standard_cert(seq, n))
         tilings.append(centers is not None and tiles_window_report(

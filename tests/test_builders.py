@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folnerlab import (CyclicSum, EnumBudget, ZPower, ZSum, enumerate_finsets,
-                       enumerate_tiles, finset, make_folner, window_set)
+from folnerlab import (CyclicSum, EnumBudget, FinSet, ZPower, ZSum,
+                       enumerate_finsets, enumerate_tiles, make_folner,
+                       window_set)
 from folnerlab.groups import _box
 
 Z1 = ZPower(1)
@@ -134,7 +135,7 @@ def test_box_matches_naive_loop(grp, data):
     for r in ranges:
         rows = [row + (v,) for row in rows for v in r]
     if isinstance(grp, ZPower):
-        expected = finset(grp, rows)
+        expected = FinSet(grp, rows)
     else:
-        expected = finset(grp, [grp.elem(dict(enumerate(row))) for row in rows])
+        expected = FinSet(grp, [grp._canon(enumerate(row)) for row in rows])
     assert _box(grp, ranges) == expected

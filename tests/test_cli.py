@@ -4,7 +4,9 @@ import copy
 import json
 import math
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +351,17 @@ def test_theorem_table_lists_real_subcommands(capsys):
         assert cmd.split()[0] in _HANDLERS
 
 
+def test_module_entry_point_writes_nothing_to_stderr():
+    # the package must not import folnerlab.cli, or `python -m` warns that
+    # the module was imported before it ran
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-m", "folnerlab.cli", "list-theorems"],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stderr == ""
+    assert len(out.stdout.splitlines()) == len(_THEOREM_TABLE)
+
+
 # ---------------------------------------------------------------------------
 # exit code 1: malformed values caught at the boundary, not as tracebacks
 
@@ -426,11 +439,11 @@ def _converge_cfg(**over):
      "budget.max_card must be a positive integer"),
     ("limit-setfn", _setfn_cfg(setfn=["x"]), "setfn must be one of"),
     ("converge", _converge_cfg(tolerances={"tol": "x"}),
-     "tolerances.tol must be a number"),
+     "tolerances.tol must be a non-negative number"),
     ("converge", _converge_cfg(nu_floor="x"), "nu_floor must be a number"),
     ("birkhoff", {**_torus_cfg(), "tolerances": {"tail": "x"}},
      "tolerances.tail must be a positive integer"),
-    ("maximal", _maximal_cfg(M="x"), "M must be a number or null"),
+    ("maximal", _maximal_cfg(M="x"), "M must be a positive number or null"),
     ("maximal", _maximal_cfg(greedy_instances="x"),
      "greedy_instances must be a non-negative integer"),
     ("maximal", _maximal_cfg(output="x"), "output must be an object"),
@@ -507,6 +520,20 @@ def _converge_cfg(**over):
      _family_cfg(family={"kind": "additive", "observable": {
          "kind": "neg_pow_run", "cap": -5}}),
      "bad family: cap must be a non-negative integer"),
+    ("check-family",
+     _family_cfg(family={"kind": "additive", "observable": {
+         "kind": "neg_pow_run", "base": 1e300}}),
+     "bad family: neg_pow_run: base**cap = 1e+300**40 is not a finite float"),
+    ("maximal", _maximal_cfg(M=-1.0), "M must be a positive number or null"),
+    ("maximal", _maximal_cfg(M=0), "M must be a positive number or null"),
+    ("maximal", _maximal_cfg(nu_term=-0.5),
+     "nu_term must be a non-negative number or null"),
+    ("birkhoff", {**_torus_cfg(), "tolerances": {"tol": -0.1}},
+     "tolerances.tol must be a non-negative number"),
+    ("limsup", _converge_cfg(tolerances={"tol": -0.1}),
+     "tolerances.tol must be a non-negative number"),
+    ("converge", _converge_cfg(tolerances={"osc_tol": -1}),
+     "tolerances.osc_tol must be a non-negative number or null"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
         "folner-growth-str", "folner-growth-bool", "folner-growth-one",
@@ -522,7 +549,10 @@ def _converge_cfg(**over):
         "observable-not-object", "max-of-additives-not-objects",
         "truncated-N-bool", "additive-plus-beta-str", "mixture-component-int",
         "observable-kind-suffix", "setfn-budget-hi-below-lo",
-        "torus-index-range", "torus-index-negative", "neg-pow-cap-negative"])
+        "torus-index-range", "torus-index-negative", "neg-pow-cap-negative",
+        "neg-pow-base-overflow", "maximal-M-negative", "maximal-M-zero",
+        "maximal-nu-term-negative", "birkhoff-tol-negative",
+        "limsup-tol-negative", "converge-osc-tol-negative"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1

@@ -6,17 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folnerlab.cli import _PARTS
 from folnerlab.folner import (
     defect_profile,
     folner_defect,
     invariance_check,
     make_folner,
     ratios_look_divergent,
-    subsequence_folner,
-    tempelman_bound,
-    tempelman_ratio,
     tempelman_report,
-    tempered_check,
     tempered_report,
 )
 from folnerlab.groups import CyclicSum, FinSet, ZPower, ZSum
@@ -127,17 +124,17 @@ def test_invariance_ratio_closed_form_symmetric_step(n):
 
 def test_tempelman_ratio_interval_closed_form():
     seq = _boxes()
-    assert tempelman_ratio(seq, 3) == Fraction(5, 3)
+    assert tempelman_report(seq, 3).ratios[-1] == Fraction(5, 3)
     for n in range(1, 13):
-        assert tempelman_ratio(seq, n) == Fraction(2 * n - 1, n)
-    assert tempelman_bound(seq, 12) == Fraction(23, 12)
-    assert tempelman_bound(seq, 12) <= 2
+        assert tempelman_report(seq, n).ratios[-1] == Fraction(2 * n - 1, n)
+    assert tempelman_report(seq, 12).witness == Fraction(23, 12)
+    assert tempelman_report(seq, 12).witness <= 2
 
 
 def test_tempelman_lattice_dimension_two():
     seq = _boxes(ZPower(2))
-    assert tempelman_bound(seq, 6) == Fraction(121, 36)
-    assert tempelman_bound(seq, 6) <= 4  # 2^d for d = 2
+    assert tempelman_report(seq, 6).witness == Fraction(121, 36)
+    assert tempelman_report(seq, 6).witness <= 4  # 2^d for d = 2
 
 
 def test_tempelman_cyclic_prefixes_are_exact_subgroups():
@@ -145,7 +142,7 @@ def test_tempelman_cyclic_prefixes_are_exact_subgroups():
     seq = make_folner(grp, "cyclic_prefix")
     rep = tempelman_report(seq, 4)
     assert all(r == 1 for r in rep.ratios)
-    assert tempelman_bound(seq, 4) == 1
+    assert rep.witness == 1
     assert rep.ok
 
 
@@ -155,11 +152,10 @@ def test_tempered_interval_witness():
     # target m has |union_{k<m} F_k^{-1} F_m| = 2(m-1), so ratio 2(m-1)/m
     assert rep.ratios == tuple(Fraction(2 * (m - 1), m) for m in range(2, 8))
     assert rep.witness == Fraction(12, 7)
-    assert tempered_report(seq, 8).witness == Fraction(7, 4)
-    ok, witness = tempered_check(seq, 8)
-    assert ok and witness == Fraction(7, 4)
+    rep = tempered_report(seq, 8)
+    assert rep.ok and rep.witness == Fraction(7, 4)
     # tempered constant never exceeds the Tempelman constant on the same range
-    assert witness <= tempelman_bound(seq, 8)
+    assert rep.witness <= tempelman_report(seq, 8).witness
 
 
 def test_diagonal_cubes_growth_blows_up():
@@ -170,8 +166,7 @@ def test_diagonal_cubes_growth_blows_up():
     assert rep.ratios == tuple(Fraction(2 * n - 1, n) ** n for n in range(1, 6))
     assert ratios_look_divergent(rep.ratios)
     assert not rep.ok
-    ok, _ = tempered_check(seq, 5)
-    assert not ok
+    assert not tempered_report(seq, 5).ok
 
 
 def test_interval_growth_not_flagged_divergent():
@@ -184,7 +179,7 @@ def test_interval_growth_not_flagged_divergent():
 @settings(max_examples=20, deadline=None)
 def test_tempelman_ratio_at_least_one(n):
     # the union contains F_n itself
-    assert tempelman_ratio(_boxes(), n) >= 1
+    assert tempelman_report(_boxes(), n).ratios[-1] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -200,30 +195,6 @@ def test_explicit_sequence_indexing():
         seq.generate(4)
     with pytest.raises(ValueError):
         seq.generate(0)
-
-
-def test_subsequence_takes_subsets_of_base():
-    base = _boxes()
-    z = base.group
-
-    def evens(_, box):
-        return FinSet(z, tuple(e for e in box.elems if e[0] % 2 == 0))
-
-    seq = subsequence_folner(base, evens)
-    got = seq.generate(6)
-    assert got.elems == ((0,), (2,), (4,))
-
-
-def test_subsequence_rejects_escaping_sets():
-    base = _boxes()
-    z = base.group
-
-    def shifted(_, box):
-        return FinSet(z, tuple((e[0] + 100,) for e in box.elems))
-
-    seq = subsequence_folner(base, shifted)
-    with pytest.raises(ValueError):
-        seq.generate(3)
 
 
 def test_anchored_boxes_translate_without_changing_size():
@@ -244,6 +215,8 @@ def test_sequence_kind_validation():
 
 
 def test_sequence_json_mentions_kind_and_anchor():
-    seq = make_folner(_z(), "z_boxes", anchors="squares")
-    assert seq.to_json() == {"kind": "z_boxes", "anchors": "squares"}
-    assert make_folner(_z(), "z_boxes").to_json() == {"kind": "z_boxes"}
+    parse = _PARTS["sequence"]
+    assert (parse(_z(), {"kind": "z_boxes", "anchors": "squares"})
+            == make_folner(_z(), "z_boxes", anchors="squares"))
+    assert parse(_z(), {"kind": "z_boxes"}) == make_folner(_z(), "z_boxes")
+    assert parse(_z(), {"kind": "z_boxes"}).anchors is None

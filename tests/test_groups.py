@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from folnerlab import (BudgetError, CyclicSum, EnumBudget, FinSet, Group,
                        GroupMismatchError, ZPower, ZSum, diff,
-                       enumerate_finsets, erode, finset, groups, intersect,
+                       enumerate_finsets, erode, groups, intersect,
                        inverse_set, is_subset, multiplicity, product_set,
                        symdiff, translate_left, translate_right, union)
 from folnerlab._bits import (GOLDEN64, HASH_VERSION, TWO_NEG_64, mix64,
@@ -68,10 +68,10 @@ def test_zsum_law_hypothesis(a, b):
 
 
 def test_finset_dedup_and_order():
-    F = finset(Z1, [(3,), (1,), (3,), (2,)])
+    F = FinSet(Z1, [(3,), (1,), (3,), (2,)])
     assert F.elems == ((1,), (2,), (3,))
     assert len(F) == 3 and not F.is_empty
-    assert finset(Z1, []).is_empty
+    assert FinSet(Z1, []).is_empty
 
 
 @pytest.mark.parametrize("grp, absent, foreign", [
@@ -82,10 +82,10 @@ def test_finset_dedup_and_order():
 def test_finset_membership_matches_elems(grp, absent, foreign):
     rng = np.random.default_rng(3)
     elems = [grp.random_elem(rng, 6) for _ in range(200)]
-    small, big = finset(grp, elems[:3]), finset(grp, elems)
+    small, big = FinSet(grp, elems[:3]), FinSet(grp, elems)
     assert len(big) > 16
     for F in (small, big):
-        twin = finset(grp, F.elems)
+        twin = FinSet(grp, F.elems)
         for e in (*F.elems, absent, foreign, grp.identity()):
             assert (e in F) == (e in set(F.elems))
         assert all(e in F for e in F.elems)
@@ -94,8 +94,8 @@ def test_finset_membership_matches_elems(grp, absent, foreign):
 
 
 def test_finset_algebra():
-    A = finset(Z1, [(0,), (1,), (2,)])
-    B = finset(Z1, [(2,), (3,)])
+    A = FinSet(Z1, [(0,), (1,), (2,)])
+    B = FinSet(Z1, [(2,), (3,)])
     assert union(A, B).elems == ((0,), (1,), (2,), (3,))
     assert intersect(A, B).elems == ((2,),)
     assert diff(A, B).elems == ((0,), (1,))
@@ -105,8 +105,8 @@ def test_finset_algebra():
 
 
 def test_group_mismatch_rejected():
-    A = finset(Z1, [(0,)])
-    B = finset(Z2, [(0, 0)])
+    A = FinSet(Z1, [(0,)])
+    B = FinSet(Z2, [(0, 0)])
     with pytest.raises(GroupMismatchError):
         union(A, B)
     with pytest.raises(GroupMismatchError):
@@ -118,8 +118,8 @@ def test_product_grid_matches_naive(grp):
     # the grid convolution path must agree with elementwise products
     rng = np.random.default_rng(7)
     for trial in range(20):
-        K = finset(grp, [grp.random_elem(rng) for _ in range(4)])
-        F = finset(grp, [grp.random_elem(rng) for _ in range(5)])
+        K = FinSet(grp, [grp.random_elem(rng) for _ in range(4)])
+        F = FinSet(grp, [grp.random_elem(rng) for _ in range(5)])
         naive = {grp.mul(k, f) for k in K.elems for f in F.elems}
         got = product_set(K, F)
         assert set(got.elems) == naive
@@ -129,16 +129,16 @@ def test_product_grid_matches_naive(grp):
 def test_product_grid_large_agrees_on_boxes():
     # force the grid path (|K|*|F| above the pairwise threshold) and compare
     # against the closed form for interval sums
-    K = finset(Z1, [(i,) for i in range(300)])
-    F = finset(Z1, [(i,) for i in range(300)])
+    K = FinSet(Z1, [(i,) for i in range(300)])
+    F = FinSet(Z1, [(i,) for i in range(300)])
     got = product_set(K, F)
     assert len(got) == 599
     assert got.elems[0] == (0,) and got.elems[-1] == (598,)
 
 
 def test_zsum_product_sparse():
-    a = finset(ZS, [(), ((0, 1),)])
-    b = finset(ZS, [((1, -2),)])
+    a = FinSet(ZS, [(), ((0, 1),)])
+    b = FinSet(ZS, [((1, -2),)])
     got = product_set(a, b)
     assert set(got.elems) == {((1, -2),), ((0, 1), (1, -2))}
 
@@ -185,7 +185,7 @@ def test_set_algebra_matches_tuple_reference(grp, data):
     E, F = (set(data.draw(st.lists(elems, max_size=7))) for _ in range(2))
     g = data.draw(elems)
     ref = TupleRef(grp)
-    FE, FF = finset(grp, E), finset(grp, F)
+    FE, FF = FinSet(grp, E), FinSet(grp, F)
     _same(FE, E)
     _same(union(FE, FF), E | F)
     _same(intersect(FE, FF), E & F)
@@ -252,10 +252,10 @@ def test_product_grid_rounding_slack_is_asserted(monkeypatch):
 
 def test_box_past_int64_keys_is_a_budget_error():
     with pytest.raises(BudgetError, match="does not fit int64 keys"):
-        finset(Z2, [(0, 0), (2**32, 2**32)])
+        FinSet(Z2, [(0, 0), (2**32, 2**32)])
     with pytest.raises(BudgetError, match="does not fit int64 keys"):
-        finset(ZS, [((i, 1),) for i in range(70)])
-    far = finset(Z1, [(0,), (2**62,)])  # its own box fits, its product's does not
+        FinSet(ZS, [((i, 1),) for i in range(70)])
+    far = FinSet(Z1, [(0,), (2**62,)])  # its own box fits, its product's does not
     with pytest.raises(BudgetError, match="does not fit int64 keys"):
         product_set(far, far)
 
@@ -363,5 +363,6 @@ def test_enumerate_finsets_deterministic():
 
 
 def test_group_json_roundtrip():
-    for grp in GROUPS:
-        assert Group.from_json(grp.to_json()) == grp
+    configs = [{"kind": "z_power", "d": 1}, {"kind": "z_power", "d": 2},
+               {"kind": "cyclic_sum", "periods": [2, 3, 2]}, {"kind": "z_sum"}]
+    assert [Group.from_json(d) for d in configs] == GROUPS

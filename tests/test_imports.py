@@ -1,6 +1,6 @@
 """Every name a module of ``folnerlab`` imports is used by that module,
-every module-level function or class is referenced somewhere, finite sets
-stay in their one representation, config parsers read only through the
+every module-level function or class has a caller outside the tests, finite
+sets stay in their one representation, config parsers read only through the
 checked reader, and the FFT products import no scipy.
 
 No linter is part of the toolchain, so this is the check.  ``__init__.py``
@@ -18,9 +18,23 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "folnerlab"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
-# where a reference to a definition in src/folnerlab counts
-SCANNED = sorted(p for d in ("src", "tests", "demos", "bench")
-                 for p in (ROOT / d).rglob("*.py"))
+
+
+def _scanned(root: Path) -> list:
+    """Where a reference to a definition in src/ counts: src/, demos/ and
+    bench/, not tests/ (a definition only tests use is dead code), and not
+    ``__init__.py`` (its re-exports would make every exported name look used)."""
+    return sorted(p for d in ("src", "demos", "bench") for p in (root / d).rglob("*.py")
+                  if p.name != "__init__.py")
+
+
+SCANNED = _scanned(ROOT)
+# public API that only tests call, each with why it stays
+_UNREFERENCED_OK = {
+    "box_core_decomposition": "builds the paper's indicator decomposition of a box",
+    "indicator_decomposition_check": "checks the indicator-decomposition lemma",
+    "composed_seq_check": "checks the composed-tiling Folner lemma",
+}
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -71,16 +85,36 @@ def _file_refs(path: Path) -> set:
     return _referenced(ast.parse(path.read_text(), filename=str(path)))
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unreferenced_definitions(module):
-    path = SRC / module
-    tree = ast.parse(path.read_text(), filename=module)
-    elsewhere = set().union(*(_file_refs(p) for p in SCANNED if p != path))
-    dead = [node.name for node in tree.body
+def _unreferenced(path: Path, scanned: list) -> list:
+    """Module-level functions and classes of ``path`` that neither their own
+    module nor any other scanned file refers to."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    elsewhere = set().union(*(_file_refs(p) for p in scanned if p != path))
+    return [node.name for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name not in elsewhere
             and node.name not in _referenced(tree, skip=node)]
-    assert dead == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unreferenced_definitions(module):
+    dead = _unreferenced(SRC / module, SCANNED)
+    assert [name for name in dead if name not in _UNREFERENCED_OK] == []
+
+
+def test_unreferenced_check_ignores_test_callers(tmp_path):
+    files = {"src/pkg/__init__.py": "from .mod import helper, used\n",
+             "src/pkg/mod.py": "def helper():\n    return 1\n\n\n"
+                               "def used():\n    return 2\n",
+             "demos/demo.py": "from pkg.mod import used\nused()\n",
+             "tests/test_mod.py": "from pkg.mod import helper\nhelper()\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert _unreferenced(tmp_path / "src/pkg/mod.py", _scanned(tmp_path)) == ["helper"]
+    # the allowlist holds only names the check would flag
+    flagged = {n for m in MODULES for n in _unreferenced(SRC / m, SCANNED)}
+    assert len(_UNREFERENCED_OK) <= 3 and set(_UNREFERENCED_OK) <= flagged
 
 
 def _mentions_elems(node: ast.AST) -> bool:

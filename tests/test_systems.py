@@ -349,11 +349,29 @@ def test_neg_pow_run_off_the_line_is_unsupported():
 # serialization
 
 
+_BERNOULLI_JSON = {"kind": "bernoulli", "group": {"kind": "z_power", "d": 1},
+                   "probs": [0.7, 0.3], "seed": 5}
+_TORUS_JSON = {"kind": "torus", "alphas": [ALPHA], "seed": 2}
+
+
+def _state(system):
+    """What a system is built from, comparable with ==."""
+    if isinstance(system, FiniteMixture):
+        return "mixture", system.seed, [(w, _state(s)) for w, s in system.parts]
+    return (type(system).__name__, system.group, getattr(system, "probs", None),
+            getattr(system, "alphas", None), system.seed)
+
+
 def test_system_json_roundtrip():
-    for system in (_bernoulli(), _torus(), _mixture()):
-        d = system.to_json()
+    mixture = {"kind": "mixture", "seed": 3,
+               "components": [{"weight": 0.25, "system": _BERNOULLI_JSON},
+                              {"weight": 0.75, "system": _TORUS_JSON}]}
+    for d, system in ((_BERNOULLI_JSON, _bernoulli()), (_TORUS_JSON, _torus()),
+                      (mixture, _mixture())):
         back = System.from_json(d)
-        assert back.to_json() == d
+        assert _state(back) == _state(system)
+        rng = np.random.default_rng(4)
+        assert back.sample_point(rng) == system.sample_point(np.random.default_rng(4))
 
 
 def test_observable_json_roundtrip():
@@ -361,14 +379,16 @@ def test_observable_json_roundtrip():
     tor = _torus()
     y = bern.sample_point(np.random.default_rng(2))
     ty = tor.sample_point(np.random.default_rng(2))
-    for obs, system, pt in [
-        (indicator_symbol(1), bern, y),
-        (symbol_value(), bern, y),
-        (scaled(symbol_value(), 3.0), bern, y),
-        (neg_pow_run(2.0, cap=12), bern, y),
-        (torus_coordinate(0), tor, ty),
+    for d, obs, system, pt in [
+        ({"kind": "indicator_symbol", "symbol": 1}, indicator_symbol(1), bern, y),
+        ({"kind": "symbol_value"}, symbol_value(), bern, y),
+        ({"kind": "scaled", "base": {"kind": "symbol_value"}, "c": 3.0},
+         scaled(symbol_value(), 3.0), bern, y),
+        ({"kind": "neg_pow_run", "base": 2.0, "cap": 12},
+         neg_pow_run(2.0, cap=12), bern, y),
+        ({"kind": "torus_coordinate", "index": 0}, torus_coordinate(0), tor, ty),
     ]:
-        back = observable_from_json(obs.to_json())
+        back = observable_from_json(d)
         assert back.name == obs.name
         assert back.value(system, pt) == obs.value(system, pt)
 

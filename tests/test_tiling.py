@@ -17,7 +17,6 @@ from folnerlab.tiling import (
     enumerate_tiles,
     shift_iso_compatible,
     standard_cert,
-    tiles_window,
     tiles_window_report,
     window_set,
 )
@@ -48,14 +47,14 @@ def test_interval_cert_tiles_window():
     cert = standard_cert(seq, 3)
     ok, uncovered, multi = tiles_window_report(cert, window_set(seq.group, 12))
     assert ok and not uncovered and not multi
-    assert tiles_window(cert, window_set(seq.group, 30))
+    assert tiles_window_report(cert, window_set(seq.group, 30))[0]
 
 
 def test_gapped_tile_with_offset_lattice():
     z = ZPower(1)
     tile = FinSet(z, ((0,), (2,)))
     cert = TilingCert(tile, LatticeCenters(z, (4,), ((0,), (1,))))
-    assert tiles_window(cert, window_set(z, 12))
+    assert tiles_window_report(cert, window_set(z, 12))[0]
 
 
 def test_bad_centers_report_uncovered_points():
@@ -79,21 +78,21 @@ def test_overlapping_centers_report_multicovered_points():
 def test_lattice_cert_dimension_two():
     seq = _z_seq(2)
     cert = standard_cert(seq, 2)
-    assert tiles_window(cert, window_set(seq.group, 8))
+    assert tiles_window_report(cert, window_set(seq.group, 8))[0]
 
 
 def test_diagonal_cube_cert_tiles():
     seq = make_folner(ZSum(), "zsum_boxes")
     cert = standard_cert(seq, 2)
     assert len(cert.tile) == 4
-    assert tiles_window(cert, window_set(seq.group, 4, max_index=3))
+    assert tiles_window_report(cert, window_set(seq.group, 4, max_index=3))[0]
 
 
 def test_prefix_cert_tiles_cyclic_window():
     grp = CyclicSum((2,))
     seq = make_folner(grp, "cyclic_prefix")
     cert = standard_cert(seq, 2)
-    assert tiles_window(cert, window_set(grp, 8, max_index=4))
+    assert tiles_window_report(cert, window_set(grp, 8, max_index=4))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,7 @@ def test_mixed_periods_have_no_shift_isomorphism():
 def test_anchored_boxes_tile_but_do_not_compose():
     seq = make_folner(ZPower(1), "z_boxes", anchors="squares")
     cert = standard_cert(seq, 3)
-    assert tiles_window(cert, window_set(seq.group, 12))
+    assert tiles_window_report(cert, window_set(seq.group, 12))[0]
     assert cert.iso is None
 
 
@@ -180,7 +179,7 @@ def test_enumerated_tiles_all_tile_the_window():
     certs = enumerate_tiles(z, 4)
     assert len(certs) == 5
     for cert in certs:
-        assert tiles_window(cert, window)
+        assert tiles_window_report(cert, window)[0]
     assert FinSet(z, ((0,), (2,))) in [c.tile for c in certs]
 
 
@@ -202,7 +201,7 @@ def test_enumeration_is_deterministic():
     assert [c.tile for c in a] == [c.tile for c in b]
     window = window_set(grp, 6, max_index=3)
     for cert in a:
-        assert tiles_window(cert, window)
+        assert tiles_window_report(cert, window)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +229,8 @@ def test_composed_subsequence_rejects_escaping_tile():
     assert not rep.ok
 
 
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_cert_json_shape():
+def test_standard_cert_shape():
     cert = standard_cert(_z_seq(), 3)
-    assert cert.to_json() == {
-        "tile": [[0], [1], [2]],
-        "centers": {"kind": "lattice", "moduli": [3], "offsets": [[0]]},
-        "self_similar": True,
-    }
+    assert cert.tile.elems == ((0,), (1,), (2,))
+    assert cert.centers == LatticeCenters(ZPower(1), (3,), ((0,),))
+    assert cert.iso == ScaleIso(ZPower(1), (3,))
