@@ -21,6 +21,14 @@ broadcast key sum, or for large dense products an occupancy-grid
 convolution (its rounding slack is asserted); erosions and covering
 multiplicities read the same pair counts.  Tuples are decoded on demand.
 
+The bounding box of a non-empty set is tight: ``lo`` is the least row and
+``lo + ext - 1`` the greatest, coordinate by coordinate, and the sum kinds
+carry no trailing all-zero coordinate.  So a set is a full box exactly when
+it has ``prod(ext)`` keys (``FinSet.is_box``), and two fast paths read no
+key: ``is_subset`` decides by the boxes alone when A's box leaves B's or B
+is a box, and ``product_set`` of two boxes on ZPower and ZSum is the sum
+box (on CyclicSum sums wrap, so it takes the general path).
+
 Every box is built here, by one builder (``_box``): the Folner boxes and
 prefix subgroups of ``folner``, the windows and tile shapes of ``tiling``,
 and the boxes of the enumeration stream.
@@ -298,6 +306,12 @@ def _keys_in(rows: np.ndarray, lo: tuple, ext: tuple) -> np.ndarray:
     return np.where(inside, d @ strides, -1)
 
 
+def _padded_boxes(*sets: "FinSet") -> list:
+    """(lo, ext) of each set's box, padded to the widest set's width."""
+    w = max(X.width for X in sets)
+    return [(_pad(X.lo, w, 0), _pad(X.ext, w, 1)) for X in sets]
+
+
 def _rebox(F: "FinSet", lo: tuple, ext: tuple) -> np.ndarray:
     """F's keys in a box (lo, ext) that holds F's box, still sorted: mixed-radix
     keys order rows lexicographically in every box."""
@@ -380,6 +394,11 @@ class FinSet:
     @property
     def width(self) -> int:
         return len(self.ext)
+
+    @property
+    def is_box(self) -> bool:
+        """Every cell of the bounding box is an element."""
+        return len(self.keys) == math.prod(self.ext)
 
     def _key_rows(self, width: int = 0) -> np.ndarray:
         return _widen(_decode(self.lo, self.ext, self.keys), width)
@@ -480,6 +499,14 @@ def symdiff(E: FinSet, F: FinSet) -> FinSet:
 
 def is_subset(A: FinSet, B: FinSet) -> bool:
     _require_same_group(A, B)
+    if A.is_empty:
+        return True
+    # A lies in its tight box; B's elements are zero past B's width
+    (alo, aext), (blo, bext) = _padded_boxes(A, B)
+    if not all(b <= a and a + x <= b + y for a, x, b, y in zip(alo, aext, blo, bext)):
+        return False
+    if B.is_box:
+        return True
     return bool(_member(_keys_in(A._key_rows(), B.lo, B.ext), B.keys).all())
 
 
@@ -523,7 +550,7 @@ def _product(K: FinSet, F: FinSet) -> tuple:
     """
     grp, w = K.group, max(K.width, F.width)
     cyclic = isinstance(grp, CyclicSum)
-    (klo, kext), (flo, fext) = ((_pad(X.lo, w, 0), _pad(X.ext, w, 1)) for X in (K, F))
+    (klo, kext), (flo, fext) = _padded_boxes(K, F)
     if cyclic:
         lo = (0,) * w
         ext = tuple(1 if (klo[j], kext[j], flo[j], fext[j]) == (0, 1, 0, 1)
@@ -563,6 +590,10 @@ def product_set(K: FinSet, F: FinSet) -> FinSet:
     grp = _require_same_group(K, F)
     if K.is_empty or F.is_empty:
         return FinSet(grp)
+    if K.is_box and F.is_box and not isinstance(grp, CyclicSum):
+        (klo, kext), (flo, fext) = _padded_boxes(K, F)
+        return _box(grp, [range(a + b, a + b + x + y - 1)
+                          for a, x, b, y in zip(klo, kext, flo, fext)])
     lo, ext, keys, _ = _product(K, F)
     if isinstance(grp, CyclicSum):  # the wrapped sums may not fill the box
         return FinSet.from_rows(grp, _decode(lo, ext, keys))

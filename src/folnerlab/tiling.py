@@ -244,7 +244,17 @@ class WitnessB:
 
 def condition_b_witness(seq: FolnerSeq, m: int, p: int,
                         search_limit: Optional[int] = None) -> WitnessB:
-    """Smallest n1 with composed superset F_p, largest n2 with composed subset.
+    """Smallest n1 <= limit with composed superset F_p, and the largest
+    n2 <= n1 (<= limit when there is no n1) with composed subset.
+
+    Every sequence with a self-similar certificate (unanchored ``z_boxes``,
+    ``cyclic_prefix``, ``zsum_boxes``) is nested, and so are its composed
+    sets: "F_p inside composed_n" holds from n1 on, "composed_n inside F_p"
+    up to some n.  So n1 is found by galloping n = 1, 2, 4, ... and
+    bisecting, and n2 by bisecting below it: each n is composed at most
+    once, none past 2 * n1.  Budgets are monotone on nested sets, so a probe
+    over budget counts as "from n1 on", and is raised when it is the first
+    such n, as a scan over n = 1, 2, ... would.
 
     The reported gap is (|F_n1| - |F_n2|) * |F_m| / |F_p|, the normalized
     quantity that must vanish for pointwise convergence transfer.
@@ -253,22 +263,42 @@ def condition_b_witness(seq: FolnerSeq, m: int, p: int,
     if cert is None or cert.iso is None:
         raise ValueError("sequence member has no self-similar certificate")
     Fp = seq.generate(p)
-    size_p = len(Fp)
-    size_m = len(seq.generate(m))
     limit = search_limit if search_limit is not None else max(2 * p, 4)
-    n1 = None
-    n2 = None
-    for n in range(1, limit + 1):
-        composed = compose(cert, seq.generate(n))
-        if is_subset(composed, Fp):
-            n2 = n
-        if is_subset(Fp, composed):
-            n1 = n
-            break
+    probed = {}  # n -> (composed_n inside F_p, F_p inside composed_n or over budget)
+
+    def probe(n: int) -> tuple:
+        if n not in probed:
+            try:
+                composed = compose(cert, seq.generate(n))
+            except BudgetError as err:
+                probed[n] = (False, err)
+            else:
+                probed[n] = (is_subset(composed, Fp), is_subset(Fp, composed))
+        return probed[n]
+
+    # n1: the first n with probe(n)[1] (limit + 1 for none), galloping to a
+    # bracket (lo, hi] and bisecting it
+    lo, hi = 0, 1
+    while hi <= limit and not probe(hi)[1]:
+        lo, hi = hi, (min(2 * hi, limit) if hi < limit else limit + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if probe(mid)[1] else (mid, hi)
+    n1 = hi if hi <= limit else None
+    if n1 is not None and isinstance(probed[n1][1], BudgetError):
+        raise probed[n1][1]
+    # n2: the last n <= top with probe(n)[0], bisecting on [lo, hi]
+    top = n1 if n1 is not None else limit
+    lo = max([n for n, (sub, _) in probed.items() if sub and n <= top], default=0)
+    hi = min([n - 1 for n, (sub, _) in probed.items() if not sub] + [top])
+    while hi > lo:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if probe(mid)[0] else (lo, mid - 1)
+    n2 = lo or None
     if n1 is None or n2 is None:
         return WitnessB(m, p, n1, n2, None, False)
     sizes = (len(seq.generate(n1)), len(seq.generate(n2)))
-    gap = Fraction(size_m * (sizes[0] - sizes[1]), size_p)
+    gap = Fraction(len(seq.generate(m)) * (sizes[0] - sizes[1]), len(Fp))
     return WitnessB(m, p, n1, n2, gap, True)
 
 

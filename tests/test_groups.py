@@ -1,3 +1,4 @@
+import itertools
 from bisect import bisect_right
 from collections import Counter
 
@@ -127,10 +128,10 @@ def test_product_grid_matches_naive(grp):
 
 
 def test_product_grid_large_agrees_on_boxes():
-    # force the grid path (|K|*|F| above the pairwise threshold) and compare
-    # against the closed form for interval sums
+    # force the grid path (|K|*|F| above the pairwise threshold; F has a hole,
+    # so it is no box) and compare against the closed form for interval sums
     K = FinSet(Z1, [(i,) for i in range(300)])
-    F = FinSet(Z1, [(i,) for i in range(300)])
+    F = FinSet(Z1, [(i,) for i in range(300) if i != 150])
     got = product_set(K, F)
     assert len(got) == 599
     assert got.elems[0] == (0,) and got.elems[-1] == (598,)
@@ -201,6 +202,112 @@ def test_set_algebra_matches_tuple_reference(grp, data):
     _same(P, ref.product(E, F))
     assert dict(zip(P.elems, multiplicity(FE, FF, P).tolist())) == ref.counts(E, F)
     _same(erode(FF, FE), ref.erode(F, E))
+
+
+FIVE_GROUPS = GROUPS + [CyclicSum((3,))]
+
+
+@st.composite
+def box_elems(draw, grp):
+    """The element set of a full box, a near-box (a box less one cell) or an
+    offset box (a box translated by a drawn element; on CyclicSum it wraps)."""
+    if isinstance(grp, ZPower):
+        width = grp.d
+    else:
+        width = draw(st.integers(1, 3))
+    ranges = []
+    for i in range(width):
+        if isinstance(grp, CyclicSum):
+            a = draw(st.integers(0, grp.period(i) - 1))
+            b = draw(st.integers(a + 1, grp.period(i)))
+        else:
+            a = draw(st.integers(-3, 3))
+            b = draw(st.integers(a + 1, a + 3))
+        ranges.append(range(a, b))
+    rows = np.asarray(list(itertools.product(*ranges)), dtype=np.int64)
+    elems = grp.rows_to_elems(rows)
+    shape = draw(st.sampled_from(["full", "near", "offset"]))
+    if shape == "near":
+        elems.pop(draw(st.integers(0, len(elems) - 1)))
+    if shape == "offset":
+        g = draw(elems_strategy(grp, span=3, top=3))
+        elems = [grp.mul(g, x) for x in elems]
+    return set(elems)
+
+
+@pytest.mark.parametrize("grp", FIVE_GROUPS, ids=lambda g: g.kind)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_box_algebra_matches_tuple_reference(grp, data):
+    E, F = (data.draw(box_elems(grp)) for _ in range(2))
+    ref = TupleRef(grp)
+    FE, FF = FinSet(grp, E), FinSet(grp, F)
+    P = product_set(FE, FF)
+    _same(P, ref.product(E, F))
+    assert dict(zip(P.elems, multiplicity(FE, FF, P).tolist())) == ref.counts(E, F)
+    _same(union(FE, FF), E | F)
+    assert is_subset(FE, FF) == (E <= F) and is_subset(FF, FE) == (F <= E)
+    # random boxes rarely nest: E & F lies in both, so is_subset says True
+    part = FinSet(grp, E & F)
+    assert is_subset(part, FF) and is_subset(part, FE)
+    assert is_subset(FF, part) == (F <= E) and is_subset(FinSet(grp), part)
+    assert is_subset(FF, FinSet(grp)) == (not F)
+
+
+@pytest.mark.parametrize("grp, shapes", [
+    (Z1, [[range(-2, 5)], [range(3, 4)]]),
+    (Z2, [[range(-2, 5), range(1, 3)], [range(0, 9), range(-4, 0)]]),
+    (ZPower(3), [[range(4), range(6), range(7)], [range(-1, 1)] * 3]),
+    (ZS, [[range(-2, 3), range(0, 4), range(-3, 1)], [range(1, 3)]]),
+    (ZS, [[range(0, 1), range(2, 4)], [range(-1, 2), range(0, 1), range(5, 6)]]),
+], ids=["z1", "z2", "z3", "z_sum", "z_sum_widths"])
+def test_box_product_path_matches_key_path(grp, shapes, monkeypatch):
+    K, F = (groups._box(grp, ranges) for ranges in shapes)
+    assert K.is_box and F.is_box
+    calls = []
+    product = groups._product
+    monkeypatch.setattr(groups, "_product", lambda *a: calls.append(a) or product(*a))
+    P = product_set(K, F)
+    assert not calls  # the sum box, with no key work
+    lo, ext, keys, _ = product(K, F)
+    assert P == FinSet._of(grp, lo, ext, keys) and P.is_box
+    assert np.array_equal(P.keys, keys) and P.keys.dtype == keys.dtype
+
+
+def _tight(fs):
+    """The invariant the box fast paths read: the bounding box of a non-empty
+    set is its least and greatest row, and it has no slack coordinate."""
+    if fs.is_empty:
+        return
+    rows = fs.rows()
+    grp = fs.group
+    assert fs.lo == tuple(rows.min(axis=0).tolist())
+    assert tuple((np.asarray(fs.lo) + fs.ext - 1).tolist()) == tuple(rows.max(axis=0).tolist())
+    assert fs.width == (grp.d if isinstance(grp, ZPower) else grp.dense_width(fs.elems))
+
+
+@pytest.mark.parametrize("grp", FIVE_GROUPS, ids=lambda g: g.kind)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_operation_keeps_the_bounding_box_tight(grp, data):
+    elems = elems_strategy(grp, span=3, top=4)
+    E = data.draw(st.one_of(box_elems(grp), st.sets(elems, min_size=1, max_size=6)))
+    F = data.draw(st.one_of(box_elems(grp), st.sets(elems, min_size=1, max_size=6)))
+    g = data.draw(elems)
+    FE, FF = FinSet(grp, E), FinSet(grp, F)
+    ranges = [range(-1, 2)] * (grp.d if isinstance(grp, ZPower) else 2)
+    if isinstance(grp, CyclicSum):
+        ranges = [range(1, grp.period(0)), range(grp.period(1))]
+    wide = FF.rows(0 if isinstance(grp, ZPower) else 4)  # trailing zero columns
+    results = [
+        FE, FinSet.from_rows(grp, wide), groups._box(grp, ranges),
+        union(FE, FF), intersect(FE, FF), diff(FE, FF), symdiff(FE, FF),
+        translate_left(g, FE), translate_right(FE, g), inverse_set(FE),
+        product_set(FE, FF), erode(FF, FE), FE.take(slice(1, None)),
+        FF.take(np.arange(len(FF)) % 2 == 0),
+    ]
+    for fs in results:
+        _tight(fs)
 
 
 def _subsets(grp, ranges, sizes, seed):

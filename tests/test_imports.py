@@ -1,7 +1,8 @@
 """Every name a module of ``folnerlab`` imports is used by that module,
 every module-level function or class has a caller outside the tests, finite
 sets stay in their one representation, config parsers read only through the
-checked reader, and the FFT products import no scipy.
+checked reader, the FFT products import no scipy, and the package states
+one version.
 
 No linter is part of the toolchain, so this is the check.  ``__init__.py``
 is exempt from the import check: its imports are the package's re-exports.
@@ -221,8 +222,9 @@ convolve = groups._convolve
 groups._convolve = lambda *a: ran.append(grp) or convolve(*a)
 for grp, ranges in ((ZPower(2), [range(20)] * 2), (CyclicSum((2,)), [range(2)] * 7)):
     box = groups._box(grp, ranges)
-    assert len(box) ** 2 > groups._GRID_PAIR_THRESHOLD
-    groups.product_set(box, box)
+    near = box.take(slice(1, None))  # not a box: two boxes take the box path
+    assert len(near) * len(box) > groups._GRID_PAIR_THRESHOLD
+    groups.product_set(near, box)
     assert ran[-1:] == [grp]  # the grid ran: linear on Z^2, cyclic on the sum
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -233,3 +235,12 @@ def test_grid_products_import_no_scipy():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
+
+
+def test_package_version_is_stated_once():
+    # the CSV header and the run summary stamp _bits.VERSION
+    from folnerlab._bits import VERSION
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == VERSION

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from folnerlab import tiling
 from folnerlab.folner import make_folner
-from folnerlab.groups import CyclicSum, FinSet, ZPower, ZSum
+from folnerlab.groups import BudgetError, CyclicSum, FinSet, ZPower, ZSum
 from folnerlab.tiling import (
     LatticeCenters,
     ScaleIso,
     TilingCert,
     TilingOverlapError,
+    WitnessB,
     compose,
     composed_seq_check,
     condition_b_witness,
@@ -167,6 +169,113 @@ def test_sandwich_witness_requires_self_similar_cert():
     seq = make_folner(CyclicSum((2, 3, 2, 5)), "cyclic_prefix")
     with pytest.raises(ValueError):
         condition_b_witness(seq, 2, 3)
+
+
+def _scan_witness(seq, m, p, search_limit=None):
+    """The sandwich witnesses by a linear scan over n = 1, 2, ..., with
+    subsets decided on element tuples: the oracle of the galloping search."""
+    cert = standard_cert(seq, m)
+    if cert is None or cert.iso is None:
+        raise ValueError("sequence member has no self-similar certificate")
+    Fp = set(seq.generate(p).elems)
+    limit = search_limit if search_limit is not None else max(2 * p, 4)
+    n1 = n2 = None
+    for n in range(1, limit + 1):
+        composed = set(tiling.compose(cert, seq.generate(n)).elems)
+        if composed <= Fp:
+            n2 = n
+        if Fp <= composed:
+            n1 = n
+            break
+    if n1 is None or n2 is None:
+        return WitnessB(m, p, n1, n2, None, False)
+    sizes = [len(seq.generate(n)) for n in (m, n1, n2)]
+    return WitnessB(m, p, n1, n2, Fraction(sizes[0] * (sizes[1] - sizes[2]), len(Fp)), True)
+
+
+_NESTED = {
+    "z1": (make_folner(ZPower(1), "z_boxes"), range(1, 6), range(1, 14)),
+    "z2": (make_folner(ZPower(2), "z_boxes"), range(1, 4), range(1, 10)),
+    "prefix2": (make_folner(CyclicSum((2,)), "cyclic_prefix"), range(1, 4), range(1, 8)),
+    "prefix3": (make_folner(CyclicSum((3, 3)), "cyclic_prefix"), range(1, 3), range(1, 6)),
+    "zsum": (make_folner(ZSum(), "zsum_boxes"), range(1, 4), range(1, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED))
+def test_sandwich_search_matches_linear_scan(name):
+    seq, ms, ps = _NESTED[name]
+    divisible = 0
+    for m in ms:
+        for p in ps:
+            divisible += p % m == 0
+            for limit in (None, 1, 2, p // 2, p - 1, p + 3):
+                want = _scan_witness(seq, m, p, limit)
+                assert condition_b_witness(seq, m, p, limit) == want, (m, p, limit)
+    assert divisible >= 3
+
+
+def test_sandwich_search_cut_off_leaves_n1_unset(monkeypatch):
+    seq = _z_seq(2)
+    composed = []
+    real = tiling.compose
+    monkeypatch.setattr(tiling, "compose", lambda c, F: composed.append(len(F)) or real(c, F))
+    for limit in (1, 3, 4):
+        composed.clear()
+        w = condition_b_witness(seq, 2, 9, search_limit=limit)
+        assert max(composed) == limit ** 2  # nothing composed past the limit
+        assert w == _scan_witness(seq, 2, 9, limit)
+        assert w.n1 is None and w.n2 == limit and not w.ok
+    assert condition_b_witness(seq, 2, 9, search_limit=5).n1 == 5
+    assert condition_b_witness(seq, 2, 9, search_limit=0) == WitnessB(2, 9, None, None, None, False)
+
+
+def test_sandwich_search_composes_log_many_sets(monkeypatch):
+    seq = _z_seq(2)
+    composed = []
+    real = tiling.compose
+    monkeypatch.setattr(tiling, "compose", lambda c, F: composed.append(len(F)) or real(c, F))
+    w = condition_b_witness(seq, 2, 72)
+    assert (w.n1, w.n2, w.gap) == (36, 36, 0)
+    # each n once, O(log p) of them, and none past 2 * n1
+    assert len(composed) == len(set(composed)) <= 2 * (72).bit_length()
+    assert max(composed) < (2 * 36) ** 2
+    search = len(composed)
+    composed.clear()
+    assert _scan_witness(seq, 2, 72) == w and len(composed) == 36 > search
+
+
+def test_sandwich_search_raises_where_the_scan_does(monkeypatch):
+    # a probe over budget stands for every larger n: the search skips it when
+    # n1 comes first (zsum: 8^8 cells) and raises it when the scan would
+    seq = make_folner(ZSum(), "zsum_boxes")
+    assert condition_b_witness(seq, 2, 5) == _scan_witness(seq, 2, 5)
+    real = tiling.compose
+
+    def capped(cert, F):
+        if len(F) > 100:
+            raise BudgetError("over budget")
+        return real(cert, F)
+
+    monkeypatch.setattr(tiling, "compose", capped)
+    seq = _z_seq(2)
+    assert condition_b_witness(seq, 2, 18) == _scan_witness(seq, 2, 18)  # n1 = 9
+    for p in (21, 40):  # n1 = 11 and 20 lie past the cap
+        with pytest.raises(BudgetError):
+            _scan_witness(seq, 2, p)
+        with pytest.raises(BudgetError):
+            condition_b_witness(seq, 2, p)
+
+
+@pytest.mark.parametrize("seq", [
+    make_folner(ZPower(2), "z_boxes", anchors="squares"),
+    make_folner(ZPower(1), "explicit", sets=[FinSet(ZPower(1), [(0,)])] * 3),
+], ids=["squares", "explicit"])
+def test_unnested_sequences_are_refused_as_by_the_scan(seq):
+    # neither carries a self-similar certificate, so neither reaches a search
+    for witness in (_scan_witness, condition_b_witness):
+        with pytest.raises(ValueError, match="no self-similar certificate"):
+            witness(seq, 2, 3)
 
 
 # ---------------------------------------------------------------------------
