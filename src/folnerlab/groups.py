@@ -470,7 +470,7 @@ def _combine(op, E: FinSet, F: FinSet, tight: bool = False) -> FinSet:
     the bounding box of the result when ``tight`` (a union)."""
     grp = _require_same_group(E, F)
     w = max(E.width, F.width)
-    boxes = [(_pad(X.lo, w, 0), _pad(X.ext, w, 1)) for X in (E, F) if not X.is_empty]
+    boxes = [b for X, b in zip((E, F), _padded_boxes(E, F)) if not X.is_empty]
     lo = tuple(min(b[0][j] for b in boxes) for j in range(w)) if boxes else (0,) * w
     ext = (tuple(max(b[0][j] + b[1][j] for b in boxes) - lo[j] for j in range(w))
            if boxes else (1,) * w)

@@ -250,11 +250,15 @@ def condition_b_witness(seq: FolnerSeq, m: int, p: int,
     Every sequence with a self-similar certificate (unanchored ``z_boxes``,
     ``cyclic_prefix``, ``zsum_boxes``) is nested, and so are its composed
     sets: "F_p inside composed_n" holds from n1 on, "composed_n inside F_p"
-    up to some n.  So n1 is found by galloping n = 1, 2, 4, ... and
+    up to some n.  A composed set has exactly |F_m| * |F_n| cells, so n1 is
+    at least n0, the least n <= p with |F_m| * |F_n| >= |F_p|, which a
+    bisection over the sizes of F_1, ..., F_p finds without composing.  n1 is
+    then found by galloping n = n0, n0 + 2, n0 + 6, n0 + 14, ... and
     bisecting, and n2 by bisecting below it: each n is composed at most
-    once, none past 2 * n1.  Budgets are monotone on nested sets, so a probe
-    over budget counts as "from n1 on", and is raised when it is the first
-    such n, as a scan over n = 1, 2, ... would.
+    once, none past 2 * n1 - n0, which is n1 itself where n1 = n0 (as on
+    ``z_boxes`` and ``cyclic_prefix``).  Budgets are monotone on nested
+    sets, so a probe over budget counts as "from n1 on"; it is raised when
+    it is n1, and then a scan over n = 1, 2, ... would raise too.
 
     The reported gap is (|F_n1| - |F_n2|) * |F_m| / |F_p|, the normalized
     quantity that must vanish for pointwise convergence transfer.
@@ -276,11 +280,16 @@ def condition_b_witness(seq: FolnerSeq, m: int, p: int,
                 probed[n] = (is_subset(composed, Fp), is_subset(Fp, composed))
         return probed[n]
 
-    # n1: the first n with probe(n)[1] (limit + 1 for none), galloping to a
-    # bracket (lo, hi] and bisecting it
-    lo, hi = 0, 1
+    # n0: the first n <= p whose composed set is as large as F_p
+    lo, hi = 0, p
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if len(cert.tile) * len(seq.generate(mid)) >= len(Fp) else (mid, hi)
+    # n1: the first n with probe(n)[1] (limit + 1 for none), galloping from
+    # n0 to a bracket (lo, hi] and bisecting it
+    lo = hi - 1
     while hi <= limit and not probe(hi)[1]:
-        lo, hi = hi, (min(2 * hi, limit) if hi < limit else limit + 1)
+        lo, hi = hi, (min(3 * hi - 2 * lo, limit) if hi < limit else limit + 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if probe(mid)[1] else (mid, hi)

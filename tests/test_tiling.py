@@ -245,6 +245,23 @@ def test_sandwich_search_composes_log_many_sets(monkeypatch):
     assert _scan_witness(seq, 2, 72) == w and len(composed) == 36 > search
 
 
+@pytest.mark.parametrize("seq, m, p", [
+    (_z_seq(2), 3, 200),  # n1 = 67, just past a power of two
+    (_z_seq(2), 2, 130),  # n1 = 65
+    (_z_seq(3), 3, 100),  # n1 = 34
+    (make_folner(CyclicSum((2,)), "cyclic_prefix"), 3, 20),  # n1 = 17
+])
+def test_sandwich_search_composes_nothing_past_n1(monkeypatch, seq, m, p):
+    # the gallop starts at the least n whose composed set is as large as F_p,
+    # which on boxes and prefixes is n1, wherever n1 sits between powers of two
+    composed = []
+    real = tiling.compose
+    monkeypatch.setattr(tiling, "compose", lambda c, F: composed.append(len(F)) or real(c, F))
+    w = condition_b_witness(seq, m, p)
+    assert w.ok and max(composed) == len(seq.generate(w.n1))
+    assert len(composed) == len(set(composed)) <= 2 * p.bit_length()
+
+
 def test_sandwich_search_raises_where_the_scan_does(monkeypatch):
     # a probe over budget stands for every larger n: the search skips it when
     # n1 comes first (zsum: 8^8 cells) and raises it when the scan would
