@@ -19,7 +19,7 @@ from .families import (AdditiveFamily, AdditivePlus, ClassifyReport,
                        ConcaveCardinality, DerivedPrime, DerivedPrimeM,
                        Family, GAMMAS, MaxFamily, MaxOfAdditives,
                        MinusCardSquared, PROPERTIES, Truncated, classify,
-                       box_core_decomposition, evaluate, family_from_json,
+                       box_core_decomposition, family_from_json,
                        indicator_decomposition_check)
 from .folner import (FolnerSeq, defect_profile, folner_defect,
                      invariance_check, make_folner, ratios_look_divergent,

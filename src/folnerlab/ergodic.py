@@ -423,12 +423,14 @@ def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
         raise GateRefusal("non-empty core", f"index {n} too small for N={N}")
     windows = [seq.generate(i) for i in range(1, N + 1)]
 
-    # first-exceedance classes over the core, as positions in core order
+    # first-exceedance classes over the core, as positions in core order;
+    # values[i][c] is d_{F_i} at the translate of y by core element c
     pts = [system.apply(g, y) for g in core.elems]
     free = np.ones(len(core), dtype=bool)
-    class_pos = []
+    class_pos, values = [], []
     for Fi in windows:
-        hit = free & (fam.sample_values(system, Fi, pts) / len(Fi) > alpha)
+        values.append(fam.sample_values(system, Fi, pts))
+        hit = free & (values[-1] / len(Fi) > alpha)
         free &= ~hit
         class_pos.append(np.flatnonzero(hit))
 
@@ -462,13 +464,13 @@ def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
                        for picks in (class_pos, chosen_pos))
 
     value_chain_ok: Optional[bool] = None
-    total_weight = sum(len(w) * len(ch) for w, ch in zip(windows, chosen))
+    total_weight = sum(len(w) * len(pos) for w, pos in zip(windows, chosen_pos))
     if total_weight > 0:
-        dfn = fam.value(system, seq.generate(n), y)
+        dfn = fam.sample_values(system, seq.generate(n), [y])[0]
         picked = 0.0
-        for Fi, ch in zip(windows, chosen):
-            for c in ch:
-                picked += fam.value(system, Fi, system.apply(c, y))
+        for vals, pos in zip(values, chosen_pos):
+            for c in pos:
+                picked += vals[c]
         value_chain_ok = bool(dfn >= picked - 1e-9
                               and picked > alpha * total_weight)
 
@@ -597,7 +599,9 @@ def birkhoff_check(obs: Observable, seq: FolnerSeq, system: System,
     pts = sample_points(system, samples, seed)
     V = trajectory_matrix(fam, system, seq, schedule, pts)
     ce = conditional_expectation(system, obs, seed=seed + 1)
-    targets = np.array([ce.value(system, y) for y in pts])
+    targets = np.empty(len(pts))
+    for leaf, idx, _ in split_leaves(system, pts):
+        targets[idx] = ce.leaf_means[id(leaf)]
     dev = np.abs(V - targets[:, None])
     within = float((dev[:, -1] <= tol).mean())
     l1 = dev.mean(axis=0)

@@ -57,8 +57,8 @@ class BudgetError(RuntimeError):
 
 class Group:
     """Base class of the group kinds.  Each kind gives exact element
-    arithmetic (``identity``, ``mul``, ``inv``; ``elem_to_json`` writes an
-    element as JSON), dense rows for the array paths
+    arithmetic (``identity``, ``mul``; ``elem_to_json`` writes an element as
+    JSON; set inverses are ``inverse_set``), dense rows for the array paths
     (``dense_width``, ``dense_rows``, ``rows_to_elems``), the seed-free 64-bit
     cell keys of sampling (``elem_key``, ``keys_for_rows``, equal across the
     two) and ``random_elem``."""
@@ -93,9 +93,6 @@ class ZPower(Group):
 
     def mul(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
-
-    def inv(self, a):
-        return tuple(-x for x in a)
 
     def elem_to_json(self, e):
         return list(e)
@@ -155,9 +152,6 @@ class _SparseSumBase(Group):
         for i, v in b:
             d[i] = self._reduce(i, d.get(i, 0) + v)
         return tuple(sorted((i, v) for i, v in d.items() if v))
-
-    def inv(self, a):
-        return tuple((i, self._reduce(i, -v)) for i, v in a)
 
     def random_elem(self, rng, span: int = 3):
         return self._canon([self._random_pair(rng, span)
@@ -432,6 +426,19 @@ class FinSet:
         if self._elems is None:
             self._elems = tuple(self.group.rows_to_elems(self.rows()))
         return self._elems
+
+    def index(self, rows: np.ndarray) -> np.ndarray:
+        """The position in element order of each dense row, or -1 for a row
+        that is not an element."""
+        keys = _keys_in(rows, self.lo, self.ext)
+        found = _member(keys, self.keys)
+        pos = np.searchsorted(self.keys, keys[found])
+        if not isinstance(self.group, ZPower):  # key order -> element order
+            order = np.searchsorted(self.keys, _keys_in(self.rows(), self.lo, self.ext))
+            pos = np.argsort(order)[pos]
+        out = np.full(len(keys), -1, dtype=np.int64)
+        out[found] = pos
+        return out
 
     def take(self, idx) -> "FinSet":
         """The subset at positions ``idx`` of the element order."""

@@ -10,17 +10,16 @@ Points are small frozen records and the action law is exact by construction:
   coordinates lazily, so composing actions is exact integer arithmetic.
 * ``FiniteMixture`` draws a component per sample and delegates.
 
-The vectorized "window" paths evaluate an observable over every translate of
-a finite set for a batch of sample points.  Every leaf batch takes them: a
+Observables are evaluated only on "windows": over every translate of a
+finite set, for a batch of sample points.  Every leaf batch takes them: a
 Bernoulli batch carries one offset per point, so translated points (as in
-the greedy covering) batch with the rest.  They are bit-identical to the
-scalar ``value_fn`` paths, which tests assert and which stay as the
-reference: the same mixer, and a symbol read from the hashed 64-bit word by
-integer cut points that reproduce the scalar float comparisons exactly.
+the greedy covering and the classifier's invariance check) batch with the
+rest.  A symbol is read from the hashed 64-bit word by integer cut points
+that reproduce the float rule ``bisect_right(cum, uniform)`` exactly; the
+tests hold that rule, cell by cell, in a scalar oracle.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -156,13 +155,10 @@ class BernoulliShift(System):
         return ShiftPoint(self.group.mul(g, y.offset), y.cfg)
 
     def uniform_at(self, y: ShiftPoint, h=None) -> float:
+        """The uniform of the one cell h*offset (offset when h is None): the
+        scalar reading of ``window_uniforms``, which the tests' oracle uses."""
         cell = y.offset if h is None else self.group.mul(h, y.offset)
         return uniform_from_key(self.group.elem_key(cell), y.cfg)
-
-    def symbol(self, y: ShiftPoint, h=None) -> int:
-        """The number of entries of cum[:-1] that the uniform reaches: the
-        scalar reference of ``symbols``."""
-        return bisect_right(self.cum, self.uniform_at(y, h), 0, len(self.cum) - 1)
 
     def window_uniforms(self, batch: BernoulliBatch, F: FinSet) -> np.ndarray:
         """The uniforms of the cells g*offset_p for g in F, as a (P, |F|)
@@ -186,8 +182,8 @@ class BernoulliShift(System):
 
     def symbols(self, words: np.ndarray) -> np.ndarray:
         """The symbol of each word of ``window_uniforms``: the number of word
-        cuts it reaches, one compare-and-add per cut.  Equal to ``symbol`` on
-        the word's uniform."""
+        cuts it reaches, one compare-and-add per cut.  Equal to the number of
+        entries of cum[:-1] that the word's uniform reaches."""
         sym = np.zeros(words.shape, dtype=np.min_scalar_type(len(self.probs)))
         for t in self._cuts:
             sym += words >= t
@@ -214,10 +210,6 @@ class TorusRotation(System):
 
     def apply(self, g, y: TorusPoint) -> TorusPoint:
         return TorusPoint(y.base, tuple(s + x for s, x in zip(y.steps, g)))
-
-    def coordinate(self, y: TorusPoint, i: int) -> float:
-        v = y.base[i] + y.steps[i] * self.alphas[i]
-        return v - np.floor(v)
 
 
 class FiniteMixture(System):
@@ -272,14 +264,6 @@ _SYSTEM_KINDS = {
 }
 
 
-def resolve_leaf(system: System, y):
-    """Descend mixtures: (leaf system, leaf point)."""
-    while isinstance(system, FiniteMixture):
-        system = system.parts[y.component][1]
-        y = y.inner
-    return system, y
-
-
 def split_leaves(system: System, points: list):
     """Group points by leaf component: list of (leaf system, index array, batch)."""
     if not isinstance(system, FiniteMixture):
@@ -315,16 +299,11 @@ def make_batch(leaf: System, points: list):
 @dataclass(frozen=True)
 class Observable:
     name: str
-    value_fn: Callable
     window_fn: Callable
     exact_mean_fn: Optional[Callable] = None
     bound: Optional[float] = None
     nonneg: bool = False
     integer_valued: bool = False
-
-    def value(self, system: System, y) -> float:
-        leaf, y = resolve_leaf(system, y)
-        return self.value_fn(leaf, y)
 
     def window_values(self, leaf: System, batch, F: FinSet) -> np.ndarray:
         """Matrix of f(g . y_p) for g in F (columns follow F's order)."""
@@ -347,10 +326,6 @@ def _require_bernoulli(leaf, name, symbol=None):
 def indicator_symbol(symbol: int = 1) -> Observable:
     """f(y) = 1 when the symbol at the identity cell equals ``symbol``."""
 
-    def value_fn(leaf, y):
-        _require_bernoulli(leaf, "indicator_symbol", symbol)
-        return 1.0 if leaf.symbol(y) == symbol else 0.0
-
     def window_fn(leaf, batch, F):
         _require_bernoulli(leaf, "indicator_symbol", symbol)
         return (leaf.symbols(leaf.window_uniforms(batch, F)) == symbol).astype(np.float64)
@@ -361,7 +336,6 @@ def indicator_symbol(symbol: int = 1) -> Observable:
 
     return Observable(
         name=f"indicator_symbol[{symbol}]",
-        value_fn=value_fn,
         window_fn=window_fn,
         exact_mean_fn=exact_mean_fn,
         bound=1.0,
@@ -373,10 +347,6 @@ def indicator_symbol(symbol: int = 1) -> Observable:
 def symbol_value() -> Observable:
     """f(y) = the symbol at the identity cell, as a float."""
 
-    def value_fn(leaf, y):
-        _require_bernoulli(leaf, "symbol_value")
-        return float(leaf.symbol(y))
-
     def window_fn(leaf, batch, F):
         _require_bernoulli(leaf, "symbol_value")
         return leaf.symbols(leaf.window_uniforms(batch, F)).astype(np.float64)
@@ -387,7 +357,6 @@ def symbol_value() -> Observable:
 
     return Observable(
         name="symbol_value",
-        value_fn=value_fn,
         window_fn=window_fn,
         exact_mean_fn=exact_mean_fn,
         nonneg=True,
@@ -398,9 +367,6 @@ def symbol_value() -> Observable:
 def scaled(base: Observable, c: float) -> Observable:
     c = float(c)
 
-    def value_fn(leaf, y):
-        return c * base.value_fn(leaf, y)
-
     def window_fn(leaf, batch, F):
         return c * base.window_values(leaf, batch, F)
 
@@ -410,7 +376,6 @@ def scaled(base: Observable, c: float) -> Observable:
 
     return Observable(
         name=f"scaled[{c}]({base.name})",
-        value_fn=value_fn,
         window_fn=window_fn,
         exact_mean_fn=exact_mean_fn,
         bound=None if base.bound is None else abs(c) * base.bound,
@@ -427,10 +392,6 @@ def torus_coordinate(i: int = 0) -> Observable:
             raise UnsupportedObservable(f"torus_coordinate: index {i} is outside "
                                         f"the {leaf.group.d}-coordinate torus")
 
-    def value_fn(leaf, y):
-        _require_torus(leaf)
-        return float(leaf.coordinate(y, i))
-
     def window_fn(leaf, batch, F):
         _require_torus(leaf)
         rows = F.rows()
@@ -440,7 +401,6 @@ def torus_coordinate(i: int = 0) -> Observable:
 
     return Observable(
         name=f"torus_coordinate[{i}]",
-        value_fn=value_fn,
         window_fn=window_fn,
         exact_mean_fn=lambda leaf: 0.5,
         bound=1.0,
@@ -469,13 +429,6 @@ def neg_pow_run(base: float = 2.0, cap: int = 40) -> Observable:
         if not isinstance(leaf.group, ZPower) or leaf.group.d != 1:
             raise UnsupportedObservable("neg_pow_run needs a Bernoulli shift on Z")
 
-    def value_fn(leaf, y):
-        _require_line(leaf)
-        r = 0
-        while r < cap and leaf.symbol(y, (r,)) == 1:
-            r += 1
-        return -base ** r
-
     def window_fn(leaf, batch, F):
         # runs over the cells [min F, max F + cap], then F's columns
         _require_line(leaf)
@@ -491,7 +444,6 @@ def neg_pow_run(base: float = 2.0, cap: int = 40) -> Observable:
 
     return Observable(
         name=f"neg_pow_run[{base},{cap}]",
-        value_fn=value_fn,
         window_fn=window_fn,
         nonneg=False,
     )
@@ -520,11 +472,7 @@ _OBSERVABLE_KINDS = {
 @dataclass(frozen=True)
 class CondExp:
     components: tuple  # (weight, leaf id, mean, stderr)
-    _leaf_means: dict
-
-    def value(self, system: System, y) -> float:
-        leaf, _ = resolve_leaf(system, y)
-        return self._leaf_means[id(leaf)]
+    leaf_means: dict  # leaf id -> mean
 
     @property
     def mean(self) -> float:
@@ -542,8 +490,9 @@ def conditional_expectation(system: System, obs: Observable,
         se = 0.0
         if m is None:
             rng = np.random.default_rng([seed, k])
-            vals = np.array([obs.value(leaf, leaf.sample_point(rng))
-                             for _ in range(samples)])
+            batch = make_batch(leaf, [leaf.sample_point(rng) for _ in range(samples)])
+            origin = FinSet(leaf.group, [leaf.group.identity()])
+            vals = obs.window_values(leaf, batch, origin)[:, 0]
             m = float(vals.mean())
             se = float(vals.std(ddof=1) / np.sqrt(samples))
         comps.append((w, id(leaf), float(m), se))

@@ -2,16 +2,18 @@
 verdicts, trial counts, ``max_gap`` and full counterexample dicts, on every
 family kind x group kind x system kind.
 
-The digests were taken from the scalar classifier (one ``Family.value`` per
-set and trial), so the batch classifier must reproduce its reports: the
+The digests were taken from the scalar classifier (one scalar family value
+per set and trial), so the batch classifier must reproduce its reports: the
 same sets and points per trial, the same first counterexample, the same
 trial counts.  Families whose values are not exactly-represented floats pin
-everything but ``max_gap``, which is compared within 1e-12.
+everything but ``max_gap``, which is compared within 1e-12.  On the same
+grid, the masked ``leaf_values`` are checked against the scalar oracle.
 """
 import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from folnerlab.families import (GAMMAS, AdditiveFamily, AdditivePlus,
@@ -22,8 +24,9 @@ from folnerlab.folner import make_folner
 from folnerlab.groups import CyclicSum, ZPower, ZSum
 from folnerlab.systems import (BernoulliShift, FiniteMixture, TorusRotation,
                                indicator_symbol, neg_pow_run, scaled,
-                               symbol_value, torus_coordinate)
-from folnerlab.tiling import standard_cert
+                               split_leaves, symbol_value, torus_coordinate)
+from folnerlab.tiling import standard_cert, window_set
+from scalar_oracle import family_value
 
 TRIALS = 60
 GROUPS = {"z1": ZPower(1), "z2": ZPower(2), "cyclic2": CyclicSum((2,)),
@@ -116,6 +119,32 @@ def test_classify_report_is_pinned(case):
     if gaps is not None:
         for prop, gap in gaps.items():
             assert abs(gap - MAX_GAPS[case][prop]) <= 1e-12, prop
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_masked_leaf_values_match_the_oracle(case):
+    # each point's masked subset of a window, at sampled and translated
+    # points: bit for bit on exact families, within 1e-12 otherwise
+    grp, system, fam = _case(case)
+    W = window_set(grp, 2, 2)
+    rng = np.random.default_rng(17)
+    ys = [system.sample_point(rng) for _ in range(4)]
+    pts = ys + [system.apply(grp.random_elem(rng, 2), y) for y in ys]
+    mask = rng.random((len(pts), len(W))) < 0.5
+    mask[0] = True
+    mask[1] = False
+    mask[1, -1] = True
+    for leaf, idx, batch in split_leaves(system, pts):
+        got = fam.leaf_values(leaf, batch, W, mask[idx])
+        for v, i in zip(got.tolist(), idx):
+            sub = W.take(np.flatnonzero(mask[i]))
+            if sub.is_empty:  # the caller reads an empty subset as 0
+                continue
+            want = family_value(fam, system, sub, pts[i])
+            if fam.exact_values:
+                assert v == want, i
+            else:
+                assert abs(v - want) <= 1e-12, i
 
 
 def test_every_family_kind_fails_somewhere():

@@ -376,8 +376,9 @@ def test_kingman_refuses_non_subadditive_family_with_counterexample():
         declared = frozenset({"subadditive", "invariant"})
         exact_values = True
 
-        def value(self, system, F, y):
-            return float(len(F)) ** 2
+        def leaf_values(self, leaf, batch, F, mask=None):
+            cards = np.full(len(batch), len(F)) if mask is None else mask.sum(axis=1)
+            return cards.astype(np.float64) ** 2
 
     with pytest.raises(GateRefusal) as exc:
         kingman_run(CardSquared(), _seq(), _system(), [2, 4, 8], samples=50)

@@ -20,7 +20,6 @@ from folnerlab.families import (
     Truncated,
     box_core_decomposition,
     classify,
-    evaluate,
     family_from_json,
     indicator_decomposition_check,
     indicator_identity_holds,
@@ -31,6 +30,7 @@ from folnerlab.groups import FinSet, ZPower, erode, multiplicity, product_set
 from folnerlab.systems import (BernoulliShift, TorusRotation, indicator_symbol,
                                scaled, symbol_value, torus_coordinate)
 from folnerlab.tiling import standard_cert
+from scalar_oracle import family_value
 
 
 def _group():
@@ -116,7 +116,7 @@ def test_derived_family_of_an_additive_base_vanishes():
     rng = np.random.default_rng(3)
     for n in (2, 5, 9):
         y = system.sample_point(rng)
-        assert evaluate(fam, system, seq.generate(n), y) == 0.0
+        assert fam.sample_values(system, seq.generate(n), [y]).tolist() == [0.0]
     rep = _classify(fam, trials=80)
     assert all(v.passed for v in rep.verdicts.values())
 
@@ -171,7 +171,7 @@ def test_tile_derived_family_nonzero_base_is_invariant():
 ], ids=["bernoulli", "torus"])
 def test_wrapped_tile_derived_family_samples_on_its_leaf_path(system, observables):
     # Truncated reaches DerivedPrimeM through leaf_values, on points with
-    # different offsets, and matches the scalar values (on the torus the max
+    # different offsets, and matches the scalar oracle (on the torus the max
     # of two non-negative multiples is additive, so its values are all 0)
     cert = standard_cert(_seq(), 2)
     fam = Truncated(DerivedPrimeM(MaxOfAdditives(*observables), cert), 3)
@@ -180,13 +180,14 @@ def test_wrapped_tile_derived_family_samples_on_its_leaf_path(system, observable
     pts = ys + [system.apply((7,), y) for y in ys]
     F = _seq().generate(4)
     vals = fam.sample_values(system, F, pts)
-    ref = [fam.value(system, F, y) for y in pts]
+    ref = [family_value(fam, system, F, y) for y in pts]
     np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
     assert any(v != 0 for v in ref) == isinstance(system, BernoulliShift)
     # a derived family over it reads its singleton values, which are 0
     outer = DerivedPrime(fam.base)
     np.testing.assert_allclose(outer.sample_values(system, F, pts),
-                               [outer.value(system, F, y) for y in pts], rtol=0, atol=1e-12)
+                               [family_value(outer, system, F, y) for y in pts],
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +246,12 @@ def test_truncation_clips_at_linear_floor():
     base = AdditivePlus(symbol_value(), lambda k: -3.0 * k, 1.0, "steep_drop")
     fam = Truncated(base, 1)
     F = _seq().generate(4)
-    y = system.sample_point(np.random.default_rng(0))
-    raw = evaluate(base, system, F, y)
+    y = [system.sample_point(np.random.default_rng(0))]
+    [raw] = base.sample_values(system, F, y)
     assert raw < -4.0
-    assert evaluate(fam, system, F, y) == -4.0  # clipped at -N |F|
+    assert fam.sample_values(system, F, y).tolist() == [-4.0]  # clipped at -N |F|
     loose = Truncated(base, 100)
-    assert evaluate(loose, system, F, y) == raw
+    assert loose.sample_values(system, F, y).tolist() == [raw]
 
 
 def test_truncation_level_must_be_positive():
@@ -269,8 +270,8 @@ def test_normalized_evaluation():
     F = _seq().generate(8)
     pts = sample_points(system, 5, seed=1)
     V = trajectory_matrix(fam, system, _seq(), [8], pts)
-    assert V[:, 0].tolist() == [evaluate(fam, system, F, y) / 8 for y in pts]
-    assert evaluate(fam, system, FinSet(_group(), ()), pts[0]) == 0.0
+    assert V[:, 0].tolist() == [family_value(fam, system, F, y) / 8 for y in pts]
+    assert fam.sample_values(system, FinSet(_group(), ()), pts).tolist() == [0.0] * 5
 
 
 _ADDITIVE = {"kind": "additive", "observable": {"kind": "symbol_value"}}

@@ -1,5 +1,6 @@
 """Every name a module of ``folnerlab`` imports is used by that module,
-every module-level function or class has a caller outside the tests, finite
+every module-level function or class and every method has a caller outside
+the tests, finite
 sets stay in their one representation, config parsers read only through the
 checked reader, the FFT products import no scipy, and the package states
 one version.
@@ -36,6 +37,11 @@ _UNREFERENCED_OK = {
     "box_core_decomposition": "builds the paper's indicator decomposition of a box",
     "indicator_decomposition_check": "checks the indicator-decomposition lemma",
     "composed_seq_check": "checks the composed-tiling Folner lemma",
+}
+# methods and properties that nothing outside the tests names, each with why
+# it stays
+_UNREFERENCED_METHODS_OK = {
+    "uniform_at": "bench/tracer.py counts its calls and names it only as a string",
 }
 
 
@@ -117,6 +123,44 @@ def test_unreferenced_check_ignores_test_callers(tmp_path):
     # the allowlist holds only names the check would flag
     flagged = {n for m in MODULES for n in _unreferenced(SRC / m, SCANNED)}
     assert len(_UNREFERENCED_OK) <= 3 and set(_UNREFERENCED_OK) <= flagged
+
+
+def _unreferenced_methods(path: Path, scanned: list) -> list:
+    """``Class.name`` of each method or property of a class in ``path`` whose
+    name no scanned file mentions, nor its own module outside its def;
+    dunders are exempt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    elsewhere = set().union(*(_file_refs(p) for p in scanned if p != path))
+    return [f"{cls.name}.{node.name}"
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in elsewhere
+            and node.name not in _referenced(tree, skip=node)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unreferenced_methods(module):
+    dead = _unreferenced_methods(SRC / module, SCANNED)
+    assert [m for m in dead if m.split(".")[1] not in _UNREFERENCED_METHODS_OK] == []
+
+
+def test_unreferenced_method_check_ignores_test_callers(tmp_path):
+    files = {"src/pkg/__init__.py": "from .mod import C\n",
+             "src/pkg/mod.py": "class C:\n    def __len__(self):\n        return 0\n\n"
+                               "    def helper(self):\n        return 1\n\n"
+                               "    def used(self):\n        return self.inner()\n\n"
+                               "    def inner(self):\n        return 2\n",
+             "demos/demo.py": "from pkg.mod import C\nC().used()\n",
+             "tests/test_mod.py": "from pkg.mod import C\nC().helper()\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert _unreferenced_methods(tmp_path / "src/pkg/mod.py", _scanned(tmp_path)) == ["C.helper"]
+    # the allowlist holds only names the check would flag
+    flagged = {m.split(".")[1] for mod in MODULES
+               for m in _unreferenced_methods(SRC / mod, SCANNED)}
+    assert set(_UNREFERENCED_METHODS_OK) <= flagged
 
 
 def _mentions_elems(node: ast.AST) -> bool:

@@ -25,6 +25,7 @@ from folnerlab.systems import (
     torus_coordinate,
 )
 from folnerlab.tiling import window_set
+from scalar_oracle import family_value, obs_value
 
 ALPHA = (math.sqrt(5) - 1) / 2  # irrational rotation step
 
@@ -80,7 +81,7 @@ def test_action_on_lattice():
 
 
 # ---------------------------------------------------------------------------
-# vectorized windows agree with the scalar path bit for bit
+# vectorized windows agree with the scalar oracle bit for bit
 
 
 def test_bernoulli_window_bit_identical():
@@ -95,7 +96,7 @@ def test_bernoulli_window_bit_identical():
     assert mat.shape == (5, 7)
     for r, y in enumerate(pts):
         for c, g in enumerate(F.elems):
-            assert mat[r, c] == obs.value(system, system.apply(g, y))
+            assert mat[r, c] == obs_value(obs, system, system.apply(g, y))
 
 
 def _slab_case(case):
@@ -124,7 +125,7 @@ def test_sample_values_slabs_bit_identical(case):
     fam = families.AdditiveFamily(obs)
     vals = fam.sample_values(system, F, pts)
     for i in subset:
-        assert vals[i] == fam.value(system, F, pts[i]), i
+        assert vals[i] == family_value(fam, system, F, pts[i]), i
 
 
 def test_neg_pow_run_window_bit_identical():
@@ -137,7 +138,7 @@ def test_neg_pow_run_window_bit_identical():
     mat = obs.window_values(system, batch, F)
     for r, y in enumerate(pts):
         for c, g in enumerate(F.elems):
-            assert mat[r, c] == obs.value(system, system.apply(g, y))
+            assert mat[r, c] == obs_value(obs, system, system.apply(g, y))
 
 
 def test_torus_window_matches_scalar():
@@ -149,7 +150,7 @@ def test_torus_window_matches_scalar():
     obs = torus_coordinate(0)
     mat = obs.window_values(system, batch, F)
     expect = np.array(
-        [[obs.value(system, system.apply(g, y)) for g in F.elems] for y in pts]
+        [[obs_value(obs, system, system.apply(g, y)) for g in F.elems] for y in pts]
     )
     assert np.allclose(mat, expect, rtol=0, atol=1e-12)
 
@@ -173,7 +174,7 @@ _MIXED_CASES = [
     ids=[f"{g.kind}-{n}" + ("-gappy" if w else "") for g, n, w in _MIXED_CASES])
 def test_mixed_offsets_stay_bernoulli_batch(grp, name, window):
     # points translated by different offsets (and two sharing one) batch
-    # together and match the scalar path bit for bit
+    # together and match the scalar oracle bit for bit
     system = BernoulliShift(grp, (0.4, 0.6), seed=5)
     obs = {"indicator_symbol": indicator_symbol(1), "symbol_value": symbol_value(),
            "neg_pow_run": neg_pow_run(2.0, cap=12)}[name]
@@ -188,7 +189,7 @@ def test_mixed_offsets_stay_bernoulli_batch(grp, name, window):
     assert mat.shape == (len(pts), len(F))
     for r, p in enumerate(pts):
         for c, g in enumerate(F.elems):
-            assert mat[r, c] == obs.value(system, system.apply(g, p))
+            assert mat[r, c] == obs_value(obs, system, system.apply(g, p))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ def test_bernoulli_marginals_match_probs():
     n = 4000
     pts = [system.sample_point(rng) for _ in range(n)]
     obs = indicator_symbol(1)
-    vals = np.array([obs.value(system, y) for y in pts])
+    vals = obs.window_values(system, make_batch(system, pts), _box(system.group, 1))
     sigma = math.sqrt(0.3 * 0.7 / n)
     assert abs(vals.mean() - 0.3) <= 4 * sigma
 
@@ -213,7 +214,8 @@ def test_translation_preserves_marginals():
     n = 4000
     pts = [system.sample_point(rng) for _ in range(n)]
     obs = indicator_symbol(1)
-    shifted = np.array([obs.value(system, system.apply((137,), y)) for y in pts])
+    moved = make_batch(system, [system.apply((137,), y) for y in pts])
+    shifted = obs.window_values(system, moved, _box(system.group, 1))
     sigma = math.sqrt(0.3 * 0.7 / n)
     assert abs(shifted.mean() - 0.3) <= 4 * sigma
 
@@ -243,12 +245,10 @@ def test_exact_means():
 def test_conditional_expectation_is_exact_on_single_leaves():
     bern = _bernoulli()
     ce = conditional_expectation(bern, indicator_symbol(1))
-    y = bern.sample_point(np.random.default_rng(0))
-    assert ce.value(bern, y) == 0.3
+    assert ce.leaf_means == {id(bern): 0.3}
     tor = _torus()
     ce = conditional_expectation(tor, torus_coordinate(0))
-    ty = tor.sample_point(np.random.default_rng(0))
-    assert ce.value(tor, ty) == 0.5
+    assert ce.leaf_means == {id(tor): 0.5}
 
 
 def test_conditional_expectation_splits_mixture_by_component():
@@ -257,11 +257,7 @@ def test_conditional_expectation_splits_mixture_by_component():
         seed=3,
     )
     ce = conditional_expectation(system, indicator_symbol(1))
-    rng = np.random.default_rng(6)
-    pts = [system.sample_point(rng) for _ in range(50)]
-    assert {y.component for y in pts} == {0, 1}
-    for y in pts:
-        assert ce.value(system, y) == (0.25 if y.component == 0 else 0.75)
+    assert ce.leaf_means == {id(system.parts[0][1]): 0.25, id(system.parts[1][1]): 0.75}
 
 
 def test_conditional_expectation_rejects_unsupported_leaves():
@@ -311,22 +307,20 @@ def test_split_leaves_trivial_on_plain_system():
 def test_unsupported_observable_errors():
     bern = _bernoulli()
     tor = _torus()
-    by = bern.sample_point(np.random.default_rng(0))
-    ty = tor.sample_point(np.random.default_rng(0))
+    by = make_batch(bern, [bern.sample_point(np.random.default_rng(0))])
+    ty = make_batch(tor, [tor.sample_point(np.random.default_rng(0))])
     with pytest.raises(UnsupportedObservable):
-        torus_coordinate(0).value(bern, by)
+        torus_coordinate(0).window_values(bern, by, _box(bern.group, 1))
     with pytest.raises(UnsupportedObservable):
-        indicator_symbol(1).value(tor, ty)
+        indicator_symbol(1).window_values(tor, ty, _box(tor.group, 1))
 
 
 @pytest.mark.parametrize("symbol", [-1, 2])
 def test_indicator_symbol_outside_alphabet_is_unsupported(symbol):
-    # the scalar, window and exact-mean paths must agree: all refuse
+    # the window and exact-mean paths must agree: both refuse
     bern = _bernoulli()
     pts = [bern.sample_point(np.random.default_rng(0))]
     obs = indicator_symbol(symbol)
-    with pytest.raises(UnsupportedObservable):
-        obs.value(bern, pts[0])
     with pytest.raises(UnsupportedObservable):
         obs.window_values(bern, make_batch(bern, pts), _box(bern.group, 3))
     with pytest.raises(UnsupportedObservable):
@@ -334,12 +328,10 @@ def test_indicator_symbol_outside_alphabet_is_unsupported(symbol):
 
 
 def test_neg_pow_run_off_the_line_is_unsupported():
-    # the scalar and window paths must agree: both refuse Z^2
+    # the window path refuses Z^2
     bern = _bernoulli(d=2)
     pts = [bern.sample_point(np.random.default_rng(0))]
     obs = neg_pow_run()
-    with pytest.raises(UnsupportedObservable):
-        obs.value(bern, pts[0])
     with pytest.raises(UnsupportedObservable):
         obs.window_values(bern, make_batch(bern, pts),
                           FinSet(bern.group, ((0, 0), (1, 0), (2, 0))))
@@ -390,7 +382,9 @@ def test_observable_json_roundtrip():
     ]:
         back = observable_from_json(d)
         assert back.name == obs.name
-        assert back.value(system, pt) == obs.value(system, pt)
+        batch, F = make_batch(system, [pt]), _box(system.group, 3)
+        assert np.array_equal(back.window_values(system, batch, F),
+                              obs.window_values(system, batch, F))
 
 
 def test_sampling_is_deterministic_given_rng_seed():
