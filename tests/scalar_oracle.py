@@ -40,6 +40,14 @@ def coordinate(leaf, y, i: int) -> float:
     return v - np.floor(v)
 
 
+def _indicator(symbol_):
+    return lambda leaf, y: 1.0 if symbol(leaf, y) == symbol_ else 0.0
+
+
+def _scaled(c, base):
+    return lambda leaf, y: c * base(leaf, y)
+
+
 def _neg_pow_run(base, cap):
     def rule(leaf, y):
         r = 0
@@ -49,15 +57,12 @@ def _neg_pow_run(base, cap):
     return rule
 
 
-# observable name pattern -> rule builder; the builders of folnerlab.systems
-# write each parameter into the name
+# observable name pattern -> rule; the builders of folnerlab.systems write
+# each parameter into the name
 _RULES = (
-    (r"indicator_symbol\[(-?\d+)\]",
-     lambda m: lambda leaf, y: 1.0 if symbol(leaf, y) == int(m[1]) else 0.0),
+    (r"indicator_symbol\[(-?\d+)\]", lambda m: _indicator(int(m[1]))),
     (r"symbol_value", lambda m: lambda leaf, y: float(symbol(leaf, y))),
-    (r"scaled\[([^\]]+)\]\((.*)\)",
-     lambda m: (lambda c, base: lambda leaf, y: c * base(leaf, y))(
-         float(m[1]), observable_rule(m[2]))),
+    (r"scaled\[([^\]]+)\]\((.*)\)", lambda m: _scaled(float(m[1]), observable_rule(m[2]))),
     (r"torus_coordinate\[(\d+)\]",
      lambda m: lambda leaf, y: float(coordinate(leaf, y, int(m[1])))),
     (r"neg_pow_run\[([^,]+),(\d+)\]", lambda m: _neg_pow_run(float(m[1]), int(m[2]))),
