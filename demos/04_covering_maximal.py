@@ -21,7 +21,7 @@ def main() -> None:
     fam = AdditiveFamily(indicator_symbol(1))
 
     print("== one covering instance, narrated ==")
-    y = sample_points(system, 1, seed=9)[0]
+    y = sample_points(system, 1, seed=9)[:1]
     rep = greedy_cover(fam, system, y, seq, n=12, alpha=0.5, N=4)
     print(f"  core size |F_n*| = {rep.core_size} (n=12, N=4)")
     print(f"  exceedance classes per window: {[len(c) for c in rep.classes]}")

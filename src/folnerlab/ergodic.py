@@ -29,8 +29,8 @@ from .folner import (FolnerSeq, _inverse_unions, make_folner, tempelman_report,
                      tempered_report)
 from .groups import (BudgetError, EnumBudget, FinSet, Group, diff,
                      enumerate_finsets, erode, intersect, is_subset,
-                     product_set, translate_left, translate_right, union)
-from .systems import (Observable, System, conditional_expectation,
+                     product_set, translate_right, union)
+from .systems import (Observable, Points, System, conditional_expectation,
                       split_leaves)
 from .tiling import (LatticeCenters, PrefixShiftCenters, TilingCert,
                      TilingOverlapError, ZSumLatticeCenters, compose,
@@ -91,8 +91,8 @@ def thread_cap() -> int:
 _BLOCK = 128  # points per worker block; results reassembled in block order
 
 
-def pmap_blocks(fn: Callable, items: list) -> np.ndarray:
-    """Map fn over blocks of _BLOCK items; concatenate in block order so the
+def pmap_blocks(fn: Callable, items: Points) -> np.ndarray:
+    """Map fn over blocks of _BLOCK points; concatenate in block order so the
     result is independent of the number of worker threads."""
     if not items:
         return np.empty(0)
@@ -124,18 +124,18 @@ def _estimate(values: np.ndarray, seed: int) -> Estimate:
     return Estimate(float(values.mean()), sd / math.sqrt(n), n, seed)
 
 
-def sample_points(system: System, samples: int, seed: int) -> list:
-    """Common-random-number points: sample i always uses substream [seed, i]."""
-    return [system.sample_point(np.random.default_rng([seed, i]))
-            for i in range(samples)]
+def sample_points(system: System, samples: int, seed: int) -> Points:
+    """Common-random-number points: sample i always uses substream [seed, i].
+    The generators are made one at a time, as the points are drawn."""
+    return system.sample(np.random.default_rng([seed, i]) for i in range(samples))
 
 
-def family_values(fam: Family, system: System, F: FinSet, points: list) -> np.ndarray:
+def family_values(fam: Family, system: System, F: FinSet, points: Points) -> np.ndarray:
     return pmap_blocks(lambda blk: fam.sample_values(system, F, blk), points)
 
 
 def trajectory_matrix(fam: Family, system: System, seq: FolnerSeq,
-                      schedule: Sequence[int], points: list) -> np.ndarray:
+                      schedule: Sequence[int], points: Points) -> np.ndarray:
     """Normalized values d_{F_n}(y)/|F_n| for each point (row) and scheduled
     index (column)."""
     out = np.empty((len(points), len(schedule)))
@@ -374,8 +374,8 @@ class GreedyCoverReport:
     alpha: float
     N: int
     core_size: int              # |F_n*|
-    classes: tuple              # C_i element tuples
-    chosen: tuple               # C_i' element tuples
+    classes: tuple              # C_i, as subsets of the core
+    chosen: tuple               # C_i', as subsets of the core
     exceed_count: int           # |{g in F_n*: some normalized value > alpha}|
     union_bound: Fraction       # sum_i |U_{j<=i} F_j^{-1}F_i| * |C_i'|
     tempelman_bound: Fraction   # M * sum_i |F_i| * |C_i'|
@@ -407,9 +407,10 @@ def _core_set(seq: FolnerSeq, n: int, N: int) -> FinSet:
         intersect, (erode(Fn, seq.generate(i)) for i in range(1, N + 1)), Fn)
 
 
-def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
+def greedy_cover(fam: Family, system: System, y: Points, seq: FolnerSeq, n: int,
                  alpha: float, N: int) -> GreedyCoverReport:
-    """Exceedance classes and backward maximal disjoint packings.
+    """Exceedance classes and backward maximal disjoint packings, at the
+    one point of ``y``.
 
     Classes assign each core element to its first index whose normalized
     value exceeds alpha; the packings are built from the last class down,
@@ -422,10 +423,12 @@ def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
     if core.is_empty:
         raise GateRefusal("non-empty core", f"index {n} too small for N={N}")
     windows = [seq.generate(i) for i in range(1, N + 1)]
+    width = max(X.width for X in (core, *windows))
+    rows = core.rows(width)
 
     # first-exceedance classes over the core, as positions in core order;
     # values[i][c] is d_{F_i} at the translate of y by core element c
-    pts = [system.apply(g, y) for g in core.elems]
+    pts = y[np.zeros(len(core), dtype=np.int64)].moved(grp, rows)
     free = np.ones(len(core), dtype=bool)
     class_pos, values = [], []
     for Fi in windows:
@@ -439,8 +442,9 @@ def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
     chosen_pos = [None] * N
     for i in range(N - 1, -1, -1):
         keep = []
+        window = windows[i].rows(width)
         for c in class_pos[i]:
-            cells = translate_left(core.elems[c], windows[i])
+            cells = FinSet.from_rows(grp, grp.add_rows(window, rows[c]))
             if intersect(cells, occupied).is_empty:
                 keep.append(c)
                 occupied = union(occupied, cells)
@@ -452,21 +456,20 @@ def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
     temp_bound = Fraction(0)
     witness = Fraction(0)
     cover = FinSet(grp)
-    for (Fi, Ui), pos in zip(_inverse_unions(seq, N), chosen_pos):
+    chosen = tuple(core.take(pos) for pos in chosen_pos)
+    for (Fi, Ui), Ci in zip(_inverse_unions(seq, N), chosen):
         witness = max(witness, Fraction(len(Ui), len(Fi)))
-        union_bound += Fraction(len(Ui)) * len(pos)
-        temp_bound += Fraction(len(Fi)) * len(pos)
-        cover = union(cover, product_set(Ui, core.take(pos)))
+        union_bound += Fraction(len(Ui)) * len(Ci)
+        temp_bound += Fraction(len(Fi)) * len(Ci)
+        cover = union(cover, product_set(Ui, Ci))
     temp_bound *= witness
     exceed = sum(len(pos) for pos in class_pos)
     covered = is_subset(core.take(np.concatenate(class_pos)), cover)
-    classes, chosen = ([tuple(core.elems[j] for j in pos) for pos in picks]
-                       for picks in (class_pos, chosen_pos))
 
     value_chain_ok: Optional[bool] = None
     total_weight = sum(len(w) * len(pos) for w, pos in zip(windows, chosen_pos))
     if total_weight > 0:
-        dfn = fam.sample_values(system, seq.generate(n), [y])[0]
+        dfn = fam.sample_values(system, seq.generate(n), y)[0]
         picked = 0.0
         for vals, pos in zip(values, chosen_pos):
             for c in pos:
@@ -476,8 +479,8 @@ def greedy_cover(fam: Family, system: System, y, seq: FolnerSeq, n: int,
 
     return GreedyCoverReport(
         n=n, alpha=float(alpha), N=N, core_size=len(core),
-        classes=tuple(classes), chosen=tuple(chosen), exceed_count=exceed,
-        union_bound=union_bound, tempelman_bound=temp_bound,
+        classes=tuple(core.take(pos) for pos in class_pos), chosen=chosen,
+        exceed_count=exceed, union_bound=union_bound, tempelman_bound=temp_bound,
         covered=covered, value_chain_ok=value_chain_ok)
 
 
@@ -538,7 +541,7 @@ def maximal_inequality_check(fam: Family, seq: FolnerSeq, system: System,
     bound = (M / alpha) * nu_term
     stats = []
     for j in range(greedy_instances):
-        y = system.sample_point(np.random.default_rng([seed, 10_000 + j]))
+        y = system.sample([np.random.default_rng([seed, 10_000 + j])])
         stats.append(greedy_cover(fam, system, y, seq, max(2 * N, 6), alpha, N))
     ok = (mass <= bound + 4.0 * se
           and all(s.inequality_ok and s.covered for s in stats))
@@ -702,8 +705,13 @@ def _candidate_infimum(fam: Family, leaf: System, candidates, samples: int,
             "ergodic": leaf.ergodic}
 
 
-def _leaf_targets(fam: Family, system: System, pts, candidates,
-                  conc_samples: int, seed: int):
+_TILE_BUDGET = (6, 3)  # (max_card, max_index) of the candidate tiles
+_CONC_SAMPLES = 400  # points per leaf of a candidate infimum
+_LADDER_LEVELS = (1, 2, 4, 8)  # kingman_run's truncations below its nu floor
+_TEMPELMAN_CAP = 256.0  # kingman_run's bound on the scheduled growth ratios
+
+
+def _leaf_targets(fam: Family, system: System, pts, candidates, seed: int):
     """Per-point infimum targets via the leaf decomposition.
 
     Returns (targets array or None, list of per-leaf info dicts, all_ergodic,
@@ -714,7 +722,7 @@ def _leaf_targets(fam: Family, system: System, pts, candidates,
     all_erg = True
     all_stab = True
     for k, (leaf, idx, _) in enumerate(buckets):
-        info = _candidate_infimum(fam, leaf, candidates, conc_samples,
+        info = _candidate_infimum(fam, leaf, candidates, _CONC_SAMPLES,
                                   seed + 1009 * (k + 1))
         infos.append({"n_points": int(len(idx)), "inf": info["inf"],
                       "stabilized": info["stabilized"],
@@ -752,11 +760,7 @@ def kingman_run(fam: Family, seq: FolnerSeq, system: System, schedule,
                 samples: int, seed: int = 7, tol: float = 0.05,
                 tail: int = 3, osc_tol: Optional[float] = None,
                 nu_floor: float = -25.0,
-                report: Optional[ClassifyReport] = None,
-                tile_budget: tuple = (6, 3),
-                conc_samples: int = 400,
-                ladder_levels: tuple = (1, 2, 4, 8),
-                tempelman_cap: float = 256.0) -> ConvergenceReport:
+                report: Optional[ClassifyReport] = None) -> ConvergenceReport:
     """Normalized sub-additive averages along a self-similar tiling schedule.
 
     Every hypothesis is machine-checked before any trajectory is sampled:
@@ -785,7 +789,7 @@ def kingman_run(fam: Family, seq: FolnerSeq, system: System, schedule,
     sub = make_folner(seq.group, "explicit",
                       sets=tuple(seq.generate(n) for n in schedule))
     growth = tempelman_report(sub, len(schedule))
-    if not growth.ok or growth.witness > tempelman_cap:
+    if not growth.ok or growth.witness > _TEMPELMAN_CAP:
         raise GateRefusal("bounded inverse-union growth",
                           "ratios diverge on the scheduled subsequence",
                           {"ratios": [float(r) for r in growth.ratios]})
@@ -797,7 +801,7 @@ def kingman_run(fam: Family, seq: FolnerSeq, system: System, schedule,
     probe = nu_estimate(fam, seq, system, schedule[-1],
                         min(samples, 400), seed + 211, report)
     if probe.mean < nu_floor:
-        ladder = truncation_ladder(fam, seq, system, schedule, ladder_levels,
+        ladder = truncation_ladder(fam, seq, system, schedule, _LADDER_LEVELS,
                                    samples, seed)
         gates["nu_floor_breached"] = probe.mean
         top = ladder["levels"][-1]
@@ -822,9 +826,9 @@ def kingman_run(fam: Family, seq: FolnerSeq, system: System, schedule,
     nu_sigma = math.sqrt(terminal.stderr ** 2 + ref.stderr ** 2)
     nu_ok = nu_gap <= 4.0 * nu_sigma + 1e-12
 
-    tiles = [c.tile for c in enumerate_tiles(seq.group, *tile_budget)]
+    tiles = [c.tile for c in enumerate_tiles(seq.group, *_TILE_BUDGET)]
     targets, leaf_infos, all_erg, all_stab = _leaf_targets(
-        fam, system, pts, tiles, conc_samples, seed)
+        fam, system, pts, tiles, seed)
     dev = np.abs(V - targets[:, None])
     within = float((dev[:, -1] <= tol).mean())
     l1 = dev.mean(axis=0)
@@ -888,8 +892,7 @@ def truncation_ladder(fam: Family, seq: FolnerSeq, system: System, schedule,
 
 def limsup_identity_check(fam: Family, seq: FolnerSeq, system: System,
                           mode: str, schedule, samples: int, seed: int = 13,
-                          tol: float = 0.05, conc_samples: int = 400,
-                          tile_budget: tuple = (6, 3),
+                          tol: float = 0.05,
                           budget: Optional[EnumBudget] = None,
                           report: Optional[ClassifyReport] = None) -> dict:
     """Tail running maximum of normalized values against the enumerated
@@ -911,7 +914,7 @@ def limsup_identity_check(fam: Family, seq: FolnerSeq, system: System,
     witness = _tempered_gate(seq, schedule)
     if mode == "bi_invariant":
         _require_tiling(seq, schedule)
-        candidates = [c.tile for c in enumerate_tiles(seq.group, *tile_budget)]
+        candidates = [c.tile for c in enumerate_tiles(seq.group, *_TILE_BUDGET)]
     else:
         if budget is None:
             budget = EnumBudget(max_card=4, lo=-2, hi=2, max_index=2,
@@ -925,7 +928,7 @@ def limsup_identity_check(fam: Family, seq: FolnerSeq, system: System,
     tail_max = V[:, -tail:].max(axis=1)
 
     targets, leaf_infos, all_erg, all_stab = _leaf_targets(
-        fam, system, pts, candidates, conc_samples, seed)
+        fam, system, pts, candidates, seed)
     within = float((np.abs(tail_max - targets) <= tol).mean())
 
     integral = _estimate(tail_max, seed)

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._config import _INT, _NUM, _OBJ, _TWO_OBJS, _get, _kind, _one_of
 from .groups import FinSet, Group, _widen, erode, multiplicity, translate_right
-from .systems import Observable, System, observable_from_json, split_leaves
+from .systems import Observable, Points, System, observable_from_json, split_leaves
 from .tiling import TilingCert, compose, window_set
 
 # a vectorized slab holds about _SLAB_CELLS cells (points x |F|), so that
@@ -77,11 +77,12 @@ class Family:
     declared: frozenset = frozenset()
     exact_values: bool = False  # values are exactly-represented floats
 
-    def act(self, system: System, g, y):
-        """Point translation matching right set translation (overridable)."""
-        return system.apply(g, y)
+    def act(self, system: System, points: Points, g_rows: np.ndarray) -> Points:
+        """Point p translated by the dense row ``g_rows[p]``, matching right
+        set translation (overridable)."""
+        return points.moved(system.group, g_rows)
 
-    def sample_values(self, system: System, F: FinSet, points: list) -> np.ndarray:
+    def sample_values(self, system: System, F: FinSet, points: Points) -> np.ndarray:
         """d_F(y) for a batch of points, split by mixture component."""
         if F.is_empty:
             return np.zeros(len(points))
@@ -97,7 +98,7 @@ def _batch_values(fam: Family, parts: list, F: FinSet, mask=None) -> np.ndarray:
         rows = None if mask is None else mask[idx]
         vals = np.empty(len(batch))
         for sl in _slabs(len(batch), len(F)):
-            vals[sl] = fam.leaf_values(leaf, batch.slice(sl), F,
+            vals[sl] = fam.leaf_values(leaf, batch[sl], F,
                                        None if rows is None else rows[sl])
         out[idx] = vals
     if mask is not None:
@@ -289,8 +290,8 @@ class DerivedPrimeM(Family):
         self.declared = frozenset({"nonnegative", "supadditive", "invariant"})
         self.exact_values = base.exact_values
 
-    def act(self, system, g, y):
-        return system.apply(self.cert.iso.apply(g), y)
+    def act(self, system, points, g_rows):
+        return points.moved(system.group, self.cert.iso.map_rows(g_rows))
 
     def leaf_values(self, leaf, batch, F, mask=None):
         # the tile at iso(g) . y is the translate T iso(g) at y: observables
@@ -460,12 +461,13 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
     span = 2  # radius of the sets' window and of the random translations
     ground = window_set(group, span, 3)
     tol = 0.0 if fam.exact_values else 1e-12
-    picks, gs, ys = [], [], []
+    picks, gs, rngs = [], [], []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         picks.append([_random_positions(rng, len(ground), max_card) for _ in "EF"])
         gs.append(group.random_elem(rng, span))
-        ys.append(system.sample_point(rng))
+        rngs.append(rng)
+    ys = system.sample(rngs)  # each trial's point comes after its E, F and g
     slot = {g: i for i, g in enumerate(dict.fromkeys(gs))}
     W, home, moved = _trial_window(group, ground, list(slot))
     E, F, Eg = (np.zeros((trials, len(W)), dtype=bool) for _ in range(3))
@@ -487,7 +489,7 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
         "strongly_supadditive": [(joint, apart, joint >= apart - tol, every)],
     }
     if {"invariant", "bi_invariant"} & set(properties):
-        acted = split_leaves(system, [fam.act(system, g, y) for g, y in zip(gs, ys)])
+        acted = split_leaves(system, fam.act(system, ys, group.dense_rows(gs)))
         # g.E: as in translate_left, the translate by g read on either side
         vEg, vE_gy, vgE = (_batch_values(fam, p, W, m)
                            for p, m in ((parts, Eg), (acted, E), (parts, Eg)))
@@ -566,7 +568,7 @@ def indicator_decomposition_check(fam: Family, system: System, E: FinSet,
     if not indicator_identity_holds(E, terms):
         raise ValueError("indicator identity does not hold; decomposition bug")
     rng = np.random.default_rng(_DECOMPOSITION_SEED)
-    pts = [system.sample_point(rng) for _ in range(_DECOMPOSITION_SAMPLES)]
+    pts = system.sample([rng] * _DECOMPOSITION_SAMPLES)  # one shared generator
     rhs = np.zeros(len(pts))
     for a, Ei in terms:  # summed term by term, in order
         rhs = rhs + float(a) * fam.sample_values(system, Ei, pts)

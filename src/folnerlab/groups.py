@@ -59,16 +59,20 @@ class Group:
     """Base class of the group kinds.  Each kind gives exact element
     arithmetic (``identity``, ``mul``; ``elem_to_json`` writes an element as
     JSON; set inverses are ``inverse_set``), dense rows for the array paths
-    (``dense_width``, ``dense_rows``, ``rows_to_elems``), the seed-free 64-bit
-    cell keys of sampling (``elem_key``, ``keys_for_rows``, equal across the
-    two) and ``random_elem``."""
+    (``dense_width``, ``dense_rows``, ``rows_to_elems``, ``add_rows``), the
+    seed-free 64-bit cell keys of sampling (``elem_key``, ``keys_for_rows``,
+    equal across the two) and ``random_elem``."""
 
     kind: str = ""
+
+    def add_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The products of dense rows of one width, broadcast as numpy does."""
+        return a + b
 
     def translate_rows(self, rows: np.ndarray, offset_rows: np.ndarray) -> np.ndarray:
         """(K, n, w): the n ``rows`` translated by each of the K ``offset_rows``
         (abelian, so right and left agree)."""
-        return offset_rows[:, None, :] + rows[None, :, :]
+        return self.add_rows(offset_rows[:, None, :], rows[None, :, :])
 
     def generators(self) -> list:
         """Canonical translation directions used by diagnostics."""
@@ -214,9 +218,8 @@ class CyclicSum(_SparseSumBase):
     def periods_vector(self, width: int) -> np.ndarray:
         return np.asarray([self.period(i) for i in range(width)], dtype=np.int64)
 
-    def translate_rows(self, rows: np.ndarray, offset_rows: np.ndarray) -> np.ndarray:
-        return (super().translate_rows(rows, offset_rows)
-                % self.periods_vector(rows.shape[1]))
+    def add_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a + b) % self.periods_vector(a.shape[-1])
 
     def _random_pair(self, rng, span: int) -> tuple:
         i = int(rng.integers(0, span + 1))

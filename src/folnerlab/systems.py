@@ -1,26 +1,31 @@
 """Measure-preserving systems over the supported groups.
 
-Points are small frozen records and the action law is exact by construction:
+Sample points are one record of arrays, ``Points``: for each point, the
+index of its leaf in ``system.components()``, the dense group row of its
+accumulated translation (``offsets``), a 64-bit configuration key (read on
+Bernoulli leaves) and a base point (read on torus leaves).  The action is
+exact by construction: ``Points.moved`` adds group rows to the offsets and
+changes nothing else.
 
-* ``BernoulliShift`` stores a per-sample 64-bit configuration key; the symbol
-  at cell h for point (offset, cfg) is a keyed hash of h*offset, so
-  symbol(h, g.y) == symbol(h*g, y) holds identically and fresh samples are
-  i.i.d. product draws.
-* ``TorusRotation`` keeps the accumulated integer step vector and evaluates
-  coordinates lazily, so composing actions is exact integer arithmetic.
+* ``BernoulliShift``: the symbol at cell h for point (offset, cfg) is a
+  keyed hash of h*offset, so symbol(h, g.y) == symbol(h*g, y) holds
+  identically and fresh samples are i.i.d. product draws.
+* ``TorusRotation``: coordinates are read lazily from the base and the
+  integer offset, so composing actions is exact integer arithmetic.
 * ``FiniteMixture`` draws a component per sample and delegates.
 
 Observables are evaluated only on "windows": over every translate of a
-finite set, for a batch of sample points.  Every leaf batch takes them: a
-Bernoulli batch carries one offset per point, so translated points (as in
-the greedy covering and the classifier's invariance check) batch with the
-rest.  A symbol is read from the hashed 64-bit word by integer cut points
-that reproduce the float rule ``bisect_right(cum, uniform)`` exactly; the
-tests hold that rule, cell by cell, in a scalar oracle.
+finite set, for a batch of sample points.  Every leaf batch takes them:
+points translated by different offsets (as in the greedy covering and the
+classifier's invariance check) batch with the rest.  A symbol is read from
+the hashed 64-bit word by integer cut points that reproduce the float rule
+``bisect_right(cum, uniform)`` exactly; the tests hold that rule, cell by
+cell, in a scalar oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,7 +33,7 @@ import numpy as np
 from ._bits import GOLDEN64, TWO_NEG_64, mix64, uniform_from_key, words_from_keys
 from ._config import (_INT, _NONNEG_INT, _NUM, _NUMS, _OBJ, _OBJS, _get,
                       _kind)
-from .groups import FinSet, Group, ZPower, _box
+from .groups import FinSet, Group, ZPower, _box, _widen
 
 
 class UnsupportedObservable(ValueError):
@@ -39,50 +44,31 @@ class UnsupportedObservable(ValueError):
 # Points
 
 
-@dataclass(frozen=True)
-class ShiftPoint:
-    offset: tuple
-    cfg: int
+@dataclass(frozen=True, eq=False)
+class Points:
+    """A batch of sample points of one system, one array entry per point."""
 
-
-@dataclass(frozen=True)
-class TorusPoint:
-    base: tuple
-    steps: tuple
-
-
-@dataclass(frozen=True)
-class MixturePoint:
-    component: int
-    inner: object
-
-
-# ---------------------------------------------------------------------------
-# Batches (leaf-level, used by the vectorized family paths)
-
-
-@dataclass
-class BernoulliBatch:
-    cfgs: np.ndarray  # uint64, one per point
-    offsets: list  # group element, one per point
+    leaf: np.ndarray     # int64 index into system.components()
+    offsets: np.ndarray  # (P, w) int64 dense rows of the accumulated translation
+    cfgs: np.ndarray     # uint64 configuration keys, read on Bernoulli leaves
+    bases: np.ndarray    # (P, d) float64 base points, read on torus leaves
 
     def __len__(self):
-        return len(self.cfgs)
+        return len(self.leaf)
 
-    def slice(self, sl):
-        return BernoulliBatch(self.cfgs[sl], self.offsets[sl])
+    def __getitem__(self, sel) -> "Points":
+        """The points at a slice or an index array; point i alone is the
+        batch ``points[i:i + 1]``."""
+        if isinstance(sel, (int, np.integer)):
+            raise TypeError("index Points by a slice or an index array, as [i:i + 1]")
+        return Points(self.leaf[sel], self.offsets[sel], self.cfgs[sel],
+                      self.bases[sel])
 
-
-@dataclass
-class TorusBatch:
-    bases: np.ndarray  # (P, d) float64
-    steps: np.ndarray  # (P, d) int64
-
-    def __len__(self):
-        return self.bases.shape[0]
-
-    def slice(self, sl):
-        return TorusBatch(self.bases[sl], self.steps[sl])
+    def moved(self, group: Group, rows: np.ndarray) -> "Points":
+        """Point p translated by the dense row ``rows[p]`` of ``group``."""
+        w = max(self.offsets.shape[1], rows.shape[1])
+        return Points(self.leaf, group.add_rows(_widen(self.offsets, w), _widen(rows, w)),
+                      self.cfgs, self.bases)
 
 
 class GenericBatch:
@@ -95,8 +81,9 @@ class GenericBatch:
 
 
 class System:
-    """Base class: each system gives ``sample_point(rng)`` and the exact
-    action ``apply(g, y)``."""
+    """Base class: each kind draws one point from a generator with
+    ``_draw(rng)``, as (leaf index, configuration key, base point or None);
+    ``sample`` draws a batch."""
 
     group: Group
     seed: int
@@ -105,6 +92,23 @@ class System:
     def components(self):
         """Flattened list of (weight, leaf system)."""
         return [(1.0, self)]
+
+    def sample(self, rngs) -> Points:
+        """One point from each generator of the iterable ``rngs``, in order."""
+        dim = max((leaf.group.d for _, leaf in self.components()
+                   if isinstance(leaf, TorusRotation)), default=0)
+        pad = (0.0,) * dim
+        leaf, cfgs, bases = [], [], []
+        for rng in rngs:
+            k, cfg, base = self._draw(rng)
+            leaf.append(k)
+            cfgs.append(cfg)
+            bases.append(pad if base is None else base)
+        n, grp = len(leaf), self.group
+        return Points(np.asarray(leaf, dtype=np.int64),
+                      np.zeros((n, grp.dense_width([grp.identity()])), dtype=np.int64),
+                      np.asarray(cfgs, dtype=np.uint64),
+                      np.asarray(bases, dtype=np.float64).reshape(n, dim))
 
     @staticmethod
     def from_json(d: dict, group: Optional[Group] = None) -> "System":
@@ -146,35 +150,36 @@ class BernoulliShift(System):
         cuts = [_word_cut(c) for c in cum[:-1]]
         self._cuts = np.asarray([t for t in cuts if t < 1 << 64], dtype=np.uint64)
 
-    def sample_point(self, rng) -> ShiftPoint:
+    def _draw(self, rng) -> tuple:
         word = int(rng.integers(0, 1 << 63)) | (int(rng.integers(0, 2)) << 63)
-        cfg = mix64(mix64(self.seed ^ GOLDEN64) ^ word)
-        return ShiftPoint(self.group.identity(), cfg)
+        return 0, mix64(mix64(self.seed ^ GOLDEN64) ^ word), None
 
-    def apply(self, g, y: ShiftPoint) -> ShiftPoint:
-        return ShiftPoint(self.group.mul(g, y.offset), y.cfg)
+    def uniform_at(self, y: Points, h=None) -> float:
+        """The uniform of the one cell h*offset of the first point of ``y``
+        (its offset when h is None): the scalar reading of
+        ``window_uniforms``, which the tests' oracle uses."""
+        grp = self.group
+        offset = grp.rows_to_elems(y.offsets[:1])[0]
+        cell = offset if h is None else grp.mul(h, offset)
+        return uniform_from_key(grp.elem_key(cell), int(y.cfgs[0]))
 
-    def uniform_at(self, y: ShiftPoint, h=None) -> float:
-        """The uniform of the one cell h*offset (offset when h is None): the
-        scalar reading of ``window_uniforms``, which the tests' oracle uses."""
-        cell = y.offset if h is None else self.group.mul(h, y.offset)
-        return uniform_from_key(self.group.elem_key(cell), y.cfg)
-
-    def window_uniforms(self, batch: BernoulliBatch, F: FinSet) -> np.ndarray:
+    def window_uniforms(self, batch: Points, F: FinSet) -> np.ndarray:
         """The uniforms of the cells g*offset_p for g in F, as a (P, |F|)
         matrix of 64-bit fixed-point words: word w is the uniform w * 2**-64.
 
-        The identity offset reads F's own cell keys, hashed once per set.
-        Other cells are hashed once per distinct offset, and the keys are
-        gathered per point only when the batch holds more than one offset."""
+        A batch whose offsets are all the identity reads F's own cell keys,
+        hashed once per set.  Other cells are hashed once per distinct offset
+        row, and the keys are gathered per point only when the batch holds
+        more than one offset."""
+        if not batch.offsets.any():
+            return words_from_keys(F.cell_keys(), batch.cfgs)
         grp = self.group
         index: dict = {}
-        which = [index.setdefault(o, len(index)) for o in batch.offsets]
-        offsets = list(index)
-        if offsets == [grp.identity()]:
-            return words_from_keys(F.cell_keys(), batch.cfgs)
-        width = max(F.width, grp.dense_width(offsets))
-        cells = grp.translate_rows(F.rows(width), grp.dense_rows(offsets, width))
+        rows = map(tuple, batch.offsets.tolist())
+        which = [index.setdefault(o, len(index)) for o in rows]
+        width = max(F.width, batch.offsets.shape[1])
+        offsets = _widen(np.asarray(list(index), dtype=np.int64), width)
+        cells = grp.translate_rows(F.rows(width), offsets)
         keys = grp.keys_for_rows(cells.reshape(-1, width))
         keys = keys.reshape(len(offsets), len(F))
         return words_from_keys(keys[0] if len(offsets) == 1 else keys[which],
@@ -204,12 +209,8 @@ class TorusRotation(System):
         self.seed = int(seed)
         self.ergodic = True  # irrational frequencies assumed (default sqrt(2)-1)
 
-    def sample_point(self, rng) -> TorusPoint:
-        base = tuple(float(x) for x in rng.random(self.group.d))
-        return TorusPoint(base, (0,) * self.group.d)
-
-    def apply(self, g, y: TorusPoint) -> TorusPoint:
-        return TorusPoint(y.base, tuple(s + x for s, x in zip(y.steps, g)))
+    def _draw(self, rng) -> tuple:
+        return 0, 0, rng.random(self.group.d)
 
 
 class FiniteMixture(System):
@@ -227,8 +228,11 @@ class FiniteMixture(System):
         self.parts = [(float(wi), si) for wi, si in components]
         self.seed = int(seed)
         self.ergodic = len(components) == 1 and components[0][1].ergodic
+        # the flattened leaf index of each part's first leaf
+        self._first = list(accumulate((len(s.components()) for _, s in self.parts),
+                                      initial=0))
 
-    def sample_point(self, rng) -> MixturePoint:
+    def _draw(self, rng) -> tuple:
         u = float(rng.random())
         acc = 0.0
         idx = len(self.parts) - 1
@@ -237,10 +241,8 @@ class FiniteMixture(System):
             if u < acc:
                 idx = i
                 break
-        return MixturePoint(idx, self.parts[idx][1].sample_point(rng))
-
-    def apply(self, g, y: MixturePoint) -> MixturePoint:
-        return MixturePoint(y.component, self.parts[y.component][1].apply(g, y.inner))
+        k, cfg, base = self.parts[idx][1]._draw(rng)
+        return self._first[idx] + k, cfg, base
 
     def components(self):
         out = []
@@ -264,32 +266,15 @@ _SYSTEM_KINDS = {
 }
 
 
-def split_leaves(system: System, points: list):
-    """Group points by leaf component: list of (leaf system, index array, batch)."""
-    if not isinstance(system, FiniteMixture):
-        idx = np.arange(len(points))
-        return [(system, idx, make_batch(system, points))]
-    buckets = {}
-    for i, y in enumerate(points):
-        buckets.setdefault(y.component, []).append(i)
+def split_leaves(system: System, points: Points):
+    """Group points by leaf: (leaf system, increasing index array, the points
+    there) for each leaf that holds points, in ``components()`` order."""
     out = []
-    for comp in sorted(buckets):
-        idx = buckets[comp]
-        inner_pts = [points[i].inner for i in idx]
-        sub = split_leaves(system.parts[comp][1], inner_pts)
-        for leaf, sub_idx, batch in sub:
-            out.append((leaf, np.asarray([idx[j] for j in sub_idx]), batch))
+    for k, (_, leaf) in enumerate(system.components()):
+        idx = np.flatnonzero(points.leaf == k)
+        if len(idx):
+            out.append((leaf, idx, points[idx]))
     return out
-
-
-def make_batch(leaf: System, points: list):
-    if isinstance(leaf, BernoulliShift):
-        return BernoulliBatch(np.asarray([y.cfg for y in points], dtype=np.uint64),
-                              [y.offset for y in points])
-    bases = np.asarray([y.base for y in points], dtype=np.float64)
-    steps = np.asarray([y.steps for y in points], dtype=np.int64)
-    return TorusBatch(bases.reshape(len(points), leaf.group.d),
-                      steps.reshape(len(points), leaf.group.d))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +381,7 @@ def torus_coordinate(i: int = 0) -> Observable:
         _require_torus(leaf)
         rows = F.rows()
         v = (batch.bases[:, i][:, None]
-             + (batch.steps[:, i][:, None] + rows[None, :, i]) * leaf.alphas[i])
+             + (batch.offsets[:, i][:, None] + rows[None, :, i]) * leaf.alphas[i])
         return v - np.floor(v)
 
     return Observable(
@@ -490,7 +475,7 @@ def conditional_expectation(system: System, obs: Observable,
         se = 0.0
         if m is None:
             rng = np.random.default_rng([seed, k])
-            batch = make_batch(leaf, [leaf.sample_point(rng) for _ in range(samples)])
+            batch = leaf.sample([rng] * samples)
             origin = FinSet(leaf.group, [leaf.group.identity()])
             vals = obs.window_values(leaf, batch, origin)[:, 0]
             m = float(vals.mean())

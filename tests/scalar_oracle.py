@@ -2,11 +2,12 @@
 oracle that the window and batch paths of ``folnerlab`` are checked
 against, as ``TupleRef`` in ``test_groups.py`` is for the set algebra.
 
-Each rule follows the definition alone.  A Bernoulli symbol is the number
-of entries of cum[:-1] that its cell's uniform reaches, a torus coordinate
-is the fractional part of base + steps * alpha, and a family value is the
-sum, maximum or composition that its class docstring states, with the
-elements of F visited in F's order and the empty set read as 0.
+Each rule follows the definition alone, at one point ``y``: a one-point
+``Points``, moved by one group element at a time.  A Bernoulli symbol is the
+number of entries of cum[:-1] that its cell's uniform reaches, a torus
+coordinate is the fractional part of base + offset * alpha, and a family
+value is the sum, maximum or composition that its class docstring states,
+with the elements of F visited in F's order and the empty set read as 0.
 """
 import re
 from bisect import bisect_right
@@ -18,16 +19,12 @@ from folnerlab.families import (AdditiveFamily, AdditivePlus,
                                 DerivedPrimeM, MaxFamily, MaxOfAdditives,
                                 MinusCardSquared, Truncated)
 from folnerlab.groups import FinSet
-from folnerlab.systems import FiniteMixture
 from folnerlab.tiling import compose
 
 
-def resolve_leaf(system, y):
-    """Descend mixtures: (leaf system, leaf point)."""
-    while isinstance(system, FiniteMixture):
-        system = system.parts[y.component][1]
-        y = y.inner
-    return system, y
+def act(system, g, y):
+    """The point g . y, for a group element g."""
+    return y.moved(system.group, system.group.dense_rows([g]))
 
 
 def symbol(leaf, y, h=None) -> int:
@@ -36,7 +33,7 @@ def symbol(leaf, y, h=None) -> int:
 
 
 def coordinate(leaf, y, i: int) -> float:
-    v = y.base[i] + y.steps[i] * leaf.alphas[i]
+    v = y.bases[0, i] + y.offsets[0, i] * leaf.alphas[i]
     return v - np.floor(v)
 
 
@@ -80,7 +77,7 @@ def observable_rule(name: str):
 
 def obs_value(obs, system, y) -> float:
     """f(y) at a point of any system, mixtures included."""
-    leaf, y = resolve_leaf(system, y)
+    leaf = system.components()[int(y.leaf[0])][1]
     return observable_rule(obs.name)(leaf, y)
 
 
@@ -91,9 +88,9 @@ def family_value(fam, system, F: FinSet, y) -> float:
 
 def _value(fam, system, F, y):
     if isinstance(fam, AdditiveFamily):
-        return float(sum(obs_value(fam.obs, system, system.apply(g, y)) for g in F.elems))
+        return float(sum(obs_value(fam.obs, system, act(system, g, y)) for g in F.elems))
     if isinstance(fam, MaxFamily):
-        return float(max(obs_value(fam.obs, system, system.apply(g, y)) for g in F.elems))
+        return float(max(obs_value(fam.obs, system, act(system, g, y)) for g in F.elems))
     if isinstance(fam, ConcaveCardinality):
         return float(fam.gamma(len(F)))
     if isinstance(fam, AdditivePlus):
@@ -104,13 +101,13 @@ def _value(fam, system, F, y):
         return max(-fam.N * len(F), _value(fam.base, system, F, y))
     if isinstance(fam, DerivedPrime):
         e = FinSet(F.group, [F.group.identity()])
-        s = sum(_value(fam.base, system, e, system.apply(g, y)) for g in F.elems)
+        s = sum(_value(fam.base, system, e, act(system, g, y)) for g in F.elems)
         return float(s) - _value(fam.base, system, F, y)
     if isinstance(fam, DerivedPrimeM):
         s = _value(fam.prime, system, compose(fam.cert, F), y)
         for g in F.elems:
             s -= _value(fam.prime, system, fam.cert.tile,
-                        system.apply(fam.cert.iso.apply(g), y))
+                        act(system, fam.cert.iso.apply(g), y))
         return s
     if isinstance(fam, MinusCardSquared):
         return _value(fam.base, system, F, y) - float(len(F)) ** 2

@@ -182,7 +182,7 @@ def test_criterion_04_greedy_cover_inequality_exact():
         N = int(rng.integers(1, 6))
         n = int(rng.integers(N, 13))
         alpha = float(rng.uniform(0.05, 1.2))
-        y = sample_points(system, 1, seed=500 + i)[0]
+        y = sample_points(system, 1, seed=500 + i)[:1]
         rep = greedy_cover(fams[i % 2], system, y, seq, n, alpha, N)
         if not (rep.inequality_ok and rep.covered):
             bad += 1

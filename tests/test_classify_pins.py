@@ -128,8 +128,9 @@ def test_masked_leaf_values_match_the_oracle(case):
     grp, system, fam = _case(case)
     W = window_set(grp, 2, 2)
     rng = np.random.default_rng(17)
-    ys = [system.sample_point(rng) for _ in range(4)]
-    pts = ys + [system.apply(grp.random_elem(rng, 2), y) for y in ys]
+    ys = system.sample([rng] * 4)
+    gs = [grp.identity()] * 4 + [grp.random_elem(rng, 2) for _ in range(4)]
+    pts = ys[np.tile(np.arange(4), 2)].moved(grp, grp.dense_rows(gs))
     mask = rng.random((len(pts), len(W))) < 0.5
     mask[0] = True
     mask[1] = False
@@ -140,7 +141,7 @@ def test_masked_leaf_values_match_the_oracle(case):
             sub = W.take(np.flatnonzero(mask[i]))
             if sub.is_empty:  # the caller reads an empty subset as 0
                 continue
-            want = family_value(fam, system, sub, pts[i])
+            want = family_value(fam, system, sub, pts[i:i + 1])
             if fam.exact_values:
                 assert v == want, i
             else:

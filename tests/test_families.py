@@ -115,8 +115,8 @@ def test_derived_family_of_an_additive_base_vanishes():
     seq = _seq()
     rng = np.random.default_rng(3)
     for n in (2, 5, 9):
-        y = system.sample_point(rng)
-        assert fam.sample_values(system, seq.generate(n), [y]).tolist() == [0.0]
+        y = system.sample([rng])
+        assert fam.sample_values(system, seq.generate(n), y).tolist() == [0.0]
     rep = _classify(fam, trials=80)
     assert all(v.passed for v in rep.verdicts.values())
 
@@ -176,17 +176,19 @@ def test_wrapped_tile_derived_family_samples_on_its_leaf_path(system, observable
     cert = standard_cert(_seq(), 2)
     fam = Truncated(DerivedPrimeM(MaxOfAdditives(*observables), cert), 3)
     rng = np.random.default_rng(4)
-    ys = [system.sample_point(rng) for _ in range(6)]
-    pts = ys + [system.apply((7,), y) for y in ys]
+    ys = system.sample([rng] * 6)
+    moves = np.asarray([[0]] * 6 + [[7]] * 6)
+    pts = ys[np.arange(12) % 6].moved(system.group, moves)
     F = _seq().generate(4)
     vals = fam.sample_values(system, F, pts)
-    ref = [family_value(fam, system, F, y) for y in pts]
+    ref = [family_value(fam, system, F, pts[i:i + 1]) for i in range(len(pts))]
     np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
     assert any(v != 0 for v in ref) == isinstance(system, BernoulliShift)
     # a derived family over it reads its singleton values, which are 0
     outer = DerivedPrime(fam.base)
     np.testing.assert_allclose(outer.sample_values(system, F, pts),
-                               [family_value(outer, system, F, y) for y in pts],
+                               [family_value(outer, system, F, pts[i:i + 1])
+                                for i in range(len(pts))],
                                rtol=0, atol=1e-12)
 
 
@@ -246,7 +248,7 @@ def test_truncation_clips_at_linear_floor():
     base = AdditivePlus(symbol_value(), lambda k: -3.0 * k, 1.0, "steep_drop")
     fam = Truncated(base, 1)
     F = _seq().generate(4)
-    y = [system.sample_point(np.random.default_rng(0))]
+    y = system.sample([np.random.default_rng(0)])
     [raw] = base.sample_values(system, F, y)
     assert raw < -4.0
     assert fam.sample_values(system, F, y).tolist() == [-4.0]  # clipped at -N |F|
@@ -270,7 +272,8 @@ def test_normalized_evaluation():
     F = _seq().generate(8)
     pts = sample_points(system, 5, seed=1)
     V = trajectory_matrix(fam, system, _seq(), [8], pts)
-    assert V[:, 0].tolist() == [family_value(fam, system, F, y) / 8 for y in pts]
+    assert V[:, 0].tolist() == [family_value(fam, system, F, pts[i:i + 1]) / 8
+                                for i in range(len(pts))]
     assert fam.sample_values(system, FinSet(_group(), ()), pts).tolist() == [0.0] * 5
 
 

@@ -8,15 +8,14 @@ import pytest
 from folnerlab import families
 from folnerlab.groups import CyclicSum, FinSet, ZPower, ZSum
 from folnerlab.systems import (
-    BernoulliBatch,
     BernoulliShift,
     FiniteMixture,
+    Points,
     System,
     TorusRotation,
     UnsupportedObservable,
     conditional_expectation,
     indicator_symbol,
-    make_batch,
     neg_pow_run,
     observable_from_json,
     scaled,
@@ -25,7 +24,7 @@ from folnerlab.systems import (
     torus_coordinate,
 )
 from folnerlab.tiling import window_set
-from scalar_oracle import family_value, obs_value
+from scalar_oracle import act, family_value, obs_value
 
 ALPHA = (math.sqrt(5) - 1) / 2  # irrational rotation step
 
@@ -48,6 +47,11 @@ def _box(z, n):
     return FinSet(z, tuple(sorted(itertools.product(range(n), repeat=z.d))))
 
 
+def _same(a: Points, b: Points) -> bool:
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("leaf", "offsets", "cfgs", "bases"))
+
+
 # ---------------------------------------------------------------------------
 # group action laws
 
@@ -57,27 +61,26 @@ def test_action_composes(make):
     system = make()
     rng = np.random.default_rng(11)
     grp = ZPower(1)
-    y = system.sample_point(rng)
+    y = system.sample([rng])
     for g, h in [((2,), (5,)), ((-3,), (4,)), ((7,), (-7,))]:
-        lhs = system.apply(grp.mul(g, h), y)
-        rhs = system.apply(g, system.apply(h, y))
-        assert lhs == rhs
+        lhs = act(system, grp.mul(g, h), y)
+        rhs = act(system, g, act(system, h, y))
+        assert _same(lhs, rhs)
 
 
 @pytest.mark.parametrize("make", [_bernoulli, _torus, _mixture])
 def test_identity_acts_trivially(make):
     system = make()
-    y = system.sample_point(np.random.default_rng(4))
-    assert system.apply((0,), y) == y
+    y = system.sample([np.random.default_rng(4)])
+    assert _same(act(system, (0,), y), y)
 
 
 def test_action_on_lattice():
     system = _bernoulli(d=2)
     grp = ZPower(2)
-    y = system.sample_point(np.random.default_rng(1))
-    assert system.apply(grp.mul((1, 2), (3, -1)), y) == system.apply(
-        (1, 2), system.apply((3, -1), y)
-    )
+    y = system.sample([np.random.default_rng(1)])
+    assert _same(act(system, grp.mul((1, 2), (3, -1)), y),
+                 act(system, (1, 2), act(system, (3, -1), y)))
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +90,14 @@ def test_action_on_lattice():
 def test_bernoulli_window_bit_identical():
     system = _bernoulli()
     rng = np.random.default_rng(8)
-    pts = [system.sample_point(rng) for _ in range(5)]
-    batch = make_batch(system, pts)
-    assert isinstance(batch, BernoulliBatch)
+    pts = system.sample([rng] * 5)
     F = _box(system.group, 7)
     obs = indicator_symbol(1)
-    mat = obs.window_values(system, batch, F)
+    mat = obs.window_values(system, pts, F)
     assert mat.shape == (5, 7)
-    for r, y in enumerate(pts):
+    for r in range(len(pts)):
         for c, g in enumerate(F.elems):
-            assert mat[r, c] == obs_value(obs, system, system.apply(g, y))
+            assert mat[r, c] == obs_value(obs, system, act(system, g, pts[r:r + 1]))
 
 
 def _slab_case(case):
@@ -105,17 +106,18 @@ def _slab_case(case):
         # |F| above the slab budget: every slab holds a single point
         system = _bernoulli(probs=(0.2, 0.5, 0.3))
         F = _box(ZPower(1), families._SLAB_CELLS + 5)
-        pts = [system.sample_point(rng) for _ in range(3)]
+        pts = system.sample([rng] * 3)
         return system, F, pts, symbol_value(), [0, 2]
     if case == "mixture":
         system = FiniteMixture([(0.4, _bernoulli(d=2, probs=(0.75, 0.25), seed=21)),
                                 (0.6, _bernoulli(d=2, probs=(0.25, 0.75), seed=22))],
                                seed=23)
-        pts = [system.sample_point(rng) for _ in range(150)]
+        pts = system.sample([rng] * 150)
         return system, _box(ZPower(2), 5), pts, indicator_symbol(1), range(150)
     # distinct, non-identity offsets, over more than one slab
     system = _bernoulli(d=2, probs=(0.2, 0.5, 0.3))
-    pts = [system.apply((i, -2 * i - 1), system.sample_point(rng)) for i in range(90)]
+    pts = system.sample([rng] * 90).moved(
+        system.group, np.asarray([(i, -2 * i - 1) for i in range(90)]))
     return system, _box(ZPower(2), 6), pts, symbol_value(), range(90)
 
 
@@ -125,33 +127,30 @@ def test_sample_values_slabs_bit_identical(case):
     fam = families.AdditiveFamily(obs)
     vals = fam.sample_values(system, F, pts)
     for i in subset:
-        assert vals[i] == family_value(fam, system, F, pts[i]), i
+        assert vals[i] == family_value(fam, system, F, pts[i:i + 1]), i
 
 
 def test_neg_pow_run_window_bit_identical():
     system = _bernoulli(probs=(0.4, 0.6))
     rng = np.random.default_rng(9)
-    pts = [system.sample_point(rng) for _ in range(4)]
-    batch = make_batch(system, pts)
+    pts = system.sample([rng] * 4)
     F = _box(system.group, 9)
     obs = neg_pow_run(2.0, cap=12)
-    mat = obs.window_values(system, batch, F)
-    for r, y in enumerate(pts):
+    mat = obs.window_values(system, pts, F)
+    for r in range(len(pts)):
         for c, g in enumerate(F.elems):
-            assert mat[r, c] == obs_value(obs, system, system.apply(g, y))
+            assert mat[r, c] == obs_value(obs, system, act(system, g, pts[r:r + 1]))
 
 
 def test_torus_window_matches_scalar():
     system = _torus()
     rng = np.random.default_rng(10)
-    pts = [system.sample_point(rng) for _ in range(4)]
-    batch = make_batch(system, pts)
+    pts = system.sample([rng] * 4)
     F = _box(system.group, 6)
     obs = torus_coordinate(0)
-    mat = obs.window_values(system, batch, F)
-    expect = np.array(
-        [[obs_value(obs, system, system.apply(g, y)) for g in F.elems] for y in pts]
-    )
+    mat = obs.window_values(system, pts, F)
+    expect = np.array([[obs_value(obs, system, act(system, g, pts[r:r + 1]))
+                        for g in F.elems] for r in range(len(pts))])
     assert np.allclose(mat, expect, rtol=0, atol=1e-12)
 
 
@@ -179,17 +178,16 @@ def test_mixed_offsets_stay_bernoulli_batch(grp, name, window):
     obs = {"indicator_symbol": indicator_symbol(1), "symbol_value": symbol_value(),
            "neg_pow_run": neg_pow_run(2.0, cap=12)}[name]
     rng = np.random.default_rng(3)
-    y, z = system.sample_point(rng), system.sample_point(rng)
-    pts = [y, z] + [system.apply(g, p) for g in _MOVES[grp.kind] for p in (y, z)]
-    batch = make_batch(system, pts)
-    assert isinstance(batch, BernoulliBatch)
+    yz = system.sample([rng] * 2)  # y, z; then each move of y and of z
+    moves = [grp.identity()] * 2 + [g for g in _MOVES[grp.kind] for _ in (0, 1)]
+    pts = yz[np.arange(len(moves)) % 2].moved(grp, grp.dense_rows(moves))
     F = (FinSet(grp, window) if window
          else window_set(grp, 4 if grp.kind == "z_power" else 1))
-    mat = obs.window_values(system, batch, F)
+    mat = obs.window_values(system, pts, F)
     assert mat.shape == (len(pts), len(F))
-    for r, p in enumerate(pts):
+    for r in range(len(pts)):
         for c, g in enumerate(F.elems):
-            assert mat[r, c] == obs_value(obs, system, system.apply(g, p))
+            assert mat[r, c] == obs_value(obs, system, act(system, g, pts[r:r + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +198,9 @@ def test_bernoulli_marginals_match_probs():
     system = _bernoulli(probs=(0.7, 0.3))
     rng = np.random.default_rng(21)
     n = 4000
-    pts = [system.sample_point(rng) for _ in range(n)]
+    pts = system.sample([rng] * n)
     obs = indicator_symbol(1)
-    vals = obs.window_values(system, make_batch(system, pts), _box(system.group, 1))
+    vals = obs.window_values(system, pts, _box(system.group, 1))
     sigma = math.sqrt(0.3 * 0.7 / n)
     assert abs(vals.mean() - 0.3) <= 4 * sigma
 
@@ -212,9 +210,9 @@ def test_translation_preserves_marginals():
     system = _bernoulli(probs=(0.7, 0.3))
     rng = np.random.default_rng(22)
     n = 4000
-    pts = [system.sample_point(rng) for _ in range(n)]
+    pts = system.sample([rng] * n)
     obs = indicator_symbol(1)
-    moved = make_batch(system, [system.apply((137,), y) for y in pts])
+    moved = pts.moved(system.group, np.full((n, 1), 137))
     shifted = obs.window_values(system, moved, _box(system.group, 1))
     sigma = math.sqrt(0.3 * 0.7 / n)
     assert abs(shifted.mean() - 0.3) <= 4 * sigma
@@ -224,8 +222,8 @@ def test_mixture_component_frequencies():
     system = _mixture()
     rng = np.random.default_rng(23)
     n = 2000
-    pts = [system.sample_point(rng) for _ in range(n)]
-    frac = sum(1 for y in pts if y.component == 0) / n
+    pts = system.sample([rng] * n)
+    frac = float((pts.leaf == 0).sum()) / n
     sigma = math.sqrt(0.25 * 0.75 / n)
     assert abs(frac - 0.25) <= 4 * sigma
 
@@ -283,18 +281,21 @@ def test_conditional_expectation_monte_carlo_errors_are_reported():
 def test_split_leaves_partitions_indices():
     system = _mixture()
     rng = np.random.default_rng(12)
-    pts = [system.sample_point(rng) for _ in range(60)]
+    pts = system.sample([rng] * 60)
     parts = split_leaves(system, pts)
     seen = np.concatenate([idx for _, idx, _ in parts])
     assert sorted(seen.tolist()) == list(range(60))
-    for leaf, idx, batch in parts:
+    leaves = [leaf for _, leaf in system.components()]
+    assert [leaf for leaf, _, _ in parts] == leaves  # in components() order
+    for k, (leaf, idx, batch) in enumerate(parts):
         assert not isinstance(leaf, FiniteMixture)
-        assert len(idx) > 0
+        assert len(idx) > 0 and (np.diff(idx) > 0).all()
+        assert (batch.leaf == k).all() and _same(batch, pts[idx])
 
 
 def test_split_leaves_trivial_on_plain_system():
     system = _bernoulli()
-    pts = [system.sample_point(np.random.default_rng(i)) for i in range(3)]
+    pts = system.sample(np.random.default_rng(i) for i in range(3))
     [(leaf, idx, _)] = split_leaves(system, pts)
     assert leaf is system
     assert idx.tolist() == [0, 1, 2]
@@ -307,8 +308,8 @@ def test_split_leaves_trivial_on_plain_system():
 def test_unsupported_observable_errors():
     bern = _bernoulli()
     tor = _torus()
-    by = make_batch(bern, [bern.sample_point(np.random.default_rng(0))])
-    ty = make_batch(tor, [tor.sample_point(np.random.default_rng(0))])
+    by = bern.sample([np.random.default_rng(0)])
+    ty = tor.sample([np.random.default_rng(0)])
     with pytest.raises(UnsupportedObservable):
         torus_coordinate(0).window_values(bern, by, _box(bern.group, 1))
     with pytest.raises(UnsupportedObservable):
@@ -319,10 +320,10 @@ def test_unsupported_observable_errors():
 def test_indicator_symbol_outside_alphabet_is_unsupported(symbol):
     # the window and exact-mean paths must agree: both refuse
     bern = _bernoulli()
-    pts = [bern.sample_point(np.random.default_rng(0))]
+    pts = bern.sample([np.random.default_rng(0)])
     obs = indicator_symbol(symbol)
     with pytest.raises(UnsupportedObservable):
-        obs.window_values(bern, make_batch(bern, pts), _box(bern.group, 3))
+        obs.window_values(bern, pts, _box(bern.group, 3))
     with pytest.raises(UnsupportedObservable):
         obs.exact_mean(bern)
 
@@ -330,10 +331,10 @@ def test_indicator_symbol_outside_alphabet_is_unsupported(symbol):
 def test_neg_pow_run_off_the_line_is_unsupported():
     # the window path refuses Z^2
     bern = _bernoulli(d=2)
-    pts = [bern.sample_point(np.random.default_rng(0))]
+    pts = bern.sample([np.random.default_rng(0)])
     obs = neg_pow_run()
     with pytest.raises(UnsupportedObservable):
-        obs.window_values(bern, make_batch(bern, pts),
+        obs.window_values(bern, pts,
                           FinSet(bern.group, ((0, 0), (1, 0), (2, 0))))
 
 
@@ -362,15 +363,15 @@ def test_system_json_roundtrip():
                       (mixture, _mixture())):
         back = System.from_json(d)
         assert _state(back) == _state(system)
-        rng = np.random.default_rng(4)
-        assert back.sample_point(rng) == system.sample_point(np.random.default_rng(4))
+        assert _same(back.sample([np.random.default_rng(4)]),
+                     system.sample([np.random.default_rng(4)]))
 
 
 def test_observable_json_roundtrip():
     bern = _bernoulli()
     tor = _torus()
-    y = bern.sample_point(np.random.default_rng(2))
-    ty = tor.sample_point(np.random.default_rng(2))
+    y = bern.sample([np.random.default_rng(2)])
+    ty = tor.sample([np.random.default_rng(2)])
     for d, obs, system, pt in [
         ({"kind": "indicator_symbol", "symbol": 1}, indicator_symbol(1), bern, y),
         ({"kind": "symbol_value"}, symbol_value(), bern, y),
@@ -382,13 +383,23 @@ def test_observable_json_roundtrip():
     ]:
         back = observable_from_json(d)
         assert back.name == obs.name
-        batch, F = make_batch(system, [pt]), _box(system.group, 3)
+        batch, F = pt, _box(system.group, 3)
         assert np.array_equal(back.window_values(system, batch, F),
                               obs.window_values(system, batch, F))
 
 
+def test_points_refuse_an_integer_index():
+    # a lone integer would give a batch of 0-d arrays; one point is [i:i + 1]
+    pts = _bernoulli().sample([np.random.default_rng(0)] * 3)
+    with pytest.raises(TypeError):
+        pts[0]
+    with pytest.raises(TypeError):
+        pts[np.int64(1)]
+    assert len(pts[1:2]) == 1 and len(pts[np.asarray([0, 2])]) == 2
+
+
 def test_sampling_is_deterministic_given_rng_seed():
     system = _mixture()
-    a = [system.sample_point(np.random.default_rng(5)) for _ in range(3)]
-    b = [system.sample_point(np.random.default_rng(5)) for _ in range(3)]
-    assert a == b
+    a = system.sample(np.random.default_rng(5) for _ in range(3))
+    b = system.sample(np.random.default_rng(5) for _ in range(3))
+    assert _same(a, b)
