@@ -32,9 +32,9 @@ from .groups import (BudgetError, EnumBudget, FinSet, Group, diff,
                      product_set, translate_right, union)
 from .systems import (Observable, Points, System, conditional_expectation,
                       split_leaves)
-from .tiling import (LatticeCenters, PrefixShiftCenters, TilingCert,
-                     TilingOverlapError, ZSumLatticeCenters, compose,
-                     enumerate_tiles, standard_cert)
+from .tiling import (LatticeCenters, TilingCert, TilingOverlapError,
+                     ZSumLatticeCenters, compose, enumerate_tiles,
+                     standard_cert)
 
 
 class GateRefusal(RuntimeError):
@@ -47,12 +47,18 @@ class GateRefusal(RuntimeError):
         self.extra = extra or {}
 
 
-def _require(report: ClassifyReport, props, detail: str) -> None:
-    """Refuse on the first property the classifier did not pass."""
+def _require(fam: Family, seq: FolnerSeq, system: System,
+             report: Optional[ClassifyReport], props=(),
+             detail: str = "classifier found a violation") -> ClassifyReport:
+    """Classify the family unless a report is given, refuse on the first
+    property it did not pass, and return the report."""
+    if report is None:
+        report = classify(fam, seq.group, system)
     for prop in props:
         if not report.passed(prop):
             raise GateRefusal(f"family {prop}", detail,
                               {"counterexample": report.counterexample(prop)})
+    return report
 
 
 def _require_tiling(seq: FolnerSeq, indices) -> None:
@@ -269,12 +275,10 @@ def _limit_from_enumeration(f: SetFunction, seq: FolnerSeq, indices,
 
 
 def setfn_limit_tiling(f: SetFunction, seq: FolnerSeq, indices,
-                       max_card: int = 12, max_index: int = 4,
-                       precheck: bool = True) -> LimitReport:
+                       max_card: int = 12, max_index: int = 4) -> LimitReport:
     """Normalized limit along a tiling sequence against the infimum over
     enumerated tiles."""
-    if precheck:
-        _setfn_gate(f, seq.group, "subadditive")
+    _setfn_gate(f, seq.group, "subadditive")
     _require_tiling(seq, indices)
     tiles = [c.tile for c in enumerate_tiles(seq.group, max_card, max_index)]
     return _limit_from_enumeration(f, seq, indices, tiles)
@@ -282,7 +286,6 @@ def setfn_limit_tiling(f: SetFunction, seq: FolnerSeq, indices,
 
 def setfn_limit_strong(f: SetFunction, seq: FolnerSeq, indices,
                        budget: Optional[EnumBudget] = None,
-                       precheck: bool = True,
                        ladder_sets: Optional[list] = None) -> LimitReport:
     """Normalized limit along any Folner sequence against the infimum over
     enumerated finite sets (strong sub-additivity route).
@@ -291,8 +294,7 @@ def setfn_limit_strong(f: SetFunction, seq: FolnerSeq, indices,
     caller-supplied ladder of larger sets (the exhaustive stream alone cannot
     reach the cardinalities that cardinality-driven functions need).
     """
-    if precheck:
-        _setfn_gate(f, seq.group, "strongly_subadditive")
+    _setfn_gate(f, seq.group, "strongly_subadditive")
     if budget is None:
         budget = EnumBudget(max_card=4, lo=-2, hi=2, max_index=2, max_sets=4000)
     sets = list(enumerate_finsets(seq.group, budget))
@@ -305,29 +307,20 @@ def setfn_limit_strong(f: SetFunction, seq: FolnerSeq, indices,
 # nu estimation and ergodic decomposition
 
 
-def _seq_is_tiling(seq: FolnerSeq, indices) -> bool:
-    try:
-        return all(standard_cert(seq, n) is not None for n in indices)
-    except BudgetError:
-        return False
-
-
-def _nu_gate(report: ClassifyReport, seq: FolnerSeq, indices):
+def _nu_gate(report: ClassifyReport, seq: FolnerSeq, indices) -> None:
+    """An invariant family must be strongly sub/sup-additive, or plainly
+    sub/sup-additive along a tiling sequence."""
     strong = (report.passed("strongly_subadditive")
               or report.passed("strongly_supadditive"))
-    plain = ((report.passed("subadditive") or report.passed("supadditive"))
-             and report.passed("invariant"))
-    if strong and report.passed("invariant"):
-        return "strong"
-    if plain and _seq_is_tiling(seq, indices):
-        return "tiling"
-    if plain:
+    plain = report.passed("subadditive") or report.passed("supadditive")
+    if not (report.passed("invariant") and (strong or plain)):
+        raise GateRefusal("family properties",
+                          "need (sub/sup-additive + invariant) or strongly "
+                          "sub/sup-additive + invariant")
+    if not strong and any(standard_cert(seq, n) is None for n in indices):
         raise GateRefusal("tiling sequence",
                           "plain sub/sup-additive families need a tiling "
                           "Folner sequence")
-    raise GateRefusal("family properties",
-                      "need (sub/sup-additive + invariant) or strongly "
-                      "sub/sup-additive + invariant")
 
 
 def nu_estimate(fam: Family, seq: FolnerSeq, system: System, n: int,
@@ -336,9 +329,7 @@ def nu_estimate(fam: Family, seq: FolnerSeq, system: System, n: int,
     """Monte Carlo estimate of the normalized mean value at index n; the
     points depend on the seed alone, so estimates at several indices share
     them (common random numbers)."""
-    if report is None:
-        report = classify(fam, seq.group, system)
-    _nu_gate(report, seq, [n])
+    _nu_gate(_require(fam, seq, system, report), seq, [n])
     F = seq.generate(n)
     pts = sample_points(system, samples, seed)
     return _estimate(family_values(fam, system, F, pts) / len(F), seed)
@@ -519,11 +510,10 @@ def maximal_inequality_check(fam: Family, seq: FolnerSeq, system: System,
     first N indices; callers may override it (e.g. the integer-line variant
     admits constant 1).
     """
-    if report is None:
-        report = classify(fam, seq.group, system)
-    _require(report, ("nonnegative", "supadditive", "invariant"),
-             "maximal inequality needs a non-negative sup-additive "
-             "invariant family")
+    report = _require(fam, seq, system, report,
+                      ("nonnegative", "supadditive", "invariant"),
+                      "maximal inequality needs a non-negative sup-additive "
+                      "invariant family")
     if M is None:
         M = float(tempelman_report(seq, N).witness)
     if nu_term is None:
@@ -638,20 +628,19 @@ def _tempered_gate(seq: FolnerSeq, schedule) -> Fraction:
     return rep.witness
 
 
-def _subgroup_product_full(cert_m: TilingCert, cert_p: TilingCert) -> Optional[bool]:
+def _subgroup_product_full(cert_m: TilingCert, cert_p: TilingCert) -> bool:
+    """Whether the center subgroups of two certificates of one sequence
+    generate the group; prefix-shift centers at indices >= 1 both miss the
+    first summand, so they never do."""
     a, b = cert_m.centers, cert_p.centers
-    if isinstance(a, LatticeCenters) and isinstance(b, LatticeCenters):
-        if not (a.is_subgroup and b.is_subgroup):
-            return None
+    if isinstance(a, LatticeCenters):
         return all(math.gcd(x, y) == 1 for x, y in zip(a.moduli, b.moduli))
-    if isinstance(a, PrefixShiftCenters) and isinstance(b, PrefixShiftCenters):
-        return min(a.n, b.n) == 0
-    if isinstance(a, ZSumLatticeCenters) and isinstance(b, ZSumLatticeCenters):
+    if isinstance(a, ZSumLatticeCenters):
         sa, sb = a.shape, b.shape
         width = max(len(sa), len(sb))
         get = lambda s, i: s[i] if i < len(s) else 1
         return all(math.gcd(get(sa, i), get(sb, i)) == 1 for i in range(width))
-    return None
+    return False
 
 
 def _route_gate(report: ClassifyReport, certs: dict, schedule) -> str:
@@ -659,11 +648,8 @@ def _route_gate(report: ClassifyReport, certs: dict, schedule) -> str:
         return "bi_invariant"
     if report.passed("strongly_subadditive"):
         return "strongly_subadditive"
-    tail = [n for n in schedule if certs.get(n) is not None][-2:]
-    if len(tail) == 2:
-        full = _subgroup_product_full(certs[tail[0]], certs[tail[1]])
-        if full:
-            return "subgroup_product"
+    if _subgroup_product_full(certs[schedule[-2]], certs[schedule[-1]]):
+        return "subgroup_product"
     raise GateRefusal("invariance route",
                       "family is neither bi-invariant nor strongly "
                       "sub-additive and no subgroup-product witness exists")
@@ -679,30 +665,11 @@ def _condition_b_gaps(seq: FolnerSeq, schedule) -> list:
         w = condition_b_witness(seq, m, p)
         gaps.append({"m": m, "p": p, "n1": w.n1, "n2": w.n2,
                      "gap": float(w.gap)})
-    if not gaps:
-        raise GateRefusal("sandwich witnesses", "schedule too short")
     if len(gaps) >= 2 and gaps[-1]["gap"] > gaps[0]["gap"] + 1e-12:
         raise GateRefusal("sandwich witnesses",
                           "composition gap not shrinking along the schedule",
                           {"gaps": gaps})
     return gaps
-
-
-def _candidate_infimum(fam: Family, leaf: System, candidates, samples: int,
-                       seed: int) -> dict:
-    """Anytime infimum over candidate sets of the normalized mean on a leaf."""
-    if isinstance(fam, AdditiveFamily):
-        m0 = fam.obs.exact_mean(leaf)
-        if m0 is not None:
-            # every candidate has normalized mean exactly the integral
-            return {"inf": float(m0), "trend": [float(m0)],
-                    "stabilized": True, "ergodic": leaf.ergodic}
-    pts = sample_points(leaf, samples, seed)
-    best, trend, stabilized = _anytime_min(
-        (float(family_values(fam, leaf, T, pts).mean()) / len(T)
-         for T in candidates))
-    return {"inf": best, "trend": trend, "stabilized": stabilized,
-            "ergodic": leaf.ergodic}
 
 
 _TILE_BUDGET = (6, 3)  # (max_card, max_index) of the candidate tiles
@@ -712,25 +679,39 @@ _TEMPELMAN_CAP = 256.0  # kingman_run's bound on the scheduled growth ratios
 
 
 def _leaf_targets(fam: Family, system: System, pts, candidates, seed: int):
-    """Per-point infimum targets via the leaf decomposition.
+    """Per-point infimum targets via the leaf decomposition: on each leaf,
+    the anytime infimum over candidate sets of the normalized mean.
 
-    Returns (targets array or None, list of per-leaf info dicts, all_ergodic,
+    Returns (targets array, list of per-leaf info dicts, all_ergodic,
     all_stabilized)."""
-    buckets = split_leaves(system, pts)
     targets = np.full(len(pts), np.nan)
     infos = []
-    all_erg = True
-    all_stab = True
-    for k, (leaf, idx, _) in enumerate(buckets):
-        info = _candidate_infimum(fam, leaf, candidates, _CONC_SAMPLES,
-                                  seed + 1009 * (k + 1))
-        infos.append({"n_points": int(len(idx)), "inf": info["inf"],
-                      "stabilized": info["stabilized"],
-                      "ergodic": info["ergodic"]})
-        all_erg &= bool(info["ergodic"])
-        all_stab &= bool(info["stabilized"])
-        targets[np.asarray(idx)] = info["inf"]
-    return targets, infos, all_erg, all_stab
+    for k, (leaf, idx, _) in enumerate(split_leaves(system, pts)):
+        m0 = fam.obs.exact_mean(leaf) if isinstance(fam, AdditiveFamily) else None
+        if m0 is not None:
+            # every candidate has normalized mean exactly the integral
+            inf, stabilized = float(m0), True
+        else:
+            lpts = sample_points(leaf, _CONC_SAMPLES, seed + 1009 * (k + 1))
+            inf, _, stabilized = _anytime_min(
+                float(family_values(fam, leaf, T, lpts).mean()) / len(T)
+                for T in candidates)
+        infos.append({"n_points": int(len(idx)), "inf": inf,
+                      "stabilized": stabilized, "ergodic": leaf.ergodic})
+        targets[np.asarray(idx)] = inf
+    return (targets, infos, all(i["ergodic"] for i in infos),
+            all(i["stabilized"] for i in infos))
+
+
+def _self_similar_certs(seq: FolnerSeq, indices) -> dict:
+    """The standard certificate at each index, or a refusal naming the
+    indices whose certificate is missing or has no self-similar isomorphism."""
+    certs = {n: standard_cert(seq, n) for n in indices}
+    missing = [n for n, c in certs.items() if c is None or c.iso is None]
+    if missing:
+        raise GateRefusal("self-similar tiling sequence",
+                          f"no self-similar certificate at indices {missing}")
+    return certs
 
 
 def _composition_chain_ok(seq: FolnerSeq, schedule, certs: dict) -> bool:
@@ -739,11 +720,8 @@ def _composition_chain_ok(seq: FolnerSeq, schedule, certs: dict) -> bool:
     conclusion."""
     limit = 4 * max(schedule)
     for a, b in zip(schedule, schedule[1:]):
-        cert = certs.get(a)
-        if cert is None or cert.iso is None:
-            return False
         big = seq.generate(b)
-        if not any(_composes_to(cert, seq.generate(t), big)
+        if not any(_composes_to(certs[a], seq.generate(t), big)
                    for t in range(1, limit + 1)):
             return False
     return True
@@ -774,16 +752,10 @@ def kingman_run(fam: Family, seq: FolnerSeq, system: System, schedule,
     schedule = _validate_schedule(schedule)
     gates: dict = {}
 
-    if report is None:
-        report = classify(fam, seq.group, system)
-    _require(report, ("subadditive", "invariant"), "classifier found a violation")
+    report = _require(fam, seq, system, report, ("subadditive", "invariant"))
     gates["classify"] = True
 
-    certs = {n: standard_cert(seq, n) for n in schedule}
-    missing = [n for n, c in certs.items() if c is None or c.iso is None]
-    if missing:
-        raise GateRefusal("self-similar tiling sequence",
-                          f"no self-similar certificate at indices {missing}")
+    certs = _self_similar_certs(seq, schedule)
     gates["tiling_certs"] = True
 
     sub = make_folner(seq.group, "explicit",
@@ -906,11 +878,9 @@ def limsup_identity_check(fam: Family, seq: FolnerSeq, system: System,
     if mode not in ("bi_invariant", "strongly_subadditive"):
         raise ValueError(f"unknown mode {mode!r}")
     schedule = _validate_schedule(schedule)
-    if report is None:
-        report = classify(fam, seq.group, system)
-    needed = (("bi_invariant", "subadditive") if mode == "bi_invariant"
-              else ("strongly_subadditive", "invariant"))
-    _require(report, needed, "classifier found a violation")
+    report = _require(fam, seq, system, report,
+                      ("bi_invariant", "subadditive") if mode == "bi_invariant"
+                      else ("strongly_subadditive", "invariant"))
     witness = _tempered_gate(seq, schedule)
     if mode == "bi_invariant":
         _require_tiling(seq, schedule)
@@ -961,20 +931,16 @@ def dprime_m_diagnostics(fam: Family, seq: FolnerSeq, system: System,
     is also classifier-checked (non-negative, sup-additive, invariant along
     the center subgroup).
     """
-    if report is None:
-        report = classify(fam, seq.group, system)
-    _require(report, ("subadditive", "invariant"), "classifier found a violation")
+    _require(fam, seq, system, report, ("subadditive", "invariant"))
     m_indices = sorted(int(m) for m in m_indices)
+    certs = _self_similar_certs(seq, m_indices)
     Fn = seq.generate(n_index)
     pts = sample_points(system, samples, seed)
     rows = []
     prev = None
     decreasing = True
     for m in m_indices:
-        cert = standard_cert(seq, m)
-        if cert is None or cert.iso is None:
-            raise GateRefusal("self-similar tiling sequence",
-                              f"no self-similar certificate at index {m}")
+        cert = certs[m]
         famm = DerivedPrimeM(fam, cert)
         vals = family_values(famm, system, Fn, pts) / (len(cert.tile) * len(Fn))
         est = _estimate(vals, seed)

@@ -57,10 +57,6 @@ class LatticeCenters:
         if len(self.moduli) != self.group.d or any(m < 1 for m in self.moduli):
             raise ValueError("moduli must be positive, one per coordinate")
 
-    @property
-    def is_subgroup(self) -> bool:
-        return self.offsets == (self.group.identity(),)
-
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         d = rows[:, None, :] - np.asarray(self.offsets)[None, :, :]
         return (d % np.asarray(self.moduli) == 0).all(axis=2).any(axis=1)
@@ -76,10 +72,6 @@ class PrefixShiftCenters:
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         return ~rows[:, :self.n].any(axis=1)
 
-    @property
-    def is_subgroup(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class ZSumLatticeCenters:
@@ -91,10 +83,6 @@ class ZSumLatticeCenters:
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         m = min(len(self.shape), rows.shape[1])
         return (rows[:, :m] % np.asarray(self.shape[:m]) == 0).all(axis=1)
-
-    @property
-    def is_subgroup(self) -> bool:
-        return True
 
 
 # ---------------------------------------------------------------------------

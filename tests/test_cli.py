@@ -534,6 +534,12 @@ def _converge_cfg(**over):
      "tolerances.tol must be a non-negative number"),
     ("converge", _converge_cfg(tolerances={"osc_tol": -1}),
      "tolerances.osc_tol must be a non-negative number or null"),
+    # a budget blow-up inside the tiling probe of a plain sub-additive family
+    ("decompose", _maximal_cfg(n=10_000_000, family={
+        "kind": "max_of_additives", "observables": [
+            {"kind": "symbol_value"},
+            {"kind": "indicator_symbol", "symbol": 0}]}),
+     "box too large"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
         "folner-growth-str", "folner-growth-bool", "folner-growth-one",
@@ -552,7 +558,8 @@ def _converge_cfg(**over):
         "torus-index-range", "torus-index-negative", "neg-pow-cap-negative",
         "neg-pow-base-overflow", "maximal-M-negative", "maximal-M-zero",
         "maximal-nu-term-negative", "birkhoff-tol-negative",
-        "limsup-tol-negative", "converge-osc-tol-negative"])
+        "limsup-tol-negative", "converge-osc-tol-negative",
+        "decompose-plain-family-box-budget"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1

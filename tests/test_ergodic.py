@@ -521,6 +521,22 @@ def _report(*failing):
     return ClassifyReport("fixture", verdicts, 0)
 
 
+def _plain_report():
+    """A report for an invariant family that is sub-additive but not
+    strongly so: nu estimation then needs a tiling sequence."""
+    return _report("strongly_subadditive", "strongly_supadditive")
+
+
+def _anchored_boxes():
+    """Boxes that tile but carry no self-similar isomorphism."""
+    return make_folner(_z(), "z_boxes", anchors="squares")
+
+
+def _plane():
+    return (make_folner(ZPower(2), "z_boxes"),
+            BernoulliShift(ZPower(2), (0.7, 0.3), seed=5))
+
+
 def _diagonal_cubes():
     zs = ZSum()
     return make_folner(zs, "zsum_boxes"), BernoulliShift(zs, (0.7, 0.3), seed=5)
@@ -536,6 +552,10 @@ _FAMILY_DETAIL = "classifier found a violation"
 _MAXIMAL_DETAIL = ("maximal inequality needs a non-negative sup-additive "
                    "invariant family")
 _DIVERGE_DETAIL = "growth ratios diverge at the budget"
+_NU_DETAIL = ("need (sub/sup-additive + invariant) or strongly "
+              "sub/sup-additive + invariant")
+_ROUTE_DETAIL = ("family is neither bi-invariant nor strongly sub-additive "
+                 "and no subgroup-product witness exists")
 
 _REFUSALS = {
     "maximal-nonnegative": (
@@ -553,6 +573,11 @@ _REFUSALS = {
             _additive(), _seq(), _system(), 0.5, 2, 10,
             report=_report("invariant")),
         "family invariant", _MAXIMAL_DETAIL, {"counterexample"}),
+    "maximal-core": (
+        lambda: maximal_inequality_check(
+            _additive(), _anchored_boxes(), _system(), 0.5, 3, 10,
+            report=_report()),
+        "non-empty core", "index 6 too small for N=3", set()),
     "kingman-subadditive": (
         lambda: kingman_run(_additive(), _seq(), _system(), [2, 4], 10,
                             report=_report("subadditive", "invariant")),
@@ -561,6 +586,26 @@ _REFUSALS = {
         lambda: kingman_run(_additive(), _seq(), _system(), [2, 4], 10,
                             report=_report("invariant")),
         "family invariant", _FAMILY_DETAIL, {"counterexample"}),
+    "kingman-self-similar": (
+        lambda: kingman_run(_additive(), _anchored_boxes(), _system(), [2, 4],
+                            10, report=_report()),
+        "self-similar tiling sequence",
+        "no self-similar certificate at indices [2, 4]", set()),
+    "kingman-growth": (
+        lambda: kingman_run(_additive(), *_diagonal_cubes(), [1, 2, 3, 4, 5],
+                            10, report=_report()),
+        "bounded inverse-union growth",
+        "ratios diverge on the scheduled subsequence", {"ratios"}),
+    "kingman-sandwich": (
+        lambda: kingman_run(_additive(), _seq(), _system(), [2, 4, 5], 10,
+                            report=_report()),
+        "sandwich witnesses",
+        "composition gap not shrinking along the schedule", {"gaps"}),
+    "kingman-route": (
+        lambda: kingman_run(_additive(), *_plane(), [2, 4], 10,
+                            report=_report("bi_invariant",
+                                           "strongly_subadditive")),
+        "invariance route", _ROUTE_DETAIL, set()),
     "limsup-bi-invariant-family": (
         lambda: limsup_identity_check(
             _additive(), _seq(), _system(), "bi_invariant", [2, 4], 10,
@@ -575,6 +620,20 @@ _REFUSALS = {
         lambda: dprime_m_diagnostics(_additive(), _seq(), _system(), [2], 4,
                                      10, report=_report("subadditive")),
         "family subadditive", _FAMILY_DETAIL, {"counterexample"}),
+    "dprime-self-similar": (
+        lambda: dprime_m_diagnostics(_additive(), _anchored_boxes(), _system(),
+                                     [2], 4, 10, report=_report()),
+        "self-similar tiling sequence",
+        "no self-similar certificate at indices [2]", set()),
+    "nu-family-properties": (
+        lambda: nu_estimate(_additive(), _seq(), _system(), 2, 10,
+                            report=_report("invariant")),
+        "family properties", _NU_DETAIL, set()),
+    "nu-tiling": (
+        lambda: nu_estimate(_additive(), _explicit_boxes(), _system(), 2, 10,
+                            report=_plain_report()),
+        "tiling sequence",
+        "plain sub/sup-additive families need a tiling Folner sequence", set()),
     "birkhoff-tempered": (
         lambda: birkhoff_check(symbol_value(), _diagonal_cubes()[0],
                                _diagonal_cubes()[1], [1, 2, 3, 4, 5], 10),
@@ -667,4 +726,5 @@ def test_composition_chain_lets_unexpected_errors_through(monkeypatch):
 def test_tiling_probe_lets_unexpected_errors_through(monkeypatch):
     monkeypatch.setattr(ergodic, "standard_cert", _raise_arithmetic)
     with pytest.raises(ArithmeticError):
-        ergodic._seq_is_tiling(_seq(), [2])
+        nu_estimate(_additive(), _seq(), _system(), 2, 10,
+                    report=_plain_report())

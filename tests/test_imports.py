@@ -1,9 +1,9 @@
 """Every name a module of ``folnerlab`` imports is used by that module,
 every module-level function or class and every method has a caller outside
-the tests, finite
-sets stay in their one representation, config parsers read only through the
-checked reader, the FFT products import no scipy, and the package states
-one version.
+the tests, every gate refusal with a literal hypothesis has a pinned case,
+finite sets stay in their one representation, config parsers read only
+through the checked reader, the FFT products import no scipy, and the
+package states one version.
 
 No linter is part of the toolchain, so this is the check.  ``__init__.py``
 is exempt from the import check: its imports are the package's re-exports.
@@ -161,6 +161,38 @@ def test_unreferenced_method_check_ignores_test_callers(tmp_path):
     flagged = {m.split(".")[1] for mod in MODULES
                for m in _unreferenced_methods(SRC / mod, SCANNED)}
     assert set(_UNREFERENCED_METHODS_OK) <= flagged
+
+
+def _literal_refusals(tree: ast.Module) -> list:
+    """(hypothesis, detail) of each ``GateRefusal(...)`` whose hypothesis is
+    a string literal; the detail is None unless it is a literal too."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "GateRefusal"
+                and node.args and isinstance(node.args[0], ast.Constant)):
+            detail = node.args[1] if len(node.args) > 1 else None
+            out.append((node.args[0].value,
+                        detail.value if isinstance(detail, ast.Constant) else None))
+    return out
+
+
+def test_every_literal_refusal_is_pinned():
+    # each refusal a gate can raise has a case in the pinned-string table
+    from test_ergodic import _REFUSALS
+
+    pinned = {(hyp, detail) for _, hyp, detail, _ in _REFUSALS.values()}
+    hypotheses = {hyp for hyp, _ in pinned}
+    unpinned = [(module, hyp, detail) for module in MODULES
+                for hyp, detail in _literal_refusals(ast.parse((SRC / module).read_text()))
+                if hyp not in hypotheses
+                or (detail is not None and (hyp, detail) not in pinned)]
+    assert unpinned == []
+
+
+def test_literal_refusal_scan_catches_each_form():
+    src = ("GateRefusal('a', 'b')\nGateRefusal('c', f'd {x}')\nGateRefusal('e')\n"
+           "GateRefusal(f'g {x}', 'h')\nRuntimeError('i', 'j')\n")
+    assert _literal_refusals(ast.parse(src)) == [("a", "b"), ("c", None), ("e", None)]
 
 
 def _mentions_elems(node: ast.AST) -> bool:
