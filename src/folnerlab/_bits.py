@@ -1,9 +1,14 @@
-"""64-bit mixing primitives shared by the hashing and sampling layers.
+"""64-bit primitives shared by the hashing and sampling layers.
 
 The mixer is the published SplitMix64 finalizer.  The scalar and the numpy
 paths must stay bit-identical; tests assert this on random inputs.
+``pcg64_outputs`` computes the raw outputs of many
+``np.random.default_rng([seed, i])`` generators at once, bit for bit; tests
+compare it with numpy's own generators.
 """
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -59,3 +64,73 @@ def uniform_from_key(key: int, cfg: int) -> float:
     """The word of (key, cfg) as a float in [0, 1]: the words from
     2**64 - 1024 up round to 1.0."""
     return mix64(key ^ cfg) * TWO_NEG_64
+
+
+# numpy's SeedSequence (a fixed uint32 hash network) and PCG64 (a 128-bit LCG
+# with the XSL-RR output, O'Neill 2014), computed for many entropies at once
+_M32 = np.uint64(0xFFFFFFFF)
+_S1, _S16, _S32, _S58, _S63 = (np.uint64(s) for s in (1, 16, 32, 58, 63))
+_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_PCG_LO0, _PCG_LO1 = _PCG_LO & _M32, _PCG_LO >> _S32
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * MULT + inc on 128-bit states held as (hi, lo) uint64 limbs;
+    the high word of lo * MULT's low word is summed from 32-bit halves."""
+    x0, x1 = lo & _M32, lo >> _S32
+    p01, p10 = x0 * _PCG_LO1, x1 * _PCG_LO0
+    mid = ((x0 * _PCG_LO0) >> _S32) + (p01 & _M32) + (p10 & _M32)
+    hi = (x1 * _PCG_LO1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+          + lo * _PCG_HI + hi * _PCG_LO)
+    lo = lo * _PCG_LO + inc_lo
+    return hi + inc_hi + (lo < inc_lo), lo
+
+
+def pcg64_outputs(seed: int, idx: np.ndarray, k: int) -> np.ndarray:
+    """The first k raw outputs of ``np.random.default_rng([seed, i])`` for each
+    i of ``idx``, as a (len(idx), k) uint64 array: SeedSequence's entropy
+    mixing and ``generate_state(4, uint64)``, PCG64's seeding, then k steps."""
+    if (seed := operator.index(seed)) < 0:
+        raise ValueError("expected non-negative integer")
+    idx = np.asarray(idx, dtype=np.uint64)
+    entropy = [np.full(len(idx), (seed >> s) & 0xFFFFFFFF, dtype=np.uint64)
+               for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [idx & _M32, idx >> _S32]
+    wide = idx > _M32  # only these indices have a high word, the last entropy word
+    const = 0x43B0D7E5
+
+    def hashmix(v, mult=0x931E8875):
+        nonlocal const
+        v = v ^ np.uint64(const)
+        const = (const * mult) & 0xFFFFFFFF
+        v = (v * np.uint64(const)) & _M32
+        return v ^ (v >> _S16)
+
+    def mix(x, y):
+        r = (np.uint64(0xCA01F9DD) * x - np.uint64(0x4973F715) * y) & _M32
+        return r ^ (r >> _S16)
+
+    # inside the 4-word pool a missing word hashes as a zero word does; past
+    # it, the pool keeps its value where the word is missing
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0 * idx) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for j in range(4, len(entropy)):
+        for dst in range(4):
+            mixed = mix(pool[dst], hashmix(entropy[j]))
+            pool[dst] = mixed if j + 1 < len(entropy) else np.where(wide, mixed, pool[dst])
+    const = 0x8B51F9DD
+    half = [hashmix(pool[j % 4], 0x58F38DED) for j in range(8)]
+    s_hi, s_lo, i_hi, i_lo = (half[2 * j] | (half[2 * j + 1] << _S32) for j in range(4))
+    del entropy, pool, half  # a smaller peak while the states step
+    inc_hi, inc_lo = (i_hi << _S1) | (i_lo >> _S63), (i_lo << _S1) | _S1
+    lo = inc_lo + s_lo  # state 0, one step (to inc), plus the seed state
+    hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
+    out = np.empty((len(idx), k), dtype=np.uint64)
+    for j in range(k):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        v, rot = hi ^ lo, hi >> _S58
+        out[:, j] = (v >> rot) | (v << ((np.uint64(64) - rot) & _S63))
+    return out

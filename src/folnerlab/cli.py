@@ -413,8 +413,8 @@ def main(argv: Optional[list] = None) -> int:
         thread_cap()  # a malformed FOLNER_LAB_THREADS stops before any run
         code, rows, summary = _HANDLERS[args.command](cfg)
     except (ConfigError, BudgetError, UnsupportedObservable) as exc:
-        # a budget blow-up here means the requested windows exceed the
-        # enumeration budget before any gate runs
+        # a budget blow-up means the requested sets exceed the enumeration
+        # budget, before any gate runs or inside one: no gate can decide
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except GateRefusal as exc:

@@ -27,7 +27,7 @@ from .families import (AdditiveFamily, ClassifyReport, DerivedPrimeM, Family,
                        Truncated, classify)
 from .folner import (FolnerSeq, _inverse_unions, make_folner, tempelman_report,
                      tempered_report)
-from .groups import (BudgetError, EnumBudget, FinSet, Group, diff,
+from .groups import (EnumBudget, FinSet, Group, diff,
                      enumerate_finsets, erode, intersect, is_subset,
                      product_set, translate_right, union)
 from .systems import (Observable, Points, System, conditional_expectation,
@@ -131,9 +131,8 @@ def _estimate(values: np.ndarray, seed: int) -> Estimate:
 
 
 def sample_points(system: System, samples: int, seed: int) -> Points:
-    """Common-random-number points: sample i always uses substream [seed, i].
-    The generators are made one at a time, as the points are drawn."""
-    return system.sample(np.random.default_rng([seed, i]) for i in range(samples))
+    """Common-random-number points: sample i always uses substream [seed, i]."""
+    return system.substream_points(seed, np.arange(samples))
 
 
 def family_values(fam: Family, system: System, F: FinSet, points: Points) -> np.ndarray:
@@ -529,10 +528,9 @@ def maximal_inequality_check(fam: Family, seq: FolnerSeq, system: System,
     mass = float(exceed.mean())
     se = math.sqrt(max(mass * (1 - mass), 1.0 / samples) / samples)
     bound = (M / alpha) * nu_term
-    stats = []
-    for j in range(greedy_instances):
-        y = system.sample([np.random.default_rng([seed, 10_000 + j])])
-        stats.append(greedy_cover(fam, system, y, seq, max(2 * N, 6), alpha, N))
+    ys = system.substream_points(seed, 10_000 + np.arange(greedy_instances))
+    stats = [greedy_cover(fam, system, ys[j:j + 1], seq, max(2 * N, 6), alpha, N)
+             for j in range(greedy_instances)]
     ok = (mass <= bound + 4.0 * se
           and all(s.inequality_ok and s.covered for s in stats))
     return MaximalReport(alpha=float(alpha), N=N, empirical_mass=mass,
@@ -615,12 +613,9 @@ def birkhoff_check(obs: Observable, seq: FolnerSeq, system: System,
 
 def _tempered_gate(seq: FolnerSeq, schedule) -> Fraction:
     """The exact tempered witness, or a refusal when the growth ratios look
-    divergent or blow the enumeration budget."""
+    divergent."""
     upto = min(max(schedule), 12) if seq.seq_kind != "explicit" else len(schedule)
-    try:
-        rep = tempered_report(seq, max(2, upto))
-    except BudgetError as exc:
-        raise GateRefusal("tempered sequence", str(exc))
+    rep = tempered_report(seq, max(2, upto))
     if not rep.ok:
         raise GateRefusal("tempered sequence",
                           "growth ratios diverge at the budget",

@@ -3,9 +3,9 @@
 Sample points are one record of arrays, ``Points``: for each point, the
 index of its leaf in ``system.components()``, the dense group row of its
 accumulated translation (``offsets``), a 64-bit configuration key (read on
-Bernoulli leaves) and a base point (read on torus leaves).  The action is
-exact by construction: ``Points.moved`` adds group rows to the offsets and
-changes nothing else.
+Bernoulli leaves) and a base point (read on torus leaves).  Point i of a
+run draws what ``np.random.default_rng([seed, i])`` would, for all points
+at once.  The action, ``Points.moved``, only adds group rows to offsets.
 
 * ``BernoulliShift``: the symbol at cell h for point (offset, cfg) is a
   keyed hash of h*offset, so symbol(h, g.y) == symbol(h*g, y) holds
@@ -30,7 +30,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._bits import GOLDEN64, TWO_NEG_64, mix64, uniform_from_key, words_from_keys
+from ._bits import (GOLDEN64, TWO_NEG_64, mix64, mix64_np, pcg64_outputs,
+                    uniform_from_key, words_from_keys)
 from ._config import (_INT, _NONNEG_INT, _NUM, _NUMS, _OBJ, _OBJS, _get,
                       _kind)
 from .groups import FinSet, Group, ZPower, _box, _widen
@@ -81,34 +82,44 @@ class GenericBatch:
 
 
 class System:
-    """Base class: each kind draws one point from a generator with
-    ``_draw(rng)``, as (leaf index, configuration key, base point or None);
-    ``sample`` draws a batch."""
+    """Base class.  Point i of a run draws what ``np.random.default_rng([seed,
+    i])`` would: ``substream_points`` computes that for all points at once,
+    each kind decoding its draws from the generator's first ``_outputs`` raw
+    outputs with ``_decode``, as numpy's ``Generator`` would.  ``sample`` draws
+    with ``_draw(rng)`` from generators that points share or that other draws
+    have advanced."""
 
     group: Group
     seed: int
     ergodic: bool
+    _outputs: int
 
     def components(self):
         """Flattened list of (weight, leaf system)."""
         return [(1.0, self)]
 
-    def sample(self, rngs) -> Points:
-        """One point from each generator of the iterable ``rngs``, in order."""
-        dim = max((leaf.group.d for _, leaf in self.components()
-                   if isinstance(leaf, TorusRotation)), default=0)
-        pad = (0.0,) * dim
-        leaf, cfgs, bases = [], [], []
-        for rng in rngs:
-            k, cfg, base = self._draw(rng)
-            leaf.append(k)
-            cfgs.append(cfg)
-            bases.append(pad if base is None else base)
+    def _dim(self) -> int:
+        """The width of the base points: the torus dimension, if any."""
+        return max((leaf.group.d for _, leaf in self.components()
+                    if isinstance(leaf, TorusRotation)), default=0)
+
+    def _points(self, leaf, cfgs, bases) -> Points:
         n, grp = len(leaf), self.group
         return Points(np.asarray(leaf, dtype=np.int64),
                       np.zeros((n, grp.dense_width([grp.identity()])), dtype=np.int64),
                       np.asarray(cfgs, dtype=np.uint64),
-                      np.asarray(bases, dtype=np.float64).reshape(n, dim))
+                      np.asarray(bases, dtype=np.float64).reshape(n, self._dim()))
+
+    def substream_points(self, seed: int, idx: np.ndarray) -> Points:
+        """Point j as ``np.random.default_rng([seed, idx[j]])`` draws it."""
+        return self._points(*self._decode(pcg64_outputs(seed, idx, self._outputs)))
+
+    def sample(self, rngs) -> Points:
+        """One point from each generator of the iterable ``rngs``, in order."""
+        draws = [self._draw(rng) for rng in rngs]
+        pad = (0.0,) * self._dim()
+        return self._points([k for k, _, _ in draws], [c for _, c, _ in draws],
+                            [pad if b is None else b for _, _, b in draws])
 
     @staticmethod
     def from_json(d: dict, group: Optional[Group] = None) -> "System":
@@ -138,6 +149,7 @@ class BernoulliShift(System):
         self.probs = probs
         self.seed = int(seed)
         self.ergodic = True
+        self._outputs = 2
         cum = []
         acc = 0.0
         for p in probs:
@@ -153,6 +165,13 @@ class BernoulliShift(System):
     def _draw(self, rng) -> tuple:
         word = int(rng.integers(0, 1 << 63)) | (int(rng.integers(0, 2)) << 63)
         return 0, mix64(mix64(self.seed ^ GOLDEN64) ^ word), None
+
+    def _decode(self, raw: np.ndarray) -> tuple:
+        # integers(0, 2**63) is output 0 >> 1 and integers(0, 2) is bit 31 of
+        # output 1: Lemire's method never rejects on a power-of-two range
+        word = (raw[:, 0] >> np.uint64(1)) | (raw[:, 1] >> np.uint64(31) << np.uint64(63))
+        word ^= np.uint64(mix64(self.seed ^ GOLDEN64))
+        return np.zeros(len(raw), dtype=np.int64), mix64_np(word), np.zeros((len(raw), 0))
 
     def uniform_at(self, y: Points, h=None) -> float:
         """The uniform of the one cell h*offset of the first point of ``y``
@@ -208,9 +227,14 @@ class TorusRotation(System):
         self.alphas = alphas
         self.seed = int(seed)
         self.ergodic = True  # irrational frequencies assumed (default sqrt(2)-1)
+        self._outputs = group.d
 
     def _draw(self, rng) -> tuple:
         return 0, 0, rng.random(self.group.d)
+
+    def _decode(self, raw: np.ndarray) -> tuple:
+        return (np.zeros(len(raw), dtype=np.int64), np.zeros(len(raw), dtype=np.uint64),
+                _doubles(raw[:, :self.group.d]))
 
 
 class FiniteMixture(System):
@@ -231,18 +255,28 @@ class FiniteMixture(System):
         # the flattened leaf index of each part's first leaf
         self._first = list(accumulate((len(s.components()) for _, s in self.parts),
                                       initial=0))
+        self._outputs = 1 + max(s._outputs for _, s in self.parts)
+        self._cum = np.array(list(accumulate(w for w, _ in self.parts)))
+
+    def _part(self, u):
+        """The part u picks: the first whose running weight sum exceeds u, else the last."""
+        return np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.parts) - 1)
 
     def _draw(self, rng) -> tuple:
-        u = float(rng.random())
-        acc = 0.0
-        idx = len(self.parts) - 1
-        for i, (w, _) in enumerate(self.parts):
-            acc += w
-            if u < acc:
-                idx = i
-                break
+        idx = int(self._part(rng.random()))
         k, cfg, base = self.parts[idx][1]._draw(rng)
         return self._first[idx] + k, cfg, base
+
+    def _decode(self, raw: np.ndarray) -> tuple:
+        # output 0 picks the part as _draw does; the part decodes the rest
+        part = self._part(_doubles(raw[:, 0]))
+        leaf, cfgs = np.zeros(len(raw), dtype=np.int64), np.zeros(len(raw), dtype=np.uint64)
+        bases = np.zeros((len(raw), self._dim()))
+        for i, (_, s) in enumerate(self.parts):
+            sel = np.flatnonzero(part == i)
+            k, cfgs[sel], bases[sel, :s._dim()] = s._decode(raw[sel, 1:])
+            leaf[sel] = self._first[i] + k
+        return leaf, cfgs, bases
 
     def components(self):
         out = []
@@ -250,6 +284,11 @@ class FiniteMixture(System):
             for wi, leaf in s.components():
                 out.append((w * wi, leaf))
         return out
+
+
+def _doubles(raw: np.ndarray) -> np.ndarray:
+    """Generator.random() of each raw output: its top 53 bits times 2**-53."""
+    return (raw >> np.uint64(11)) * 2.0 ** -53
 
 
 _SYSTEM_KINDS = {

@@ -540,6 +540,13 @@ def _converge_cfg(**over):
             {"kind": "symbol_value"},
             {"kind": "indicator_symbol", "symbol": 0}]}),
      "box too large"),
+    # a budget blow-up inside the tempered gate
+    ("birkhoff", {"group": {"kind": "cyclic_sum", "periods": [2, 10_000_000]},
+                  "sequence": {"kind": "cyclic_prefix"},
+                  "system": _bernoulli_system((0.5, 0.5), seed=1),
+                  "observable": {"kind": "symbol_value"},
+                  "n_schedule": [1, 2], "samples": 10},
+     "prefix set too large"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
         "folner-growth-str", "folner-growth-bool", "folner-growth-one",
@@ -559,7 +566,7 @@ def _converge_cfg(**over):
         "neg-pow-base-overflow", "maximal-M-negative", "maximal-M-zero",
         "maximal-nu-term-negative", "birkhoff-tol-negative",
         "limsup-tol-negative", "converge-osc-tol-negative",
-        "decompose-plain-family-box-budget"])
+        "decompose-plain-family-box-budget", "birkhoff-tempered-budget"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1

@@ -200,10 +200,10 @@ def test_sample_points_prefix_stability():
         assert np.array_equal(getattr(a, f), getattr(b, f)), f
 
 
-def test_sample_points_makes_its_generators_lazily():
-    # 10^4 Bernoulli points peak near 1.1 MiB of traced allocations when each
-    # generator is made as its point is drawn, and near 10 MiB when all the
-    # generators are held in a list first
+def test_sample_points_peak_allocation_is_small():
+    # 10^4 Bernoulli points peak near 1.8 MiB of traced allocations (the
+    # seeding columns are freed before the generator states step); holding
+    # one numpy generator per point would take near 10 MiB
     system = _system()
     tracemalloc.start()
     try:
@@ -638,12 +638,6 @@ _REFUSALS = {
         lambda: birkhoff_check(symbol_value(), _diagonal_cubes()[0],
                                _diagonal_cubes()[1], [1, 2, 3, 4, 5], 10),
         "tempered sequence", _DIVERGE_DETAIL, {"witness"}),
-    "birkhoff-tempered-budget": (
-        lambda: birkhoff_check(
-            symbol_value(), make_folner(CyclicSum((2, 10 ** 7)), "cyclic_prefix"),
-            BernoulliShift(CyclicSum((2, 10 ** 7)), (0.5, 0.5), seed=1),
-            [1, 2], 10),
-        "tempered sequence", "prefix set too large", set()),
     "limsup-tempered": (
         lambda: limsup_identity_check(
             _additive(), *_diagonal_cubes(), "bi_invariant", [1, 2, 3, 4, 5],
