@@ -35,12 +35,12 @@ def main() -> None:
         cls = setfn_classify(f, z)
         if cls["strongly_subadditive"]:
             route = "strong"
-            rep = setfn_limit_strong(f, plain, indices, ladder_sets=ladder)
-            rep_b = setfn_limit_strong(f, anchored, indices, ladder_sets=ladder)
+            rep = setfn_limit_strong(f, plain, indices, ladder_sets=ladder, report=cls)
+            rep_b = setfn_limit_strong(f, anchored, indices, ladder_sets=ladder, report=cls)
         else:
             route = "tiling"
-            rep = setfn_limit_tiling(f, plain, indices, max_card=24)
-            rep_b = setfn_limit_tiling(f, anchored, indices, max_card=24)
+            rep = setfn_limit_tiling(f, plain, indices, max_card=24, report=cls)
+            rep_b = setfn_limit_tiling(f, anchored, indices, max_card=24, report=cls)
         agree = abs(rep.limit_value - rep_b.limit_value) <= 1e-9
         print(f"{name:16s} {route:7s} {rep.limit_value:10.6f} "
               f"{rep.inf_value:10.6f} {rep.gap:8.4f} {rep.status}"

@@ -6,8 +6,8 @@ code:
 
     0  pass
     1  config/schema error, an observable the system does not support, an
-       enumeration budget exceeded (inside a gate too, except the tempered
-       one, which refuses), or an output file that cannot be written
+       enumeration budget exceeded (inside any gate too, the tempered one
+       included), or an output file that cannot be written
     2  inconclusive (statistics did not certify the claim)
     3  hypothesis-gate refusal
     4  counterexample found

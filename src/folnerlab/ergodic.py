@@ -251,8 +251,9 @@ class LimitReport:
     status: str             # "converged" | "inconclusive"
 
 
-def _setfn_gate(f: SetFunction, group: Group, prop: str) -> None:
-    rep = setfn_classify(f, group)
+def _setfn_gate(f: SetFunction, group: Group, prop: str,
+                report: Optional[dict] = None) -> None:
+    rep = report if report is not None else setfn_classify(f, group)
     if not (rep["invariant"] and rep[prop]):
         raise GateRefusal(f"setfn {prop}+invariant",
                           "set function failed exact checks",
@@ -274,10 +275,11 @@ def _limit_from_enumeration(f: SetFunction, seq: FolnerSeq, indices,
 
 
 def setfn_limit_tiling(f: SetFunction, seq: FolnerSeq, indices,
-                       max_card: int = 12, max_index: int = 4) -> LimitReport:
+                       max_card: int = 12, max_index: int = 4,
+                       report: Optional[dict] = None) -> LimitReport:
     """Normalized limit along a tiling sequence against the infimum over
     enumerated tiles."""
-    _setfn_gate(f, seq.group, "subadditive")
+    _setfn_gate(f, seq.group, "subadditive", report)
     _require_tiling(seq, indices)
     tiles = [c.tile for c in enumerate_tiles(seq.group, max_card, max_index)]
     return _limit_from_enumeration(f, seq, indices, tiles)
@@ -285,7 +287,8 @@ def setfn_limit_tiling(f: SetFunction, seq: FolnerSeq, indices,
 
 def setfn_limit_strong(f: SetFunction, seq: FolnerSeq, indices,
                        budget: Optional[EnumBudget] = None,
-                       ladder_sets: Optional[list] = None) -> LimitReport:
+                       ladder_sets: Optional[list] = None,
+                       report: Optional[dict] = None) -> LimitReport:
     """Normalized limit along any Folner sequence against the infimum over
     enumerated finite sets (strong sub-additivity route).
 
@@ -293,7 +296,7 @@ def setfn_limit_strong(f: SetFunction, seq: FolnerSeq, indices,
     caller-supplied ladder of larger sets (the exhaustive stream alone cannot
     reach the cardinalities that cardinality-driven functions need).
     """
-    _setfn_gate(f, seq.group, "strongly_subadditive")
+    _setfn_gate(f, seq.group, "strongly_subadditive", report)
     if budget is None:
         budget = EnumBudget(max_card=4, lo=-2, hi=2, max_index=2, max_sets=4000)
     sets = list(enumerate_finsets(seq.group, budget))

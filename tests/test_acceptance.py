@@ -149,11 +149,11 @@ def test_criterion_03_setfn_limits_match_enumerated_infima():
         cls = setfn_classify(f, z)
         assert cls["subadditive"] and cls["invariant"], name
         if cls["strongly_subadditive"]:
-            r1 = setfn_limit_strong(f, seq_a, indices, ladder_sets=ladder)
-            r2 = setfn_limit_strong(f, seq_b, indices, ladder_sets=ladder)
+            r1 = setfn_limit_strong(f, seq_a, indices, ladder_sets=ladder, report=cls)
+            r2 = setfn_limit_strong(f, seq_b, indices, ladder_sets=ladder, report=cls)
         else:
-            r1 = setfn_limit_tiling(f, seq_a, indices, max_card=24)
-            r2 = setfn_limit_tiling(f, seq_b, indices, max_card=24)
+            r1 = setfn_limit_tiling(f, seq_a, indices, max_card=24, report=cls)
+            r2 = setfn_limit_tiling(f, seq_b, indices, max_card=24, report=cls)
         tol = 0.05 * (1 + abs(r1.limit_value))
         ok &= r1.gap <= tol and r2.gap <= tol
         ok &= abs(r1.limit_value - r2.limit_value) <= 1e-9

@@ -6,13 +6,16 @@ import pytest
 
 from folnerlab import tiling
 from folnerlab.folner import make_folner
-from folnerlab.groups import BudgetError, CyclicSum, FinSet, ZPower, ZSum
+from folnerlab.groups import (BudgetError, CyclicSum, FinSet, ZPower, ZSum, _box,
+                              product_set, zsum_box)
 from folnerlab.tiling import (
     LatticeCenters,
     ScaleIso,
+    ShiftIso,
     TilingCert,
     TilingOverlapError,
     WitnessB,
+    ZSumScaleIso,
     compose,
     composed_seq_check,
     condition_b_witness,
@@ -138,6 +141,86 @@ def test_composition_overlap_is_an_error():
     fake = TilingCert(tile, LatticeCenters(z, (3,)), ScaleIso(z, (1,)))
     with pytest.raises(TilingOverlapError):
         compose(fake, FinSet(z, ((0,), (1,))))
+    # box tiles wider than the scale where F is wider than one cell
+    z2, zs = ZPower(2), ZSum()
+    for iso, tile, F in [
+        (ScaleIso(z2, (2, 2)), _box(z2, [range(3), range(2)]), _box(z2, [range(-1, 1), range(2)])),
+        (ZSumScaleIso(zs, (2,)), zsum_box(zs, (2, 2)), _box(zs, [range(1), range(2)])),
+    ]:
+        with pytest.raises(TilingOverlapError):
+            compose(TilingCert(tile, None, iso), F)
+
+
+def _keyed_compose(cert, F):
+    """compose by the Minkowski product of the tile and the image set."""
+    return product_set(cert.tile, cert.iso.image_set(F))
+
+
+def _products_in_compose(monkeypatch, cert, F):
+    """(compose(cert, F), the number of product_set calls it made)."""
+    calls = []
+    monkeypatch.setattr(tiling, "product_set",
+                        lambda K, X: calls.append(1) or product_set(K, X))
+    return compose(cert, F), len(calls)
+
+
+@pytest.mark.parametrize("tile_lo, scale, f_lo, f_ext", [
+    ((-2,), (3,), (-4,), (5,)),
+    ((1,), (2,), (3,), (1,)),
+    ((0, -1), (2, 3), (-3, 2), (4, 2)),
+    ((3, 0), (1, 4), (0, -5), (2, 1)),
+    ((-1, 2, 0), (2, 1, 3), (1, -2, 4), (2, 3, 2)),
+    ((0, 0, -3), (3, 3, 2), (-1, 0, 0), (1, 1, 3)),
+])
+def test_box_composition_is_the_closed_form_box(monkeypatch, tile_lo, scale, f_lo, f_ext):
+    grp = ZPower(len(scale))
+    # on coordinates where F is one cell wide the tile extent need not be the scale
+    tile_ext = [s if b > 1 else s + 1 for s, b in zip(scale, f_ext)]
+    tile = _box(grp, [range(a, a + e) for a, e in zip(tile_lo, tile_ext)])
+    F = _box(grp, [range(a, a + b) for a, b in zip(f_lo, f_ext)])
+    cert = TilingCert(tile, LatticeCenters(grp, scale), ScaleIso(grp, scale))
+    out, products = _products_in_compose(monkeypatch, cert, F)
+    assert products == 0 and out.is_box
+    assert out == _keyed_compose(cert, F) and len(out) == len(tile) * len(F)
+
+
+@pytest.mark.parametrize("shape, f_ranges", [
+    ((2, 3, 1, 1), [range(-1, 2), range(0, 2), range(3, 6), range(-2, 1), range(1, 3)]),
+    ((2, 3, 1, 1), [range(2, 5)]),
+    ((3,), [range(-2, 0), range(1, 2), range(0, 4)]),
+    ((2, 2), [range(0, 1), range(0, 1), range(-1, 1)]),
+    ((1, 2), [range(-3, -1), range(4, 7)]),
+])
+def test_zsum_box_composition_is_the_closed_form_box(monkeypatch, shape, f_ranges):
+    # F wider and narrower than the iso's shape; trailing 1s scale by 1
+    grp = ZSum()
+    cert = TilingCert(zsum_box(grp, shape), None, ZSumScaleIso(grp, shape))
+    F = _box(grp, f_ranges)
+    out, products = _products_in_compose(monkeypatch, cert, F)
+    assert products == 0
+    assert out == _keyed_compose(cert, F) and len(out) == len(cert.tile) * len(F)
+
+
+def test_gapped_and_non_box_compositions_take_the_product(monkeypatch):
+    z2 = ZPower(2)
+    iso = ScaleIso(z2, (3, 2))
+    box = _box(z2, [range(-1, 2), range(2)])
+    gapped = TilingCert(_box(z2, [range(2), range(2)]), None, iso)  # extent 2 < scale 3
+    out, products = _products_in_compose(monkeypatch, gapped, box)
+    assert products == 1 and not out.is_box and out == _keyed_compose(gapped, box)
+    cert = TilingCert(_box(z2, [range(3), range(2)]), None, iso)
+    F = box.take([0, 1, 2, 4])
+    out, products = _products_in_compose(monkeypatch, cert, F)
+    assert products == 1 and out == _keyed_compose(cert, F)
+    assert len(out) == len(cert.tile) * len(F)
+
+
+def test_shift_iso_composition_is_unchanged(monkeypatch):
+    seq = make_folner(CyclicSum((2,)), "cyclic_prefix")
+    cert = standard_cert(seq, 2)
+    assert isinstance(cert.iso, ShiftIso)
+    out, products = _products_in_compose(monkeypatch, cert, seq.generate(3))
+    assert products == 1 and out == _keyed_compose(cert, seq.generate(3))
 
 
 # ---------------------------------------------------------------------------
