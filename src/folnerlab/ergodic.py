@@ -27,8 +27,8 @@ from .families import (AdditiveFamily, ClassifyReport, DerivedPrimeM, Family,
                        Truncated, classify)
 from .folner import (FolnerSeq, _inverse_unions, make_folner, tempelman_report,
                      tempered_report)
-from .groups import (EnumBudget, FinSet, Group, diff,
-                     enumerate_finsets, erode, intersect, is_subset,
+from .groups import (EnumBudget, FinSet, Group, _key_sums, _padded_boxes, _sum_box,
+                     diff, enumerate_finsets, erode, intersect, is_subset,
                      product_set, translate_right, union)
 from .systems import (Observable, Points, System, conditional_expectation,
                       split_leaves)
@@ -430,17 +430,18 @@ def greedy_cover(fam: Family, system: System, y: Points, seq: FolnerSeq, n: int,
         free &= ~hit
         class_pos.append(np.flatnonzero(hit))
 
-    # backward greedy maximal disjoint packings
-    occupied = FinSet(grp)
+    # backward greedy maximal disjoint packings, on one occupancy array over
+    # the keys of a box that holds core * (F_1 u ... u F_N)
+    lo, ext = _sum_box(grp, *_padded_boxes(core, functools.reduce(union, windows)))
+    occupied = np.zeros(math.prod(ext), dtype=bool)
     chosen_pos = [None] * N
     for i in range(N - 1, -1, -1):
         keep = []
-        window = windows[i].rows(width)
-        for c in class_pos[i]:
-            cells = FinSet.from_rows(grp, grp.add_rows(window, rows[c]))
-            if intersect(cells, occupied).is_empty:
+        cells = _key_sums(grp, rows[class_pos[i]], windows[i].rows(width), lo, ext)
+        for c, k in zip(class_pos[i].tolist(), cells):
+            if not occupied[k].any():
                 keep.append(c)
-                occupied = union(occupied, cells)
+                occupied[k] = True
         chosen_pos[i] = keep
 
     # exact counting: coverage inclusion and both inequality sides; the

@@ -32,15 +32,13 @@ from .systems import Observable, Points, System, observable_from_json, split_lea
 from .tiling import TilingCert, compose, window_set
 
 # a vectorized slab holds about _SLAB_CELLS cells (points x |F|), so that
-# its word and symbol matrices stay in cache, and at most _SLAB_POINTS
-# points: uncapped slabs of small sets raised the greedy covering's peak RSS
+# its word and symbol matrices stay in cache
 _SLAB_CELLS = 1 << 16
-_SLAB_POINTS = 64
 
 
 def _slabs(n: int, cells: int):
     """Slices of n points, at ``cells`` cells per point."""
-    size = min(max(_SLAB_CELLS // cells, 1), _SLAB_POINTS)
+    size = max(_SLAB_CELLS // cells, 1)
     for s in range(0, n, size):
         yield slice(s, min(s + size, n))
 

@@ -26,8 +26,9 @@ The bounding box of a non-empty set is tight: ``lo`` is the least row and
 carry no trailing all-zero coordinate.  So a set is a full box exactly when
 it has ``prod(ext)`` keys (``FinSet.is_box``), and two fast paths read no
 key: ``is_subset`` decides by the boxes alone when A's box leaves B's or B
-is a box, and ``product_set`` of two boxes on ZPower and ZSum is the sum
-box (on CyclicSum sums wrap, so it takes the general path).
+is a box, ``product_set`` of two boxes on ZPower and ZSum is the sum box
+(on CyclicSum sums wrap, so it takes the general path), and ``erode`` of a
+box by a box, or on CyclicSum of a coset box by any set, is a box.
 
 Every box is built here, by one builder (``_box``): the Folner boxes and
 prefix subgroups of ``folner``, the windows and tile shapes of ``tiling``,
@@ -547,27 +548,49 @@ def _convolve(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
     return np.fft.irfftn(fa * fb, shape, axes)
 
 
+def _sum_box(grp: Group, kbox: tuple, fbox: tuple) -> tuple:
+    """(lo, ext) holding every product of rows of the boxes (lo, ext) ``kbox``
+    and ``fbox``: their sum; on CyclicSum, where sums wrap, the period on
+    each coordinate that either box uses."""
+    (klo, kext), (flo, fext) = kbox, fbox
+    if isinstance(grp, CyclicSum):
+        return (0,) * len(kext), tuple(
+            1 if (klo[j], kext[j], flo[j], fext[j]) == (0, 1, 0, 1) else grp.period(j)
+            for j in range(len(kext)))
+    return (tuple(a + b for a, b in zip(klo, flo)),
+            tuple(a + b - 1 for a, b in zip(kext, fext)))
+
+
+def _key_sums(grp: Group, a: np.ndarray, b: np.ndarray, lo: tuple, ext: tuple) -> np.ndarray:
+    """(len(a), len(b)): the keys of the products of the dense rows ``a`` and
+    ``b`` (reduced on CyclicSum) in a ``_sum_box`` (lo, ext) of their boxes.
+    On CyclicSum the coordinates that ``b`` holds constant wrap once per row
+    of ``a``, and the others subtract the period where the digits reach it."""
+    strides = _radix(ext)[0]
+    if not isinstance(grp, CyclicSum):
+        return ((a - np.asarray(lo)) @ strides)[:, None] + (b @ strides)[None, :]
+    ext, var = np.asarray(ext), ~(b == b[:1]).all(axis=0)
+    rows = ((a[:, ~var] + b[0, ~var]) % ext[~var]) @ strides[~var] + a[:, var] @ strides[var]
+    sums = rows[:, None] + (b[:, var] @ strides[var])[None, :]
+    for j in np.flatnonzero(var):
+        np.subtract(sums, ext[j] * strides[j], out=sums,
+                    where=a[:, j, None] >= ext[j] - b[None, :, j])
+    return sums
+
+
 def _product(K: FinSet, F: FinSet) -> tuple:
     """(lo, ext, keys, counts): the distinct elements of the multiset K*F as
-    keys of a box (lo, ext) that holds them, with their multiplicities.
+    keys of their ``_sum_box``, with their multiplicities.
 
-    The box is the sum of the two bounding boxes; on CyclicSum, where sums
-    wrap, the period on each coordinate that either set uses.  Above the
-    pair threshold, when the box has no more cells than there are pairs and
-    its padded FFT grid fits the cell cap, an occupancy-grid convolution
-    gives the counts and its non-zero cells are the keys (the rounding slack
-    is asserted); otherwise the keys are one broadcast sum.
+    Above the pair threshold, when the box has no more cells than there are
+    pairs and its padded FFT grid fits the cell cap, an occupancy-grid
+    convolution gives the counts and its non-zero cells are the keys (the
+    rounding slack is asserted); otherwise the keys are ``_key_sums``.
     """
     grp, w = K.group, max(K.width, F.width)
     cyclic = isinstance(grp, CyclicSum)
     (klo, kext), (flo, fext) = _padded_boxes(K, F)
-    if cyclic:
-        lo = (0,) * w
-        ext = tuple(1 if (klo[j], kext[j], flo[j], fext[j]) == (0, 1, 0, 1)
-                    else grp.period(j) for j in range(w))
-    else:
-        lo = tuple(a + b for a, b in zip(klo, flo))
-        ext = tuple(a + b - 1 for a, b in zip(kext, fext))
+    lo, ext = _sum_box(grp, (klo, kext), (flo, fext))
     pairs = len(K) * len(F)
     if (pairs > _GRID_PAIR_THRESHOLD and math.prod(ext) <= pairs and math.prod(
             fft := ext if cyclic else tuple(map(_fast_len, ext))) <= _GRID_CELL_CAP):
@@ -584,14 +607,7 @@ def _product(K: FinSet, F: FinSet) -> tuple:
         counts = counts.ravel()
         keys = np.flatnonzero(counts)
         return lo, ext, keys, counts[keys]
-    strides = _radix(ext)[0]
-    a, b = K._key_rows(w), F._key_rows(w)
-    if cyclic:
-        sums = np.zeros((len(a), len(b)), dtype=np.int64)
-        for j in np.flatnonzero(np.asarray(ext) > 1):
-            sums += (a[:, j, None] + b[None, :, j]) % ext[j] * strides[j]
-    else:
-        sums = ((a - np.asarray(lo)) @ strides)[:, None] + (b @ strides)[None, :]
+    sums = _key_sums(grp, K._key_rows(w), F._key_rows(w), lo, ext)
     return (lo, ext, *_unique(sums, counts=True))
 
 
@@ -616,6 +632,17 @@ def erode(F: FinSet, T: FinSet) -> FinSet:
     grp = _require_same_group(F, T)
     if F.is_empty or T.is_empty:
         return FinSet(grp)
+    cyclic = isinstance(grp, CyclicSum)
+    (flo, fext), (tlo, text) = _padded_boxes(F, T)
+    full = [cyclic and x == grp.period(j) for j, x in enumerate(fext)]
+    if F.is_box and (all(f or x == 1 for f, x in zip(full, fext)) if cyclic else T.is_box):
+        # the box [flo - tlo, fhi - thi]; on CyclicSum F is a coset box: g is
+        # free on its full-period coordinates, and elsewhere T has one value
+        ranges = []
+        for j, (a, x, b, y) in enumerate(zip(flo, fext, tlo, text)):
+            v = (a - b) % grp.period(j) if cyclic else a - b
+            ranges.append(range(x) if full[j] else range(v, v + x - y + 1))
+        return _box(grp, ranges)
     lo, ext, keys, counts = _product(inverse_set(T), F)
     return FinSet.from_rows(grp, _decode(lo, ext, keys[counts == len(T)]))
 

@@ -17,10 +17,11 @@ at once.  The action, ``Points.moved``, only adds group rows to offsets.
 Observables are evaluated only on "windows": over every translate of a
 finite set, for a batch of sample points.  Every leaf batch takes them:
 points translated by different offsets (as in the greedy covering and the
-classifier's invariance check) batch with the rest.  A symbol is read from
-the hashed 64-bit word by integer cut points that reproduce the float rule
-``bisect_right(cum, uniform)`` exactly; the tests hold that rule, cell by
-cell, in a scalar oracle.
+classifier's invariance check) batch with the rest: their cells are box
+keys, one sum per (offset, g) pair, and each distinct cell is hashed once.
+A symbol is read from the hashed 64-bit word by integer cut points that
+reproduce the float rule ``bisect_right(cum, uniform)`` exactly; the tests
+hold that rule, cell by cell, in a scalar oracle.
 """
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ from ._bits import (GOLDEN64, TWO_NEG_64, mix64, mix64_np, pcg64_outputs,
                     uniform_from_key, words_from_keys)
 from ._config import (_INT, _NONNEG_INT, _NUM, _NUMS, _OBJ, _OBJS, _get,
                       _kind)
-from .groups import FinSet, Group, ZPower, _box, _widen
+from .groups import (FinSet, Group, ZPower, _box, _decode, _encode, _key_sums, _pad,
+                     _sum_box, _unique, _widen)
 
 
 class UnsupportedObservable(ValueError):
@@ -187,22 +189,19 @@ class BernoulliShift(System):
         matrix of 64-bit fixed-point words: word w is the uniform w * 2**-64.
 
         A batch whose offsets are all the identity reads F's own cell keys,
-        hashed once per set.  Other cells are hashed once per distinct offset
-        row, and the keys are gathered per point only when the batch holds
-        more than one offset."""
-        if not batch.offsets.any():
+        hashed once per set.  Otherwise each distinct cell of the box keys
+        ``_key_sums`` forms is hashed once: translates share their cells."""
+        if not batch.offsets.any() or F.is_empty:
             return words_from_keys(F.cell_keys(), batch.cfgs)
-        grp = self.group
-        index: dict = {}
-        rows = map(tuple, batch.offsets.tolist())
-        which = [index.setdefault(o, len(index)) for o in rows]
-        width = max(F.width, batch.offsets.shape[1])
-        offsets = _widen(np.asarray(list(index), dtype=np.int64), width)
-        cells = grp.translate_rows(F.rows(width), offsets)
-        keys = grp.keys_for_rows(cells.reshape(-1, width))
-        keys = keys.reshape(len(offsets), len(F))
-        return words_from_keys(keys[0] if len(offsets) == 1 else keys[which],
-                               batch.cfgs)
+        grp, width = self.group, max(F.width, batch.offsets.shape[1])
+        offsets = _widen(batch.offsets, width)
+        lo, ext = _sum_box(grp, _encode(grp, offsets)[:2],
+                           (_pad(F.lo, width, 0), _pad(F.ext, width, 1)))
+        keys = _key_sums(grp, offsets, F.rows(width), lo, ext)
+        cells = _unique(keys)
+        hashed = grp.keys_for_rows(_decode(lo, ext, cells))
+        keys = hashed[np.searchsorted(cells, keys)]  # rebound: one (P, |F|) array less
+        return words_from_keys(keys, batch.cfgs)
 
     def symbols(self, words: np.ndarray) -> np.ndarray:
         """The symbol of each word of ``window_uniforms``: the number of word

@@ -25,6 +25,7 @@ from .groups import (
     ZSum,
     _box,
     _box_shapes,
+    _pad,
     _padded_boxes,
     _prefix_ranges,
     inverse_set,
@@ -210,23 +211,27 @@ def standard_cert(seq: FolnerSeq, index) -> Optional[TilingCert]:
 def compose(cert: TilingCert, F: FinSet) -> FinSet:
     """tile . iso(F): the composed set; translates must be pairwise disjoint.
 
-    When the iso scales coordinates by s (1 past a ``ZSumScaleIso`` shape),
-    tile (corner t, extent e) and F (corner f, extent b) are boxes of its
-    group, and e = s wherever b > 1, the translates abut into the box from
-    t + s*f of extent e*b, built with no key: it has |tile| * |F| cells by
+    Tile (corner t, extent e) and F (corner f, extent b) boxes of the iso's
+    group compose into a box, built with no key, when the iso scales by s (1
+    past a ``ZSumScaleIso`` shape) and e = s wherever b > 1: the box from
+    t + s*f of extent e*b; or when a ``ShiftIso`` moves F past the tile's
+    support: the tile's ranges, then F's.  Either has |tile| * |F| cells by
     construction, so the overlap check (still run) holds by proof.  Gaps,
-    overlaps, non-box sets and ``ShiftIso`` take the Minkowski product.
+    overlaps and non-box sets take the Minkowski product.
     """
     if cert.iso is None:
         raise ValueError("certificate carries no self-similar isomorphism")
-    tile, out = cert.tile, None
-    if (isinstance(cert.iso, (ScaleIso, ZSumScaleIso)) and tile.is_box and F.is_box
-            and tile.group == F.group == cert.iso.group):
+    tile, out, iso = cert.tile, None, cert.iso
+    if tile.is_box and F.is_box and tile.group == F.group == iso.group:
         (t, e), (f, b) = _padded_boxes(tile, F)
-        s = cert.iso.map_rows(np.ones((1, len(f)), dtype=np.int64))[0].tolist()
-        if all(bj == 1 or ej == sj for ej, sj, bj in zip(e, s, b)):
-            out = _box(F.group, [range(tj + sj * fj, tj + sj * fj + ej * bj)
-                                 for tj, ej, sj, fj, bj in zip(t, e, s, f, b)])
+        if isinstance(iso, ShiftIso) and tile.width <= iso.shift:
+            out = _box(F.group, [range(a, a + x) for a, x in zip(
+                _pad(tile.lo, iso.shift, 0) + F.lo, _pad(tile.ext, iso.shift, 1) + F.ext)])
+        elif isinstance(iso, (ScaleIso, ZSumScaleIso)):
+            s = iso.map_rows(np.ones((1, len(f)), dtype=np.int64))[0].tolist()
+            if all(bj == 1 or ej == sj for ej, sj, bj in zip(e, s, b)):
+                out = _box(F.group, [range(tj + sj * fj, tj + sj * fj + ej * bj)
+                                     for tj, ej, sj, fj, bj in zip(t, e, s, f, b)])
     if out is None:
         out = product_set(tile, cert.iso.image_set(F))
     if len(out) != len(tile) * len(F):

@@ -1,6 +1,7 @@
 import itertools
 from bisect import bisect_right
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -280,6 +281,52 @@ def test_box_product_path_matches_key_path(grp, shapes, monkeypatch):
     lo, ext, keys, _ = product(K, F)
     assert P == FinSet._of(grp, lo, ext, keys) and P.is_box
     assert np.array_equal(P.keys, keys) and P.keys.dtype == keys.dtype
+
+
+@st.composite
+def erosion_pair(draw, grp):
+    """(F, T) element sets that the closed-form erosion takes: two boxes on
+    ZPower and ZSum; on CyclicSum a coset box F (each coordinate either its
+    full period or one value) and a set T inside one coset of F's subgroup,
+    or with a stray element."""
+    width = grp.d if isinstance(grp, ZPower) else draw(st.integers(1, 3))
+    if not isinstance(grp, CyclicSum):
+        def box():
+            los = [draw(st.integers(-3, 3)) for _ in range(width)]
+            return [range(a, a + draw(st.integers(1, 4))) for a in los]
+        F, T = box(), box()
+        return ({e for e in grp.rows_to_elems(np.asarray(list(itertools.product(*r))))}
+                for r in (F, T))
+    full = [draw(st.booleans()) for _ in range(width)]
+    F = [range(grp.period(j)) if f else range(v := draw(st.integers(0, grp.period(j) - 1)),
+                                               v + 1)
+         for j, f in enumerate(full)]
+    F = set(grp.rows_to_elems(np.asarray(list(itertools.product(*F)))))
+    g = draw(elems_strategy(grp, span=3, top=3))
+    inside = [grp._canon((j, v) for j, v in h if j < width and full[j])
+              for h in draw(st.lists(elems_strategy(grp, span=3, top=3), min_size=1,
+                                     max_size=4))]
+    T = {grp.mul(g, h) for h in inside}
+    if draw(st.booleans()):
+        T.add(draw(elems_strategy(grp, span=3, top=3)))
+    return F, T
+
+
+@pytest.mark.parametrize("grp", FIVE_GROUPS, ids=lambda g: g.kind)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_box_erosion_closed_form_matches_key_path(grp, data):
+    # the closed form forms no key, and agrees with the pair counts of the
+    # keyed path and with the tuple reference
+    F, T = data.draw(erosion_pair(grp))
+    FF, FT = FinSet(grp, F), FinSet(grp, T)
+    with mock.patch.object(groups, "_product", wraps=groups._product) as spy:
+        E = erode(FF, FT)
+    assert spy.call_count == 0
+    lo, ext, keys, counts = groups._product(inverse_set(FT), FF)
+    assert E == FinSet.from_rows(grp, groups._decode(lo, ext, keys[counts == len(FT)]))
+    _same(E, TupleRef(grp).erode(F, T))
+    _tight(E)
 
 
 def _tight(fs):

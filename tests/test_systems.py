@@ -190,6 +190,49 @@ def test_mixed_offsets_stay_bernoulli_batch(grp, name, window):
             assert mat[r, c] == obs_value(obs, system, act(system, g, pts[r:r + 1]))
 
 
+def _translated_case(case):
+    """(system, F, translated points): one point moved by every element of a
+    set, or points moved by random elements."""
+    rng = np.random.default_rng(31)
+    if case == "whole-set":
+        # one point translated by all of F_7 (shared configuration key): the
+        # 128 x 8 window cells are 128 distinct cells, over more than 64 points
+        grp = CyclicSum((2,))
+        system = BernoulliShift(grp, (0.5, 0.2, 0.3), seed=32)
+        F, moves = window_set(grp, 3), window_set(grp, 7).rows()
+        return system, F, system.sample([rng])[np.zeros(len(moves), dtype=np.int64)].moved(
+            grp, moves)
+    grp, F = {
+        # sums wrap at period 3 on index 0 and at 2 past it
+        "cyclic-wraps": (CyclicSum((3, 2)),
+                         [(), ((0, 2),), ((1, 1),), ((0, 1), (2, 1)), ((0, 2), (1, 1))]),
+        # offsets supported past F's width, values past F's extents
+        "zsum-wide": (ZSum(), [(), ((0, 1),), ((1, 1),), ((0, 1), (1, 1))]),
+        "gappy": (ZPower(2), [(0, 0), (3, 1), (-2, 5), (1, 1), (0, 4)]),
+    }[case]
+    system = BernoulliShift(grp, (0.4, 0.6), seed=33)
+    moves = [grp.random_elem(rng, 5) for _ in range(70)]
+    if case == "zsum-wide":
+        moves = [grp.mul(g, ((6, int(rng.integers(-4, 5))),)) for g in moves]
+    return system, FinSet(grp, F), system.sample([rng] * len(moves)).moved(
+        grp, grp.dense_rows(moves))
+
+
+@pytest.mark.parametrize("case", ["whole-set", "cyclic-wraps", "zsum-wide", "gappy"])
+def test_translated_windows_match_scalar_oracle(case):
+    system, F, pts = _translated_case(case)
+    obs = symbol_value()
+    mat = obs.window_values(system, pts, F)
+    assert mat.shape == (len(pts), len(F))
+    for r in range(len(pts)):
+        for c, g in enumerate(F.elems):
+            assert mat[r, c] == obs_value(obs, system, act(system, g, pts[r:r + 1]))
+    fam = families.AdditiveFamily(obs)
+    vals = fam.sample_values(system, F, pts)
+    for r in range(0, len(pts), 7):
+        assert vals[r] == family_value(fam, system, F, pts[r:r + 1]), r
+
+
 # ---------------------------------------------------------------------------
 # stationarity
 

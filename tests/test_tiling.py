@@ -215,12 +215,38 @@ def test_gapped_and_non_box_compositions_take_the_product(monkeypatch):
     assert len(out) == len(cert.tile) * len(F)
 
 
-def test_shift_iso_composition_is_unchanged(monkeypatch):
+@pytest.mark.parametrize("grp, shift, tile_ranges, f_ranges", [
+    (CyclicSum((2,)), 2, [range(2), range(2)], [range(2)] * 3),
+    (CyclicSum((3,)), 3, [range(1, 3), range(0, 1), range(2, 3)],
+     [range(0, 2), range(0, 1), range(1, 3)]),
+    (CyclicSum((3,)), 4, [range(1, 2)], [range(3), range(2, 3)]),
+    (CyclicSum((5,)), 1, [range(0, 1)], [range(1, 4), range(2, 5)]),
+])
+def test_shift_iso_box_composition_is_the_closed_form_box(monkeypatch, grp, shift,
+                                                         tile_ranges, f_ranges):
+    # F moves past the tile's support: the box of both ranges, with no key
+    cert = TilingCert(_box(grp, tile_ranges), None, ShiftIso(grp, shift))
+    F = _box(grp, f_ranges)
+    out, products = _products_in_compose(monkeypatch, cert, F)
+    assert products == 0 and out.is_box
+    assert out == _keyed_compose(cert, F) and len(out) == len(cert.tile) * len(F)
+
+
+def test_shift_iso_compositions_past_the_shift_take_the_product(monkeypatch):
     seq = make_folner(CyclicSum((2,)), "cyclic_prefix")
     cert = standard_cert(seq, 2)
     assert isinstance(cert.iso, ShiftIso)
     out, products = _products_in_compose(monkeypatch, cert, seq.generate(3))
-    assert products == 1 and out == _keyed_compose(cert, seq.generate(3))
+    assert products == 0 and out == _keyed_compose(cert, seq.generate(3))
+    # a tile reaching past the shift, or a non-box F
+    grp = CyclicSum((3,))
+    wide = TilingCert(_box(grp, [range(3), range(1, 2)]), None, ShiftIso(grp, 1))
+    F = FinSet(grp, [()])
+    out, products = _products_in_compose(monkeypatch, wide, F)
+    assert products == 1 and out == wide.tile
+    gappy = FinSet(seq.group, [(), ((0, 1), (1, 1))])
+    out, products = _products_in_compose(monkeypatch, cert, gappy)
+    assert products == 1 and out == _keyed_compose(cert, gappy)
 
 
 # ---------------------------------------------------------------------------
