@@ -33,7 +33,7 @@ def main() -> None:
     for name in sorted(reg):
         f = reg[name]
         cls = setfn_classify(f, z)
-        if cls["strongly_subadditive"]:
+        if cls.passed("strongly_subadditive"):
             route = "strong"
             rep = setfn_limit_strong(f, plain, indices, ladder_sets=ladder, report=cls)
             rep_b = setfn_limit_strong(f, anchored, indices, ladder_sets=ladder, report=cls)

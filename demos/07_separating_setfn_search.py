@@ -39,11 +39,12 @@ def main() -> None:
     print("-" * 46)
     for name in sorted(candidates):
         rep = setfn_classify(candidates[name], z)
-        flags = (rep["subadditive"], rep["invariant"], rep["strongly_subadditive"])
+        flags = tuple(map(rep.passed,
+                          ("subadditive", "invariant", "strongly_subadditive")))
         print(f"{name:22s} {str(flags[0]):>7s} {str(flags[1]):>6s} "
               f"{str(flags[2]):>7s}")
         if flags[0] and flags[1] and not flags[2]:
-            separators.append((name, rep["counterexample"]))
+            separators.append((name, rep.counterexample("strongly_subadditive")))
 
     print(f"\nseparating functions found: {[n for n, _ in separators]}")
     for name, cex in separators:

@@ -24,17 +24,17 @@ import numpy as np
 
 from ._config import _INT_STR, _get
 from .families import (AdditiveFamily, ClassifyReport, DerivedPrimeM, Family,
-                       Truncated, classify)
+                       Truncated, _report, _trial_masks, classify)
 from .folner import (FolnerSeq, _inverse_unions, make_folner, tempelman_report,
                      tempered_report)
 from .groups import (EnumBudget, FinSet, Group, _key_sums, _padded_boxes, _sum_box,
-                     diff, enumerate_finsets, erode, intersect, is_subset,
-                     product_set, translate_right, union)
+                     enumerate_finsets, erode, intersect, is_subset, product_set,
+                     union)
 from .systems import (Observable, Points, System, conditional_expectation,
                       split_leaves)
 from .tiling import (LatticeCenters, TilingCert, TilingOverlapError,
                      ZSumLatticeCenters, compose, enumerate_tiles,
-                     standard_cert)
+                     standard_cert, window_set)
 
 
 class GateRefusal(RuntimeError):
@@ -171,8 +171,8 @@ class SetFunction:
 
 
 def _run_count(F: FinSet) -> int:
-    cells = sorted(e[0] for e in F.elems)
-    return sum(1 for i, c in enumerate(cells) if i == 0 or cells[i - 1] != c - 1)
+    # on the line a set's keys are its cells less the least one, in order
+    return int((np.diff(F.keys) != 1).sum()) + (not F.is_empty)
 
 
 def setfn_registry(group: Group) -> dict:
@@ -197,46 +197,38 @@ def setfn_registry(group: Group) -> dict:
     return reg
 
 
-def setfn_classify(f: SetFunction, group: Group, seed: int = 5) -> dict:
+def setfn_classify(f: SetFunction, group: Group, seed: int = 5) -> ClassifyReport:
     """Exact randomized checks of right-invariance and (strong)
     sub-additivity for a deterministic set function: 200 trials, sets of at
-    most 6 elements from the radius-3 window, translations of span 3."""
-    from .tiling import window_set
+    most 6 elements from the radius-3 window, translations of span 3.  Trial
+    t draws |E|, |F|, E, F and g from its stream [seed, t]; the sets are
+    masks over one window, as in ``classify``, and f is evaluated once per
+    distinct set (in Fractions when exact, the empty set read as 0)."""
     trials, max_card, span = 200, 6, 3
     ground = window_set(group, span, 3)
-    out = {"invariant": True, "subadditive": True, "strongly_subadditive": True,
-           "counterexample": None}
-
-    def val(F):
-        return Fraction(f(F)) if f.exact else f(F)
-
+    picks, gs = [], []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        kE = int(rng.integers(1, max_card + 1))
-        kF = int(rng.integers(1, max_card + 1))
-        E = ground.take(rng.choice(len(ground), min(kE, len(ground)), replace=False))
-        F = ground.take(rng.choice(len(ground), min(kF, len(ground)), replace=False))
-        g = group.random_elem(rng, span)
-        tol = 0 if f.exact else 1e-12
-        if abs(val(translate_right(E, g)) - val(E)) > tol:
-            out["invariant"] = False
-            out["counterexample"] = {"prop": "invariant", "E": E.to_json(),
-                                     "g": group.elem_to_json(g)}
-        U, I = union(E, F), intersect(E, F)
-        vI = val(I) if not I.is_empty else 0
-        if val(U) + vI > val(E) + val(F) + tol:
-            out["strongly_subadditive"] = False
-            if out["counterexample"] is None:
-                out["counterexample"] = {"prop": "strongly_subadditive",
-                                         "E": E.to_json(), "F": F.to_json()}
-        Fd = diff(F, E)
-        if not Fd.is_empty:
-            if val(union(E, Fd)) > val(E) + val(Fd) + tol:
-                out["subadditive"] = False
-                if out["counterexample"] is None:
-                    out["counterexample"] = {"prop": "subadditive",
-                                             "E": E.to_json(), "F": Fd.to_json()}
-    return out
+        ks = [min(int(rng.integers(1, max_card + 1)), len(ground)) for _ in "EF"]
+        picks.append([rng.choice(len(ground), k, replace=False) for k in ks])
+        gs.append(group.random_elem(rng, span))
+    W, E, F, Eg = _trial_masks(group, ground, picks, gs)
+    Fd = F & ~E
+    rows = np.concatenate((E, F, Eg, E | F, E & F, Fd))
+    packed = np.packbits(rows, axis=1)  # one fixed-width byte string per set
+    _, first, inv = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                              return_index=True, return_inverse=True)
+    sets = map(W.take, map(np.flatnonzero, rows[first]))
+    vals = np.array([0 if S.is_empty else Fraction(f(S)) if f.exact else f(S)
+                     for S in sets], dtype=object)
+    vE, vF, vEg, vU, vI, vFd = vals[inv.ravel()].reshape(6, trials)
+    tol = 0 if f.exact else 1e-12
+    every = np.ones(trials, dtype=bool)
+    joint, apart, split = vU + vI, vE + vF, vE + vFd
+    checks = {"invariant": [(vEg, vE, np.abs(vEg - vE) <= tol, every)],
+              "subadditive": [(vU, split, vU <= split + tol, Fd.any(axis=1))],
+              "strongly_subadditive": [(joint, apart, joint <= apart + tol, every)]}
+    return _report(f.name, checks, checks, W, E, F, gs, seed)
 
 
 @dataclass(frozen=True)
@@ -252,12 +244,15 @@ class LimitReport:
 
 
 def _setfn_gate(f: SetFunction, group: Group, prop: str,
-                report: Optional[dict] = None) -> None:
+                report: Optional[ClassifyReport] = None) -> None:
+    """Refuse unless f passed invariance and ``prop``, with the witness of
+    the first of the two that failed."""
     rep = report if report is not None else setfn_classify(f, group)
-    if not (rep["invariant"] and rep[prop]):
-        raise GateRefusal(f"setfn {prop}+invariant",
-                          "set function failed exact checks",
-                          {"counterexample": rep["counterexample"]})
+    for p in ("invariant", prop):
+        if not rep.passed(p):
+            raise GateRefusal(f"setfn {prop}+invariant",
+                              "set function failed exact checks",
+                              {"counterexample": rep.counterexample(p)})
 
 
 def _limit_from_enumeration(f: SetFunction, seq: FolnerSeq, indices,
@@ -276,7 +271,7 @@ def _limit_from_enumeration(f: SetFunction, seq: FolnerSeq, indices,
 
 def setfn_limit_tiling(f: SetFunction, seq: FolnerSeq, indices,
                        max_card: int = 12, max_index: int = 4,
-                       report: Optional[dict] = None) -> LimitReport:
+                       report: Optional[ClassifyReport] = None) -> LimitReport:
     """Normalized limit along a tiling sequence against the infimum over
     enumerated tiles."""
     _setfn_gate(f, seq.group, "subadditive", report)
@@ -288,7 +283,7 @@ def setfn_limit_tiling(f: SetFunction, seq: FolnerSeq, indices,
 def setfn_limit_strong(f: SetFunction, seq: FolnerSeq, indices,
                        budget: Optional[EnumBudget] = None,
                        ladder_sets: Optional[list] = None,
-                       report: Optional[dict] = None) -> LimitReport:
+                       report: Optional[ClassifyReport] = None) -> LimitReport:
     """Normalized limit along any Folner sequence against the infimum over
     enumerated finite sets (strong sub-additivity route).
 

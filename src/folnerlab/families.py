@@ -432,15 +432,47 @@ def _random_positions(rng, n: int, max_card: int) -> np.ndarray:
     return rng.choice(n, size=k, replace=False)
 
 
-def _trial_window(group: Group, ground: FinSet, offsets: list) -> tuple:
-    """(W, home, moved): the window W of the ground and its translates by
-    the offsets, the position in W of each ground element, and of its
-    translate by each offset (abelian: g.x = x.g, one index map per g)."""
-    width = max(ground.width, group.dense_width(offsets))
+def _trial_masks(group: Group, ground: FinSet, picks: list, gs: list) -> tuple:
+    """(W, E, F, Eg): the window W of the ground and its translates by the
+    distinct g's, and each trial's E, F and E.g as boolean rows over W
+    (abelian: g.x = x.g, one index map per g)."""
+    slot = {g: i for i, g in enumerate(dict.fromkeys(gs))}
+    width = max(ground.width, group.dense_width(slot))
     rows = ground.rows(width)
-    shifted = group.translate_rows(rows, group.dense_rows(offsets, width)).reshape(-1, width)
+    shifted = group.translate_rows(rows, group.dense_rows(slot, width)).reshape(-1, width)
     W = FinSet.from_rows(group, np.concatenate((rows, shifted)))
-    return W, W.index(rows), W.index(shifted).reshape(len(offsets), len(ground))
+    home, moved = W.index(rows), W.index(shifted).reshape(len(slot), len(ground))
+    E, F, Eg = (np.zeros((len(gs), len(W)), dtype=bool) for _ in range(3))
+    for t, ((e, f), g) in enumerate(zip(picks, gs)):
+        E[t, home[e]] = F[t, home[f]] = True
+        Eg[t, moved[slot[g], e]] = True
+    return W, E, F, Eg
+
+
+def _report(name: str, checks: dict, properties, W: FinSet, E, F, gs: list,
+            seed: int, declared=frozenset()) -> ClassifyReport:
+    """The verdicts of the comparisons ``checks`` (prop -> its comparisons,
+    in their order within a trial: (lhs, rhs, ok, made)), each with the
+    first failure in trial order as its counterexample."""
+    verdicts = {}
+    for p in properties:
+        lhs, rhs, ok, made = (np.stack(x, axis=1) for x in zip(*checks[p]))
+        failed = np.argwhere(made & ~ok)  # (trial, comparison), in trial order
+        cex = None
+        if len(failed):
+            t, k = failed[0]
+            sub = F & ~E if p in ("subadditive", "supadditive") else F
+            cex = {"lhs": float(lhs[t, k]), "rhs": float(rhs[t, k]), "trial": int(t),
+                   "E": W.take(np.flatnonzero(E[t])).to_json(),
+                   "F": W.take(np.flatnonzero(sub[t])).to_json(),
+                   "g": W.group.elem_to_json(gs[t]), "seed": seed}
+        verdicts[p] = PropertyVerdict(
+            prop=p, verdict="PASS" if cex is None else "FAIL",
+            trials=int(made.sum()),
+            max_gap=float(np.abs(lhs - rhs)[made & ok].max(initial=0.0)),
+            counterexample=cex)
+    return ClassifyReport(family=name, verdicts=verdicts, seed=seed,
+                          declared=frozenset(declared))
 
 
 def classify(fam: Family, group: Group, system: System, trials: int = 300,
@@ -466,12 +498,7 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
         gs.append(group.random_elem(rng, span))
         rngs.append(rng)
     ys = system.sample(rngs)  # each trial's point comes after its E, F and g
-    slot = {g: i for i, g in enumerate(dict.fromkeys(gs))}
-    W, home, moved = _trial_window(group, ground, list(slot))
-    E, F, Eg = (np.zeros((trials, len(W)), dtype=bool) for _ in range(3))
-    for t, ((e, f), g) in enumerate(zip(picks, gs)):
-        E[t, home[e]] = F[t, home[f]] = True
-        Eg[t, moved[slot[g], e]] = True
+    W, E, F, Eg = _trial_masks(group, ground, picks, gs)
     I, Fd = E & F, F & ~E
     parts = split_leaves(system, ys)
     vE, vF, vU, vI = (_batch_values(fam, parts, W, m) for m in (E, F, E | F, I))
@@ -501,25 +528,7 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
         checks["subadditive"] = [(vU, split, vU <= split + tol, made)]
         checks["supadditive"] = [(vU, split, vU >= split - tol, made)]
 
-    verdicts = {}
-    for p in properties:
-        lhs, rhs, ok, made = (np.stack(x, axis=1) for x in zip(*checks[p]))
-        failed = np.argwhere(made & ~ok)  # (trial, comparison), in trial order
-        cex = None
-        if len(failed):
-            t, k = failed[0]
-            sub = Fd if p in ("subadditive", "supadditive") else F
-            cex = {"lhs": float(lhs[t, k]), "rhs": float(rhs[t, k]), "trial": int(t),
-                   "E": W.take(np.flatnonzero(E[t])).to_json(),
-                   "F": W.take(np.flatnonzero(sub[t])).to_json(),
-                   "g": group.elem_to_json(gs[t]), "seed": seed}
-        verdicts[p] = PropertyVerdict(
-            prop=p, verdict="PASS" if cex is None else "FAIL",
-            trials=int(made.sum()),
-            max_gap=float(np.abs(lhs - rhs)[made & ok].max(initial=0.0)),
-            counterexample=cex)
-    return ClassifyReport(family=fam.name, verdicts=verdicts, seed=seed,
-                          declared=frozenset(fam.declared))
+    return _report(fam.name, checks, properties, W, E, F, gs, seed, fam.declared)
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,8 @@ def test_criterion_03_setfn_limits_match_enumerated_infima():
     for name in sorted(reg):
         f = reg[name]
         cls = setfn_classify(f, z)
-        assert cls["subadditive"] and cls["invariant"], name
-        if cls["strongly_subadditive"]:
+        assert cls.passed("subadditive") and cls.passed("invariant"), name
+        if cls.passed("strongly_subadditive"):
             r1 = setfn_limit_strong(f, seq_a, indices, ladder_sets=ladder, report=cls)
             r2 = setfn_limit_strong(f, seq_b, indices, ladder_sets=ladder, report=cls)
         else:

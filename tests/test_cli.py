@@ -287,6 +287,18 @@ def test_failed_expectation_exit_four(tmp_path):
     assert summary["counterexample"] is not None
 
 
+def test_setfn_refusal_exit_four_carries_the_classifier_witness(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", {
+        "group": _z_group(), "sequence": {"kind": "z_boxes"},
+        "setfn": "ceil_half_card", "route": "strong", "n_schedule": [4, 16]})
+    code, summary, _ = _run("limit-setfn", cfg, tmp_path)
+    assert code == 4
+    assert summary["refused_hypothesis"] == "setfn strongly_subadditive+invariant"
+    cex = summary["extra"]["counterexample"]
+    assert set(cex) == {"lhs", "rhs", "trial", "E", "F", "g", "seed"}
+    assert cex["lhs"] > cex["rhs"]
+
+
 def test_declared_properties_pass_exit_zero(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {
         "group": _z_group(),

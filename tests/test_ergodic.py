@@ -38,7 +38,8 @@ from folnerlab.families import (
     PropertyVerdict,
 )
 from folnerlab.folner import make_folner
-from folnerlab.groups import CyclicSum, EnumBudget, ZPower, ZSum
+from folnerlab.groups import (CyclicSum, EnumBudget, FinSet, ZPower, ZSum, intersect,
+                              union)
 from folnerlab.systems import (
     BernoulliShift,
     FiniteMixture,
@@ -100,17 +101,16 @@ def test_setfn_registry_contents():
 
 def test_setfn_classify_fixtures():
     reg = setfn_registry(_z())
-    out = setfn_classify(reg["card_plus_one"], _z())
-    assert out == {
-        "invariant": True,
-        "subadditive": True,
-        "strongly_subadditive": True,
-        "counterexample": None,
-    }
-    out = setfn_classify(reg["ceil_half_card"], _z())
-    assert out["subadditive"] and not out["strongly_subadditive"]
-    cex = out["counterexample"]
-    assert cex["prop"] == "strongly_subadditive" and cex["E"] and cex["F"]
+    rep = setfn_classify(reg["card_plus_one"], _z())
+    assert isinstance(rep, ClassifyReport) and rep.family == "card_plus_one"
+    assert set(rep.verdicts) == {"invariant", "subadditive", "strongly_subadditive"}
+    assert all(v.passed and v.counterexample is None for v in rep.verdicts.values())
+    rep = setfn_classify(reg["ceil_half_card"], _z())
+    assert rep.passed("invariant") and rep.passed("subadditive")
+    assert not rep.passed("strongly_subadditive")
+    cex = rep.counterexample("strongly_subadditive")
+    assert set(cex) == {"lhs", "rhs", "trial", "E", "F", "g", "seed"}
+    assert cex["lhs"] > cex["rhs"] and cex["E"] and cex["F"] and cex["seed"] == 5
 
 
 def test_setfn_classify_is_deterministic():
@@ -671,6 +671,18 @@ def test_refusal_strings_are_pinned(case):
     assert exc.value.hypothesis == hypothesis
     assert exc.value.detail == detail
     assert set(exc.value.extra) == extra_keys
+
+
+def test_setfn_refusal_witnesses_the_failed_property():
+    # card_sq fails sub-additivity and strong sub-additivity; the tiling
+    # route needs only the former, so its witness is a disjoint pair
+    with pytest.raises(GateRefusal) as exc:
+        setfn_limit_tiling(_CARD_SQ, _seq(), [2, 4, 8])
+    cex = exc.value.extra["counterexample"]
+    E, F = (FinSet(_z(), [tuple(e) for e in cex[k]]) for k in "EF")
+    assert intersect(E, F).is_empty
+    assert _CARD_SQ(union(E, F)) > _CARD_SQ(E) + _CARD_SQ(F)
+    assert (cex["lhs"], cex["rhs"]) == (_CARD_SQ(union(E, F)), _CARD_SQ(E) + _CARD_SQ(F))
 
 
 # ---------------------------------------------------------------------------
