@@ -1,12 +1,24 @@
 """The one checked config reader: the CLI, every ``*from_json`` parser and
 ``FOLNER_LAB_THREADS`` read each key through ``_get`` (or ``_kind``), which
-checks the value against an ``(ok, what)`` pair and never coerces it.
+checks the value against an ``(ok, what)`` pair and never coerces it.  Numbers
+must be finite.  In a config loaded into ``_Obj`` objects, ``_unread`` finds
+the keys that no reader asked for, so the readers are the only schema.
 Imports nothing from the package."""
 from __future__ import annotations
+
+import sys
 
 
 class ConfigError(ValueError):
     pass
+
+
+class _Obj(dict):
+    """A config object: ``read`` holds each key ``_get`` asked it for."""
+
+    def __init__(self, pairs=()):
+        super().__init__(pairs)
+        self.read = set()
 
 
 def _one_of(names) -> tuple:
@@ -30,14 +42,16 @@ _POS_INT = (lambda v: type(v) is int and v >= 1, "a positive integer")
 _OPT_POS_INT = (lambda v: v is None or _POS_INT[0](v), "a positive integer or null")
 _NONNEG_INT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
 _INT_GE_2 = (lambda v: type(v) is int and v >= 2, "an integer >= 2")
-_NUM = (lambda v: type(v) in (int, float), "a number")
+# NaN fails the comparison, and an integer past the float range fails it too
+_NUM = (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+        "a finite number")
 _POS_NUM = (lambda v: _NUM[0](v) and v > 0, "a positive number")
 _NONNEG_NUM = (lambda v: _NUM[0](v) and v >= 0, "a non-negative number")
 _OPT_POS_NUM = (lambda v: v is None or _POS_NUM[0](v), "a positive number or null")
 _OPT_NONNEG_NUM = (lambda v: v is None or _NONNEG_NUM[0](v),
                    "a non-negative number or null")
 _NUMS = (lambda v: isinstance(v, list) and all(map(_NUM[0], v)),
-         "a list of numbers")
+         "a list of finite numbers")
 _INTS = (lambda v: isinstance(v, list) and all(map(_INT[0], v)),
          "a list of integers")
 _OBJ = (lambda v: isinstance(v, dict), "an object")
@@ -63,6 +77,8 @@ def _get(cfg: dict, key: str, default, ok, what: str):
     """
     outer, _, name = key.rpartition(".")
     obj = _get(cfg, outer, {}, *_OBJ) if outer else cfg
+    if isinstance(obj, _Obj):
+        obj.read.add(name)
     if name not in obj:
         if default is ...:
             raise ConfigError(f"missing config key {key!r}")
@@ -76,3 +92,14 @@ def _get(cfg: dict, key: str, default, ok, what: str):
 def _kind(d: dict, table: dict):
     """The entry of ``table`` that the required ``kind`` key names."""
     return table[_get(d, "kind", ..., *_one_of(table))]
+
+
+def _unread(v, path: str = ""):
+    """The dotted path of each key in ``v``, at any depth, that no ``_get``
+    read; a list entry's path holds its index."""
+    if isinstance(v, list):
+        for i, x in enumerate(v):
+            yield from _unread(x, f"{path}{i}.")
+    elif isinstance(v, _Obj):
+        for k, x in v.items():
+            yield from _unread(x, f"{path}{k}.") if k in v.read else [path + k]

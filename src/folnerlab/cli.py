@@ -5,7 +5,8 @@ CSV of per-index statistics plus a JSON summary, and exits with a verdict
 code:
 
     0  pass
-    1  config/schema error, an observable the system does not support, an
+    1  config/schema error (a malformed or non-finite value, or a key that
+       no reader reads), an observable the system does not support, an
        enumeration budget exceeded (inside any gate too, the tempered one
        included), or an output file that cannot be written
     2  inconclusive (statistics did not certify the claim)
@@ -14,10 +15,10 @@ code:
     5  internal error: the summary names the exception, the traceback goes
        to stderr
 
-Handlers read the config only through ``_get`` (one type-checked value) and
-``_parts`` (the group and the objects built on it, whose parsers read through
-``_get`` too): ``_get`` is the one checked reader of ``folnerlab._config``, so
-a malformed value at any depth exits 1 before any experiment runs.
+Each subcommand is one row of ``_COMMANDS``: its parts, its scalar keys and
+its run.  ``main`` reads ``output.*``, then the row's parts and keys, all
+through ``_get``, the one checked reader of ``folnerlab._config``, and
+refuses any key that no reader read, before any experiment runs.
 
 Reruns with the same config are byte-identical: the version lives in the
 header, and all sampling is derived from the config seed.  FOLNER_LAB_THREADS
@@ -35,7 +36,7 @@ from ._bits import HASH_VERSION, VERSION
 from ._config import (_ANCHORS, _INDICES, _INT, _INT_GE_2, _NONNEG_INT,
                       _NONNEG_NUM, _NUM, _OBJ, _OPT_NONNEG_NUM, _OPT_POS_INT,
                       _OPT_POS_NUM, _PATH, _POS_INT, _POS_NUM, _SCHEDULE,
-                      _SEQ_KIND, ConfigError, _get, _one_of)
+                      _SEQ_KIND, ConfigError, _get, _one_of, _Obj, _unread)
 from .ergodic import (GateRefusal, birkhoff_check, ergodic_decomposition_check,
                       kingman_run, limsup_identity_check,
                       maximal_inequality_check, setfn_limit_strong,
@@ -49,13 +50,13 @@ from .tiling import standard_cert, tiles_window_report, window_set
 
 
 # ---------------------------------------------------------------------------
-# Config reading
+# The read phase
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_Obj)
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     if not isinstance(cfg, dict):
@@ -73,16 +74,39 @@ _PARTS = {
 }
 
 
-def _parts(cfg: dict, *names: str) -> list:
-    """[group, *parts]: the group, then each named part built on it."""
-    built = []
-    for name in ("group",) + names:
+def _read(cfg: dict, keys: tuple, v: dict) -> dict:
+    """Read ``keys`` into ``v`` under the last part of each name; return ``v``.
+    A key is ``(name, default, ok, what)``, ``...`` marking a required one and
+    a callable default being computed from ``v``; in ``(name, default, check)``
+    ``check`` computes ``(ok, what)`` from ``v``, or is a dict whose entry under
+    the value read holds the keys read next."""
+    for name, default, *check in keys:
+        short = name.rpartition(".")[2]
+        if callable(default):
+            default = default(v)
+        if isinstance(check[0], dict):
+            v[short] = _get(cfg, name, default, *_one_of(check[0]))
+            _read(cfg, check[0][v[short]], v)
+        else:
+            v[short] = _get(cfg, name, default,
+                            *(check[0](v) if len(check) == 1 else check))
+    return v
+
+
+def _values(cfg: dict, parts: tuple, keys: tuple) -> dict:
+    """The values of a row's parts and keys; any key left unread is refused."""
+    v = {}
+    for name in ("group",) + parts:
         spec = _get(cfg, name, ..., *_OBJ)
         try:
-            built.append(_PARTS[name](built[0] if built else None, spec))
+            v[name] = _PARTS[name](v.get("group"), spec)
         except ValueError as exc:
             raise ConfigError(f"bad {name}: {exc}")
-    return built
+    _read(cfg, keys, v)
+    unread = min(_unread(cfg), default=None)  # the first, for a stable message
+    if unread is not None:
+        raise ConfigError(f"unknown key {unread!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +118,11 @@ _VERDICT = {0: "pass", 1: "config_error", 2: "inconclusive",
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
+    return str(int(v)) if isinstance(v, int) else repr(float(v))  # bools as 1/0
 
 
-def _emit(args, output: tuple, rows, summary: dict, exit_code: int) -> int:
-    csv_path, summary_path = args.csv or output[0], args.summary or output[1]
+def _emit(args, out: dict, rows, summary: dict, exit_code: int) -> int:
+    csv_path, summary_path = args.csv or out["csv"], args.summary or out["summary"]
     summary = {"gaps": {}, **summary, "verdict": _VERDICT[exit_code],
                "version": VERSION, "exit_code": exit_code,
                "seeds": {**summary.get("seeds", {}), "hash": HASH_VERSION}}
@@ -126,19 +146,17 @@ def _emit(args, output: tuple, rows, summary: dict, exit_code: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (exit_code, rows, summary); `_emit` adds
-# the verdict, and empty `gaps` / `seeds` when a handler has none
+# Subcommand runs: each takes its row's values (`opts`: keyword arguments of
+# the library call) and returns (exit_code, rows, summary); `_emit` adds the
+# verdict, and empty `gaps` / `seeds` when a run has none
 
 
-def _cmd_verify_folner(cfg: dict):
-    _, seq = _parts(cfg, "sequence")
-    indices = _get(cfg, "indices", [1, 2, 4, 8, 16], *_INDICES)
-    upto = _get(cfg, "growth_upto", max(4, min(12, max(indices))), *_INT_GE_2)
-    profile = defect_profile(seq, indices)
+def _verify_folner(group, sequence, indices, growth_upto):
+    profile = defect_profile(sequence, indices)
     rows = [(row["index"], key, float(val)) for row in profile
             for key, val in row.items() if key.startswith("defect_")]
-    temp = tempered_report(seq, upto)
-    tpl = tempelman_report(seq, upto)
+    temp = tempered_report(sequence, growth_upto)
+    tpl = tempelman_report(sequence, growth_upto)
     rows += [(i, "tempelman_ratio", float(r))
              for i, r in enumerate(tpl.ratios, start=1)]
     rows += [(i, "tempered_ratio", float(r))
@@ -154,21 +172,17 @@ def _cmd_verify_folner(cfg: dict):
         "ratios_divergent": divergent}
 
 
-def _cmd_verify_tiling(cfg: dict):
-    group, seq = _parts(cfg, "sequence")
-    indices = _get(cfg, "indices", [1, 2, 3, 4], *_INDICES)
-    radius = _get(cfg, "window_radius", 6, *_NONNEG_INT)
-    max_index = _get(cfg, "window_max_index", 3, *_POS_INT)
+def _verify_tiling(group, sequence, indices, window_radius, window_max_index):
     rows = []
     all_ok = True
     windows_checked = 0
     for n in indices:
-        cert = standard_cert(seq, n)
+        cert = standard_cert(sequence, n)
         if cert is None:
             all_ok = False
             rows.append((n, "tiles_window", 0))
             continue
-        window = window_set(group, radius, max_index)
+        window = window_set(group, window_radius, window_max_index)
         ok, uncovered, multi = tiles_window_report(cert, window)
         windows_checked += 1
         all_ok &= ok
@@ -178,17 +192,8 @@ def _cmd_verify_tiling(cfg: dict):
     return (0 if all_ok else 4), rows, {"windows_checked": windows_checked}
 
 
-def _cmd_check_family(cfg: dict):
-    group, system, fam = _parts(cfg, "system", "family")
-    seed = _get(cfg, "seed", 7, *_NONNEG_INT)
-    trials = _get(cfg, "trials", 300, *_POS_INT)
-    max_card = _get(cfg, "max_card", 6, *_POS_INT)
-    expect = _get(cfg, "expect", sorted(fam.declared),
-                  lambda v: isinstance(v, list)
-                  and all(p in PROPERTIES for p in v),
-                  f"a list of properties from {', '.join(PROPERTIES)}")
-    report = classify(fam, group, system, trials=trials, seed=seed,
-                      max_card=max_card)
+def _check_family(group, system, family, seed, expect, **opts):
+    report = classify(family, group, system, seed=seed, **opts)
     rows = []
     for prop, pv in sorted(report.verdicts.items()):
         rows.append((0, f"passed_{prop}", pv.passed))
@@ -196,52 +201,29 @@ def _cmd_check_family(cfg: dict):
     failed = [p for p in expect if not report.passed(p)]
     bad = failed[-1] if failed else None
     return (0 if bad is None else 4), rows, {
-        "family": fam.name, "expected": expect, "failed_property": bad,
+        "family": family.name, "expected": expect, "failed_property": bad,
         "counterexample": report.counterexample(bad) if bad else None,
         "gaps": {p: float(report.verdicts[p].max_gap)
                  for p in report.verdicts},
         "seeds": {"seed": seed}}
 
 
-def _cmd_limit_setfn(cfg: dict):
-    group, seq = _parts(cfg, "sequence")
-    reg = setfn_registry(group)
-    name = _get(cfg, "setfn", ..., *_one_of(reg))
-    indices = _get(cfg, "n_schedule", ..., *_SCHEDULE)
-    route = _get(cfg, "route", "tiling", *_one_of(("tiling", "strong")))
+def _limit_setfn(group, sequence, setfn, n_schedule, route, **opts):
+    f = setfn_registry(group)[setfn]
     if route == "tiling":
-        rep = setfn_limit_tiling(
-            reg[name], seq, indices,
-            max_card=_get(cfg, "max_card", 12, *_POS_INT),
-            max_index=_get(cfg, "max_index", 4, *_POS_INT))
+        rep = setfn_limit_tiling(f, sequence, n_schedule, **opts)
     else:
-        lo = _get(cfg, "budget.lo", -2, *_INT)
-        budget = EnumBudget(
-            max_card=_get(cfg, "budget.max_card", 4, *_POS_INT), lo=lo,
-            hi=_get(cfg, "budget.hi", 2, lambda v: type(v) is int and v >= lo,
-                    "an integer >= budget.lo"),
-            max_index=_get(cfg, "budget.max_index", 2, *_OPT_POS_INT),
-            max_sets=_get(cfg, "budget.max_sets", 4000, *_OPT_POS_INT))
-        rep = setfn_limit_strong(reg[name], seq, indices, budget=budget)
-    rows = [(n, "normalized_value", v) for n, v in zip(indices, rep.seq_values)]
+        rep = setfn_limit_strong(f, sequence, n_schedule, budget=EnumBudget(**opts))
+    rows = [(n, "normalized_value", v) for n, v in zip(n_schedule, rep.seq_values)]
     rows += [(k, "inf_trend", v) for k, v in enumerate(rep.inf_trend)]
     return (0 if rep.status == "converged" else 2), rows, {
-        "setfn": name, "route": route, "limit": rep.limit_value,
+        "setfn": setfn, "route": route, "limit": rep.limit_value,
         "inf": rep.inf_value, "stabilized": rep.stabilized,
         "gaps": {"limit_vs_inf": rep.gap}}
 
 
-def _cmd_converge(cfg: dict):
-    _, seq, system, fam = _parts(cfg, "sequence", "system", "family")
-    samples = _get(cfg, "samples", ..., *_INT_GE_2)
-    seed = _get(cfg, "seed", 7, *_NONNEG_INT)
-    rep = kingman_run(
-        fam, seq, system, _get(cfg, "n_schedule", ..., *_SCHEDULE),
-        samples, seed=seed,
-        tol=_get(cfg, "tolerances.tol", 0.05, *_NONNEG_NUM),
-        tail=_get(cfg, "tolerances.tail", 3, *_POS_INT),
-        osc_tol=_get(cfg, "tolerances.osc_tol", None, *_OPT_NONNEG_NUM),
-        nu_floor=_get(cfg, "nu_floor", -25.0, *_NUM))
+def _converge(group, sequence, system, family, samples, seed, n_schedule, **opts):
+    rep = kingman_run(family, sequence, system, n_schedule, samples, seed=seed, **opts)
     rows = [(n, "mean_normalized_value", v)
             for n, v in zip(rep.schedule, rep.col_means)]
     rows += [(n, "l1_deviation", v) for n, v in zip(rep.schedule, rep.l1)]
@@ -250,7 +232,7 @@ def _cmd_converge(cfg: dict):
     rows.append((rep.schedule[-1], "converged_frac", rep.converged_frac))
     if rep.within_frac is not None:
         rows.append((rep.schedule[-1], "within_frac", rep.within_frac))
-    summary = {"kind": rep.kind, "family": fam.name, "gates": rep.gates,
+    summary = {"kind": rep.kind, "family": family.name, "gates": rep.gates,
                "terminal": rep.terminal.to_json(),
                "converged_frac": rep.converged_frac,
                "within_frac": rep.within_frac,
@@ -263,16 +245,9 @@ def _cmd_converge(cfg: dict):
     return (0 if rep.passed else 2), rows, summary
 
 
-def _cmd_limsup(cfg: dict):
-    _, seq, system, fam = _parts(cfg, "sequence", "system", "family")
-    samples = _get(cfg, "samples", ..., *_INT_GE_2)
-    seed = _get(cfg, "seed", 7, *_NONNEG_INT)
-    schedule = _get(cfg, "n_schedule", ..., *_SCHEDULE)
-    mode = _get(cfg, "mode", "bi_invariant",
-                *_one_of(("bi_invariant", "strongly_subadditive")))
-    tol = _get(cfg, "tolerances.tol", 0.05, *_NONNEG_NUM)
-    rep = limsup_identity_check(fam, seq, system, mode, schedule, samples,
-                                seed=seed, tol=tol)
+def _limsup(group, sequence, system, family, samples, seed, n_schedule, mode, tol):
+    rep = limsup_identity_check(family, sequence, system, mode, n_schedule,
+                                samples, seed=seed, tol=tol)
     rows = [(0, "tail_max_mean", rep["tail_max_mean"]),
             (0, "within_frac", rep["within_frac"]),
             (0, "integral_gap", rep["integral_gap"])]
@@ -283,17 +258,9 @@ def _cmd_limsup(cfg: dict):
         "gaps": {"integral": rep["integral_gap"]}, "seeds": {"seed": seed}}
 
 
-def _cmd_maximal(cfg: dict):
-    _, seq, system, fam = _parts(cfg, "sequence", "system", "family")
-    samples = _get(cfg, "samples", ..., *_INT_GE_2)
-    seed = _get(cfg, "seed", 7, *_NONNEG_INT)
-    alpha = _get(cfg, "alpha", ..., *_POS_NUM)
-    N = _get(cfg, "N", 3, *_POS_INT)
-    rep = maximal_inequality_check(
-        fam, seq, system, float(alpha), N, samples, seed=seed,
-        M=_get(cfg, "M", None, *_OPT_POS_NUM),
-        nu_term=_get(cfg, "nu_term", None, *_OPT_NONNEG_NUM),
-        greedy_instances=_get(cfg, "greedy_instances", 3, *_NONNEG_INT))
+def _maximal(group, sequence, system, family, samples, seed, alpha, N, **opts):
+    rep = maximal_inequality_check(family, sequence, system, float(alpha), N,
+                                   samples, seed=seed, **opts)
     rows = [(N, "empirical_mass", rep.empirical_mass), (N, "bound", rep.bound),
             (N, "mass_stderr", rep.mass_stderr)]
     for k, g in enumerate(rep.greedy_witness_stats):
@@ -305,12 +272,8 @@ def _cmd_maximal(cfg: dict):
         "seeds": {"seed": seed}}
 
 
-def _cmd_decompose(cfg: dict):
-    _, seq, system, fam = _parts(cfg, "sequence", "system", "family")
-    samples = _get(cfg, "samples", ..., *_INT_GE_2)
-    seed = _get(cfg, "seed", 7, *_NONNEG_INT)
-    n = _get(cfg, "n", 32, *_POS_INT)
-    rep = ergodic_decomposition_check(fam, system, seq, n, samples, seed=seed)
+def _decompose(group, sequence, system, family, samples, seed, n):
+    rep = ergodic_decomposition_check(family, system, sequence, n, samples, seed=seed)
     rows = [(n, "mixture_mean", rep["mixture"]["mean"]),
             (n, "weighted_component_mean", rep["weighted_components"]),
             (n, "gap", rep["gap"])]
@@ -319,16 +282,9 @@ def _cmd_decompose(cfg: dict):
         "combined_stderr": rep["combined_stderr"], "seeds": {"seed": seed}}
 
 
-def _cmd_birkhoff(cfg: dict):
-    _, seq, system, obs = _parts(cfg, "sequence", "system", "observable")
-    samples = _get(cfg, "samples", ..., *_INT_GE_2)
-    seed = _get(cfg, "seed", 7, *_NONNEG_INT)
-    rep = birkhoff_check(
-        obs, seq, system, _get(cfg, "n_schedule", ..., *_SCHEDULE),
-        samples, seed=seed,
-        tol=_get(cfg, "tolerances.tol", 0.05, *_NONNEG_NUM),
-        tail=_get(cfg, "tolerances.tail", 3, *_POS_INT),
-        osc_tol=_get(cfg, "tolerances.osc_tol", None, *_OPT_NONNEG_NUM))
+def _birkhoff(group, sequence, system, observable, samples, seed, n_schedule, **opts):
+    rep = birkhoff_check(observable, sequence, system, n_schedule, samples,
+                         seed=seed, **opts)
     rows = [(n, "mean_average", v) for n, v in zip(rep.schedule, rep.col_means)]
     rows += [(n, "l1_deviation", v) for n, v in zip(rep.schedule, rep.l1)]
     rows.append((rep.schedule[-1], "within_frac", rep.within_frac))
@@ -338,6 +294,59 @@ def _cmd_birkhoff(cfg: dict):
         "gaps": {"terminal_vs_target":
                  abs(rep.terminal.mean - rep.target_summary["mean"])},
         "seeds": {"seed": seed}}
+
+
+# ---------------------------------------------------------------------------
+# Subcommands: (parts built on the group, keys as `_read` reads them, run)
+
+
+_OUTPUT = (("output.csv", None, *_PATH), ("output.summary", None, *_PATH))
+_SAMPLED = ("sequence", "system", "family")
+_SEED = ("seed", 7, *_NONNEG_INT)
+_SAMPLES = (("samples", ..., *_INT_GE_2), _SEED)
+_SCHEDULED = ("n_schedule", ..., *_SCHEDULE)
+_TOL = ("tolerances.tol", 0.05, *_NONNEG_NUM)
+_TAIL = (("tolerances.tail", 3, *_POS_INT),
+         ("tolerances.osc_tol", None, *_OPT_NONNEG_NUM))
+
+_COMMANDS = {
+    "verify-folner": (("sequence",), (
+        ("indices", [1, 2, 4, 8, 16], *_INDICES),
+        ("growth_upto", lambda v: max(4, min(12, max(v["indices"]))), *_INT_GE_2)),
+     _verify_folner),
+    "verify-tiling": (("sequence",), (
+        ("indices", [1, 2, 3, 4], *_INDICES), ("window_radius", 6, *_NONNEG_INT),
+        ("window_max_index", 3, *_POS_INT)), _verify_tiling),
+    "check-family": (("system", "family"), (
+        _SEED, ("trials", 300, *_POS_INT), ("max_card", 6, *_POS_INT),
+        ("expect", lambda v: sorted(v["family"].declared),
+         lambda x: isinstance(x, list) and all(p in PROPERTIES for p in x),
+         f"a list of properties from {', '.join(PROPERTIES)}")), _check_family),
+    "limit-setfn": (("sequence",), (
+        ("setfn", ..., lambda v: _one_of(setfn_registry(v["group"]))),
+        _SCHEDULED,
+        ("route", "tiling", {
+            "tiling": (("max_card", 12, *_POS_INT), ("max_index", 4, *_POS_INT)),
+            "strong": (("budget.lo", -2, *_INT), ("budget.max_card", 4, *_POS_INT),
+                       ("budget.hi", 2, lambda v: (
+                           lambda x: type(x) is int and x >= v["lo"],
+                           "an integer >= budget.lo")),
+                       ("budget.max_index", 2, *_OPT_POS_INT),
+                       ("budget.max_sets", 4000, *_OPT_POS_INT))})), _limit_setfn),
+    "converge": (_SAMPLED, (*_SAMPLES, _SCHEDULED, _TOL, *_TAIL,
+                            ("nu_floor", -25.0, *_NUM)), _converge),
+    "limsup": (_SAMPLED, (
+        *_SAMPLES, _SCHEDULED,
+        ("mode", "bi_invariant",
+         *_one_of(("bi_invariant", "strongly_subadditive"))), _TOL), _limsup),
+    "maximal": (_SAMPLED, (
+        *_SAMPLES, ("alpha", ..., *_POS_NUM), ("N", 3, *_POS_INT),
+        ("M", None, *_OPT_POS_NUM), ("nu_term", None, *_OPT_NONNEG_NUM),
+        ("greedy_instances", 3, *_NONNEG_INT)), _maximal),
+    "decompose": (_SAMPLED, (*_SAMPLES, ("n", 32, *_POS_INT)), _decompose),
+    "birkhoff": (("sequence", "system", "observable"),
+                 (*_SAMPLES, _SCHEDULED, _TOL, *_TAIL), _birkhoff),
+}
 
 
 _THEOREM_TABLE = [
@@ -373,29 +382,15 @@ _THEOREM_TABLE = [
 ]
 
 
-_HANDLERS = {
-    "verify-folner": _cmd_verify_folner,
-    "verify-tiling": _cmd_verify_tiling,
-    "check-family": _cmd_check_family,
-    "limit-setfn": _cmd_limit_setfn,
-    "converge": _cmd_converge,
-    "limsup": _cmd_limsup,
-    "maximal": _cmd_maximal,
-    "decompose": _cmd_decompose,
-    "birkhoff": _cmd_birkhoff,
-}
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="folner-lab",
         description="Averaging-theorem experiments on amenable groups")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--csv", default=None)
-        p.add_argument("--summary", default=None)
+        for flag in ("--config", "--csv", "--summary"):
+            p.add_argument(flag, required=flag == "--config")
     sub.add_parser("list-theorems")
     args = parser.parse_args(argv)
 
@@ -408,10 +403,10 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         cfg = _load_config(args.config)
-        output = (_get(cfg, "output.csv", None, *_PATH),
-                  _get(cfg, "output.summary", None, *_PATH))
+        output = _read(cfg, _OUTPUT, {})
         thread_cap()  # a malformed FOLNER_LAB_THREADS stops before any run
-        code, rows, summary = _HANDLERS[args.command](cfg)
+        parts, keys, run = _COMMANDS[args.command]
+        code, rows, summary = run(**_values(cfg, parts, keys))
     except (ConfigError, BudgetError, UnsupportedObservable) as exc:
         # a budget blow-up means the requested sets exceed the enumeration
         # budget, before any gate runs or inside one: no gate can decide

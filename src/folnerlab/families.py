@@ -185,8 +185,8 @@ class AdditivePlus(Family):
     def __init__(self, obs: Observable, gamma: Callable, beta: float = 1.0,
                  gamma_name: str = "gamma"):
         beta = float(beta)
-        if beta < 0:
-            raise ValueError("beta must be non-negative")
+        if not 0 <= beta < math.inf:  # NaN fails too
+            raise ValueError("beta must be a finite non-negative number")
         _check_gamma(gamma, concave=False)
         self.inner = AdditiveFamily(obs)
         self.gamma = gamma

@@ -145,7 +145,7 @@ def _word_cut(c: float) -> int:
 class BernoulliShift(System):
     def __init__(self, group: Group, probs: Sequence[float], seed: int = 0):
         probs = tuple(float(p) for p in probs)
-        if len(probs) < 1 or any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+        if not (probs and all(p >= 0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-9):
             raise ValueError("probs must be non-negative and sum to 1")
         self.group = group
         self.probs = probs
@@ -241,7 +241,7 @@ class FiniteMixture(System):
         if not components:
             raise ValueError("mixture needs at least one component")
         w = [float(c[0]) for c in components]
-        if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
+        if not (all(x >= 0 for x in w) and abs(sum(w) - 1.0) <= 1e-9):
             raise ValueError("weights must be non-negative and sum to 1")
         g0 = components[0][1].group
         for _, s in components[1:]:

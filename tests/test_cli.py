@@ -10,10 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from folnerlab import _config, cli
+from folnerlab import cli
 from folnerlab._bits import HASH_VERSION
-from folnerlab.cli import _HANDLERS, _THEOREM_TABLE, VERSION, main
+from folnerlab.cli import _COMMANDS, _THEOREM_TABLE, VERSION, main
 from folnerlab.ergodic import thread_cap
+from folnerlab.families import family_from_json
+from folnerlab.folner import make_folner
+from folnerlab.groups import ZPower
+from folnerlab.tiling import standard_cert
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -360,7 +364,7 @@ def test_theorem_table_lists_real_subcommands(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == len(_THEOREM_TABLE) == 13
     for _, cmd, _ in _THEOREM_TABLE:
-        assert cmd.split()[0] in _HANDLERS
+        assert cmd.split()[0] in _COMMANDS
 
 
 def test_module_entry_point_writes_nothing_to_stderr():
@@ -378,14 +382,16 @@ def test_module_entry_point_writes_nothing_to_stderr():
 # exit code 1: malformed values caught at the boundary, not as tracebacks
 
 
+def _sampled_cfg(**over):
+    return {"group": _z_group(), "sequence": {"kind": "z_boxes"},
+            "system": _bernoulli_system(),
+            "family": {"kind": "additive",
+                       "observable": {"kind": "indicator_symbol", "symbol": 1}},
+            "samples": 20, "seed": 3, **over}
+
+
 def _maximal_cfg(**over):
-    cfg = {"group": _z_group(), "sequence": {"kind": "z_boxes"},
-           "system": _bernoulli_system(),
-           "family": {"kind": "additive",
-                      "observable": {"kind": "indicator_symbol", "symbol": 1}},
-           "alpha": 0.6, "N": 2, "samples": 20, "seed": 3}
-    cfg.update(over)
-    return cfg
+    return _sampled_cfg(**{"alpha": 0.6, "N": 2, **over})
 
 
 def _folner_cfg(**over):
@@ -405,7 +411,7 @@ def _setfn_cfg(**over):
 
 
 def _converge_cfg(**over):
-    return {**_maximal_cfg(), "n_schedule": [2, 4], **over}
+    return _sampled_cfg(**{"n_schedule": [2, 4], **over})
 
 
 @pytest.mark.parametrize("cmd, cfg, message", [
@@ -434,7 +440,7 @@ def _converge_cfg(**over):
       "family": {"kind": "additive", "observable": {"kind": "symbol_value"}},
       "trials": "x"},
      "trials must be a positive integer"),
-    ("decompose", _maximal_cfg(n="x"), "n must be a positive integer"),
+    ("decompose", _sampled_cfg(n="x"), "n must be a positive integer"),
     ("verify-folner", _folner_cfg(growth_upto="x"),
      "growth_upto must be an integer >= 2"),
     ("verify-folner", _folner_cfg(growth_upto=True),
@@ -452,7 +458,7 @@ def _converge_cfg(**over):
     ("limit-setfn", _setfn_cfg(setfn=["x"]), "setfn must be one of"),
     ("converge", _converge_cfg(tolerances={"tol": "x"}),
      "tolerances.tol must be a non-negative number"),
-    ("converge", _converge_cfg(nu_floor="x"), "nu_floor must be a number"),
+    ("converge", _converge_cfg(nu_floor="x"), "nu_floor must be a finite number"),
     ("birkhoff", {**_torus_cfg(), "tolerances": {"tail": "x"}},
      "tolerances.tail must be a positive integer"),
     ("maximal", _maximal_cfg(M="x"), "M must be a positive number or null"),
@@ -480,23 +486,23 @@ def _converge_cfg(**over):
       "observable": {"kind": "indicator_symbol", "symbol": True}},
      "bad observable: symbol must be an integer"),
     ("check-family", _family_cfg(system=_bernoulli_system(probs=(True, 0))),
-     "bad system: probs must be a list of numbers"),
+     "bad system: probs must be a list of finite numbers"),
     ("check-family", _family_cfg(system=_bernoulli_system(probs=("0.5", 0.5))),
-     "bad system: probs must be a list of numbers"),
+     "bad system: probs must be a list of finite numbers"),
     ("check-family",
      _family_cfg(system={"kind": "mixture", "components": [
          {"weight": True, "system": _bernoulli_system()}]}),
-     "bad system: weight must be a number"),
+     "bad system: weight must be a finite number"),
     ("birkhoff", {**_torus_cfg(), "system": {"kind": "torus", "alphas": ["0.6"]}},
-     "bad system: alphas must be a list of numbers"),
+     "bad system: alphas must be a list of finite numbers"),
     ("check-family",
      _family_cfg(family={"kind": "additive", "observable": {
          "kind": "scaled", "base": {"kind": "symbol_value"}, "c": True}}),
-     "bad family: c must be a number"),
+     "bad family: c must be a finite number"),
     ("check-family",
      _family_cfg(family={"kind": "additive", "observable": {
          "kind": "neg_pow_run", "base": "2"}}),
-     "bad family: base must be a number"),
+     "bad family: base must be a finite number"),
     ("check-family",
      _family_cfg(family={"kind": "additive", "observable": {"kind": True}}),
      "bad family: kind must be one of ['indicator_symbol', 'neg_pow_run'"),
@@ -512,7 +518,7 @@ def _converge_cfg(**over):
     ("check-family",
      _family_cfg(family={"kind": "additive_plus", "beta": "2",
                          "observable": {"kind": "symbol_value"}}),
-     "bad family: beta must be a number"),
+     "bad family: beta must be a finite number"),
     ("check-family",
      _family_cfg(system={"kind": "mixture", "components": [1]}),
      "bad system: components must be a list of objects"),
@@ -547,7 +553,7 @@ def _converge_cfg(**over):
     ("converge", _converge_cfg(tolerances={"osc_tol": -1}),
      "tolerances.osc_tol must be a non-negative number or null"),
     # a budget blow-up inside the tiling probe of a plain sub-additive family
-    ("decompose", _maximal_cfg(n=10_000_000, family={
+    ("decompose", _sampled_cfg(n=10_000_000, family={
         "kind": "max_of_additives", "observables": [
             {"kind": "symbol_value"},
             {"kind": "indicator_symbol", "symbol": 0}]}),
@@ -559,6 +565,22 @@ def _converge_cfg(**over):
                   "observable": {"kind": "symbol_value"},
                   "n_schedule": [1, 2], "samples": 10},
      "prefix set too large"),
+    # JSON NaN and Infinity are not finite numbers
+    ("check-family", _family_cfg(system=_bernoulli_system(probs=(math.nan, 0.3))),
+     "bad system: probs must be a list of finite numbers"),
+    ("check-family",
+     _family_cfg(family={"kind": "additive_plus", "beta": math.nan,
+                         "observable": {"kind": "symbol_value"}}),
+     "bad family: beta must be a finite number"),
+    ("check-family",
+     _family_cfg(family={"kind": "additive_plus", "beta": math.inf,
+                         "observable": {"kind": "symbol_value"}}),
+     "bad family: beta must be a finite number"),
+    ("maximal", _maximal_cfg(alpha=math.inf), "alpha must be a positive number"),
+    ("maximal", _maximal_cfg(alpha=10**400), "alpha must be a positive number"),
+    ("maximal", _maximal_cfg(M=math.inf), "M must be a positive number or null"),
+    ("maximal", _maximal_cfg(nu_term=math.inf),
+     "nu_term must be a non-negative number or null"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
         "folner-growth-str", "folner-growth-bool", "folner-growth-one",
@@ -578,7 +600,10 @@ def _converge_cfg(**over):
         "neg-pow-base-overflow", "maximal-M-negative", "maximal-M-zero",
         "maximal-nu-term-negative", "birkhoff-tol-negative",
         "limsup-tol-negative", "converge-osc-tol-negative",
-        "decompose-plain-family-box-budget", "birkhoff-tempered-budget"])
+        "decompose-plain-family-box-budget", "birkhoff-tempered-budget",
+        "system-probs-nan", "additive-plus-beta-nan", "additive-plus-beta-inf",
+        "maximal-alpha-inf", "maximal-alpha-past-float", "maximal-M-inf",
+        "maximal-nu-term-inf"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1
@@ -586,6 +611,43 @@ def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert message in err
+
+
+# the typo config: `tolerance` for `tolerances`, `nu_flor`, and a system `sed`
+_TYPOS = _converge_cfg(tolerance={"tol": 0.0}, nu_flor=1e9,
+                       system={**_bernoulli_system(), "sed": 9})
+
+
+@pytest.mark.parametrize("cmd, cfg, key", [
+    ("converge", _TYPOS, "nu_flor"),
+    ("converge", {k: v for k, v in _TYPOS.items() if k != "nu_flor"},
+     "system.sed"),
+    ("limsup", _converge_cfg(tolerances={"tail": 3}), "tolerances.tail"),
+    ("limit-setfn", _setfn_cfg(budget={"max_card": 2}), "budget"),
+    ("limit-setfn", _setfn_cfg(route="strong", max_card=3), "max_card"),
+    ("decompose", _sampled_cfg(n=4, alpha=0.6), "alpha"),
+    ("check-family", _family_cfg(system={**_bernoulli_system(), "group": _z_group()}),
+     "system.group"),
+    ("decompose", _sampled_cfg(n=4, system={
+        "kind": "mixture", "components": [
+            {"weight": 1.0, "wieght": 1.0, "system": _bernoulli_system()}]}),
+     "system.components.0.wieght"),
+    ("verify-folner", _folner_cfg(output={"csv": None, "sumary": None}),
+     "output.sumary"),
+], ids=["typo-first", "typo-nested", "limsup-tail", "setfn-budget-on-tiling",
+        "setfn-max-card-on-strong", "decompose-alpha", "system-group",
+        "mixture-component", "output"])
+def test_unread_key_exit_one(tmp_path, capsys, monkeypatch, cmd, cfg, key):
+    def ran(*args, **kw):
+        raise AssertionError("an experiment ran")
+
+    for name in ("kingman_run", "limsup_identity_check", "setfn_limit_tiling",
+                 "setfn_limit_strong", "ergodic_decomposition_check", "classify",
+                 "defect_profile"):
+        monkeypatch.setattr(cli, name, ran)
+    code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
+    assert (code, summary) == (1, None)
+    assert capsys.readouterr().err == f"config error: unknown key {key!r}\n"
 
 
 @pytest.mark.parametrize("flag", ["--csv", "--summary"])
@@ -604,11 +666,12 @@ def test_unwritable_output_exit_one(tmp_path, capsys, flag):
 
 
 def test_internal_error_exit_five(tmp_path, capsys, monkeypatch):
-    def broken(cfg):
+    def broken(**values):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(_HANDLERS, "converge", broken)
-    code, summary, _ = _run("converge", _write(tmp_path, "cfg.json", {}),
+    parts, keys, _ = _COMMANDS["converge"]
+    monkeypatch.setitem(_COMMANDS, "converge", (parts, keys, broken))
+    code, summary, _ = _run("converge", _write(tmp_path, "cfg.json", _converge_cfg()),
                             tmp_path)
     assert code == 5
     assert summary["verdict"] == "internal_error"
@@ -619,48 +682,19 @@ def test_internal_error_exit_five(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# every key a handler reads rejects a string and a JSON boolean
+# every key a subcommand reads rejects a string, a JSON boolean and NaN
 
 
-def _wrap(v, reads, path):
-    """``v`` with every object inside it, at any depth, a `_Recorder`."""
-    if isinstance(v, dict):
-        return _Recorder(v, reads, f"{path}.")
+def _read_paths(v, path=""):
+    """The dotted path of each key the config reader asked for, present or
+    not, in a config that ``cli._load_config`` loaded."""
     if isinstance(v, list):
-        return [_wrap(x, reads, f"{path}.{i}") for i, x in enumerate(v)]
-    return v
-
-
-class _Recorder(dict):
-    """A config object that records each key the one config reader
-    (`folnerlab._config`) reads from it.
-
-    Nested objects are wrapped too, list entries included, so
-    `budget.max_card` or `system.components.0.weight` is recorded under its
-    dotted path, whether the CLI or a library parser made the read.  A read
-    that bypasses the reader is not recorded.
-    """
-
-    def __init__(self, data, reads, prefix=""):
-        super().__init__({k: _wrap(v, reads, prefix + k)
-                          for k, v in data.items()})
-        self.reads, self.prefix = reads, prefix
-
-    def _note(self, key):
-        if sys._getframe(2).f_globals.get("__name__") == _config.__name__:
-            self.reads.add(self.prefix + key)
-
-    def __contains__(self, key):
-        self._note(key)
-        return super().__contains__(key)
-
-    def __getitem__(self, key):
-        self._note(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self._note(key)
-        return super().get(key, default)
+        for i, x in enumerate(v):
+            yield from _read_paths(x, f"{path}{i}.")
+    elif isinstance(v, dict):
+        for key in v.read:
+            yield path + key
+            yield from _read_paths(v.get(key), f"{path}{key}.")
 
 
 def _set_path(cfg, path, value):
@@ -686,10 +720,10 @@ _KEY_CASES = [
     ("converge", _converge_cfg(tolerances={})),
     ("limsup", _converge_cfg(tolerances={})),
     ("maximal", _maximal_cfg(greedy_instances=1)),
-    ("decompose", _maximal_cfg(n=4)),
+    ("decompose", _sampled_cfg(n=4)),
     ("birkhoff", {**_torus_cfg(), "n_schedule": [4, 16], "samples": 10,
                   "tolerances": {}}),
-    ("decompose", _maximal_cfg(n=4, system={
+    ("decompose", _sampled_cfg(n=4, system={
         "kind": "mixture", "seed": 1, "components": [
             {"weight": 0.5, "system": _bernoulli_system((0.75, 0.25), seed=2)},
             {"weight": 0.5, "system": _bernoulli_system((0.25, 0.75), seed=3)}]})),
@@ -717,18 +751,23 @@ _PATH_KEYS = {"output.csv", "output.summary"}
                          ids=[f"{c}-{i}" for i, (c, _) in enumerate(_KEY_CASES)])
 def test_every_read_key_is_checked(tmp_path, capsys, monkeypatch, cmd, cfg):
     cfg = {**cfg, "output": {}}
-    reads = set()
+    loaded = []
     with monkeypatch.context() as m:
-        m.setattr(cli, "_load_config", lambda path: _Recorder(cfg, reads))
-        code, _, _ = _run(cmd, "unused.json", tmp_path, tag="base")
+        m.setattr(cli, "_load_config",
+                  lambda path, load=cli._load_config: loaded.append(load(path))
+                  or loaded[0])
+        code, _, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path,
+                          tag="base")
     assert code not in (1, 5)
+    reads = set(_read_paths(loaded[0]))
     assert {"group", "output.csv", "output.summary"} <= reads
     # the parts' own keys are read through the reader too
     assert {f"{part}.kind" for part in _PARTS if part in cfg} <= reads
     if cfg.get("system", {}).get("kind") == "mixture":
         assert "system.components.1.system.probs" in reads
     for key in sorted(reads):
-        for bad in ((3, True) if key in _PATH_KEYS else ("x", True)):
+        for bad in ((3, True, math.nan) if key in _PATH_KEYS
+                    else ("x", True, math.nan)):
             path = _write(tmp_path, "cfg.json", _set_path(cfg, key, bad))
             capsys.readouterr()
             code, summary, _ = _run(cmd, path, tmp_path, tag="probe")
@@ -756,3 +795,141 @@ def test_bad_thread_count_exit_one(tmp_path, capsys, monkeypatch, cmd):
 def test_thread_cap_reads_integers(monkeypatch, value, cap):
     monkeypatch.setenv("FOLNER_LAB_THREADS", value)
     assert thread_cap() == cap
+
+
+# ---------------------------------------------------------------------------
+# the README's key tables are the schema the code reads
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_table(heading: str) -> list:
+    """The body rows, as lists of cells, of the first markdown table after the
+    README line that starts with ``heading``."""
+    lines = _ROOT.joinpath("README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
+    first = next(i for i in range(start, len(lines)) if lines[i].startswith("|"))
+    rows = []
+    for line in lines[first + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([c.strip() for c in line.strip("|").split("|")])
+    return rows
+
+
+def _names(cell: str) -> list:
+    return [n.strip().replace("`", "") for n in cell.split(",") if n.strip()]
+
+
+_COMPUTED = object()  # a default computed from other keys, given as a rule
+
+
+def _schema_rows(label, keys):
+    """(key, subcommand label, default) of each key, route keys included."""
+    for name, default, *check in keys:
+        yield name, label, _COMPUTED if callable(default) else default
+        if isinstance(check[0], dict):
+            for route, route_keys in check[0].items():
+                yield from _schema_rows(f"{label} ({route})", route_keys)
+
+
+def _readme_default(cell: str):
+    text = cell.replace("`", "")
+    if text == "required":
+        return ...
+    try:
+        return json.loads(text)
+    except ValueError:
+        return _COMPUTED
+
+
+def test_readme_scalar_keys_are_the_subcommand_table():
+    schema = {(name, label, repr(default))
+              for cmd, (_, keys, _) in _COMMANDS.items()
+              for name, label, default in _schema_rows(cmd, keys)}
+    schema |= {(name, "all", repr(default))
+               for name, _, default in _schema_rows("all", cli._OUTPUT)}
+    readme = {(key.replace("`", ""), label, repr(_readme_default(default)))
+              for key, labels, default, _ in _readme_table("Scalar keys")
+              for label in _names(labels)}
+    assert readme == schema
+
+
+# the parent object of each nested object, by the key that holds it
+_CHILD = {("system", "components"): "mixture component",
+          ("mixture component", "system"): "system",
+          ("family", "observable"): "observable",
+          ("family", "observables"): "observable",
+          ("family", "base"): "family", ("observable", "base"): "observable"}
+
+
+def _kind_reads(obj, what: str, out: dict) -> None:
+    """Add, for ``obj`` (a ``what``) and each object nested in it, the keys
+    its parser read under (what, kind)."""
+    if isinstance(obj, list):
+        for x in obj:
+            _kind_reads(x, what, out)
+    elif isinstance(obj, dict):
+        out.setdefault((what, obj.get("kind", "")), set()).update(obj.read - {"kind"})
+        for key, x in obj.items():
+            if (what, key) in _CHILD:
+                _kind_reads(x, _CHILD[what, key], out)
+
+
+def _load(tmp_path, cfg):
+    return cli._load_config(_write(tmp_path, "cfg.json", cfg))
+
+
+_ADDITIVE = {"kind": "additive", "observable": {"kind": "symbol_value"}}
+
+# valid examples of the kinds that no `_KEY_CASES` config holds
+_MORE_KINDS = [
+    ("verify-folner", {"group": {"kind": "cyclic_sum", "periods": [2]},
+                       "sequence": {"kind": "cyclic_prefix", "anchors": None}}),
+    ("verify-folner", {"group": {"kind": "z_sum"},
+                       "sequence": {"kind": "zsum_boxes"}}),
+    ("check-family", _family_cfg(family={"kind": "max",
+                                         "observable": {"kind": "symbol_value"}})),
+    ("check-family", _family_cfg(family={"kind": "concave_cardinality",
+                                         "gamma": "sqrt"})),
+    ("check-family", _family_cfg(family={"kind": "derived_prime", "base": _ADDITIVE})),
+    ("check-family", _family_cfg(family={"kind": "minus_card_squared",
+                                         "base": _ADDITIVE})),
+]
+
+
+def test_readme_nested_keys_are_what_the_parsers_read(tmp_path):
+    reads = {}
+    for cmd, cfg in _KEY_CASES + _MORE_KINDS:
+        parts, keys, _ = _COMMANDS[cmd]
+        cfg = _load(tmp_path, cfg)
+        cli._values(cfg, parts, keys)
+        for part in ("group", "sequence", "system", "family", "observable"):
+            if part in cfg:
+                _kind_reads(cfg[part], part, reads)
+    # the CLI has no tiling certificate to build this one on
+    cert = standard_cert(make_folner(ZPower(1), "z_boxes"), 3)
+    family = _load(tmp_path, {"kind": "derived_prime_m", "base": _ADDITIVE})
+    family_from_json(family, cert)
+    _kind_reads(family, "family", reads)
+
+    readme = {}
+    for obj, kinds, keys, _, _ in _readme_table("Nested keys"):
+        for kind in _names(kinds) or [""]:
+            readme.setdefault((obj.replace("`", ""), kind), set()).update(_names(keys))
+    assert readme == reads
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_bench_configs_read_every_key(tmp_path, monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(_ROOT / "bench"))
+    import workloads
+
+    ops = [op for name in workloads.WORKLOADS
+           for op in workloads.ops_for(name, seed) if hasattr(op, "command")]
+    assert ops
+    for op in ops:
+        cfg = _load(tmp_path, op.config)
+        cli._read(cfg, cli._OUTPUT, {})
+        parts, keys, _ = _COMMANDS[op.command]
+        cli._values(cfg, parts, keys)

@@ -261,6 +261,12 @@ def test_truncation_level_must_be_positive():
         Truncated(AdditiveFamily(symbol_value()), 0)
 
 
+@pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+def test_additive_plus_beta_must_be_finite_and_nonnegative(beta):
+    with pytest.raises(ValueError):
+        AdditivePlus(symbol_value(), math.sqrt, beta, "sqrt")
+
+
 # ---------------------------------------------------------------------------
 # evaluation and serialization
 

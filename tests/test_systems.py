@@ -431,6 +431,18 @@ def test_observable_json_roundtrip():
                               obs.window_values(system, batch, F))
 
 
+@pytest.mark.parametrize("probs", [(0.5, 0.4), (-0.1, 1.1), (math.nan, 0.3), ()])
+def test_bernoulli_probs_must_be_nonnegative_and_sum_to_one(probs):
+    with pytest.raises(ValueError):
+        _bernoulli(probs=probs)
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.4), (-0.1, 1.1), (math.nan, 1.0)])
+def test_mixture_weights_must_be_nonnegative_and_sum_to_one(weights):
+    with pytest.raises(ValueError):
+        FiniteMixture([(w, _bernoulli()) for w in weights])
+
+
 def test_points_refuse_an_integer_index():
     # a lone integer would give a batch of 0-d arrays; one point is [i:i + 1]
     pts = _bernoulli().sample([np.random.default_rng(0)] * 3)
