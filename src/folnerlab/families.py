@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._config import _INT, _NUM, _OBJ, _TWO_OBJS, _get, _kind, _one_of
+from ._config import _INT, _NUM, _OBJ, _POS_INT, _TWO_OBJS, _get, _kind, _one_of
 from .groups import FinSet, Group, _widen, erode, multiplicity, translate_right
 from .systems import Observable, Points, System, observable_from_json, split_leaves
 from .tiling import TilingCert, compose, window_set
@@ -228,10 +228,10 @@ class Truncated(Family):
     """d_F(y) clipped below at -N * |F|."""
 
     def __init__(self, base: Family, N: int):
-        if N <= 0:
-            raise ValueError("truncation level must be positive")
+        if not _POS_INT[0](N):  # a bool or a float is refused, not rounded
+            raise ValueError(f"truncation level must be {_POS_INT[1]}, got {N!r}")
         self.base = base
-        self.N = int(N)
+        self.N = N
         self.name = f"truncated({base.name},{N})"
         self.declared = frozenset(
             {p for p in ("invariant", "bi_invariant", "subadditive")

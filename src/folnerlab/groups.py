@@ -17,18 +17,21 @@ deterministically; every element also has a dense integer row.
 ``FinSet`` is the one finite-set representation: a sorted int64 array of
 mixed-radix keys of the elements' dense rows in the set's bounding box.  Set
 operations are sorted-array work on keys; the Minkowski product is one
-broadcast key sum, or for large dense products an occupancy-grid
-convolution (its rounding slack is asserted); erosions and covering
-multiplicities read the same pair counts.  Tuples are decoded on demand.
+exact integer routine: broadcast key sums, sorted, or counted cell by cell
+in blocks when the sum box has no more cells than there are pairs;
+erosions and covering multiplicities read the same pair counts.  Tuples
+are decoded on demand.
 
 The bounding box of a non-empty set is tight: ``lo`` is the least row and
 ``lo + ext - 1`` the greatest, coordinate by coordinate, and the sum kinds
 carry no trailing all-zero coordinate.  So a set is a full box exactly when
 it has ``prod(ext)`` keys (``FinSet.is_box``), and two fast paths read no
 key: ``is_subset`` decides by the boxes alone when A's box leaves B's or B
-is a box, ``product_set`` of two boxes on ZPower and ZSum is the sum box
-(on CyclicSum sums wrap, so it takes the general path), and ``erode`` of a
-box by a box, or on CyclicSum of a coset box by any set, is a box.
+is a box, ``product_set`` of two boxes is the sum box (on CyclicSum each
+coordinate's sums fill the period or run from (a + b) mod p, so the product
+is a box unless some run wraps, which takes the general path), and
+``erode`` of a box by a box, or on CyclicSum of a coset box by any set, is
+a box.
 
 Every box is built here, by one builder (``_box``): the Folner boxes and
 prefix subgroups of ``folner``, the windows and tile shapes of ``tiling``,
@@ -53,7 +56,7 @@ class GroupMismatchError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An enumeration or grid budget was exceeded."""
+    """An enumeration budget was exceeded, or a box outgrew int64 keys."""
 
 
 class Group:
@@ -521,31 +524,7 @@ def is_subset(A: FinSet, B: FinSet) -> bool:
     return bool(_member(_keys_in(A._key_rows(), B.lo, B.ext), B.keys).all())
 
 
-# the grid wins on dense boxes from about 10,000 pairs (best of 30, direct/grid
-# ms, 2 CPUs, numpy 2.4: Z 100x100 .16/.08, Z^2 10^2x10^2 .17/.12, Z^3 4^3x5^3
-# .16/.18, Z^3 5^3x5^3 .25/.19, +Z/2 2^6x2^7 .63/.50)
-_GRID_PAIR_THRESHOLD = 10_000
-_GRID_CELL_CAP = 60_000_000  # cells of the padded FFT grid
-
-
-def _fast_len(n: int) -> int:
-    """The least 2*3*5-smooth length >= n: numpy's FFT is fastest there."""
-    best, p5 = 1 << (n - 1).bit_length(), 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _convolve(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
-    """Float cyclic convolution of two occupancy grids zero-padded to
-    ``shape``: a linear convolution where ``shape`` holds the full extent."""
-    axes = tuple(range(len(shape)))
-    fa, fb = (np.fft.rfftn(x, shape, axes) for x in (a, b))
-    return np.fft.irfftn(fa * fb, shape, axes)
+_BLOCK_SUMS = 1 << 18  # key sums per block of K's rows in a dense count
 
 
 def _sum_box(grp: Group, kbox: tuple, fbox: tuple) -> tuple:
@@ -580,35 +559,26 @@ def _key_sums(grp: Group, a: np.ndarray, b: np.ndarray, lo: tuple, ext: tuple) -
 
 def _product(K: FinSet, F: FinSet) -> tuple:
     """(lo, ext, keys, counts): the distinct elements of the multiset K*F as
-    keys of their ``_sum_box``, with their multiplicities.
+    keys of their ``_sum_box``, with their multiplicities, exact in integers.
 
-    Above the pair threshold, when the box has no more cells than there are
-    pairs and its padded FFT grid fits the cell cap, an occupancy-grid
-    convolution gives the counts and its non-zero cells are the keys (the
-    rounding slack is asserted); otherwise the keys are ``_key_sums``.
+    The key sums are formed in blocks of K's rows and counted into one array
+    over the box when it has no more cells than there are pairs (its
+    non-zero cells are the keys); otherwise all of them are sorted at once.
     """
     grp, w = K.group, max(K.width, F.width)
-    cyclic = isinstance(grp, CyclicSum)
-    (klo, kext), (flo, fext) = _padded_boxes(K, F)
-    lo, ext = _sum_box(grp, (klo, kext), (flo, fext))
-    pairs = len(K) * len(F)
-    if (pairs > _GRID_PAIR_THRESHOLD and math.prod(ext) <= pairs and math.prod(
-            fft := ext if cyclic else tuple(map(_fast_len, ext))) <= _GRID_CELL_CAP):
-        grids = []
-        for X, shape in ((K, kext), (F, fext)):
-            shape = ext if cyclic else shape
-            grid = np.zeros(math.prod(shape))
-            grid[_rebox(X, lo, ext) if cyclic else X.keys] = 1.0
-            grids.append(grid.reshape(shape))
-        cc = _convolve(*grids, fft)[tuple(map(slice, ext))]
-        counts = np.rint(cc).astype(np.int64)
-        if np.abs(cc - counts).max() > 0.1:
-            raise ArithmeticError("convolution rounding slack exceeded")
-        counts = counts.ravel()
-        keys = np.flatnonzero(counts)
-        return lo, ext, keys, counts[keys]
-    sums = _key_sums(grp, K._key_rows(w), F._key_rows(w), lo, ext)
-    return (lo, ext, *_unique(sums, counts=True))
+    lo, ext = _sum_box(grp, *_padded_boxes(K, F))
+    a, b, cells = K._key_rows(w), F._key_rows(w), math.prod(ext)
+    dense = cells <= len(a) * len(b)
+    # a block has at least as many sums as cells, so counting costs O(pairs)
+    step = max(1, max(_BLOCK_SUMS, cells) // len(b)) if dense else len(a)
+    blocks = (_key_sums(grp, a[i:i + step], b, lo, ext) for i in range(0, len(a), step))
+    if not dense:
+        return (lo, ext, *_unique(next(blocks), counts=True))
+    counts = np.zeros(cells, dtype=np.int64)
+    for sums in blocks:
+        counts += np.bincount(sums.ravel(), minlength=cells)
+    keys = np.flatnonzero(counts)
+    return lo, ext, keys, counts[keys]
 
 
 def product_set(K: FinSet, F: FinSet) -> FinSet:
@@ -616,12 +586,19 @@ def product_set(K: FinSet, F: FinSet) -> FinSet:
     grp = _require_same_group(K, F)
     if K.is_empty or F.is_empty:
         return FinSet(grp)
-    if K.is_box and F.is_box and not isinstance(grp, CyclicSum):
+    cyclic = isinstance(grp, CyclicSum)
+    if K.is_box and F.is_box:
+        # coordinate j's sums are x + y - 1 consecutive values; on CyclicSum
+        # they fill [0, p) or run from (a + b) mod p, a box unless one wraps
         (klo, kext), (flo, fext) = _padded_boxes(K, F)
-        return _box(grp, [range(a + b, a + b + x + y - 1)
-                          for a, x, b, y in zip(klo, kext, flo, fext)])
+        ranges = []
+        for j, (a, x, b, y) in enumerate(zip(klo, kext, flo, fext)):
+            p, s = (grp.period(j), (a + b) % grp.period(j)) if cyclic else (math.inf, a + b)
+            ranges.append(range(p) if x + y - 1 >= p else range(s, s + x + y - 1))
+        if not cyclic or all(r.stop <= grp.period(j) for j, r in enumerate(ranges)):
+            return _box(grp, ranges)
     lo, ext, keys, _ = _product(K, F)
-    if isinstance(grp, CyclicSum):  # the wrapped sums may not fill the box
+    if cyclic:  # the wrapped sums may not fill the box
         return FinSet.from_rows(grp, _decode(lo, ext, keys))
     return FinSet._of(grp, lo, ext, keys)
 

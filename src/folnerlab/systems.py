@@ -389,6 +389,8 @@ def symbol_value() -> Observable:
 
 def scaled(base: Observable, c: float) -> Observable:
     c = float(c)
+    if not np.isfinite(c):
+        raise ValueError(f"scale factor c must be finite, got {c}")
 
     def window_fn(leaf, batch, F):
         return c * base.window_values(leaf, batch, F)

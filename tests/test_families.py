@@ -261,6 +261,13 @@ def test_truncation_level_must_be_positive():
         Truncated(AdditiveFamily(symbol_value()), 0)
 
 
+@pytest.mark.parametrize("N", [0.5, 2.0, True, -1, "3"])
+def test_truncation_level_must_be_a_positive_integer(N):
+    # 0.5 used to pass the sign check and clip at int(0.5) == 0
+    with pytest.raises(ValueError, match="truncation level must be a positive integer"):
+        Truncated(AdditiveFamily(symbol_value()), N)
+
+
 @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
 def test_additive_plus_beta_must_be_finite_and_nonnegative(beta):
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Exact invariance combinatorics: defects, (K, delta) checks, growth ratios."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,20 @@ def test_tempered_interval_witness():
     assert rep.ok and rep.witness == Fraction(7, 4)
     # tempered constant never exceeds the Tempelman constant on the same range
     assert rep.witness <= tempelman_report(seq, 8).witness
+
+
+def test_anchored_cube_growth_peak_allocation_is_small():
+    # the largest product here has 10.5 million pairs on an 88,000-cell box:
+    # it is counted in blocks of K's rows near 5 MiB of traced allocations,
+    # where sorting every key sum at once would take near 130 MiB
+    seq = make_folner(ZPower(3), "z_boxes", anchors="squares")
+    tracemalloc.start()
+    try:
+        tempered_report(seq, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_diagonal_cubes_growth_blows_up():

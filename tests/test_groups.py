@@ -1,11 +1,12 @@
 import itertools
+import math
 from bisect import bisect_right
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folnerlab import (BudgetError, CyclicSum, EnumBudget, FinSet, Group,
@@ -125,7 +126,8 @@ def test_group_mismatch_rejected():
 
 @pytest.mark.parametrize("grp", GROUPS, ids=lambda g: g.kind)
 def test_product_grid_matches_naive(grp):
-    # the grid convolution path must agree with elementwise products
+    # both product paths, the dense count and the sort, must agree with
+    # elementwise products
     rng = np.random.default_rng(7)
     for trial in range(20):
         K = FinSet(grp, [grp.random_elem(rng) for _ in range(4)])
@@ -137,8 +139,8 @@ def test_product_grid_matches_naive(grp):
 
 
 def test_product_grid_large_agrees_on_boxes():
-    # force the grid path (|K|*|F| above the pairwise threshold; F has a hole,
-    # so it is no box) and compare against the closed form for interval sums
+    # a dense count (599 cells, 89,700 pairs; F has a hole, so it is no
+    # box) against the closed form for interval sums
     K = FinSet(Z1, [(i,) for i in range(300)])
     F = FinSet(Z1, [(i,) for i in range(300) if i != 150])
     got = product_set(K, F)
@@ -284,6 +286,44 @@ def test_box_product_path_matches_key_path(grp, shapes, monkeypatch):
 
 
 @st.composite
+def cyclic_box_pair(draw):
+    """A CyclicSum and two boxes on it, of widths drawn apart and up to two
+    coordinates past the explicit periods."""
+    grp = CyclicSum(tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))))
+    def box():
+        ranges = []
+        for j in range(draw(st.integers(1, len(grp.periods) + 2))):
+            a = draw(st.integers(0, grp.period(j) - 1))
+            ranges.append(range(a, draw(st.integers(a + 1, grp.period(j)))))
+        return groups._box(grp, ranges)
+    return grp, box(), box()
+
+
+def _cyclic_boxes(periods, *shapes):
+    grp = CyclicSum(periods)
+    return (grp, *(groups._box(grp, ranges) for ranges in shapes))
+
+
+@given(cyclic_box_pair())
+@example(_cyclic_boxes((5,), [range(1, 3)], [range(1, 3)]))  # a run inside [0, p)
+@example(_cyclic_boxes((5,), [range(1, 3)], [range(3, 5)]))  # a run that wraps
+@example(_cyclic_boxes((5,), [range(3)], [range(1, 4)]))  # the full period
+@example(_cyclic_boxes((3, 2), [range(1, 3)],  # widths 1 and 4, past the periods
+                       [range(1), range(1, 2), range(2), range(1, 2)]))
+@settings(max_examples=200, deadline=None)
+def test_cyclic_box_product_closed_form_matches_key_path(case):
+    grp, K, F = case
+    assert K.is_box and F.is_box
+    with mock.patch.object(groups, "_product", wraps=groups._product) as spy:
+        P = product_set(K, F)
+    lo, ext, keys, _ = groups._product(K, F)
+    keyed = FinSet.from_rows(grp, groups._decode(lo, ext, keys))
+    assert (P.lo, P.ext) == (keyed.lo, keyed.ext) and np.array_equal(P.keys, keyed.keys)
+    # no run wraps exactly when the product is a box: then no key is formed
+    assert (spy.call_count == 0) == keyed.is_box
+
+
+@st.composite
 def erosion_pair(draw, grp):
     """(F, T) element sets that the closed-form erosion takes: two boxes on
     ZPower and ZSum; on CyclicSum a coset box F (each coordinate either its
@@ -371,45 +411,52 @@ def _subsets(grp, ranges, sizes, seed):
     return [box.take(np.sort(rng.choice(len(box), n, replace=False))) for n in sizes]
 
 
-@pytest.mark.parametrize("grp, ranges", [
-    (Z2, [range(-9, 10), range(-6, 7)]),
-    (ZS, [range(-2, 3), range(0, 4), range(-3, 1)]),
-    (CyclicSum((3, 2)), [range(3)] + [range(2)] * 5),
-    (Z1, [range(106)]),
-    (ZPower(3), [range(4), range(6), range(7)]),
-], ids=["z_power", "z_sum", "cyclic_sum", "z1_crop", "z3_crop"])
-def test_product_grid_matches_key_path_cell_by_cell(grp, ranges, monkeypatch):
-    K, F = _subsets(grp, ranges, (40, 50), seed=11)
-    calls = []
-    convolve = groups._convolve
-    monkeypatch.setattr(groups, "_convolve",
-                        lambda *a: calls.append(a[2]) or convolve(*a))
-    monkeypatch.setattr(groups, "_GRID_PAIR_THRESHOLD", 0)
-    grid = groups._product(K, F)
-    ext = grid[1]
-    if isinstance(grp, CyclicSum):
-        assert calls == [ext]  # the grid path ran, on the period grid
-    else:  # ... on the full extent padded to smooth lengths
-        assert calls == [tuple(map(groups._fast_len, ext))]
-    if grp in (Z1, ZPower(3)):  # the result is cropped from a padded grid
-        assert calls[0] != ext
-    monkeypatch.setattr(groups, "_GRID_PAIR_THRESHOLD", len(K) * len(F))
-    direct = groups._product(K, F)
-    assert len(calls) == 1  # the key path ran
-    assert grid[:2] == direct[:2]
-    assert np.array_equal(grid[2], direct[2]) and np.array_equal(grid[3], direct[3])
-    # cell by cell against the reference multiset
-    cells = grp.rows_to_elems(groups._decode(*grid[:3]))
-    assert dict(zip(cells, grid[3].tolist())) == TupleRef(grp).counts(K.elems, F.elems)
+def _sorted_product(K, F):
+    """``_product``'s sort branch: every key sum at once, sorted and counted."""
+    w = max(K.width, F.width)
+    lo, ext = groups._sum_box(K.group, *groups._padded_boxes(K, F))
+    sums = groups._key_sums(K.group, K._key_rows(w), F._key_rows(w), lo, ext)
+    return (lo, ext, *groups._unique(sums, counts=True))
 
 
-def test_product_grid_rounding_slack_is_asserted(monkeypatch):
-    K, F = _subsets(Z2, [range(-9, 10), range(-6, 7)], (40, 50), seed=3)
-    convolve = groups._convolve
-    monkeypatch.setattr(groups, "_convolve", lambda *a: convolve(*a) + 0.3)
-    monkeypatch.setattr(groups, "_GRID_PAIR_THRESHOLD", 0)
-    with pytest.raises(ArithmeticError, match="rounding slack"):
-        product_set(K, F)
+@pytest.mark.parametrize("grp, ranges, sizes", [
+    (Z2, [range(-9, 10), range(-6, 7)], (40, 50)),
+    (ZS, [range(-2, 3), range(0, 4), range(-3, 1)], (40, 50)),
+    (CyclicSum((3, 2)), [range(3)] + [range(2)] * 5, (40, 50)),
+    (Z1, [range(106)], (40, 50)),
+    (ZPower(3), [range(4), range(6), range(7)], (40, 50)),
+    (Z2, [range(-30, 31), range(-20, 21)], (600, 1500)),
+], ids=["z_power", "z_sum", "cyclic_sum", "z1", "z3", "three_blocks"])
+def test_product_dense_count_matches_sort_path_cell_by_cell(grp, ranges, sizes, monkeypatch):
+    K, F = _subsets(grp, ranges, sizes, seed=11)
+    blocks = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda x, minlength: blocks.append(x.size)
+                        or bincount(x, minlength=minlength))
+    dense = groups._product(K, F)
+    # the count ran, on blocks of whole rows of K, and saw every pair once
+    cells = math.prod(dense[1])
+    assert cells <= len(K) * len(F) and sum(blocks) == len(K) * len(F)
+    assert all(n % len(F) == 0 and n <= max(groups._BLOCK_SUMS, cells, len(F)) for n in blocks)
+    assert len(blocks) >= (3 if len(K) * len(F) > 3 * groups._BLOCK_SUMS else 1)
+    direct = _sorted_product(K, F)
+    assert dense[:2] == direct[:2]
+    assert np.array_equal(dense[2], direct[2]) and np.array_equal(dense[3], direct[3])
+    assert dense[2].dtype == direct[2].dtype and dense[3].dtype == direct[3].dtype
+    if len(blocks) == 1:  # cell by cell against the reference multiset
+        elems = grp.rows_to_elems(groups._decode(*dense[:3]))
+        assert dict(zip(elems, dense[3].tolist())) == TupleRef(grp).counts(K.elems, F.elems)
+
+
+def test_sparse_product_takes_the_sort_path(monkeypatch):
+    # more cells than pairs: the sums are sorted, and nothing is counted
+    K, F = (FinSet(Z2, [(0, 0), (40, 3), (7, -50)]), FinSet(Z2, [(1, 1), (-9, 30)]))
+    monkeypatch.setattr(np, "bincount", None)
+    got = groups._product(K, F)
+    assert math.prod(got[1]) > len(K) * len(F)
+    assert all(np.array_equal(x, y) for x, y in zip(got[2:], _sorted_product(K, F)[2:]))
+    cells = Z2.rows_to_elems(groups._decode(*got[:3]))
+    assert dict(zip(cells, got[3].tolist())) == TupleRef(Z2).counts(K.elems, F.elems)
 
 
 def test_box_past_int64_keys_is_a_budget_error():

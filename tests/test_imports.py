@@ -1,9 +1,9 @@
 """Every name a module of ``folnerlab`` imports is used by that module,
-every module-level function or class and every method has a caller outside
-the tests, every gate refusal with a literal hypothesis has a pinned case,
-finite sets stay in their one representation, config parsers read only
-through the checked reader, the FFT products import no scipy, and the
-package states one version.
+every module-level function, class or constant and every method has a
+caller outside the tests, every gate refusal with a literal hypothesis has
+a pinned case, finite sets stay in their one representation, config
+parsers read only through the checked reader, the dense product counts
+import no scipy, and the package states one version.
 
 No linter is part of the toolchain, so this is the check.  ``__init__.py``
 is exempt from the import check: its imports are the package's re-exports.
@@ -93,15 +93,24 @@ def _file_refs(path: Path) -> set:
     return _referenced(ast.parse(path.read_text(), filename=str(path)))
 
 
+def _defined(node: ast.stmt) -> list:
+    """The names a module-level statement binds: a function, a class, or
+    the targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
 def _unreferenced(path: Path, scanned: list) -> list:
-    """Module-level functions and classes of ``path`` that neither their own
-    module nor any other scanned file refers to."""
+    """Module-level functions, classes and assigned names of ``path`` that
+    neither their own module nor any other scanned file refers to."""
     tree = ast.parse(path.read_text(), filename=str(path))
     elsewhere = set().union(*(_file_refs(p) for p in scanned if p != path))
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name not in elsewhere
-            and node.name not in _referenced(tree, skip=node)]
+    return [name for node in tree.body for name in _defined(node)
+            if name not in elsewhere and name not in _referenced(tree, skip=node)]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -112,14 +121,14 @@ def test_no_unreferenced_definitions(module):
 
 def test_unreferenced_check_ignores_test_callers(tmp_path):
     files = {"src/pkg/__init__.py": "from .mod import helper, used\n",
-             "src/pkg/mod.py": "def helper():\n    return 1\n\n\n"
-                               "def used():\n    return 2\n",
+             "src/pkg/mod.py": "LIMIT = 3\nSTEP: int = 2\n\n\ndef helper():\n    return 1\n\n\n"
+                               "def used():\n    return STEP\n",
              "demos/demo.py": "from pkg.mod import used\nused()\n",
-             "tests/test_mod.py": "from pkg.mod import helper\nhelper()\n"}
+             "tests/test_mod.py": "from pkg.mod import LIMIT, helper\nhelper(LIMIT)\n"}
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
-    assert _unreferenced(tmp_path / "src/pkg/mod.py", _scanned(tmp_path)) == ["helper"]
+    assert _unreferenced(tmp_path / "src/pkg/mod.py", _scanned(tmp_path)) == ["LIMIT", "helper"]
     # the allowlist holds only names the check would flag
     flagged = {n for m in MODULES for n in _unreferenced(SRC / m, SCANNED)}
     assert len(_UNREFERENCED_OK) <= 3 and set(_UNREFERENCED_OK) <= flagged
@@ -291,24 +300,24 @@ def test_config_bypass_check_catches_each_form():
                                     "d[...]", ".startswith(", "c[...]"])
 
 
-_GRID_PRODUCTS = """
+_DENSE_PRODUCTS = """
 import sys
+import numpy as np
 from folnerlab import CyclicSum, ZPower, groups
 ran = []
-convolve = groups._convolve
-groups._convolve = lambda *a: ran.append(grp) or convolve(*a)
+bincount = np.bincount
+np.bincount = lambda x, minlength: ran.append(grp) or bincount(x, minlength=minlength)
 for grp, ranges in ((ZPower(2), [range(20)] * 2), (CyclicSum((2,)), [range(2)] * 7)):
     box = groups._box(grp, ranges)
     near = box.take(slice(1, None))  # not a box: two boxes take the box path
-    assert len(near) * len(box) > groups._GRID_PAIR_THRESHOLD
     groups.product_set(near, box)
-    assert ran[-1:] == [grp]  # the grid ran: linear on Z^2, cyclic on the sum
+    assert ran[-1:] == [grp]  # the dense count ran, on Z^2 and on the sum
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_grid_products_import_no_scipy():
-    out = subprocess.run([sys.executable, "-c", _GRID_PRODUCTS], check=True,
+    out = subprocess.run([sys.executable, "-c", _DENSE_PRODUCTS], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"

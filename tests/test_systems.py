@@ -283,6 +283,14 @@ def test_exact_means():
     assert neg_pow_run().exact_mean(_bernoulli()) is None
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("base", [symbol_value, lambda: torus_coordinate(0)],
+                         ids=["integer_base", "real_base"])
+def test_scaled_refuses_a_non_finite_factor(base, c):
+    with pytest.raises(ValueError, match=f"scale factor c must be finite, got {c}"):
+        scaled(base(), c)
+
+
 def test_conditional_expectation_is_exact_on_single_leaves():
     bern = _bernoulli()
     ce = conditional_expectation(bern, indicator_symbol(1))
