@@ -388,13 +388,6 @@ class GreedyCoverReport:
                 "value_chain_ok": self.value_chain_ok}
 
 
-def _core_set(seq: FolnerSeq, n: int, N: int) -> FinSet:
-    """F_n intersected with every erosion by F_1..F_N."""
-    Fn = seq.generate(n)
-    return functools.reduce(
-        intersect, (erode(Fn, seq.generate(i)) for i in range(1, N + 1)), Fn)
-
-
 def greedy_cover(fam: Family, system: System, y: Points, seq: FolnerSeq, n: int,
                  alpha: float, N: int) -> GreedyCoverReport:
     """Exceedance classes and backward maximal disjoint packings, at the
@@ -406,11 +399,12 @@ def greedy_cover(fam: Family, system: System, y: Points, seq: FolnerSeq, n: int,
     The resulting integer inequality is checked exactly, with the exact
     Tempelman witness over the first N indices as the constant M.
     """
-    grp = seq.group
-    core = _core_set(seq, n, N)
+    grp, Fn = seq.group, seq.generate(n)
+    windows = [seq.generate(i) for i in range(1, N + 1)]
+    R = functools.reduce(union, windows)  # R g lies inside F_n iff every F_i g does
+    core = intersect(Fn, erode(Fn, R))  # {g in F_n : F_i g inside F_n for i <= N}
     if core.is_empty:
         raise GateRefusal("non-empty core", f"index {n} too small for N={N}")
-    windows = [seq.generate(i) for i in range(1, N + 1)]
     width = max(X.width for X in (core, *windows))
     rows = core.rows(width)
 
@@ -427,7 +421,7 @@ def greedy_cover(fam: Family, system: System, y: Points, seq: FolnerSeq, n: int,
 
     # backward greedy maximal disjoint packings, on one occupancy array over
     # the keys of a box that holds core * (F_1 u ... u F_N)
-    lo, ext = _sum_box(grp, *_padded_boxes(core, functools.reduce(union, windows)))
+    lo, ext = _sum_box(grp, *_padded_boxes(core, R))
     occupied = np.zeros(math.prod(ext), dtype=bool)
     chosen_pos = [None] * N
     for i in range(N - 1, -1, -1):
@@ -458,7 +452,7 @@ def greedy_cover(fam: Family, system: System, y: Points, seq: FolnerSeq, n: int,
     value_chain_ok: Optional[bool] = None
     total_weight = sum(len(w) * len(pos) for w, pos in zip(windows, chosen_pos))
     if total_weight > 0:
-        dfn = fam.sample_values(system, seq.generate(n), y)[0]
+        dfn = fam.sample_values(system, Fn, y)[0]
         picked = 0.0
         for vals, pos in zip(values, chosen_pos):
             for c in pos:

@@ -1,8 +1,8 @@
 """Folner sequences for the supported groups, with exact invariance diagnostics.
 
-All ratios are `fractions.Fraction`, computed by explicit enumeration (no
-closed forms), so the Tempelman / tempered witnesses reported here are exact
-integers divided by exact integers.
+All ratios are `fractions.Fraction`s of exact set sizes, whether a set was
+formed key by key or as a closed-form box, so the Tempelman / tempered
+witnesses reported here are exact integers divided by exact integers.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .groups import (
     ZSum,
     _box,
     _prefix_ranges,
+    _union_product,
     erode,
     inverse_set,
     product_set,
@@ -148,28 +149,25 @@ class GrowthReport:
 
 
 def _inverse_unions(seq: FolnerSeq, upto: int, target_offset: int = 0):
-    """(F_t, U_n) for n = 1..upto, where t = n + target_offset and
-    U_n = (union_{k<=n} F_k^{-1}) F_t."""
+    """(F_t, U_n) for n = 1..upto, t = n + target_offset: U_n = (union_{k<=n}
+    F_k^{-1}) F_t, the union of the F_k^{-1} F_t (F_k^{-1} rebuilt, not kept)."""
     inv_union = FinSet(seq.group)
     for n in range(1, upto + 1):
         inv_union = union(inv_union, inverse_set(seq.generate(n)))
         target = seq.generate(n + target_offset)
-        yield target, product_set(inv_union, target)
+        invs = (inverse_set(seq.generate(k)) for k in range(1, n + 1))
+        yield target, _union_product(invs, inv_union, target)
 
 
-def _inv_union_ratios(seq: FolnerSeq, upto: int, target_offset: int) -> list:
-    return [Fraction(len(U), len(T))
-            for T, U in _inverse_unions(seq, upto, target_offset)]
-
-
-def _growth(ratios: list) -> GrowthReport:
+def _growth(seq: FolnerSeq, upto: int, target_offset: int) -> GrowthReport:
+    ratios = [Fraction(len(U), len(T)) for T, U in _inverse_unions(seq, upto, target_offset)]
     return GrowthReport(ratios=tuple(ratios), witness=max(ratios),
                         ok=not ratios_look_divergent(ratios))
 
 
 def tempelman_report(seq: FolnerSeq, upto: int) -> GrowthReport:
     """Ratios |union_{k<=n} F_k^{-1} F_n| / |F_n| for n <= upto, exact."""
-    return _growth(_inv_union_ratios(seq, upto, 0))
+    return _growth(seq, upto, 0)
 
 
 def tempered_report(seq: FolnerSeq, upto: int) -> GrowthReport:
@@ -179,7 +177,7 @@ def tempered_report(seq: FolnerSeq, upto: int) -> GrowthReport:
     """
     if upto < 2:
         raise ValueError("need at least two indices")
-    return _growth(_inv_union_ratios(seq, upto - 1, 1))
+    return _growth(seq, upto - 1, 1)
 
 
 def ratios_look_divergent(ratios) -> bool:

@@ -25,17 +25,15 @@ are decoded on demand.
 The bounding box of a non-empty set is tight: ``lo`` is the least row and
 ``lo + ext - 1`` the greatest, coordinate by coordinate, and the sum kinds
 carry no trailing all-zero coordinate.  So a set is a full box exactly when
-it has ``prod(ext)`` keys (``FinSet.is_box``), and two fast paths read no
+it has ``prod(ext)`` keys (``FinSet.is_box``), and four fast paths read no
 key: ``is_subset`` decides by the boxes alone when A's box leaves B's or B
-is a box, ``product_set`` of two boxes is the sum box (on CyclicSum each
-coordinate's sums fill the period or run from (a + b) mod p, so the product
-is a box unless some run wraps, which takes the general path), and
+is a box; ``union`` returns an operand that is a box holding the other;
+``product_set`` of two boxes is the sum box unless a CyclicSum run wraps;
 ``erode`` of a box by a box, or on CyclicSum of a coset box by any set, is
-a box.
-
-Every box is built here, by one builder (``_box``): the Folner boxes and
-prefix subgroups of ``folner``, the windows and tile shapes of ``tiling``,
-and the boxes of the enumeration stream.
+a box.  The Boxes section holds the box arithmetic: sums of boxes, unions
+of such sums (``folner``'s inverse unions), and tiles composed under a
+scaling or shifting isomorphism (``tiling.compose``).  Every box is built
+there, by one builder (``_box``).
 """
 from __future__ import annotations
 
@@ -495,6 +493,9 @@ def _combine(op, E: FinSet, F: FinSet, tight: bool = False) -> FinSet:
 
 
 def union(E: FinSet, F: FinSet) -> FinSet:
+    for A, B in ((E, F), (F, E)):  # a box holding the other, read off the boxes
+        if A.is_box and is_subset(B, A):
+            return A
     return _combine(lambda a, b: _unique(np.concatenate((a, b))), E, F, tight=True)
 
 
@@ -586,19 +587,11 @@ def product_set(K: FinSet, F: FinSet) -> FinSet:
     grp = _require_same_group(K, F)
     if K.is_empty or F.is_empty:
         return FinSet(grp)
-    cyclic = isinstance(grp, CyclicSum)
-    if K.is_box and F.is_box:
-        # coordinate j's sums are x + y - 1 consecutive values; on CyclicSum
-        # they fill [0, p) or run from (a + b) mod p, a box unless one wraps
-        (klo, kext), (flo, fext) = _padded_boxes(K, F)
-        ranges = []
-        for j, (a, x, b, y) in enumerate(zip(klo, kext, flo, fext)):
-            p, s = (grp.period(j), (a + b) % grp.period(j)) if cyclic else (math.inf, a + b)
-            ranges.append(range(p) if x + y - 1 >= p else range(s, s + x + y - 1))
-        if not cyclic or all(r.stop <= grp.period(j) for j, r in enumerate(ranges)):
-            return _box(grp, ranges)
+    ranges = _product_ranges(K, F)
+    if ranges is not None:
+        return _box(grp, ranges)
     lo, ext, keys, _ = _product(K, F)
-    if cyclic:  # the wrapped sums may not fill the box
+    if isinstance(grp, CyclicSum):  # the wrapped sums may not fill the box
         return FinSet.from_rows(grp, _decode(lo, ext, keys))
     return FinSet._of(grp, lo, ext, keys)
 
@@ -647,6 +640,58 @@ def _box(grp: Group, ranges: Sequence[range]) -> FinSet:
     if not all(ext):
         return FinSet(grp)
     return FinSet._of(grp, lo, ext, np.arange(math.prod(ext), dtype=np.int64))
+
+
+def _product_ranges(K: FinSet, F: FinSet) -> Optional[list]:
+    """The ranges of the box K*F of boxes K and F: coordinate j's x + y - 1
+    sums, which on CyclicSum fill [0, p) or run from (a + b) mod p; None when
+    such a run wraps, or K or F is no box."""
+    if not (K.is_box and F.is_box):
+        return None
+    (klo, kext), (flo, fext) = _padded_boxes(K, F)
+    grp, ranges = K.group, []
+    for j, (a, x, b, y) in enumerate(zip(klo, kext, flo, fext)):
+        p, s = ((grp.period(j), (a + b) % grp.period(j)) if isinstance(grp, CyclicSum)
+                else (math.inf, a + b))
+        ranges.append(range(p) if x + y - 1 >= p else range(s, s + x + y - 1))
+        if ranges[-1].stop > p:
+            return None
+    return ranges
+
+
+def _union_product(Ks: Iterable[FinSet], K: FinSet, F: FinSet) -> FinSet:
+    """K*F for K the union of ``Ks``.  When K is no box but every k*F is, they
+    are marked on one boolean array over their joint box if it has no more
+    cells than K*F has pairs (``_product``'s density rule), else product_set."""
+    boxes = [] if K.is_box else [_product_ranges(k, F) for k in Ks]
+    if boxes and None not in boxes:
+        coords = list(itertools.zip_longest(*boxes, fillvalue=range(1)))
+        lo = [min(r.start for r in rs) for rs in coords]
+        ext = [max(r.stop for r in rs) - a for rs, a in zip(coords, lo)]
+        if math.prod(ext) <= len(K) * len(F):
+            marks = np.zeros(ext, dtype=bool)
+            for box in zip(*coords):
+                marks[tuple(slice(r.start - a, r.stop - a) for r, a in zip(box, lo))] = True
+            return FinSet._of(F.group, tuple(lo), tuple(ext), np.flatnonzero(marks))
+    return product_set(K, F)
+
+
+def _composed_box(tile: FinSet, F: FinSet, shift: int, scale: Sequence[int]):
+    """tile * phi(F), phi moving F's coordinate j to j + shift scaled by
+    scale[j] (1 past its end), for boxes tile (corner t, extent e) and phi(F)
+    (f, b in cells of phi's lattice): the box from t + s*f of extent e*b when
+    e = s wherever b > 1 and, on CyclicSum, the tile lies below the shift so
+    that no sum wraps; else None."""
+    w = max(tile.width, shift + F.width)
+    t, e = _pad(tile.lo, w, 0), _pad(tile.ext, w, 1)
+    f, b = _pad((0,) * shift + F.lo, w, 0), _pad((1,) * shift + F.ext, w, 1)
+    s = _pad((1,) * shift + tuple(scale), w, 1)
+    wraps = isinstance(tile.group, CyclicSum) and tile.width > shift
+    if wraps or not (tile.is_box and F.is_box) or any(
+            bj > 1 and ej != sj for ej, sj, bj in zip(e, s, b)):
+        return None
+    return _box(tile.group, [range(tj + sj * fj, tj + sj * fj + ej * bj)
+                             for tj, ej, sj, fj, bj in zip(t, e, s, f, b)])
 
 
 def _box_shapes(lengths: Iterable[int], top: int, max_card: int) -> list:

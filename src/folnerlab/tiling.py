@@ -9,6 +9,7 @@ exactly once.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,8 +26,7 @@ from .groups import (
     ZSum,
     _box,
     _box_shapes,
-    _pad,
-    _padded_boxes,
+    _composed_box,
     _prefix_ranges,
     inverse_set,
     is_subset,
@@ -92,8 +92,14 @@ class ZSumLatticeCenters:
 
 
 class _Iso:
-    """Shared element and set maps; subclasses define ``group`` and the row
-    map ``map_rows``."""
+    """Shared maps; subclasses define ``group``, and move coordinate j of a
+    row to j + ``shift``, scaled by ``scale[j]`` (1 past its end)."""
+
+    def map_rows(self, rows: np.ndarray) -> np.ndarray:
+        out = np.pad(rows, ((0, 0), (self.shift, 0)))
+        m = min(len(self.scale), rows.shape[1])
+        out[:, self.shift:self.shift + m] *= np.asarray(self.scale[:m], dtype=np.int64)
+        return out
 
     def apply(self, e):
         return self.group.rows_to_elems(self.map_rows(self.group.dense_rows([e])))[0]
@@ -108,9 +114,7 @@ class ScaleIso(_Iso):
 
     group: ZPower
     scale: tuple
-
-    def map_rows(self, rows: np.ndarray) -> np.ndarray:
-        return rows * np.asarray(self.scale, dtype=np.int64)
+    shift = 0
 
 
 @dataclass(frozen=True)
@@ -119,9 +123,7 @@ class ShiftIso(_Iso):
 
     group: CyclicSum
     shift: int
-
-    def map_rows(self, rows: np.ndarray) -> np.ndarray:
-        return np.pad(rows, ((0, 0), (self.shift, 0)))
+    scale = ()
 
 
 @dataclass(frozen=True)
@@ -130,12 +132,8 @@ class ZSumScaleIso(_Iso):
 
     group: ZSum
     shape: tuple
-
-    def map_rows(self, rows: np.ndarray) -> np.ndarray:
-        m = min(len(self.shape), rows.shape[1])
-        out = rows.copy()
-        out[:, :m] *= np.asarray(self.shape[:m], dtype=np.int64)
-        return out
+    shift = 0
+    scale = property(lambda self: self.shape)
 
 
 def shift_iso_compatible(group: CyclicSum, shift: int) -> bool:
@@ -210,30 +208,15 @@ def standard_cert(seq: FolnerSeq, index) -> Optional[TilingCert]:
 
 def compose(cert: TilingCert, F: FinSet) -> FinSet:
     """tile . iso(F): the composed set; translates must be pairwise disjoint.
-
-    Tile (corner t, extent e) and F (corner f, extent b) boxes of the iso's
-    group compose into a box, built with no key, when the iso scales by s (1
-    past a ``ZSumScaleIso`` shape) and e = s wherever b > 1: the box from
-    t + s*f of extent e*b; or when a ``ShiftIso`` moves F past the tile's
-    support: the tile's ranges, then F's.  Either has |tile| * |F| cells by
-    construction, so the overlap check (still run) holds by proof.  Gaps,
-    overlaps and non-box sets take the Minkowski product.
-    """
+    A box (``groups._composed_box``) passes the overlap check by proof; gaps,
+    overlaps and non-box sets take the Minkowski product."""
     if cert.iso is None:
         raise ValueError("certificate carries no self-similar isomorphism")
-    tile, out, iso = cert.tile, None, cert.iso
-    if tile.is_box and F.is_box and tile.group == F.group == iso.group:
-        (t, e), (f, b) = _padded_boxes(tile, F)
-        if isinstance(iso, ShiftIso) and tile.width <= iso.shift:
-            out = _box(F.group, [range(a, a + x) for a, x in zip(
-                _pad(tile.lo, iso.shift, 0) + F.lo, _pad(tile.ext, iso.shift, 1) + F.ext)])
-        elif isinstance(iso, (ScaleIso, ZSumScaleIso)):
-            s = iso.map_rows(np.ones((1, len(f)), dtype=np.int64))[0].tolist()
-            if all(bj == 1 or ej == sj for ej, sj, bj in zip(e, s, b)):
-                out = _box(F.group, [range(tj + sj * fj, tj + sj * fj + ej * bj)
-                                     for tj, ej, sj, fj, bj in zip(t, e, s, f, b)])
+    tile, iso = cert.tile, cert.iso
+    out = (_composed_box(tile, F, iso.shift, iso.scale)
+           if tile.group == F.group == iso.group else None)
     if out is None:
-        out = product_set(tile, cert.iso.image_set(F))
+        out = product_set(tile, iso.image_set(F))
     if len(out) != len(tile) * len(F):
         raise TilingOverlapError(
             f"composition overlapped: {len(out)} < {len(tile) * len(F)}")
@@ -427,11 +410,6 @@ def _image_centers(outer: TilingCert, inner: Optional[TilingCert]):
     if isinstance(c, PrefixShiftCenters) and isinstance(iso, ShiftIso):
         return PrefixShiftCenters(c.group, c.n + iso.shift)
     if isinstance(c, ZSumLatticeCenters) and isinstance(iso, ZSumScaleIso):
-        m = max(len(c.shape), len(iso.shape))
-        shape = tuple(
-            (c.shape[i] if i < len(c.shape) else 1)
-            * (iso.shape[i] if i < len(iso.shape) else 1)
-            for i in range(m)
-        )
-        return ZSumLatticeCenters(c.group, shape)
+        pairs = itertools.zip_longest(c.shape, iso.scale, fillvalue=1)
+        return ZSumLatticeCenters(c.group, tuple(a * s for a, s in pairs))
     return None

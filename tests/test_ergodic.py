@@ -289,6 +289,38 @@ def test_greedy_cover_single_scale():
     assert rep.exceed_count == rep.union_bound == rep.tempelman_bound == 10
 
 
+@pytest.mark.parametrize("grp, kind, anchors, n, N", [
+    (ZPower(1), "z_boxes", None, 12, 4),
+    (ZPower(2), "z_boxes", None, 6, 3),
+    (ZPower(1), "z_boxes", "squares", 12, 3),
+    (ZPower(2), "z_boxes", "squares", 9, 2),
+    (ZPower(1), "z_boxes", "squares", 6, 3),  # empty core
+    (CyclicSum((2,)), "cyclic_prefix", None, 6, 3),
+    (CyclicSum((3, 2)), "cyclic_prefix", None, 4, 2),
+    (ZSum(), "zsum_boxes", None, 3, 2),
+], ids=["z1", "z2", "z1_anchored", "z2_anchored", "z1_anchored_empty", "cyclic2",
+        "cyclic32", "zsum"])
+def test_greedy_cover_core_is_the_tuple_core(monkeypatch, grp, kind, anchors, n, N):
+    # {g in F_n : F_i g inside F_n for all i <= N}, from element tuples
+    seq = make_folner(grp, kind, anchors)
+    Fn = set(seq.generate(n).elems)
+    expected = {g for g in Fn if all(grp.mul(t, g) in Fn for i in range(1, N + 1)
+                                     for t in seq.generate(i).elems)}
+    cores = []
+    monkeypatch.setattr(ergodic, "intersect",
+                        lambda *a: cores.append(intersect(*a)) or cores[-1])
+    system = BernoulliShift(grp, (0.5, 0.5), seed=40)
+    run = lambda: greedy_cover(AdditiveFamily(indicator_symbol(1)), system,
+                               system.substream_points(0, [0]), seq, n, 0.45, N)
+    if not expected:
+        with pytest.raises(GateRefusal, match=f"non-empty core: index {n} too small "
+                                              f"for N={N}"):
+            run()
+    else:
+        assert run().core_size == len(expected)
+    assert [C.elems for C in cores] == [tuple(sorted(expected))]
+
+
 def test_maximal_inequality_vanishing_family():
     rep = maximal_inequality_check(DerivedPrime(_additive()), _seq(), _system(),
                                    alpha=0.5, N=3, samples=2000, seed=31)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folnerlab import groups
 from folnerlab.cli import _PARTS
 from folnerlab.folner import (
     defect_profile,
@@ -159,18 +160,25 @@ def test_tempered_interval_witness():
     assert rep.witness <= tempelman_report(seq, 8).witness
 
 
-def test_anchored_cube_growth_peak_allocation_is_small():
-    # the largest product here has 10.5 million pairs on an 88,000-cell box:
-    # it is counted in blocks of K's rows near 5 MiB of traced allocations,
-    # where sorting every key sum at once would take near 130 MiB
+def test_anchored_cube_growth_peak_allocation_is_small(monkeypatch):
+    # the union of the anchored boxes F_k^-1 is no box, but each F_k^-1 F_t
+    # is: U_n is marked box by box on one boolean array (at most 88,000
+    # cells) and forms no pair, where the product of the union with F_t
+    # forms up to 10.5 million pairs (37.0 million over both reports)
+    pairs = []
+    product = groups._product
+    monkeypatch.setattr(groups, "_product",
+                        lambda K, F: pairs.append(len(K) * len(F)) or product(K, F))
     seq = make_folner(ZPower(3), "z_boxes", anchors="squares")
     tracemalloc.start()
     try:
         tempered_report(seq, 12)
+        tempelman_report(seq, 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20, peak
+    assert sum(pairs) == 0, pairs
 
 
 def test_diagonal_cubes_growth_blows_up():

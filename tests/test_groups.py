@@ -263,6 +263,24 @@ def test_box_algebra_matches_tuple_reference(grp, data):
     assert is_subset(part, FF) and is_subset(part, FE)
     assert is_subset(FF, part) == (F <= E) and is_subset(FinSet(grp), part)
     assert is_subset(FF, FinSet(grp)) == (not F)
+    # E's bounding box holds E: union returns that operand, read off the boxes
+    H = groups._box(grp, [range(a, a + x) for a, x in zip(FE.lo, FE.ext)])
+    assert union(FE, H) is (FE if FE.is_box else H) and union(H, FE) is H
+    _same(union(FE, H), E | set(H.elems))
+    # the product of a union of three draws with F is the union of their
+    # products: marked box by box, with no pair, when K is no box but every
+    # k*F is a box whose joint box is no larger than K*F's pair count
+    drawn = [data.draw(box_elems(grp)) for _ in range(3)]
+    Ks = [FinSet(grp, X) for X in drawn]
+    K = union(union(Ks[0], Ks[1]), Ks[2])
+    with mock.patch.object(groups, "_product", wraps=groups._product) as spy:
+        U = groups._union_product(Ks, K, FF)
+    _same(U, ref.product(set().union(*drawn), F))
+    _tight(U)
+    if not K.is_box:
+        marked = all(groups._product_ranges(k, FF) is not None for k in Ks) and (
+            math.prod(U.ext) <= len(K) * len(FF))
+        assert spy.call_count == (0 if marked or K.is_empty or FF.is_empty else 1)
 
 
 @pytest.mark.parametrize("grp, shapes", [
