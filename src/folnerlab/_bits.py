@@ -1,7 +1,11 @@
 """64-bit primitives shared by the hashing and sampling layers.
 
 The mixer is the published SplitMix64 finalizer.  The scalar and the numpy
-paths must stay bit-identical; tests assert this on random inputs.
+paths must stay bit-identical; tests assert this on random inputs.  Its
+first step p(x) = x ^ (x >> 30) (``premix_np``) is GF(2)-linear, so
+mix64(k ^ c) is the finalizer's tail on p(k) ^ p(c): sampling keeps its
+keys premixed and pays p once per key, not once per (key, configuration)
+cell.
 ``pcg64_outputs`` computes the raw outputs of many
 ``np.random.default_rng([seed, i])`` generators at once, bit for bit; tests
 compare it with numpy's own generators.
@@ -38,11 +42,15 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
 
-def mix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer, computed in place in the uint64 array
-    ``x`` (which is returned) with one scratch array of its shape."""
+def premix_np(x: np.ndarray) -> np.ndarray:
+    """The finalizer's first step p(x) = x ^ (x >> 30) on a uint64 array, as
+    a new array: p(a ^ b) is p(a) ^ p(b)."""
+    return x ^ (x >> _S30)
+
+
+def _tail_np(x: np.ndarray) -> np.ndarray:
+    # the finalizer after its first step, in place in x, with one scratch array
     t = np.empty_like(x)
-    x ^= np.right_shift(x, _S30, out=t)
     x *= _A64
     x ^= np.right_shift(x, _S27, out=t)
     x *= _B64
@@ -50,14 +58,23 @@ def mix64_np(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def mix64_np(x: np.ndarray) -> np.ndarray:
+    """Vectorized SplitMix64 finalizer, computed in place in the uint64 array
+    ``x`` (which is returned)."""
+    x ^= x >> _S30
+    return _tail_np(x)
+
+
 TWO_NEG_64 = 2.0 ** -64
 
 
-def words_from_keys(keys: np.ndarray, cfg: np.ndarray) -> np.ndarray:
-    """Hashed 64-bit words, one row per cfg word and one column per cell key;
-    ``keys`` is one row shared by every cfg or one row per cfg.  Word w reads
-    as the uniform w * 2**-64 (see ``uniform_from_key``)."""
-    return mix64_np(keys ^ cfg[:, None])
+def words_from_premixed(keys: np.ndarray, cfg: np.ndarray) -> np.ndarray:
+    """Hashed 64-bit words, one row per cfg word and one column per cell key,
+    from premixed keys and cfgs (``premix_np``): word (c, k) is mix64(k ^ c) of
+    the keys before premixing.  ``keys`` is one row shared by every cfg or
+    one row per cfg.  Word w reads as the uniform w * 2**-64 (see
+    ``uniform_from_key``)."""
+    return _tail_np(keys ^ cfg[:, None])
 
 
 def uniform_from_key(key: int, cfg: int) -> float:

@@ -117,6 +117,8 @@ class AdditiveFamily(Family):
         self.exact_values = obs.integer_valued
 
     def leaf_values(self, leaf, batch, F, mask=None):
+        if mask is None:
+            return self.obs.window_values(leaf, batch, F, summed=True)
         return _masked_sum(self.obs.window_values(leaf, batch, F), mask)
 
     def singleton_window(self, leaf, batch, F):

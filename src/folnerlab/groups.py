@@ -29,10 +29,11 @@ it has ``prod(ext)`` keys (``FinSet.is_box``), and four fast paths read no
 key: ``is_subset`` decides by the boxes alone when A's box leaves B's or B
 is a box; ``union`` returns an operand that is a box holding the other;
 ``product_set`` of two boxes is the sum box unless a CyclicSum run wraps;
-``erode`` of a box by a box, or on CyclicSum of a coset box by any set, is
-a box.  The Boxes section holds the box arithmetic: sums of boxes, unions
-of such sums (``folner``'s inverse unions), and tiles composed under a
-scaling or shifting isomorphism (``tiling.compose``).  Every box is built
+``erode`` of a box by any set is a box (on ZPower and ZSum the erosion by
+the set's bounding box; on CyclicSum when the box is a coset box).  The
+Boxes section holds the box arithmetic: sums of boxes, unions of such sums
+(``folner``'s inverse unions), and tiles composed under a scaling or
+shifting isomorphism (``tiling.compose``).  Every box is built
 there, by one builder (``_box``).
 """
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._bits import GOLDEN64, MASK64, mix64, mix64_np
+from ._bits import GOLDEN64, MASK64, mix64, mix64_np, premix_np
 from ._config import _INT, _INTS, _get, _kind
 
 
@@ -418,10 +419,10 @@ class FinSet:
         return _widen(self._rows, width)
 
     def cell_keys(self) -> np.ndarray:
-        """The sampling keys of the elements (``Group.keys_for_rows``) in
+        """The premixed sampling keys (``premix_np`` of ``keys_for_rows``) in
         element order: hashed once per set, and read-only."""
         if self._cell_keys is None:
-            keys = self.group.keys_for_rows(self.rows())
+            keys = premix_np(self.group.keys_for_rows(self.rows()))
             keys.flags.writeable = False
             self._cell_keys = keys
         return self._cell_keys
@@ -605,9 +606,10 @@ def erode(F: FinSet, T: FinSet) -> FinSet:
     cyclic = isinstance(grp, CyclicSum)
     (flo, fext), (tlo, text) = _padded_boxes(F, T)
     full = [cyclic and x == grp.period(j) for j, x in enumerate(fext)]
-    if F.is_box and (all(f or x == 1 for f, x in zip(full, fext)) if cyclic else T.is_box):
-        # the box [flo - tlo, fhi - thi]; on CyclicSum F is a coset box: g is
-        # free on its full-period coordinates, and elsewhere T has one value
+    if F.is_box and (not cyclic or all(f or x == 1 for f, x in zip(full, fext))):
+        # the box [flo - tlo, fhi - thi]: a box holds T*g exactly when it holds
+        # the translate of T's bounding box.  On CyclicSum F is a coset box: g
+        # is free on its full-period coordinates, and elsewhere T has one value
         ranges = []
         for j, (a, x, b, y) in enumerate(zip(flo, fext, tlo, text)):
             v = (a - b) % grp.period(j) if cyclic else a - b

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._bits import (GOLDEN64, TWO_NEG_64, mix64, mix64_np, pcg64_outputs,
-                    uniform_from_key, words_from_keys)
+                    premix_np, uniform_from_key, words_from_premixed)
 from ._config import (_INT, _NONNEG_INT, _NUM, _NUMS, _OBJ, _OBJS, _get,
                       _kind)
 from .groups import (FinSet, Group, ZPower, _box, _decode, _encode, _key_sums, _pad,
@@ -191,17 +191,18 @@ class BernoulliShift(System):
         A batch whose offsets are all the identity reads F's own cell keys,
         hashed once per set.  Otherwise each distinct cell of the box keys
         ``_key_sums`` forms is hashed once: translates share their cells."""
+        cfgs = premix_np(batch.cfgs)
         if not batch.offsets.any() or F.is_empty:
-            return words_from_keys(F.cell_keys(), batch.cfgs)
+            return words_from_premixed(F.cell_keys(), cfgs)
         grp, width = self.group, max(F.width, batch.offsets.shape[1])
         offsets = _widen(batch.offsets, width)
         lo, ext = _sum_box(grp, _encode(grp, offsets)[:2],
                            (_pad(F.lo, width, 0), _pad(F.ext, width, 1)))
         keys = _key_sums(grp, offsets, F.rows(width), lo, ext)
         cells = _unique(keys)
-        hashed = grp.keys_for_rows(_decode(lo, ext, cells))
+        hashed = premix_np(grp.keys_for_rows(_decode(lo, ext, cells)))
         keys = hashed[np.searchsorted(cells, keys)]  # rebound: one (P, |F|) array less
-        return words_from_keys(keys, batch.cfgs)
+        return words_from_premixed(keys, cfgs)
 
     def symbols(self, words: np.ndarray) -> np.ndarray:
         """The symbol of each word of ``window_uniforms``: the number of word
@@ -327,10 +328,16 @@ class Observable:
     bound: Optional[float] = None
     nonneg: bool = False
     integer_valued: bool = False
+    sum_fn: Optional[Callable] = None  # the row sums, bit for bit, without the matrix
 
-    def window_values(self, leaf: System, batch, F: FinSet) -> np.ndarray:
-        """Matrix of f(g . y_p) for g in F (columns follow F's order)."""
-        return self.window_fn(leaf, batch, F)
+    def window_values(self, leaf: System, batch, F: FinSet, *,
+                      summed: bool = False) -> np.ndarray:
+        """Matrix of f(g . y_p) for g in F (columns follow F's order), or with
+        ``summed`` its row sums, ``window_values(...).sum(axis=1)``."""
+        if summed and self.sum_fn is not None:
+            return self.sum_fn(leaf, batch, F)
+        vals = self.window_fn(leaf, batch, F)
+        return vals.sum(axis=1) if summed else vals
 
     def exact_mean(self, leaf: System) -> Optional[float]:
         if self.exact_mean_fn is None:
@@ -353,6 +360,16 @@ def indicator_symbol(symbol: int = 1) -> Observable:
         _require_bernoulli(leaf, "indicator_symbol", symbol)
         return (leaf.symbols(leaf.window_uniforms(batch, F)) == symbol).astype(np.float64)
 
+    def sum_fn(leaf, batch, F):
+        # the words that reach cut symbol - 1 (all of them for symbol 0) less
+        # those that reach cut symbol (none when it is absent): 0/1 values
+        # sum exactly, so the count is the float row sum
+        _require_bernoulli(leaf, "indicator_symbol", symbol)
+        words, cuts = leaf.window_uniforms(batch, F), leaf._cuts
+        lo, hi = ((words >= cuts[k]).sum(axis=1) if 0 <= k < len(cuts)
+                  else len(F) if k < 0 else 0 for k in (symbol - 1, symbol))
+        return np.zeros(len(batch)) + (lo - hi)
+
     def exact_mean_fn(leaf):
         _require_bernoulli(leaf, "indicator_symbol", symbol)
         return leaf.probs[symbol]
@@ -360,6 +377,7 @@ def indicator_symbol(symbol: int = 1) -> Observable:
     return Observable(
         name=f"indicator_symbol[{symbol}]",
         window_fn=window_fn,
+        sum_fn=sum_fn,
         exact_mean_fn=exact_mean_fn,
         bound=1.0,
         nonneg=True,

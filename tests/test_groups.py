@@ -14,8 +14,9 @@ from folnerlab import (BudgetError, CyclicSum, EnumBudget, FinSet, Group,
                        enumerate_finsets, erode, groups, intersect,
                        inverse_set, is_subset, multiplicity, product_set,
                        symdiff, translate_left, translate_right, union)
-from folnerlab._bits import (GOLDEN64, HASH_VERSION, TWO_NEG_64, mix64,
-                             mix64_np, uniform_from_key, words_from_keys)
+from folnerlab._bits import (GOLDEN64, HASH_VERSION, MASK64, TWO_NEG_64, mix64,
+                             mix64_np, premix_np, uniform_from_key,
+                             words_from_premixed)
 from folnerlab.systems import BernoulliShift
 
 Z1 = ZPower(1)
@@ -387,6 +388,26 @@ def test_box_erosion_closed_form_matches_key_path(grp, data):
     _tight(E)
 
 
+@pytest.mark.parametrize("grp", [Z1, Z2, ZPower(3), ZS], ids=lambda g: repr(g))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_box_erosion_by_any_set_is_the_bounding_box_erosion(grp, data):
+    # a box holds T*g exactly when it holds the translate of T's bounding
+    # box, so a box F eroded by a set T that is no box forms no key either
+    width = grp.d if isinstance(grp, ZPower) else data.draw(st.integers(1, 3))
+    FF = groups._box(grp, [range(a, a + data.draw(st.integers(1, 6)))
+                           for a in data.draw(st.lists(st.integers(-3, 3), min_size=width,
+                                                       max_size=width))])
+    T = data.draw(st.sets(elems_strategy(grp, span=2, top=3), min_size=2, max_size=6)
+                  .filter(lambda E: not FinSet(grp, E).is_box))
+    F = set(FF.elems)
+    with mock.patch.object(groups, "_product", wraps=groups._product) as spy:
+        E = erode(FF, FinSet(grp, T))
+    assert spy.call_count == 0
+    _same(E, TupleRef(grp).erode(F, T))
+    _tight(E)
+
+
 def _tight(fs):
     """The invariant the box fast paths read: the bounding box of a non-empty
     set is its least and greatest row, and it has no slack coordinate."""
@@ -520,10 +541,32 @@ def test_mix64_vector_matches_scalar():
         assert int(vec[i]) == mix64(int(xs[i]))
 
 
+def _premix_independent(x):
+    return x ^ (x >> 30)
+
+
+def test_premix_is_linear_and_splits_the_finalizer():
+    # premix(a ^ b) == premix(a) ^ premix(b), so the words of premixed keys
+    # and cfgs are mix64 of the raw pairs, on the scalar and numpy paths
+    rng = np.random.default_rng(5)
+    a, b = (np.concatenate([np.array(edge, dtype=np.uint64),
+                            rng.integers(0, 2**64, size=500, dtype=np.uint64)])
+            for edge in ([0, MASK64, 0, MASK64], [0, 0, MASK64, MASK64]))
+    pa, pb = premix_np(a), premix_np(b)
+    assert np.array_equal(premix_np(a ^ b), pa ^ pb)
+    words = words_from_premixed(pa[:, None], pb)[:, 0]  # one key row per cfg
+    assert np.array_equal(words, mix64_np(a ^ b))
+    p = _premix_independent
+    for x, y, px, w in zip(a.tolist(), b.tolist(), pa.tolist(), words.tolist()):
+        assert p(x ^ y) == p(x) ^ p(y)
+        assert px == p(x) and w == mix64(x ^ y) == _mix64_independent(x ^ y)
+
+
 def test_words_bit_identical():
+    # the premixed entry point against the scalar uniform of the raw pair
     keys = np.array([3, 99, 2**63 + 5], dtype=np.uint64)
     cfgs = np.array([11, 2**60 + 1], dtype=np.uint64)
-    mat = words_from_keys(keys, cfgs)
+    mat = words_from_premixed(premix_np(keys), premix_np(cfgs))
     assert mat.shape == (2, 3) and mat.dtype == np.uint64
     for r, cfg in enumerate([11, 2**60 + 1]):
         for c, k in enumerate([3, 99, 2**63 + 5]):

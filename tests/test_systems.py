@@ -100,6 +100,32 @@ def test_bernoulli_window_bit_identical():
             assert mat[r, c] == obs_value(obs, system, act(system, g, pts[r:r + 1]))
 
 
+_ALPHABETS = [(1.0,), (0.3, 0.7), (0.2, 0.5, 0.3), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0),
+              (0.6, 0.4 + 5e-10, 0.0)]  # the last: cum[1] > 1, so its cut is absent
+_SUMMED_CASES = ([(probs, indicator_symbol(s)) for probs in _ALPHABETS
+                  for s in range(len(probs))]
+                 + [((0.2, 0.5, 0.3), symbol_value()),
+                    ((0.3, 0.7), scaled(indicator_symbol(1), 0.1)),
+                    ((0.4, 0.6), neg_pow_run())])
+
+
+@pytest.mark.parametrize("probs,obs", _SUMMED_CASES,
+                         ids=[f"{o.name}-{p}" for p, o in _SUMMED_CASES])
+@pytest.mark.parametrize("points", [1, 40])
+@pytest.mark.parametrize("translated", [False, True])
+def test_summed_window_values_are_the_row_sums(probs, obs, points, translated):
+    # counted indicator sums, and the default row sum of the other
+    # observables, equal the matrix's row sums bit for bit
+    system = BernoulliShift(ZPower(1), probs, seed=31)
+    pts = system.sample([np.random.default_rng(6)] * points)
+    if translated:
+        pts = pts.moved(system.group, np.arange(points)[:, None] * 3 - 7)
+    for F in (_box(system.group, 13), FinSet(system.group, [(0,), (2,), (3,), (9,)])):
+        summed = obs.window_values(system, pts, F, summed=True)
+        assert summed.dtype == np.float64
+        assert np.array_equal(summed, obs.window_values(system, pts, F).sum(axis=1))
+
+
 def _slab_case(case):
     rng = np.random.default_rng(12)
     if case == "one-point-slabs":
