@@ -22,19 +22,21 @@ in blocks when the sum box has no more cells than there are pairs;
 erosions and covering multiplicities read the same pair counts.  Tuples
 are decoded on demand.
 
-The bounding box of a non-empty set is tight: ``lo`` is the least row and
-``lo + ext - 1`` the greatest, coordinate by coordinate, and the sum kinds
-carry no trailing all-zero coordinate.  So a set is a full box exactly when
-it has ``prod(ext)`` keys (``FinSet.is_box``), and four fast paths read no
-key: ``is_subset`` decides by the boxes alone when A's box leaves B's or B
-is a box; ``union`` returns an operand that is a box holding the other;
-``product_set`` of two boxes is the sum box unless a CyclicSum run wraps;
-``erode`` of a box by any set is a box (on ZPower and ZSum the erosion by
-the set's bounding box; on CyclicSum when the box is a coset box).  The
-Boxes section holds the box arithmetic: sums of boxes, unions of such sums
-(``folner``'s inverse unions), and tiles composed under a scaling or
-shifting isomorphism (``tiling.compose``).  Every box is built
-there, by one builder (``_box``).
+The keys are sorted, distinct and in [0, prod(ext)), and the bounding box
+of a non-empty set is tight: ``lo`` is the least row and ``lo + ext - 1``
+the greatest, coordinate by coordinate, and the sum kinds carry no trailing
+all-zero coordinate.  So a set is a full box exactly when it has
+``prod(ext)`` keys (``FinSet.is_box``), no other set has its (lo, ext) and
+as many keys, and five fast paths read no key: ``==`` and ``hash`` of a
+box read its (lo, ext); ``is_subset`` decides by the boxes alone when A's
+box leaves B's or B is a box; ``union`` returns an operand that is a box
+holding the other; ``product_set`` of two boxes is the sum box unless a
+CyclicSum run wraps; ``erode`` of a box by any set is a box (on ZPower and
+ZSum the erosion by the set's bounding box; on CyclicSum when the box is a
+coset box).  The Boxes section holds the box arithmetic: sums of boxes,
+unions of such sums (``folner``'s inverse unions), and tiles composed
+under a scaling or shifting isomorphism (``tiling.compose``).  Every box
+is built there from its corners, by one builder (``_box_at``).
 """
 from __future__ import annotations
 
@@ -248,8 +250,8 @@ _GROUP_KINDS = {
 # Finite subsets: one sorted int64 key array in the set's bounding box
 
 
-def _pad(t: Sequence[int], w: int, fill: int) -> tuple:
-    return tuple(t) + (fill,) * (w - len(t))
+def _pad(t: tuple, w: int, fill: int) -> tuple:
+    return t + (fill,) * (w - len(t))
 
 
 def _widen(rows: np.ndarray, w: int) -> np.ndarray:
@@ -308,7 +310,7 @@ def _keys_in(rows: np.ndarray, lo: tuple, ext: tuple) -> np.ndarray:
 
 def _padded_boxes(*sets: "FinSet") -> list:
     """(lo, ext) of each set's box, padded to the widest set's width."""
-    w = max(X.width for X in sets)
+    w = max([X.width for X in sets])
     return [(_pad(X.lo, w, 0), _pad(X.ext, w, 1)) for X in sets]
 
 
@@ -335,8 +337,10 @@ class FinSet:
     of the mixed-radix indices of its elements' dense rows inside its
     bounding box (``lo``, ``ext``), coordinate 0 most significant.  The sum
     kinds take the narrowest width that holds every support, so equal sets
-    have equal (lo, ext, keys).  ``elems`` (tuples) and ``rows()`` are
-    decoded on demand, in tuple order (on ZPower, key order)."""
+    have equal (lo, ext, keys), and a box, whose keys are all of
+    [0, prod(ext)), is equal to a set with its (lo, ext) exactly when that
+    set has as many keys.  ``elems`` (tuples) and ``rows()`` are decoded on
+    demand, in tuple order (on ZPower, key order)."""
 
     __slots__ = ("group", "lo", "ext", "keys", "_rows", "_elems", "_cell_keys")
 
@@ -354,12 +358,14 @@ class FinSet:
         self._put(group, lo, ext, keys)
         return self
 
-    def _put(self, group, lo, ext, keys):
+    def _put(self, group, lo: tuple, ext: tuple, keys):
         w = len(ext)
         if not isinstance(group, ZPower):  # trailing zero coordinates carry no digit
             while w > 1 and lo[w - 1] == 0 and ext[w - 1] == 1:
                 w -= 1
-        self.group, self.lo, self.ext = group, _pad(lo[:w], 1, 0), _pad(ext[:w], 1, 1)
+        if w < len(ext) or not w:
+            lo, ext = _pad(lo[:w], 1, 0), _pad(ext[:w], 1, 1)
+        self.group, self.lo, self.ext = group, lo, ext
         self.keys, self._rows, self._elems, self._cell_keys = keys, None, None, None
 
     def __len__(self):
@@ -377,12 +383,13 @@ class FinSet:
                 and bool(_member(_keys_in(row, self.lo, self.ext), self.keys)[0]))
 
     def __eq__(self, other):
-        return (isinstance(other, FinSet) and self.group == other.group
-                and (self.lo, self.ext) == (other.lo, other.ext)
-                and np.array_equal(self.keys, other.keys))
+        return self is other or (
+            isinstance(other, FinSet) and self.group == other.group
+            and (self.lo, self.ext, len(self)) == (other.lo, other.ext, len(other))
+            and (self.is_box or np.array_equal(self.keys, other.keys)))
 
-    def __hash__(self):
-        return hash((self.group, self.lo, self.ext, self.keys.tobytes()))
+    def __hash__(self):  # equal sets are both boxes or both not
+        return hash((self.group, self.lo, self.ext, self.is_box or self.keys.tobytes()))
 
     def __repr__(self):
         return f"FinSet(group={self.group!r}, elems={self.elems!r})"
@@ -538,8 +545,8 @@ def _sum_box(grp: Group, kbox: tuple, fbox: tuple) -> tuple:
         return (0,) * len(kext), tuple(
             1 if (klo[j], kext[j], flo[j], fext[j]) == (0, 1, 0, 1) else grp.period(j)
             for j in range(len(kext)))
-    return (tuple(a + b for a, b in zip(klo, flo)),
-            tuple(a + b - 1 for a, b in zip(kext, fext)))
+    return (tuple([a + b for a, b in zip(klo, flo)]),
+            tuple([a + b - 1 for a, b in zip(kext, fext)]))
 
 
 def _key_sums(grp: Group, a: np.ndarray, b: np.ndarray, lo: tuple, ext: tuple) -> np.ndarray:
@@ -588,9 +595,9 @@ def product_set(K: FinSet, F: FinSet) -> FinSet:
     grp = _require_same_group(K, F)
     if K.is_empty or F.is_empty:
         return FinSet(grp)
-    ranges = _product_ranges(K, F)
-    if ranges is not None:
-        return _box(grp, ranges)
+    box = _product_box(K, F)
+    if box is not None:
+        return _box_at(grp, *box)
     lo, ext, keys, _ = _product(K, F)
     if isinstance(grp, CyclicSum):  # the wrapped sums may not fill the box
         return FinSet.from_rows(grp, _decode(lo, ext, keys))
@@ -610,11 +617,9 @@ def erode(F: FinSet, T: FinSet) -> FinSet:
         # the box [flo - tlo, fhi - thi]: a box holds T*g exactly when it holds
         # the translate of T's bounding box.  On CyclicSum F is a coset box: g
         # is free on its full-period coordinates, and elsewhere T has one value
-        ranges = []
-        for j, (a, x, b, y) in enumerate(zip(flo, fext, tlo, text)):
-            v = (a - b) % grp.period(j) if cyclic else a - b
-            ranges.append(range(x) if full[j] else range(v, v + x - y + 1))
-        return _box(grp, ranges)
+        box = [(0, x) if f else ((a - b) % grp.period(j) if cyclic else a - b, x - y + 1)
+               for j, (f, a, x, b, y) in enumerate(zip(full, flo, fext, tlo, text))]
+        return _box_at(grp, *zip(*box))
     lo, ext, keys, counts = _product(inverse_set(T), F)
     return FinSet.from_rows(grp, _decode(lo, ext, keys[counts == len(T)]))
 
@@ -636,45 +641,48 @@ def multiplicity(K: FinSet, F: FinSet, W: FinSet) -> np.ndarray:
 
 
 def _box(grp: Group, ranges: Sequence[range]) -> FinSet:
-    """The elements whose coordinate i runs over the step-1 ``ranges[i]``:
-    the ranges are the bounding box, so the keys are every cell of it."""
-    lo, ext = [r.start for r in ranges], [len(r) for r in ranges]
-    if not all(ext):
+    """The box whose coordinate i runs over the step-1 ``ranges[i]``."""
+    return _box_at(grp, tuple(r.start for r in ranges), tuple(len(r) for r in ranges))
+
+
+def _box_at(grp: Group, lo: tuple, ext: tuple) -> FinSet:
+    """The box of corner ``lo`` and extents ``ext``, empty when one is < 1;
+    it is its own bounding box, so its keys are every cell of it."""
+    if ext and min(ext) < 1:
         return FinSet(grp)
     return FinSet._of(grp, lo, ext, np.arange(math.prod(ext), dtype=np.int64))
 
 
-def _product_ranges(K: FinSet, F: FinSet) -> Optional[list]:
-    """The ranges of the box K*F of boxes K and F: coordinate j's x + y - 1
+def _product_box(K: FinSet, F: FinSet) -> Optional[tuple]:
+    """(lo, ext) of the box K*F of boxes K and F: coordinate j's x + y - 1
     sums, which on CyclicSum fill [0, p) or run from (a + b) mod p; None when
     such a run wraps, or K or F is no box."""
     if not (K.is_box and F.is_box):
         return None
-    (klo, kext), (flo, fext) = _padded_boxes(K, F)
-    grp, ranges = K.group, []
-    for j, (a, x, b, y) in enumerate(zip(klo, kext, flo, fext)):
-        p, s = ((grp.period(j), (a + b) % grp.period(j)) if isinstance(grp, CyclicSum)
-                else (math.inf, a + b))
-        ranges.append(range(p) if x + y - 1 >= p else range(s, s + x + y - 1))
-        if ranges[-1].stop > p:
-            return None
-    return ranges
+    grp, boxes = K.group, _padded_boxes(K, F)
+    if not isinstance(grp, CyclicSum):
+        return _sum_box(grp, *boxes)
+    ps = [grp.period(j) for j in range(len(boxes[0][0]))]
+    box = [(0, p) if x + y > p else ((a + b) % p, x + y - 1)
+           for p, a, x, b, y in zip(ps, *boxes[0], *boxes[1])]
+    return None if any(s + n > p for (s, n), p in zip(box, ps)) else tuple(zip(*box))
 
 
 def _union_product(Ks: Iterable[FinSet], K: FinSet, F: FinSet) -> FinSet:
     """K*F for K the union of ``Ks``.  When K is no box but every k*F is, they
     are marked on one boolean array over their joint box if it has no more
     cells than K*F has pairs (``_product``'s density rule), else product_set."""
-    boxes = [] if K.is_box else [_product_ranges(k, F) for k in Ks]
+    boxes = [] if K.is_box else [_product_box(k, F) for k in Ks]
     if boxes and None not in boxes:
-        coords = list(itertools.zip_longest(*boxes, fillvalue=range(1)))
-        lo = [min(r.start for r in rs) for rs in coords]
-        ext = [max(r.stop for r in rs) - a for rs, a in zip(coords, lo)]
+        w = max(len(ext) for _, ext in boxes)
+        boxes = [(_pad(lo, w, 0), _pad(ext, w, 1)) for lo, ext in boxes]
+        lo = tuple(min(b[0][j] for b in boxes) for j in range(w))
+        ext = tuple(max(b[0][j] + b[1][j] for b in boxes) - lo[j] for j in range(w))
         if math.prod(ext) <= len(K) * len(F):
             marks = np.zeros(ext, dtype=bool)
-            for box in zip(*coords):
-                marks[tuple(slice(r.start - a, r.stop - a) for r, a in zip(box, lo))] = True
-            return FinSet._of(F.group, tuple(lo), tuple(ext), np.flatnonzero(marks))
+            for blo, bext in boxes:
+                marks[tuple(slice(a - c, a - c + x) for a, x, c in zip(blo, bext, lo))] = True
+            return FinSet._of(F.group, lo, ext, np.flatnonzero(marks))
     return product_set(K, F)
 
 
@@ -690,10 +698,10 @@ def _composed_box(tile: FinSet, F: FinSet, shift: int, scale: Sequence[int]):
     s = _pad((1,) * shift + tuple(scale), w, 1)
     wraps = isinstance(tile.group, CyclicSum) and tile.width > shift
     if wraps or not (tile.is_box and F.is_box) or any(
-            bj > 1 and ej != sj for ej, sj, bj in zip(e, s, b)):
+            [bj > 1 and ej != sj for ej, sj, bj in zip(e, s, b)]):
         return None
-    return _box(tile.group, [range(tj + sj * fj, tj + sj * fj + ej * bj)
-                             for tj, ej, sj, fj, bj in zip(t, e, s, f, b)])
+    return _box_at(tile.group, tuple([tj + sj * fj for tj, sj, fj in zip(t, s, f)]),
+                   tuple([ej * bj for ej, bj in zip(e, b)]))
 
 
 def _box_shapes(lengths: Iterable[int], top: int, max_card: int) -> list:
@@ -720,7 +728,7 @@ def _prefix_ranges(grp: CyclicSum, n: int, max_card: Optional[int] = None) -> li
 
 def zsum_box(grp: ZSum, shape: Sequence[int]) -> FinSet:
     """The box of finite-support sequences with 0 <= x_i < shape[i]."""
-    return _box(grp, [range(int(s)) for s in shape])
+    return _box_at(grp, (0,) * len(shape), tuple(map(int, shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -277,11 +277,53 @@ def test_box_algebra_matches_tuple_reference(grp, data):
     with mock.patch.object(groups, "_product", wraps=groups._product) as spy:
         U = groups._union_product(Ks, K, FF)
     _same(U, ref.product(set().union(*drawn), F))
-    _tight(U)
     if not K.is_box:
-        marked = all(groups._product_ranges(k, FF) is not None for k in Ks) and (
+        marked = all(groups._product_box(k, FF) is not None for k in Ks) and (
             math.prod(U.ext) <= len(K) * len(FF))
         assert spy.call_count == (0 if marked or K.is_empty or FF.is_empty else 1)
+    for fs in (FE, FF, P, union(FE, FF), part, H, *Ks, K, U):
+        _tight(fs)
+
+
+def _cells(ranges):
+    return np.asarray(list(itertools.product(*ranges)), dtype=np.int64)
+
+
+@pytest.mark.parametrize("grp", FIVE_GROUPS, ids=lambda g: g.kind)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_box_equality_and_hash_read_the_corners(grp, data):
+    # a box is the one set with its (lo, ext) and prod(ext) keys, so box
+    # equality and hashing read no key; any other set still compares keys
+    width = grp.d if isinstance(grp, ZPower) else data.draw(st.integers(1, 3))
+    ranges = []
+    for j in range(width):
+        top = grp.period(j) if isinstance(grp, CyclicSum) else 3
+        a = data.draw(st.integers(0 if isinstance(grp, CyclicSum) else -3, top - 1))
+        ranges.append(range(a, data.draw(st.integers(a + 1, min(a + 4, top)))))
+    box, rows = groups._box(grp, ranges), _cells(ranges)
+    same = [FinSet(grp, grp.rows_to_elems(rows)), FinSet.from_rows(grp, rows[::-1]),
+            FinSet.from_rows(grp, np.concatenate((rows, rows))), box]
+    for X in same:
+        assert X.is_box and X == box and box == X and hash(X) == hash(box)
+    # the empty set has the corners of the one-cell box at the identity
+    assert box != FinSet(grp) and FinSet(grp) != box and box != set(box.elems)
+    # one cell less, with the same (lo, ext): a set with the box's corners and
+    # one key fewer, which exists exactly when the box has three cells or more
+    near = [FinSet.from_rows(grp, np.delete(rows, i, axis=0)) for i in range(len(rows))]
+    near = [N for N in near if len(N) and (N.lo, N.ext) == (box.lo, box.ext)]
+    assert bool(near) == (len(box) >= 3)
+    for i, N in enumerate(near):
+        assert not N.is_box and N != box and box != N
+        twin = FinSet.from_rows(grp, N.rows()[::-1])
+        assert N == twin and hash(N) == hash(twin)
+        # equal-size sets with the same corners and different keys
+        assert all(N != M and M != N for M in near[:i])
+    # the same corners and keys on another group
+    for other in FIVE_GROUPS:
+        if other != grp:
+            twin = FinSet._of(other, box.lo, box.ext, box.keys)
+            assert twin != box and box != twin
 
 
 @pytest.mark.parametrize("grp, shapes", [
@@ -409,12 +451,17 @@ def test_box_erosion_by_any_set_is_the_bounding_box_erosion(grp, data):
 
 
 def _tight(fs):
-    """The invariant the box fast paths read: the bounding box of a non-empty
-    set is its least and greatest row, and it has no slack coordinate."""
+    """The invariant the box fast paths read: the keys are sorted, unique and
+    inside [0, prod(ext)); the bounding box of a non-empty set is its least
+    and greatest row, and it has no slack coordinate."""
+    keys, grp = fs.keys, fs.group
+    assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+    assert not len(keys) or 0 <= keys[0] <= keys[-1] < math.prod(fs.ext)
+    if not isinstance(grp, ZPower):  # no trailing coordinate fixed at 0
+        assert fs.width == 1 or (fs.lo[-1], fs.ext[-1]) != (0, 1)
     if fs.is_empty:
         return
     rows = fs.rows()
-    grp = fs.group
     assert fs.lo == tuple(rows.min(axis=0).tolist())
     assert tuple((np.asarray(fs.lo) + fs.ext - 1).tolist()) == tuple(rows.max(axis=0).tolist())
     assert fs.width == (grp.d if isinstance(grp, ZPower) else grp.dense_width(fs.elems))
