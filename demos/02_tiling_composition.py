@@ -8,9 +8,9 @@ composition identities below are checked exactly, element by element.
 from folnerlab.folner import make_folner
 from folnerlab.groups import CyclicSum, ZPower, ZSum, product_set, union, zsum_box
 from folnerlab.tiling import (
+    Iso,
+    LatticeCenters,
     TilingCert,
-    ZSumLatticeCenters,
-    ZSumScaleIso,
     compose,
     condition_b_witness,
     enumerate_tiles,
@@ -45,7 +45,7 @@ def main() -> None:
     g = ZSum()
     a, b = (2, 3), (4, 5, 2)
     Fa, Fb = zsum_box(g, a), zsum_box(g, b)
-    cert_a = TilingCert(Fa, ZSumLatticeCenters(g, a), ZSumScaleIso(g, a))
+    cert_a = TilingCert(Fa, LatticeCenters(g, a), Iso(g, a))
     print(f"  shapes {a} and {b}:")
     print(f"    scaled composition -> box {(8, 15, 2)}: "
           f"{compose(cert_a, Fb) == zsum_box(g, (8, 15, 2))}")

@@ -13,6 +13,7 @@ of producing numbers outside its contract.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -32,8 +33,7 @@ from .groups import (EnumBudget, FinSet, Group, _key_sums, _padded_boxes, _sum_b
                      union)
 from .systems import (Observable, Points, System, conditional_expectation,
                       split_leaves)
-from .tiling import (LatticeCenters, TilingCert, TilingOverlapError,
-                     ZSumLatticeCenters, compose, enumerate_tiles,
+from .tiling import (TilingCert, TilingOverlapError, compose, enumerate_tiles,
                      standard_cert, window_set)
 
 
@@ -618,17 +618,11 @@ def _tempered_gate(seq: FolnerSeq, schedule) -> Fraction:
 
 def _subgroup_product_full(cert_m: TilingCert, cert_p: TilingCert) -> bool:
     """Whether the center subgroups of two certificates of one sequence
-    generate the group; prefix-shift centers at indices >= 1 both miss the
-    first summand, so they never do."""
-    a, b = cert_m.centers, cert_p.centers
-    if isinstance(a, LatticeCenters):
-        return all(math.gcd(x, y) == 1 for x, y in zip(a.moduli, b.moduli))
-    if isinstance(a, ZSumLatticeCenters):
-        sa, sb = a.shape, b.shape
-        width = max(len(sa), len(sb))
-        get = lambda s, i: s[i] if i < len(s) else 1
-        return all(math.gcd(get(sa, i), get(sb, i)) == 1 for i in range(width))
-    return False
+    generate the group: their moduli are coprime coordinate by coordinate.
+    On CyclicSum both start with the first period, so they never do."""
+    pairs = itertools.zip_longest(cert_m.centers.moduli, cert_p.centers.moduli,
+                                  fillvalue=1)
+    return all(math.gcd(x, y) == 1 for x, y in pairs)
 
 
 def _route_gate(report: ClassifyReport, certs: dict, schedule) -> str:

@@ -1,11 +1,14 @@
-"""Tiling certificates: center-set descriptors, exact window verification,
-self-similar isomorphisms and tile composition.
+"""Tiling certificates: exact window verification, self-similar
+isomorphisms and tile composition.
 
-A certificate is (tile, centers, iso?).  ``tiles_window_report`` decides
-coverage of a finite window by direct counting: every candidate center whose
-translate meets the window is enumerated (candidates live in
-tile^{-1} . window, which is finite), and each window cell must be hit
-exactly once.
+A certificate is (tile, centers, iso?).  Every built-in tile is a box, and
+its certificate is read from the box (``_box_cert``): one center descriptor,
+``LatticeCenters``, the lattice of its extents, and one isomorphism,
+``Iso``, the scaling by those extents or, on CyclicSum, the shift past its
+width.  ``tiles_window_report`` decides coverage of a finite window by
+direct counting: every candidate center whose translate meets the window is
+enumerated (candidates live in tile^{-1} . window, which is finite), and
+each window cell must be hit exactly once.
 """
 from __future__ import annotations
 
@@ -23,16 +26,16 @@ from .groups import (
     FinSet,
     Group,
     ZPower,
-    ZSum,
     _box,
+    _box_at,
     _box_shapes,
     _composed_box,
     _prefix_ranges,
+    _widen,
     inverse_set,
     is_subset,
     multiplicity,
     product_set,
-    zsum_box,
 )
 
 
@@ -41,59 +44,40 @@ class TilingOverlapError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Center-set descriptors (algebraic, so window membership is decidable);
-# ``contains_rows`` tests dense rows, one verdict per row
+# The center descriptor and the self-similar isomorphism
 
 
 @dataclass(frozen=True)
 class LatticeCenters:
-    """Union of cosets offsets + diag(moduli) Z^d inside ZPower."""
+    """Elements whose coordinate j < len(moduli) is offset[j] mod moduli[j],
+    for one of the ``offsets``; later coordinates are free.  On CyclicSum,
+    whose rows are reduced, the periods as moduli give the subgroup supported
+    past them.  ``contains_rows`` gives one verdict per dense row."""
 
-    group: ZPower
+    group: Group
     moduli: tuple
     offsets: tuple = None
 
     def __post_init__(self):
         if self.offsets is None:
-            object.__setattr__(self, "offsets", (self.group.identity(),))
-        if len(self.moduli) != self.group.d or any(m < 1 for m in self.moduli):
-            raise ValueError("moduli must be positive, one per coordinate")
+            object.__setattr__(self, "offsets", ((0,) * len(self.moduli),))
+        if any(m < 1 for m in self.moduli):
+            raise ValueError("moduli must be positive")
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
-        d = rows[:, None, :] - np.asarray(self.offsets)[None, :, :]
+        m = len(self.moduli)
+        d = _widen(rows, m)[:, None, :m] - np.asarray(self.offsets)[None, :, :]
         return (d % np.asarray(self.moduli) == 0).all(axis=2).any(axis=1)
 
 
 @dataclass(frozen=True)
-class PrefixShiftCenters:
-    """Elements of a CyclicSum supported on indices >= n (a subgroup)."""
+class Iso:
+    """A self-similar isomorphism G -> G_T: coordinate j of a row moves to
+    j + ``shift``, scaled by ``scale[j]`` (1 past its end)."""
 
-    group: CyclicSum
-    n: int
-
-    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
-        return ~rows[:, :self.n].any(axis=1)
-
-
-@dataclass(frozen=True)
-class ZSumLatticeCenters:
-    """Elements of ZSum whose first m coordinates are multiples of shape[i]."""
-
-    group: ZSum
-    shape: tuple
-
-    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
-        m = min(len(self.shape), rows.shape[1])
-        return (rows[:, :m] % np.asarray(self.shape[:m]) == 0).all(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Self-similar isomorphisms G -> G_T
-
-
-class _Iso:
-    """Shared maps; subclasses define ``group``, and move coordinate j of a
-    row to j + ``shift``, scaled by ``scale[j]`` (1 past its end)."""
+    group: Group
+    scale: tuple = ()
+    shift: int = 0
 
     def map_rows(self, rows: np.ndarray) -> np.ndarray:
         out = np.pad(rows, ((0, 0), (self.shift, 0)))
@@ -108,32 +92,8 @@ class _Iso:
         return FinSet.from_rows(self.group, self.map_rows(F.rows()))
 
 
-@dataclass(frozen=True)
-class ScaleIso(_Iso):
-    """ZPower: coordinatewise scaling onto diag(scale) Z^d."""
-
-    group: ZPower
-    scale: tuple
-    shift = 0
-
-
-@dataclass(frozen=True)
-class ShiftIso(_Iso):
-    """CyclicSum: index shift by s; valid only when the period pattern repeats."""
-
-    group: CyclicSum
-    shift: int
-    scale = ()
-
-
-@dataclass(frozen=True)
-class ZSumScaleIso(_Iso):
-    """ZSum: scale coordinate i by shape[i] for i < m, identity beyond."""
-
-    group: ZSum
-    shape: tuple
-    shift = 0
-    scale = property(lambda self: self.shape)
+# the names the benchmark's exact-compose sweep builds its certificates with
+ZSumLatticeCenters, ZSumScaleIso = LatticeCenters, Iso
 
 
 def shift_iso_compatible(group: CyclicSum, shift: int) -> bool:
@@ -151,6 +111,21 @@ class TilingCert:
     tile: FinSet
     centers: object
     iso: object = None
+
+
+def _box_cert(tile: FinSet) -> TilingCert:
+    """The certificate of a box tile: its centers are the lattice of its
+    extents.  At the origin it composes under the scaling by them or, on
+    CyclicSum where the periods repeat, under the shift past its width; a
+    box off the origin (an anchored one) tiles but does not compose."""
+    grp = tile.group
+    if any(tile.lo):
+        iso = None
+    elif isinstance(grp, CyclicSum):
+        iso = Iso(grp, shift=tile.width) if shift_iso_compatible(grp, tile.width) else None
+    else:
+        iso = Iso(grp, tile.ext)
+    return TilingCert(tile, LatticeCenters(grp, tile.ext), iso)
 
 
 def tiles_window_report(cert: TilingCert, window: FinSet):
@@ -184,25 +159,8 @@ def window_set(group: Group, radius: int, max_index: Optional[int] = None) -> Fi
 
 def standard_cert(seq: FolnerSeq, index) -> Optional[TilingCert]:
     """The canonical tiling certificate of a built-in sequence member."""
-    grp = seq.group
-    if seq.seq_kind == "z_boxes":
-        n = int(index)
-        tile = seq.generate(n)
-        moduli = (n,) * grp.d
-        # anchored boxes still tile, but composition self-similarity needs
-        # the zero-anchored subgroup structure
-        iso = ScaleIso(grp, moduli) if seq.anchors is None else None
-        return TilingCert(tile, LatticeCenters(grp, moduli), iso)
-    if seq.seq_kind == "cyclic_prefix":
-        n = int(index)
-        tile = seq.generate(n)
-        iso = ShiftIso(grp, n) if shift_iso_compatible(grp, n) else None
-        return TilingCert(tile, PrefixShiftCenters(grp, n), iso)
-    if seq.seq_kind == "zsum_boxes":
-        shape = seq._zsum_shape(index)
-        tile = seq.generate(shape)
-        return TilingCert(tile, ZSumLatticeCenters(grp, shape),
-                          ZSumScaleIso(grp, shape))
+    if seq.seq_kind in ("z_boxes", "cyclic_prefix", "zsum_boxes"):
+        return _box_cert(seq.generate(index))
     return None
 
 
@@ -311,36 +269,27 @@ def condition_b_witness(seq: FolnerSeq, m: int, p: int,
 def enumerate_tiles(group: Group, max_card: int,
                     max_index: Optional[int] = None,
                     include_arithmetic: bool = True) -> list:
-    """Deterministic list of certified tiles, smallest first."""
-    tiles = []
+    """Deterministic list of certified tiles, smallest first: the boxes at
+    the origin, then on Z the arithmetic progressions."""
     if isinstance(group, ZPower):
-        for shape in _box_shapes([group.d], max_card, max_card):
-            tile = _box(group, [range(s) for s in shape])
-            tiles.append(TilingCert(tile, LatticeCenters(group, shape),
-                                    ScaleIso(group, shape)))
-        if group.d == 1 and include_arithmetic:
-            for step in range(2, 5):
-                for m in range(2, max_card // step + 1):
-                    elems = tuple((i * step,) for i in range(m))
-                    offsets = tuple((j,) for j in range(step))
-                    centers = LatticeCenters(group, (m * step,), offsets)
-                    tiles.append(TilingCert(FinSet(group, elems), centers))
+        shapes = _box_shapes([group.d], max_card, max_card)
     elif isinstance(group, CyclicSum):
         top = max_index if max_index is not None else 8
         ranges = _prefix_ranges(group, top, max_card)
-        for n in range(1, len(ranges) + 1):
-            iso = ShiftIso(group, n) if shift_iso_compatible(group, n) else None
-            tiles.append(TilingCert(_box(group, ranges[:n]),
-                                    PrefixShiftCenters(group, n), iso))
+        shapes = [tuple(map(len, ranges[:n])) for n in range(1, len(ranges) + 1)]
     else:
         top = max_index if max_index is not None else 3
-        for shape in _box_shapes(range(1, top + 1), max_card, max_card):
-            # a trailing 1 repeats the box of the shorter shape, listed first
-            if len(shape) > 1 and shape[-1] == 1:
-                continue
-            tiles.append(TilingCert(zsum_box(group, shape),
-                                    ZSumLatticeCenters(group, shape),
-                                    ZSumScaleIso(group, shape)))
+        # a trailing 1 repeats the box of the shorter shape, listed first
+        shapes = [shape for shape in _box_shapes(range(1, top + 1), max_card, max_card)
+                  if len(shape) == 1 or shape[-1] > 1]
+    tiles = [_box_cert(_box_at(group, (0,) * len(shape), shape)) for shape in shapes]
+    if isinstance(group, ZPower) and group.d == 1 and include_arithmetic:
+        for step in range(2, 5):
+            for m in range(2, max_card // step + 1):
+                elems = tuple((i * step,) for i in range(m))
+                offsets = tuple((j,) for j in range(step))
+                centers = LatticeCenters(group, (m * step,), offsets)
+                tiles.append(TilingCert(FinSet(group, elems), centers))
     return tiles
 
 
@@ -382,7 +331,7 @@ def composed_seq_check(cert1: TilingCert, cert2: TilingCert, T: FinSet,
 
     gens = grp.generators()
     if isinstance(grp, ZPower):
-        gens = [ScaleIso(grp, cert1.centers.moduli).apply(g) for g in gens]
+        gens = [Iso(grp, cert1.centers.moduli).apply(g) for g in gens]
 
     defects = []
     tilings = []
@@ -399,17 +348,11 @@ def composed_seq_check(cert1: TilingCert, cert2: TilingCert, T: FinSet,
 
 def _image_centers(outer: TilingCert, inner: Optional[TilingCert]):
     """Centers of a composed tile: the image of the inner centers under the
-    outer iso; implemented for the algebraic descriptor pairs we build."""
+    outer iso, the lattice of the first ``shift`` periods and the inner
+    moduli scaled."""
     if inner is None:
         return None
-    iso = outer.iso
-    c = inner.centers
-    if isinstance(c, LatticeCenters) and isinstance(iso, ScaleIso):
-        moduli = tuple(m * s for m, s in zip(c.moduli, iso.scale))
-        return LatticeCenters(c.group, moduli)
-    if isinstance(c, PrefixShiftCenters) and isinstance(iso, ShiftIso):
-        return PrefixShiftCenters(c.group, c.n + iso.shift)
-    if isinstance(c, ZSumLatticeCenters) and isinstance(iso, ZSumScaleIso):
-        pairs = itertools.zip_longest(c.shape, iso.scale, fillvalue=1)
-        return ZSumLatticeCenters(c.group, tuple(a * s for a, s in pairs))
-    return None
+    iso, c = outer.iso, inner.centers
+    pairs = itertools.zip_longest(c.moduli, iso.scale, fillvalue=1)
+    return LatticeCenters(c.group, tuple(c.group.period(j) for j in range(iso.shift))
+                          + tuple(m * s for m, s in pairs))

@@ -42,7 +42,7 @@ from folnerlab.ergodic import (
     setfn_registry,
     truncation_ladder,
 )
-from folnerlab.tiling import TilingCert, ZSumLatticeCenters, ZSumScaleIso, compose, standard_cert
+from folnerlab.tiling import Iso, LatticeCenters, TilingCert, compose, standard_cert
 
 
 def _line(tag: str, desc: str, ok: bool) -> None:
@@ -102,7 +102,7 @@ def test_criterion_02_composition_identities_exact():
     shapes = [t for L in (1, 2, 3) for t in itertools.product(range(1, 6), repeat=L)]
     boxes = {s: zsum_box(g, s) for s in shapes}
     certs = {
-        s: TilingCert(boxes[s], ZSumLatticeCenters(g, s), ZSumScaleIso(g, s))
+        s: TilingCert(boxes[s], LatticeCenters(g, s), Iso(g, s))
         for s in shapes
     }
     ok_star = ok_prod = ok_union = True

@@ -88,14 +88,17 @@ DIGESTS = {
         "d5fd97268ebd1f43d7dede48d29f26faa32b455302bbe3a32e66b11cf0828e70",
     "generate-zsum-boxes":
         "d5fb5dbcb8466b92738da85838fc610cb1e7aba589b37a1fc1c159b7007f2986",
+    # tiles-cyclic and tiles-zsum were re-taken when the three center
+    # descriptors became LatticeCenters: the repr names the new class, and
+    # test_tiling checks that membership kept the old rules
     "tiles-cyclic":
-        "8e2f53753b63b9ac9cb0809ce1cfa2102e1caf81f0cdcf9383815e38a334aeb6",
+        "b2c8394c2a5de0ddf7538f23736bfd5c0b412e4caf229839bd2e321dc399d025",
     "tiles-z1":
         "d570f99b8a5903125420b19ba2397592d6e475b9f85bc4cfa6df054d4c35293c",
     "tiles-z2":
         "95b74b8b034a6894e8fedee88989104de0b185fd95ad2e7823b7a70205fe5675",
     "tiles-zsum":
-        "f9a7ac4d59be6fd7b091247c7334cea155ece3518d7629548f92613542908fc5",
+        "e8d9b1f70b75a3e5e7d5061035e4a900be5e960a8b470aaa881d9cc3cc7c234e",
     "window-cyclic":
         "46e7a8ae6669cbecf15541226ba0d1d40542eedf1fec2d8c643f254b7a4f9cd9",
     "window-z2":

@@ -1,21 +1,22 @@
 """Exact tiling certificates, composition, and sandwich witnesses."""
 
+import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from folnerlab import tiling
+from folnerlab import ergodic, tiling
 from folnerlab.folner import make_folner
 from folnerlab.groups import (BudgetError, CyclicSum, FinSet, ZPower, ZSum, _box,
                               product_set, zsum_box)
 from folnerlab.tiling import (
+    Iso,
     LatticeCenters,
-    ScaleIso,
-    ShiftIso,
     TilingCert,
     TilingOverlapError,
     WitnessB,
-    ZSumScaleIso,
     compose,
     composed_seq_check,
     condition_b_witness,
@@ -138,14 +139,14 @@ def test_composition_overlap_is_an_error():
     z = ZPower(1)
     tile = FinSet(z, ((0,), (1,), (2,)))
     # scale 1 is deliberately wrong: translates of the tile collide
-    fake = TilingCert(tile, LatticeCenters(z, (3,)), ScaleIso(z, (1,)))
+    fake = TilingCert(tile, LatticeCenters(z, (3,)), Iso(z, (1,)))
     with pytest.raises(TilingOverlapError):
         compose(fake, FinSet(z, ((0,), (1,))))
     # box tiles wider than the scale where F is wider than one cell
     z2, zs = ZPower(2), ZSum()
     for iso, tile, F in [
-        (ScaleIso(z2, (2, 2)), _box(z2, [range(3), range(2)]), _box(z2, [range(-1, 1), range(2)])),
-        (ZSumScaleIso(zs, (2,)), zsum_box(zs, (2, 2)), _box(zs, [range(1), range(2)])),
+        (Iso(z2, (2, 2)), _box(z2, [range(3), range(2)]), _box(z2, [range(-1, 1), range(2)])),
+        (Iso(zs, (2,)), zsum_box(zs, (2, 2)), _box(zs, [range(1), range(2)])),
     ]:
         with pytest.raises(TilingOverlapError):
             compose(TilingCert(tile, None, iso), F)
@@ -178,7 +179,7 @@ def test_box_composition_is_the_closed_form_box(monkeypatch, tile_lo, scale, f_l
     tile_ext = [s if b > 1 else s + 1 for s, b in zip(scale, f_ext)]
     tile = _box(grp, [range(a, a + e) for a, e in zip(tile_lo, tile_ext)])
     F = _box(grp, [range(a, a + b) for a, b in zip(f_lo, f_ext)])
-    cert = TilingCert(tile, LatticeCenters(grp, scale), ScaleIso(grp, scale))
+    cert = TilingCert(tile, LatticeCenters(grp, scale), Iso(grp, scale))
     out, products = _products_in_compose(monkeypatch, cert, F)
     assert products == 0 and out.is_box
     assert out == _keyed_compose(cert, F) and len(out) == len(tile) * len(F)
@@ -194,7 +195,7 @@ def test_box_composition_is_the_closed_form_box(monkeypatch, tile_lo, scale, f_l
 def test_zsum_box_composition_is_the_closed_form_box(monkeypatch, shape, f_ranges):
     # F wider and narrower than the iso's shape; trailing 1s scale by 1
     grp = ZSum()
-    cert = TilingCert(zsum_box(grp, shape), None, ZSumScaleIso(grp, shape))
+    cert = TilingCert(zsum_box(grp, shape), None, Iso(grp, shape))
     F = _box(grp, f_ranges)
     out, products = _products_in_compose(monkeypatch, cert, F)
     assert products == 0
@@ -203,7 +204,7 @@ def test_zsum_box_composition_is_the_closed_form_box(monkeypatch, shape, f_range
 
 def test_gapped_and_non_box_compositions_take_the_product(monkeypatch):
     z2 = ZPower(2)
-    iso = ScaleIso(z2, (3, 2))
+    iso = Iso(z2, (3, 2))
     box = _box(z2, [range(-1, 2), range(2)])
     gapped = TilingCert(_box(z2, [range(2), range(2)]), None, iso)  # extent 2 < scale 3
     out, products = _products_in_compose(monkeypatch, gapped, box)
@@ -225,7 +226,7 @@ def test_gapped_and_non_box_compositions_take_the_product(monkeypatch):
 def test_shift_iso_box_composition_is_the_closed_form_box(monkeypatch, grp, shift,
                                                          tile_ranges, f_ranges):
     # F moves past the tile's support: the box of both ranges, with no key
-    cert = TilingCert(_box(grp, tile_ranges), None, ShiftIso(grp, shift))
+    cert = TilingCert(_box(grp, tile_ranges), None, Iso(grp, shift=shift))
     F = _box(grp, f_ranges)
     out, products = _products_in_compose(monkeypatch, cert, F)
     assert products == 0 and out.is_box
@@ -235,12 +236,12 @@ def test_shift_iso_box_composition_is_the_closed_form_box(monkeypatch, grp, shif
 def test_shift_iso_compositions_past_the_shift_take_the_product(monkeypatch):
     seq = make_folner(CyclicSum((2,)), "cyclic_prefix")
     cert = standard_cert(seq, 2)
-    assert isinstance(cert.iso, ShiftIso)
+    assert cert.iso == Iso(seq.group, shift=2)
     out, products = _products_in_compose(monkeypatch, cert, seq.generate(3))
     assert products == 0 and out == _keyed_compose(cert, seq.generate(3))
     # a tile reaching past the shift, or a non-box F
     grp = CyclicSum((3,))
-    wide = TilingCert(_box(grp, [range(3), range(1, 2)]), None, ShiftIso(grp, 1))
+    wide = TilingCert(_box(grp, [range(3), range(1, 2)]), None, Iso(grp, shift=1))
     F = FinSet(grp, [()])
     out, products = _products_in_compose(monkeypatch, wide, F)
     assert products == 1 and out == wide.tile
@@ -468,4 +469,158 @@ def test_standard_cert_shape():
     cert = standard_cert(_z_seq(), 3)
     assert cert.tile.elems == ((0,), (1,), (2,))
     assert cert.centers == LatticeCenters(ZPower(1), (3,), ((0,),))
-    assert cert.iso == ScaleIso(ZPower(1), (3,))
+    assert cert.iso == Iso(ZPower(1), (3,))
+
+
+# ---------------------------------------------------------------------------
+# one center descriptor and one isomorphism, read from a box tile: each
+# agrees on element tuples with the rule its group kind had before
+
+
+def _old_member(grp, params):
+    """The old membership rule of a certificate's centers: an offset lattice
+    (moduli, offsets) on Z^d, no support on the first n coordinates on a
+    cyclic sum, multiples of shape[i] on the integer sum."""
+    if isinstance(grp, ZPower):
+        moduli, offsets = params
+        return lambda e: any(all((x - o) % m == 0 for x, o, m in zip(e, off, moduli))
+                             for off in offsets)
+    if isinstance(grp, CyclicSum):
+        return lambda e: all(i >= params for i, _ in e)
+    return lambda e: all(v % params[i] == 0 for i, v in e if i < len(params))
+
+
+def _old_image(grp, params):
+    """The old isomorphism on element tuples: scaling by the box shape on
+    Z^d and the integer sum, the index shift by n on a cyclic sum."""
+    if isinstance(grp, ZPower):
+        return lambda e: tuple(x * m for x, m in zip(e, params[0]))
+    if isinstance(grp, CyclicSum):
+        return lambda e: tuple((i + params, v) for i, v in e)
+    return lambda e: tuple((i, v * params[i] if i < len(params) else v) for i, v in e)
+
+
+def _params_of(tile):
+    """The old descriptor parameters of an enumerated tile, read from its
+    elements: a box at the origin, or on Z an arithmetic progression."""
+    grp, elems = tile.group, tile.elems
+    if isinstance(grp, ZPower):
+        shape = tuple(max(e[j] for e in elems) + 1 for j in range(grp.d))
+        if math.prod(shape) == len(elems):
+            return shape, ((0,) * grp.d,)
+        step = elems[1][0] - elems[0][0]
+        return (len(elems) * step,), tuple((j,) for j in range(step))
+    width = max([i + 1 for e in elems for i, _ in e], default=1)
+    if isinstance(grp, CyclicSum):
+        return width
+    return tuple(max(dict(e).get(i, 0) for e in elems) + 1 for i in range(width))
+
+
+def _assert_old_rules(cert, params, window, self_similar=True):
+    grp = cert.tile.group
+    member = _old_member(grp, params)
+    assert cert.centers.contains_rows(window.rows()).tolist() == [
+        member(e) for e in window.elems]
+    box = not isinstance(grp, ZPower) or len(params[1]) == 1
+    if isinstance(grp, CyclicSum):
+        self_similar = self_similar and tiling.shift_iso_compatible(grp, params)
+    if not (box and self_similar):
+        assert cert.iso is None
+        return
+    image = _old_image(grp, params)
+    assert cert.iso.image_set(window) == FinSet(grp, map(image, window.elems))
+
+
+Z1, Z2, K23, C2, ZS = ZPower(1), ZPower(2), CyclicSum((2, 3)), CyclicSum((2,)), ZSum()
+_WINDOWS = {Z1: window_set(Z1, 12), Z2: window_set(Z2, 6), K23: window_set(K23, 7),
+            C2: window_set(C2, 9), ZS: window_set(ZS, 2, 4)}
+
+
+@pytest.mark.parametrize("grp, max_card, max_index", [
+    (Z1, 8, None), (Z2, 6, None), (K23, 54, None), (C2, 16, None), (ZS, 6, 3),
+], ids=["z1", "z2", "cyclic23", "cyclic2", "zsum"])
+def test_enumerated_descriptors_keep_the_old_rules(grp, max_card, max_index):
+    certs = enumerate_tiles(grp, max_card, max_index)
+    assert len({type(c.centers) for c in certs}) == 1
+    for cert in certs:
+        _assert_old_rules(cert, _params_of(cert.tile), _WINDOWS[grp])
+
+
+@pytest.mark.parametrize("grp, kind, anchors, indices", [
+    (Z1, "z_boxes", None, range(1, 7)),
+    (Z2, "z_boxes", None, range(1, 7)),
+    (Z1, "z_boxes", "squares", range(1, 7)),
+    (K23, "cyclic_prefix", None, range(1, 7)),
+    (C2, "cyclic_prefix", None, range(1, 7)),
+    # shapes (n,) * n, then shapes whose trailing 1s the tile's extent drops
+    (ZS, "zsum_boxes", None, [1, 2, 3, 4, 5, 6, (2, 1), (3, 1, 1), (1, 1), (2, 3, 1)]),
+], ids=["z1", "z2", "z1-squares", "cyclic23", "cyclic2", "zsum"])
+def test_standard_descriptors_keep_the_old_rules(grp, kind, anchors, indices):
+    seq = make_folner(grp, kind, anchors=anchors)
+    for index in indices:
+        if isinstance(grp, ZPower):
+            params = ((index,) * grp.d, ((0,) * grp.d,))
+        elif isinstance(grp, CyclicSum):
+            params = index
+        else:
+            params = seq._zsum_shape(index)
+        _assert_old_rules(standard_cert(seq, index), params, _WINDOWS[grp],
+                          self_similar=anchors is None)
+
+
+def _probe_rows(grp, moduli, width):
+    """Rows on the lattice of ``moduli`` (free past its end) with about a
+    tenth of their entries moved by one: members and non-members both."""
+    rng = np.random.default_rng(len(moduli))
+    lattice = np.asarray(moduli + (1,) * (width - len(moduli)))
+    rows = (rng.integers(-3, 4, (400, width)) * lattice
+            + rng.integers(-1, 2, (400, width)) * (rng.random((400, width)) < 0.1))
+    return rows % grp.periods_vector(width) if isinstance(grp, CyclicSum) else rows
+
+
+@pytest.mark.parametrize("grp, kind", [
+    (Z1, "z_boxes"), (Z2, "z_boxes"), (C2, "cyclic_prefix"), (ZS, "zsum_boxes"),
+], ids=["z1", "z2", "cyclic2", "zsum"])
+def test_image_centers_keep_the_old_formulas(grp, kind):
+    # outer iso of F_a, inner centers of F_b: moduli a * b on Z^d, no support
+    # below a + b on a cyclic sum, shape_b[i] * shape_a[i] (1 past the end)
+    # on the integer sum
+    seq = make_folner(grp, kind)
+    for m, p in itertools.combinations(range(1, 7), 2):
+        for a, b in ((m, p), (p, m)):
+            centers = tiling._image_centers(standard_cert(seq, a), standard_cert(seq, b))
+            if isinstance(grp, ZPower):
+                moduli = (a * b,) * grp.d
+                member = _old_member(grp, (moduli, ((0,) * grp.d,)))
+            elif isinstance(grp, CyclicSum):
+                moduli = (2,) * (a + b)
+                member = _old_member(grp, a + b)
+            else:
+                moduli = tuple(x * y for x, y in itertools.zip_longest(
+                    (b,) * b, (a,) * a, fillvalue=1))
+                member = _old_member(grp, moduli)
+            rows = _probe_rows(grp, moduli, len(moduli) + 2)
+            want = [member(e) for e in grp.rows_to_elems(rows)]
+            assert any(want) and not all(want)
+            assert centers.contains_rows(rows).tolist() == want
+
+
+@pytest.mark.parametrize("grp, kind", [
+    (Z1, "z_boxes"), (Z2, "z_boxes"), (K23, "cyclic_prefix"), (C2, "cyclic_prefix"),
+    (ZS, "zsum_boxes"),
+], ids=["z1", "z2", "cyclic23", "cyclic2", "zsum"])
+def test_subgroup_product_keeps_the_old_formulas(grp, kind):
+    # coprime lattice moduli on Z^d and on the integer sum's shapes (1 past
+    # their ends); prefix-shift centers never generate a cyclic sum
+    seq = make_folner(grp, kind)
+    for m, p in itertools.combinations(range(1, 7), 2):
+        if isinstance(grp, ZPower):
+            want = all(math.gcd(x, y) == 1 for x, y in zip((m,) * grp.d, (p,) * grp.d))
+        elif isinstance(grp, CyclicSum):
+            want = False
+        else:
+            get = lambda s, i: s[i] if i < len(s) else 1
+            want = all(math.gcd(get((m,) * m, i), get((p,) * p, i)) == 1 for i in range(p))
+        certs = standard_cert(seq, m), standard_cert(seq, p)
+        assert ergodic._subgroup_product_full(*certs) == want
+        assert ergodic._subgroup_product_full(*certs[::-1]) == want

@@ -5,9 +5,10 @@ from unittest import mock
 
 import numpy as np
 
-from folnerlab import groups
-from folnerlab.groups import ZSum, product_set, union, zsum_box
-from folnerlab.tiling import TilingCert, ZSumLatticeCenters, ZSumScaleIso, compose
+from folnerlab import groups, tiling
+from folnerlab.folner import make_folner
+from folnerlab.groups import CyclicSum, ZPower, ZSum, product_set, union, zsum_box
+from folnerlab.tiling import Iso, LatticeCenters, TilingCert, compose
 
 SHAPES = [t for n in (1, 2, 3) for t in itertools.product(range(1, 5), repeat=n)]
 
@@ -18,7 +19,7 @@ def test_zsum_box_identities_form_no_product_pair():
     # and box a u box b is box b itself when a <= b entrywise
     g = ZSum()
     boxes = {s: zsum_box(g, s) for s in SHAPES}
-    certs = {s: TilingCert(boxes[s], ZSumLatticeCenters(g, s), ZSumScaleIso(g, s))
+    certs = {s: TilingCert(boxes[s], LatticeCenters(g, s), Iso(g, s))
              for s in SHAPES}
     pairs = unions = 0
     with mock.patch.object(groups, "_product", wraps=groups._product) as products, \
@@ -38,3 +39,29 @@ def test_zsum_box_identities_form_no_product_pair():
             pairs += 1
     assert (pairs, unions) == (5712, 1710)
     assert products.call_count == 0 and key_compares.call_count == 0
+
+
+def test_box_certificates_compose_without_a_product():
+    # every certificate read from a box tile composes a box F as the closed
+    # form: an Iso that read its shift or scale wrong would still compose
+    # correctly, through product_set, but no longer for free
+    cases = [(ZPower(1), "z_boxes"), (ZPower(2), "z_boxes"),
+             (CyclicSum((2,)), "cyclic_prefix"), (CyclicSum((3,)), "cyclic_prefix"),
+             (ZSum(), "zsum_boxes")]
+    composed = 0
+    for grp, kind in cases:
+        seq = make_folner(grp, kind)
+        certs = [tiling.standard_cert(seq, n) for n in range(1, 5)]
+        certs += tiling.enumerate_tiles(grp, 6, 3)
+        Fs = [seq.generate(n) for n in range(1, 5)]
+        Fs += [c.tile for c in tiling.enumerate_tiles(grp, 6, 3) if c.tile.is_box]
+        with mock.patch.object(tiling, "product_set", wraps=tiling.product_set) as products:
+            for cert in certs:
+                if cert.iso is None:
+                    continue
+                for F in Fs:
+                    out = compose(cert, F)
+                    assert out.is_box and len(out) == len(cert.tile) * len(F)
+                    composed += 1
+        assert products.call_count == 0, (grp, kind)
+    assert composed == 1326
