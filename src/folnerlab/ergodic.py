@@ -28,9 +28,9 @@ from .families import (AdditiveFamily, ClassifyReport, DerivedPrimeM, Family,
                        Truncated, _report, _trial_masks, classify)
 from .folner import (FolnerSeq, _inverse_unions, make_folner, tempelman_report,
                      tempered_report)
-from .groups import (EnumBudget, FinSet, Group, _key_sums, _padded_boxes, _sum_box,
-                     enumerate_finsets, erode, intersect, is_subset, product_set,
-                     union)
+from .groups import (EnumBudget, FinSet, Group, _box_shell, _key_sums, _padded_boxes,
+                     _sum_box, enumerate_finsets, erode, intersect, is_subset,
+                     product_set, union)
 from .systems import (Observable, Points, System, conditional_expectation,
                       split_leaves)
 from .tiling import (TilingCert, TilingOverlapError, compose, enumerate_tiles,
@@ -142,12 +142,24 @@ def family_values(fam: Family, system: System, F: FinSet, points: Points) -> np.
 def trajectory_matrix(fam: Family, system: System, seq: FolnerSeq,
                       schedule: Sequence[int], points: Points) -> np.ndarray:
     """Normalized values d_{F_n}(y)/|F_n| for each point (row) and scheduled
-    index (column)."""
-    out = np.empty((len(points), len(schedule)))
-    for j, n in enumerate(schedule):
-        F = seq.generate(n)
-        out[:, j] = family_values(fam, system, F, points) / len(F)
-    return out
+    index (column).
+
+    An additive family whose observable counts its sums (``sum_fn``), on
+    nested boxes (each F_n a box inside the next), evaluates each point on
+    each cell of the last box once: on the shells F_1, F_2 \\ F_1, ..., each
+    a few boxes, whose exact counts add up to each d_{F_n}(y)."""
+    sets = [seq.generate(n) for n in schedule]
+    counted = isinstance(fam, AdditiveFamily) and fam.obs.sum_fn is not None
+    if counted and all(F.is_box for F in sets) and all(
+            is_subset(E, F) for E, F in zip(sets, sets[1:])):
+        # built one at a time, so that only one shell's cell keys are held
+        shells = itertools.chain([sets[:1]], map(_box_shell, sets[1:], sets))
+        sums = np.cumsum(np.column_stack([
+            sum((family_values(fam, system, B, points) for B in shell),
+                np.zeros(len(points))) for shell in shells]), axis=1)
+    else:
+        sums = np.column_stack([family_values(fam, system, F, points) for F in sets])
+    return sums / [len(F) for F in sets]
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +740,11 @@ def kingman_run(fam: Family, seq: FolnerSeq, system: System, schedule,
     boundedness of the inverse-union growth ratios on the scheduled
     subsequence, shrinking sandwich gaps, and one invariance route
     (bi-invariance, strong sub-additivity, or a full subgroup product).
-    If the normalized mean dives below `nu_floor` the runner switches to the
-    truncation ladder and reports that instead of a bogus limit.
+    If the normalized mean, probed on 400 points at the last index, dives
+    below `nu_floor` the runner switches to the truncation ladder and
+    reports that instead of a bogus limit.  An additive family of a
+    non-negative observable cannot, when the floor is <= 0: its probe is
+    gated but not sampled.
     """
     schedule = _validate_schedule(schedule)
     gates: dict = {}
@@ -752,9 +767,12 @@ def kingman_run(fam: Family, seq: FolnerSeq, system: System, schedule,
     gates["condition_b_gaps"] = _condition_b_gaps(seq, schedule)
     gates["route"] = _route_gate(report, certs, schedule)
 
-    probe = nu_estimate(fam, seq, system, schedule[-1],
-                        min(samples, 400), seed + 211, report)
-    if probe.mean < nu_floor:
+    # the probe is read only against the floor, which values that are
+    # non-negative by construction never dive below when it is <= 0
+    if nu_floor <= 0 and isinstance(fam, AdditiveFamily) and fam.obs.nonneg:
+        _nu_gate(report, seq, [schedule[-1]])
+    elif (probe := nu_estimate(fam, seq, system, schedule[-1], min(samples, 400),
+                               seed + 211, report)).mean < nu_floor:
         ladder = truncation_ladder(fam, seq, system, schedule, _LADDER_LEVELS,
                                    samples, seed)
         gates["nu_floor_breached"] = probe.mean

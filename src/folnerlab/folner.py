@@ -107,6 +107,8 @@ def make_folner(group: Group, seq_kind: str, anchors: Optional[str] = None,
         raise ValueError("cyclic_prefix requires a CyclicSum group")
     if seq_kind == "zsum_boxes" and not isinstance(group, ZSum):
         raise ValueError("zsum_boxes requires a ZSum group")
+    if anchors is not None and seq_kind != "z_boxes":
+        raise ValueError(f"{seq_kind} takes no anchors")
     if seq_kind == "explicit":
         if not sets:
             raise ValueError("explicit sequence needs sets")

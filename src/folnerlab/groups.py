@@ -34,8 +34,9 @@ holding the other; ``product_set`` of two boxes is the sum box unless a
 CyclicSum run wraps; ``erode`` of a box by any set is a box (on ZPower and
 ZSum the erosion by the set's bounding box; on CyclicSum when the box is a
 coset box).  The Boxes section holds the box arithmetic: sums of boxes,
-unions of such sums (``folner``'s inverse unions), and tiles composed
-under a scaling or shifting isomorphism (``tiling.compose``).  Every box
+unions of such sums (``folner``'s inverse unions), tiles composed under a
+scaling or shifting isomorphism (``tiling.compose``), and a box less a box
+inside it as disjoint boxes (``ergodic``'s nested trajectories).  Every box
 is built there from its corners, by one builder (``_box_at``).
 """
 from __future__ import annotations
@@ -651,6 +652,18 @@ def _box_at(grp: Group, lo: tuple, ext: tuple) -> FinSet:
     if ext and min(ext) < 1:
         return FinSet(grp)
     return FinSet._of(grp, lo, ext, np.arange(math.prod(ext), dtype=np.int64))
+
+
+def _box_shell(F: FinSet, E: FinSet) -> list:
+    """F minus E for boxes E inside F, as disjoint boxes: for each coordinate
+    a, F's cells that lie in E's box on the coordinates before a and below or
+    above it on a (E's box reads [0, 1) on coordinates past its width)."""
+    (elo, eext), (flo, fext) = _padded_boxes(E, F)
+    return [_box_at(F.group, elo[:a] + (s,) + flo[a + 1:],
+                    eext[:a] + (t - s,) + fext[a + 1:])
+            for a in range(len(flo))
+            for s, t in ((flo[a], elo[a]), (elo[a] + eext[a], flo[a] + fext[a]))
+            if t > s]
 
 
 def _product_box(K: FinSet, F: FinSet) -> Optional[tuple]:

@@ -328,7 +328,7 @@ class Observable:
     bound: Optional[float] = None
     nonneg: bool = False
     integer_valued: bool = False
-    sum_fn: Optional[Callable] = None  # the row sums, bit for bit, without the matrix
+    sum_fn: Optional[Callable] = None  # the row sums, counted exactly, without the matrix
 
     def window_values(self, leaf: System, batch, F: FinSet, *,
                       summed: bool = False) -> np.ndarray:
@@ -343,6 +343,19 @@ class Observable:
         if self.exact_mean_fn is None:
             return None
         return self.exact_mean_fn(leaf)
+
+
+_BYTE_SUM, _S56 = np.uint64(0x0101010101010101), np.uint64(56)
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """The True entries in each row of a C-contiguous boolean matrix; eight
+    at a time when the width is a multiple of 8: one multiply sums the 0/1
+    bytes of a uint64 into its top byte."""
+    if mask.shape[1] % 8:
+        return mask.sum(axis=1)
+    eights = mask.view(np.uint64) * _BYTE_SUM
+    return np.right_shift(eights, _S56, out=eights).sum(axis=1, dtype=np.int64)
 
 
 def _require_bernoulli(leaf, name, symbol=None):
@@ -366,7 +379,7 @@ def indicator_symbol(symbol: int = 1) -> Observable:
         # sum exactly, so the count is the float row sum
         _require_bernoulli(leaf, "indicator_symbol", symbol)
         words, cuts = leaf.window_uniforms(batch, F), leaf._cuts
-        lo, hi = ((words >= cuts[k]).sum(axis=1) if 0 <= k < len(cuts)
+        lo, hi = (_row_counts(words >= cuts[k]) if 0 <= k < len(cuts)
                   else len(F) if k < 0 else 0 for k in (symbol - 1, symbol))
         return np.zeros(len(batch)) + (lo - hi)
 

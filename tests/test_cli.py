@@ -581,6 +581,14 @@ def _converge_cfg(**over):
     ("maximal", _maximal_cfg(M=math.inf), "M must be a positive number or null"),
     ("maximal", _maximal_cfg(nu_term=math.inf),
      "nu_term must be a non-negative number or null"),
+    # only z_boxes reads an anchor rule
+    ("verify-folner", _folner_cfg(group={"kind": "cyclic_sum", "periods": [2]},
+                                  sequence={"kind": "cyclic_prefix",
+                                            "anchors": "squares"}),
+     "bad sequence: cyclic_prefix takes no anchors"),
+    ("verify-folner", _folner_cfg(group={"kind": "z_sum"},
+                                  sequence={"kind": "zsum_boxes", "anchors": "squares"}),
+     "bad sequence: zsum_boxes takes no anchors"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
         "folner-growth-str", "folner-growth-bool", "folner-growth-one",
@@ -603,7 +611,7 @@ def _converge_cfg(**over):
         "decompose-plain-family-box-budget", "birkhoff-tempered-budget",
         "system-probs-nan", "additive-plus-beta-nan", "additive-plus-beta-inf",
         "maximal-alpha-inf", "maximal-alpha-past-float", "maximal-M-inf",
-        "maximal-nu-term-inf"])
+        "maximal-nu-term-inf", "cyclic-prefix-anchors", "zsum-boxes-anchors"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1

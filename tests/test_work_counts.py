@@ -1,13 +1,17 @@
 """Work counts pinned as exact budgets: the closed-form box rules form no
-Minkowski pair and compare no key."""
+Minkowski pair and compare no key, and a nested trajectory hashes each
+(point, cell) once."""
 import itertools
 from unittest import mock
 
 import numpy as np
 
-from folnerlab import groups, tiling
+from folnerlab import ergodic, groups, systems, tiling
+from folnerlab.ergodic import kingman_run
+from folnerlab.families import AdditiveFamily
 from folnerlab.folner import make_folner
 from folnerlab.groups import CyclicSum, ZPower, ZSum, product_set, union, zsum_box
+from folnerlab.systems import BernoulliShift, indicator_symbol
 from folnerlab.tiling import Iso, LatticeCenters, TilingCert, compose
 
 SHAPES = [t for n in (1, 2, 3) for t in itertools.product(range(1, 5), repeat=n)]
@@ -65,3 +69,50 @@ def test_box_certificates_compose_without_a_product():
                     composed += 1
         assert products.call_count == 0, (grp, kind)
     assert composed == 1326
+
+
+def test_nested_kingman_run_hashes_each_cell_once(monkeypatch):
+    # a counted family on a nested schedule: the trajectory hashes each
+    # (point, cell) of F_max once, the nu probe (which a non-negative family
+    # cannot fire at the default floor) hashes nothing, and the nu reference
+    # takes its own points; the leaf targets are exact, so they hash nothing
+    monkeypatch.setenv("FOLNER_LAB_THREADS", "1")
+    grp = ZPower(2)
+    seq = make_folner(grp, "z_boxes")
+    system = BernoulliShift(grp, (0.5, 0.5), seed=3)
+    fam = AdditiveFamily(indicator_symbol(1))
+    hashed, stage = {}, ["other"]
+
+    def words(keys, cfg, _orig=systems.words_from_premixed):
+        out = _orig(keys, cfg)
+        hashed[stage[-1]] = hashed.get(stage[-1], 0) + out.size
+        return out
+
+    def staged(name, fn):
+        def run(*args, **kw):
+            stage.append(name)
+            try:
+                return fn(*args, **kw)
+            finally:
+                stage.pop()
+        return run
+
+    def nu(fam, seq, system, n, samples, seed=99, report=None,
+           _orig=ergodic.nu_estimate, _seed=7):
+        name = {_seed + 211: "probe", _seed + 101: "reference"}[seed]
+        return staged(name, _orig)(fam, seq, system, n, samples, seed, report)
+
+    monkeypatch.setattr(systems, "words_from_premixed", words)
+    monkeypatch.setattr(ergodic, "nu_estimate", nu)
+    monkeypatch.setattr(ergodic, "trajectory_matrix",
+                        staged("trajectory", ergodic.trajectory_matrix))
+    monkeypatch.setattr(ergodic, "classify", staged("classify", ergodic.classify))
+    stages = ("classify", "probe", "trajectory", "reference", "other")
+    for nu_floor, probe in ((-25.0, 0), (0.1, 150 * 256)):
+        hashed.clear()
+        rep = kingman_run(fam, seq, system, [2, 4, 8, 16], samples=150, seed=7,
+                          nu_floor=nu_floor)
+        assert rep.kind == "subadditive_average"
+        assert {k: hashed.get(k, 0) for k in stages} == {
+            "classify": 300 * 648, "probe": probe, "trajectory": 150 * 256,
+            "reference": 150 * 256, "other": 0}
