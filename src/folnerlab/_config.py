@@ -1,9 +1,9 @@
-"""The one checked config reader: the CLI, every ``*from_json`` parser and
-``FOLNER_LAB_THREADS`` read each key through ``_get`` (or ``_kind``), which
-checks the value against an ``(ok, what)`` pair and never coerces it.  Numbers
-must be finite.  In a config loaded into ``_Obj`` objects, ``_unread`` finds
-the keys that no reader asked for, so the readers are the only schema.
-Imports nothing from the package."""
+"""The one checked config reader: the CLI and every ``*from_json`` parser
+read each key through ``_get`` (or ``_kind``), which checks the value against
+an ``(ok, what)`` pair and never coerces it.  Numbers must be finite.  In a
+config loaded into ``_Obj`` objects, ``_unread`` finds the keys that no
+reader asked for, so the readers are the only schema.  Imports nothing from
+the package."""
 from __future__ import annotations
 
 import sys
@@ -25,15 +25,6 @@ def _one_of(names) -> tuple:
     """The (ok, what) pair of a string from ``names`` (a table's keys)."""
     return (lambda v: isinstance(v, str) and v in names,
             f"one of {sorted(names)}")
-
-
-def _int_str(v) -> bool:
-    """Text that ``int`` reads (an environment value), or empty."""
-    try:
-        int(v)
-    except ValueError:
-        return v == ""
-    return True
 
 
 # (ok, what) pairs for `_get`.  `type(v) is int` keeps JSON true/false out.
@@ -58,7 +49,6 @@ _OBJ = (lambda v: isinstance(v, dict), "an object")
 _OBJS = (lambda v: isinstance(v, list) and all(map(_OBJ[0], v)),
          "a list of objects")
 _TWO_OBJS = (lambda v: _OBJS[0](v) and len(v) == 2, "a list of two objects")
-_INT_STR = (_int_str, "an integer")
 _SEQ_KIND = _one_of(("z_boxes", "cyclic_prefix", "zsum_boxes"))
 _ANCHORS = (lambda v: v in (None, "squares"), "'squares' or null")
 _PATH = (lambda v: v is None or isinstance(v, str), "a path or null")

@@ -21,8 +21,8 @@ through ``_get``, the one checked reader of ``folnerlab._config``, and
 refuses any key that no reader read, before any experiment runs.
 
 Reruns with the same config are byte-identical: the version lives in the
-header, and all sampling is derived from the config seed.  FOLNER_LAB_THREADS
-caps worker threads without changing results.
+header, and all sampling is derived from the config seed.  Sampling runs on
+the calling thread.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from ._config import (_ANCHORS, _INDICES, _INT, _INT_GE_2, _NONNEG_INT,
 from .ergodic import (GateRefusal, birkhoff_check, ergodic_decomposition_check,
                       kingman_run, limsup_identity_check,
                       maximal_inequality_check, setfn_limit_strong,
-                      setfn_limit_tiling, setfn_registry, thread_cap)
+                      setfn_limit_tiling, setfn_registry)
 from .families import PROPERTIES, classify, family_from_json
 from .folner import (defect_profile, make_folner, ratios_look_divergent,
                      tempelman_report, tempered_report)
@@ -404,7 +404,6 @@ def main(argv: Optional[list] = None) -> int:
     try:
         cfg = _load_config(args.config)
         output = _read(cfg, _OUTPUT, {})
-        thread_cap()  # a malformed FOLNER_LAB_THREADS stops before any run
         parts, keys, run = _COMMANDS[args.command]
         code, rows, summary = run(**_values(cfg, parts, keys))
     except (ConfigError, BudgetError, UnsupportedObservable) as exc:

@@ -15,15 +15,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._config import _INT_STR, _get
 from .families import (AdditiveFamily, ClassifyReport, DerivedPrimeM, Family,
                        Truncated, _report, _trial_masks, classify)
 from .folner import (FolnerSeq, _inverse_unions, make_folner, tempelman_report,
@@ -85,31 +82,9 @@ def _anytime_min(values):
     return best, trend, stabilized
 
 
-# ---------------------------------------------------------------------------
-# Deterministic sample-parallel plumbing
-
-
 def thread_cap() -> int:
-    v = _get(os.environ, "FOLNER_LAB_THREADS", "", *_INT_STR)
-    return max(1, int(v)) if v else min(4, os.cpu_count() or 1)
-
-
-_BLOCK = 128  # points per worker block; results reassembled in block order
-
-
-def pmap_blocks(fn: Callable, items: Points) -> np.ndarray:
-    """Map fn over blocks of _BLOCK points; concatenate in block order so the
-    result is independent of the number of worker threads."""
-    if not items:
-        return np.empty(0)
-    blocks = [items[s:s + _BLOCK] for s in range(0, len(items), _BLOCK)]
-    cap = thread_cap()
-    if cap == 1 or len(blocks) == 1:
-        parts = [fn(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=cap) as ex:
-            parts = list(ex.map(fn, blocks))
-    return np.concatenate(parts)
+    """Always 1: the benchmark records it; ROADMAP item 4b deletes it."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -135,10 +110,6 @@ def sample_points(system: System, samples: int, seed: int) -> Points:
     return system.substream_points(seed, np.arange(samples))
 
 
-def family_values(fam: Family, system: System, F: FinSet, points: Points) -> np.ndarray:
-    return pmap_blocks(lambda blk: fam.sample_values(system, F, blk), points)
-
-
 def trajectory_matrix(fam: Family, system: System, seq: FolnerSeq,
                       schedule: Sequence[int], points: Points) -> np.ndarray:
     """Normalized values d_{F_n}(y)/|F_n| for each point (row) and scheduled
@@ -155,10 +126,10 @@ def trajectory_matrix(fam: Family, system: System, seq: FolnerSeq,
         # built one at a time, so that only one shell's cell keys are held
         shells = itertools.chain([sets[:1]], map(_box_shell, sets[1:], sets))
         sums = np.cumsum(np.column_stack([
-            sum((family_values(fam, system, B, points) for B in shell),
+            sum((fam.sample_values(system, B, points) for B in shell),
                 np.zeros(len(points))) for shell in shells]), axis=1)
     else:
-        sums = np.column_stack([family_values(fam, system, F, points) for F in sets])
+        sums = np.column_stack([fam.sample_values(system, F, points) for F in sets])
     return sums / [len(F) for F in sets]
 
 
@@ -341,19 +312,23 @@ def nu_estimate(fam: Family, seq: FolnerSeq, system: System, n: int,
     _nu_gate(_require(fam, seq, system, report), seq, [n])
     F = seq.generate(n)
     pts = sample_points(system, samples, seed)
-    return _estimate(family_values(fam, system, F, pts) / len(F), seed)
+    return _estimate(fam.sample_values(system, F, pts) / len(F), seed)
 
 
 def ergodic_decomposition_check(fam: Family, system: System, seq: FolnerSeq,
                                 n: int, samples: int, seed: int = 17) -> dict:
-    """Mixture-level normalized mean vs the weighted per-component means."""
+    """Mixture-level normalized mean vs the weighted per-component means.
+
+    The family is classified once, on the mixture: each leaf's points are
+    points of the mixture's space, so the mixture's report gates every leaf."""
     comps = system.components()
-    lhs = nu_estimate(fam, seq, system, n, samples, seed)
+    report = classify(fam, seq.group, system)
+    lhs = nu_estimate(fam, seq, system, n, samples, seed, report)
     rhs_mean = 0.0
     rhs_var = 0.0
     parts = []
     for k, (w, leaf) in enumerate(comps):
-        est = nu_estimate(fam, seq, leaf, n, samples, seed + 1 + k)
+        est = nu_estimate(fam, seq, leaf, n, samples, seed + 1 + k, report)
         rhs_mean += w * est.mean
         rhs_var += (w * est.stderr) ** 2
         parts.append({"weight": w, "estimate": est.to_json()})
@@ -528,7 +503,7 @@ def maximal_inequality_check(fam: Family, seq: FolnerSeq, system: System,
     exceed = np.zeros(len(pts), dtype=bool)
     for k in range(1, N + 1):
         Fk = seq.generate(k)
-        vals = family_values(fam, system, Fk, pts) / len(Fk)
+        vals = fam.sample_values(system, Fk, pts) / len(Fk)
         exceed |= vals > alpha
     mass = float(exceed.mean())
     se = math.sqrt(max(mass * (1 - mass), 1.0 / samples) / samples)
@@ -688,7 +663,7 @@ def _leaf_targets(fam: Family, system: System, pts, candidates, seed: int):
         else:
             lpts = sample_points(leaf, _CONC_SAMPLES, seed + 1009 * (k + 1))
             inf, _, stabilized = _anytime_min(
-                float(family_values(fam, leaf, T, lpts).mean()) / len(T)
+                float(fam.sample_values(leaf, T, lpts).mean()) / len(T)
                 for T in candidates)
         infos.append({"n_points": int(len(idx)), "inf": inf,
                       "stabilized": stabilized, "ergodic": leaf.ergodic})
@@ -942,7 +917,7 @@ def dprime_m_diagnostics(fam: Family, seq: FolnerSeq, system: System,
     for m in m_indices:
         cert = certs[m]
         famm = DerivedPrimeM(fam, cert)
-        vals = family_values(famm, system, Fn, pts) / (len(cert.tile) * len(Fn))
+        vals = famm.sample_values(system, Fn, pts) / (len(cert.tile) * len(Fn))
         est = _estimate(vals, seed)
         rep = classify(famm, seq.group, system, trials=120,
                        properties=("nonnegative", "supadditive", "invariant"))

@@ -32,7 +32,8 @@ from .systems import Observable, Points, System, observable_from_json, split_lea
 from .tiling import TilingCert, compose, window_set
 
 # a vectorized slab holds about _SLAB_CELLS cells (points x |F|), so that
-# its word and symbol matrices stay in cache
+# its word and symbol matrices stay in cache; this is the one rule that
+# chunks a batch of points, and no result depends on it
 _SLAB_CELLS = 1 << 16
 
 

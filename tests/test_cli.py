@@ -10,10 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from folnerlab import cli
+from folnerlab import cli, families
 from folnerlab._bits import HASH_VERSION
 from folnerlab.cli import _COMMANDS, _THEOREM_TABLE, VERSION, main
-from folnerlab.ergodic import thread_cap
 from folnerlab.families import family_from_json
 from folnerlab.folner import make_folner
 from folnerlab.groups import ZPower
@@ -333,9 +332,9 @@ def test_rerun_is_byte_identical(tmp_path):
     assert sa == sb
 
 
-def test_results_independent_of_thread_count(tmp_path, monkeypatch):
-    # the criterion-08 mixture; 300 samples make three blocks, so two
-    # threads split the work
+def test_results_independent_of_slab_size(tmp_path, monkeypatch):
+    # the criterion-08 mixture; at 1,000 cells a slab on the 16 x 16 box
+    # holds 3 points, and each leaf's last slab is ragged
     cfg = _write(tmp_path, "cfg.json", {
         "group": {"kind": "z_power", "d": 2},
         "sequence": {"kind": "z_boxes"},
@@ -347,11 +346,11 @@ def test_results_independent_of_thread_count(tmp_path, monkeypatch):
         "n": 16, "samples": 300, "seed": 17,
     })
     outputs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("FOLNER_LAB_THREADS", threads)
-        code, _, csv = _run("decompose", cfg, tmp_path, tag=threads)
+    for cells in (families._SLAB_CELLS, 1000):
+        monkeypatch.setattr(families, "_SLAB_CELLS", cells)
+        code, _, csv = _run("decompose", cfg, tmp_path, tag=str(cells))
         assert code == 0
-        outputs.append((csv, (tmp_path / f"out{threads}.json").read_text()))
+        outputs.append((csv, (tmp_path / f"out{cells}.json").read_text()))
     assert outputs[0] == outputs[1]
 
 
@@ -782,27 +781,6 @@ def test_every_read_key_is_checked(tmp_path, capsys, monkeypatch, cmd, cfg):
             err = capsys.readouterr().err
             assert (code, summary is None) == (1, True), (key, bad, err)
             assert err.startswith("config error:"), (key, bad, err)
-
-
-# ---------------------------------------------------------------------------
-# FOLNER_LAB_THREADS is outside input too
-
-
-@pytest.mark.parametrize("cmd", ["converge", "limsup"])
-def test_bad_thread_count_exit_one(tmp_path, capsys, monkeypatch, cmd):
-    monkeypatch.setenv("FOLNER_LAB_THREADS", "abc")
-    code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", _converge_cfg()),
-                            tmp_path)
-    assert (code, summary) == (1, None)
-    assert (capsys.readouterr().err
-            == "config error: FOLNER_LAB_THREADS must be an integer\n")
-
-
-@pytest.mark.parametrize("value, cap", [("3", 3), (" 2 ", 2), ("0", 1),
-                                        ("-4", 1), ("", min(4, os.cpu_count() or 1))])
-def test_thread_cap_reads_integers(monkeypatch, value, cap):
-    monkeypatch.setenv("FOLNER_LAB_THREADS", value)
-    assert thread_cap() == cap
 
 
 # ---------------------------------------------------------------------------

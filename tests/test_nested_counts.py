@@ -9,7 +9,6 @@ and the row sums of the observable's value matrix.
 import functools
 import hashlib
 import json
-import threading
 from unittest import mock
 
 import numpy as np
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 
 from folnerlab import cli, ergodic, systems
 from folnerlab.ergodic import kingman_run, sample_points, trajectory_matrix
-from folnerlab.families import AdditiveFamily, MaxFamily
+from folnerlab.families import AdditiveFamily, Family, MaxFamily
 from folnerlab.folner import make_folner
 from folnerlab.groups import (CyclicSum, FinSet, ZPower, ZSum, _box_shell, diff,
                               is_subset, union)
@@ -34,13 +33,12 @@ class _Cells:
     """Counts the (point, cell) words hashed while active."""
 
     def __init__(self):
-        self.sizes, self._lock = [], threading.Lock()
+        self.sizes = []
         self._orig = systems.words_from_premixed
 
     def _hash(self, keys, cfg):
         out = self._orig(keys, cfg)
-        with self._lock:
-            self.sizes.append(out.size)
+        self.sizes.append(out.size)
         return out
 
     def __enter__(self):
@@ -278,7 +276,7 @@ def test_probe_gate_refuses_before_any_sampling(monkeypatch, nu_floor):
         raise AssertionError("points were sampled")
 
     monkeypatch.setattr(ergodic, "_nu_gate", refuse)
-    monkeypatch.setattr(ergodic, "family_values", sampled)
+    monkeypatch.setattr(Family, "sample_values", sampled)
     seq, system = _plane()
     with pytest.raises(ergodic.GateRefusal) as exc:
         kingman_run(AdditiveFamily(indicator_symbol(1)), seq, system, [2, 4, 8],

@@ -1,17 +1,17 @@
 """Work counts pinned as exact budgets: the closed-form box rules form no
-Minkowski pair and compare no key, and a nested trajectory hashes each
-(point, cell) once."""
+Minkowski pair and compare no key, a nested trajectory hashes each
+(point, cell) once, and a batch of points is split by leaf once per set."""
 import itertools
 from unittest import mock
 
 import numpy as np
 
-from folnerlab import ergodic, groups, systems, tiling
-from folnerlab.ergodic import kingman_run
-from folnerlab.families import AdditiveFamily
+from folnerlab import ergodic, families, groups, systems, tiling
+from folnerlab.ergodic import kingman_run, nu_estimate
+from folnerlab.families import AdditiveFamily, classify
 from folnerlab.folner import make_folner
 from folnerlab.groups import CyclicSum, ZPower, ZSum, product_set, union, zsum_box
-from folnerlab.systems import BernoulliShift, indicator_symbol
+from folnerlab.systems import BernoulliShift, FiniteMixture, indicator_symbol
 from folnerlab.tiling import Iso, LatticeCenters, TilingCert, compose
 
 SHAPES = [t for n in (1, 2, 3) for t in itertools.product(range(1, 5), repeat=n)]
@@ -76,7 +76,6 @@ def test_nested_kingman_run_hashes_each_cell_once(monkeypatch):
     # (point, cell) of F_max once, the nu probe (which a non-negative family
     # cannot fire at the default floor) hashes nothing, and the nu reference
     # takes its own points; the leaf targets are exact, so they hash nothing
-    monkeypatch.setenv("FOLNER_LAB_THREADS", "1")
     grp = ZPower(2)
     seq = make_folner(grp, "z_boxes")
     system = BernoulliShift(grp, (0.5, 0.5), seed=3)
@@ -116,3 +115,31 @@ def test_nested_kingman_run_hashes_each_cell_once(monkeypatch):
         assert {k: hashed.get(k, 0) for k in stages} == {
             "classify": 300 * 648, "probe": probe, "trajectory": 150 * 256,
             "reference": 150 * 256, "other": 0}
+
+
+def test_nu_estimate_splits_each_set_once():
+    # 1,000 points on the 16 x 16 box of a two-leaf mixture: one split by
+    # leaf for the whole batch, and one slab loop per leaf
+    grp = ZPower(2)
+    seq = make_folner(grp, "z_boxes")
+    system = FiniteMixture([(0.5, BernoulliShift(grp, (0.75, 0.25), seed=21)),
+                            (0.5, BernoulliShift(grp, (0.25, 0.75), seed=22))], seed=23)
+    fam = AdditiveFamily(indicator_symbol(1))
+    report = classify(fam, grp, system)
+    splits, loops = [], []
+
+    def split(system, points, _orig=families.split_leaves):
+        splits.append(len(points))
+        return _orig(system, points)
+
+    def slabs(n, cells, _orig=families._slabs):
+        loops.append((n, cells))
+        return _orig(n, cells)
+
+    with mock.patch.object(families, "split_leaves", split), \
+            mock.patch.object(families, "_slabs", slabs):
+        est = nu_estimate(fam, seq, system, 16, 1000, seed=5, report=report)
+    assert est.n_samples == 1000
+    assert splits == [1000]
+    assert len(loops) == 2 and sum(n for n, _ in loops) == 1000
+    assert all(cells == 256 for _, cells in loops)
