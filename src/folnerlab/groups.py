@@ -66,14 +66,20 @@ class Group:
     arithmetic (``identity``, ``mul``; ``elem_to_json`` writes an element as
     JSON; set inverses are ``inverse_set``), dense rows for the array paths
     (``dense_width``, ``dense_rows``, ``rows_to_elems``, ``add_rows``), the
-    seed-free 64-bit cell keys of sampling (``elem_key``, ``keys_for_rows``,
-    equal across the two) and ``random_elem``."""
+    seed-free 64-bit cell keys of sampling (``elem_key``; ``keys_for_rows``,
+    equal to it, one ``_hash_step`` per coordinate) and ``random_elem``."""
 
     kind: str = ""
 
     def add_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The products of dense rows of one width, broadcast as numpy does."""
         return a + b
+
+    def keys_for_rows(self, rows: np.ndarray) -> np.ndarray:
+        h = np.full(rows.shape[0], GOLDEN64, dtype=np.uint64)
+        for j in range(rows.shape[1]):
+            h = self._hash_step(h, j, rows[:, j])
+        return h
 
     def translate_rows(self, rows: np.ndarray, offset_rows: np.ndarray) -> np.ndarray:
         """(K, n, w): the n ``rows`` translated by each of the K ``offset_rows``
@@ -123,11 +129,8 @@ class ZPower(Group):
             h = mix64(h ^ (c & MASK64))
         return h
 
-    def keys_for_rows(self, rows: np.ndarray) -> np.ndarray:
-        h = np.full(rows.shape[0], GOLDEN64, dtype=np.uint64)
-        for j in range(rows.shape[1]):
-            h = mix64_np(h ^ rows[:, j].astype(np.uint64))
-        return h
+    def _hash_step(self, h: np.ndarray, j: int, col: np.ndarray) -> np.ndarray:
+        return mix64_np(h ^ col.astype(np.uint64))
 
     def generators(self) -> list:
         return [tuple(int(i == j) for j in range(self.d)) for i in range(self.d)]
@@ -195,14 +198,9 @@ class _SparseSumBase(Group):
             h = mix64(h ^ (v & MASK64))
         return h
 
-    def keys_for_rows(self, rows: np.ndarray) -> np.ndarray:
-        h = np.full(rows.shape[0], GOLDEN64, dtype=np.uint64)
-        for j in range(rows.shape[1]):
-            col = rows[:, j]
-            t = mix64_np(h ^ np.uint64(j + 1))
-            t = mix64_np(t ^ col.astype(np.uint64))
-            h = np.where(col != 0, t, h)
-        return h
+    def _hash_step(self, h: np.ndarray, j: int, col: np.ndarray) -> np.ndarray:
+        t = mix64_np(mix64_np(h ^ np.uint64(j + 1)) ^ col.astype(np.uint64))
+        return np.where(col != 0, t, h)  # a zero value is no (index, value) pair
 
 
 @dataclass(frozen=True)
@@ -274,6 +272,15 @@ def _decode(lo: tuple, ext: tuple, keys: np.ndarray) -> np.ndarray:
     """Dense rows of keys of the box (lo, ext), in key order."""
     strides, extent = _radix(ext)
     return keys[:, None] // strides % extent + np.asarray(lo, dtype=np.int64)
+
+
+def _box_keys(grp: Group, lo: tuple, ext: tuple) -> np.ndarray:
+    """``grp.keys_for_rows`` of every cell of the box (lo, ext), in key order:
+    coordinate j is one hash step over (prefix hashes) x (its values)."""
+    h = np.full(1, GOLDEN64, dtype=np.uint64)
+    for j, (a, e) in enumerate(zip(lo, ext)):
+        h = grp._hash_step(h[:, None], j, np.arange(a, a + e, dtype=np.int64)).ravel()
+    return h
 
 
 def _unique(keys: np.ndarray, counts: bool = False):
@@ -553,17 +560,14 @@ def _sum_box(grp: Group, kbox: tuple, fbox: tuple) -> tuple:
 def _key_sums(grp: Group, a: np.ndarray, b: np.ndarray, lo: tuple, ext: tuple) -> np.ndarray:
     """(len(a), len(b)): the keys of the products of the dense rows ``a`` and
     ``b`` (reduced on CyclicSum) in a ``_sum_box`` (lo, ext) of their boxes.
-    On CyclicSum the coordinates that ``b`` holds constant wrap once per row
-    of ``a``, and the others subtract the period where the digits reach it."""
+    On CyclicSum (where lo is 0) each coordinate on which ``b`` is not all
+    zero subtracts the period where the digits reach it."""
     strides = _radix(ext)[0]
-    if not isinstance(grp, CyclicSum):
-        return ((a - np.asarray(lo)) @ strides)[:, None] + (b @ strides)[None, :]
-    ext, var = np.asarray(ext), ~(b == b[:1]).all(axis=0)
-    rows = ((a[:, ~var] + b[0, ~var]) % ext[~var]) @ strides[~var] + a[:, var] @ strides[var]
-    sums = rows[:, None] + (b[:, var] @ strides[var])[None, :]
-    for j in np.flatnonzero(var):
-        np.subtract(sums, ext[j] * strides[j], out=sums,
-                    where=a[:, j, None] >= ext[j] - b[None, :, j])
+    sums = ((a - np.asarray(lo)) @ strides)[:, None] + (b @ strides)[None, :]
+    if isinstance(grp, CyclicSum):
+        for j in np.flatnonzero(b.any(axis=0)):
+            np.subtract(sums, ext[j] * strides[j], out=sums,
+                        where=a[:, j, None] >= ext[j] - b[None, :, j])
     return sums
 
 

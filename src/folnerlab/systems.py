@@ -17,14 +17,15 @@ at once.  The action, ``Points.moved``, only adds group rows to offsets.
 Observables are evaluated only on "windows": over every translate of a
 finite set, for a batch of sample points.  Every leaf batch takes them:
 points translated by different offsets (as in the greedy covering and the
-classifier's invariance check) batch with the rest: their cells are box
-keys, one sum per (offset, g) pair, and each distinct cell is hashed once.
+classifier's invariance check) batch with the rest: their cells are keys
+of one box, one sum per (offset, g) pair, and each is hashed at most once.
 A symbol is read from the hashed 64-bit word by integer cut points that
 reproduce the float rule ``bisect_right(cum, uniform)`` exactly; the tests
 hold that rule, cell by cell, in a scalar oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
@@ -35,7 +36,7 @@ from ._bits import (GOLDEN64, TWO_NEG_64, mix64, mix64_np, pcg64_outputs,
                     premix_np, uniform_from_key, words_from_premixed)
 from ._config import (_INT, _NONNEG_INT, _NUM, _NUMS, _OBJ, _OBJS, _get,
                       _kind)
-from .groups import (FinSet, Group, ZPower, _box, _decode, _encode, _key_sums, _pad,
+from .groups import (FinSet, Group, ZPower, _box, _box_keys, _decode, _key_sums, _pad,
                      _sum_box, _unique, _widen)
 
 
@@ -189,19 +190,24 @@ class BernoulliShift(System):
         matrix of 64-bit fixed-point words: word w is the uniform w * 2**-64.
 
         A batch whose offsets are all the identity reads F's own cell keys,
-        hashed once per set.  Otherwise each distinct cell of the box keys
-        ``_key_sums`` forms is hashed once: translates share their cells."""
+        hashed once per set.  Otherwise the cells are keys of one ``_sum_box``,
+        hashed whole (``_box_keys``) when it has no more cells than the batch
+        has (point, cell) pairs, else each distinct cell once."""
         cfgs = premix_np(batch.cfgs)
         if not batch.offsets.any() or F.is_empty:
             return words_from_premixed(F.cell_keys(), cfgs)
         grp, width = self.group, max(F.width, batch.offsets.shape[1])
         offsets = _widen(batch.offsets, width)
-        lo, ext = _sum_box(grp, _encode(grp, offsets)[:2],
-                           (_pad(F.lo, width, 0), _pad(F.ext, width, 1)))
+        klo = offsets.min(axis=0)
+        kbox = tuple(klo.tolist()), tuple((offsets.max(axis=0) - klo + 1).tolist())
+        lo, ext = _sum_box(grp, kbox, (_pad(F.lo, width, 0), _pad(F.ext, width, 1)))
         keys = _key_sums(grp, offsets, F.rows(width), lo, ext)
-        cells = _unique(keys)
-        hashed = premix_np(grp.keys_for_rows(_decode(lo, ext, cells)))
-        keys = hashed[np.searchsorted(cells, keys)]  # rebound: one (P, |F|) array less
+        if math.prod(ext) <= keys.size:  # keys rebound on both paths: one (P, |F|) array less
+            keys = premix_np(_box_keys(grp, lo, ext))[keys]
+        else:
+            cells = _unique(keys)
+            keys = premix_np(grp.keys_for_rows(_decode(lo, ext, cells)))[
+                np.searchsorted(cells, keys)]
         return words_from_premixed(keys, cfgs)
 
     def symbols(self, words: np.ndarray) -> np.ndarray:

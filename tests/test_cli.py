@@ -7,10 +7,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from folnerlab import cli, families
+from folnerlab import cli, families, systems
 from folnerlab._bits import HASH_VERSION
 from folnerlab.cli import _COMMANDS, _THEOREM_TABLE, VERSION, main
 from folnerlab.families import family_from_json
@@ -351,6 +352,30 @@ def test_results_independent_of_slab_size(tmp_path, monkeypatch):
         code, _, csv = _run("decompose", cfg, tmp_path, tag=str(cells))
         assert code == 0
         outputs.append((csv, (tmp_path / f"out{cells}.json").read_text()))
+    assert outputs[0] == outputs[1]
+
+
+def test_maximal_results_independent_of_the_window_branch(tmp_path, monkeypatch):
+    # greedy_cover on the sum of Z/2s reads 64 core translates of F_1..F_3 in a
+    # 64-cell box: the default slabs gather from a table over the box, and
+    # slabs of 32 cells form fewer pairs than the box has cells, so some take
+    # the distinct-cell path; both write the same bytes
+    cfg = _write(tmp_path, "cfg.json", {
+        "group": {"kind": "cyclic_sum", "periods": [2]},
+        "sequence": {"kind": "cyclic_prefix"}, "system": _bernoulli_system(),
+        "family": {"kind": "additive",
+                   "observable": {"kind": "indicator_symbol", "symbol": 1}},
+        "alpha": 0.6, "N": 3, "samples": 200, "greedy_instances": 1, "seed": 3,
+    })
+    outputs, sparse = [], []
+    for cells in (families._SLAB_CELLS, 32):
+        monkeypatch.setattr(families, "_SLAB_CELLS", cells)
+        with mock.patch.object(systems, "_unique", wraps=systems._unique) as distinct:
+            code, _, csv = _run("maximal", cfg, tmp_path, tag=str(cells))
+        assert code == 0
+        outputs.append((csv, (tmp_path / f"out{cells}.json").read_text()))
+        sparse.append(distinct.call_count)
+    assert sparse[0] == 0 and sparse[1] > 0
     assert outputs[0] == outputs[1]
 
 

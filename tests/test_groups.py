@@ -285,6 +285,54 @@ def test_box_algebra_matches_tuple_reference(grp, data):
         _tight(fs)
 
 
+BOX_KEY_GROUPS = [ZPower(1), ZPower(2), ZPower(3), CyclicSum((2,)), CyclicSum((3, 2)), ZS]
+
+
+@st.composite
+def key_boxes(draw, grp):
+    """(lo, ext) of a box: any corner on ZPower and ZSum (a ZSum box may cross
+    0 on a coordinate), a corner inside the periods on CyclicSum."""
+    width = grp.d if isinstance(grp, ZPower) else draw(st.integers(1, 4))
+    lo, ext = [], []
+    for j in range(width):
+        if isinstance(grp, CyclicSum):
+            lo.append(draw(st.integers(0, grp.period(j) - 1)))
+            ext.append(draw(st.integers(1, grp.period(j) - lo[-1])))
+        else:
+            lo.append(draw(st.integers(-4, 3)))
+            ext.append(draw(st.integers(1, 4)))
+    return tuple(lo), tuple(ext)
+
+
+def _check_box_keys(grp, lo, ext):
+    # the chain, one broadcast step per coordinate, hashes every cell as
+    # keys_for_rows does row by row, and both as the scalar elem_key
+    rows = groups._decode(lo, ext, np.arange(math.prod(ext)))
+    keys = groups._box_keys(grp, lo, ext)
+    assert keys.dtype == np.uint64 and np.array_equal(keys, grp.keys_for_rows(rows))
+    assert keys.tolist() == [grp.elem_key(e) for e in grp.rows_to_elems(rows)]
+
+
+@pytest.mark.parametrize("grp", BOX_KEY_GROUPS, ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_box_keys_hash_every_cell_as_keys_for_rows(grp, data):
+    _check_box_keys(grp, *data.draw(key_boxes(grp)))
+
+
+@pytest.mark.parametrize("grp, lo, ext", [
+    (ZPower(1), (-3,), (5,)),             # a negative corner
+    (ZPower(3), (-2, 4, -1), (2, 1, 3)),  # an extent-1 coordinate inside
+    (ZPower(2), (0, -5), (1, 1)),         # one cell
+    (CyclicSum((2,)), (0, 1, 0), (2, 1, 2)),
+    (CyclicSum((3, 2)), (1, 0, 0, 1), (2, 2, 1, 1)),
+    (ZS, (-2, 0, -1), (4, 1, 3)),         # crosses 0: zero values are no pair
+    (ZS, (0, 0, 3), (1, 1, 2)),           # zero on every coordinate but one
+], ids=lambda v: str(v))
+def test_box_keys_at_the_edges(grp, lo, ext):
+    _check_box_keys(grp, lo, ext)
+
+
 def _cells(ranges):
     return np.asarray(list(itertools.product(*ranges)), dtype=np.int64)
 

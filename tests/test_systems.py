@@ -1,11 +1,12 @@
 """Measure-preserving actions, observables, and exact conditional means."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from folnerlab import families
+from folnerlab import families, systems
 from folnerlab.groups import CyclicSum, FinSet, ZPower, ZSum
 from folnerlab.systems import (
     BernoulliShift,
@@ -228,6 +229,16 @@ def _translated_case(case):
         F, moves = window_set(grp, 3), window_set(grp, 7).rows()
         return system, F, system.sample([rng])[np.zeros(len(moves), dtype=np.int64)].moved(
             grp, moves)
+    if case in ("dense-edge", "sparse-edge"):
+        # 4 points x 2 cells of F: the offsets' box is 3 x 2 (a sum box of 4 x 2
+        # cells, as many as the pairs) or 2 x 3 (3 x 3 cells, one more); both
+        # cross 0, where the sum kinds hash no (index, value) pair
+        grp = ZSum()
+        system = BernoulliShift(grp, (0.4, 0.6), seed=34)
+        moves = {"dense-edge": [(-1, -1), (1, 0), (0, 0), (0, -1)],
+                 "sparse-edge": [(-1, -1), (0, 1), (0, 0), (-1, 0)]}[case]
+        return system, FinSet(grp, [(), ((0, 1),)]), system.sample([rng] * 4).moved(
+            grp, np.asarray(moves, dtype=np.int64))
     grp, F = {
         # sums wrap at period 3 on index 0 and at 2 past it
         "cyclic-wraps": (CyclicSum((3, 2)),
@@ -244,11 +255,21 @@ def _translated_case(case):
         grp, grp.dense_rows(moves))
 
 
-@pytest.mark.parametrize("case", ["whole-set", "cyclic-wraps", "zsum-wide", "gappy"])
+# the branch each case's batches take: a table over the whole sum box when it
+# has no more cells than the (point, cell) pairs, else the distinct cells
+_TRANSLATED_BRANCH = {"whole-set": "dense", "cyclic-wraps": "dense", "zsum-wide": "sparse",
+                      "gappy": "dense", "dense-edge": "dense", "sparse-edge": "sparse"}
+
+
+@pytest.mark.parametrize("case", list(_TRANSLATED_BRANCH))
 def test_translated_windows_match_scalar_oracle(case):
     system, F, pts = _translated_case(case)
     obs = symbol_value()
-    mat = obs.window_values(system, pts, F)
+    with mock.patch.object(systems, "_box_keys", wraps=systems._box_keys) as table, \
+            mock.patch.object(systems, "_unique", wraps=systems._unique) as distinct:
+        mat = obs.window_values(system, pts, F)
+    dense = _TRANSLATED_BRANCH[case] == "dense"
+    assert (table.call_count, distinct.call_count) == ((1, 0) if dense else (0, 1))
     assert mat.shape == (len(pts), len(F))
     for r in range(len(pts)):
         for c, g in enumerate(F.elems):

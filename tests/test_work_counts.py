@@ -1,13 +1,14 @@
 """Work counts pinned as exact budgets: the closed-form box rules form no
 Minkowski pair and compare no key, a nested trajectory hashes each
-(point, cell) once, and a batch of points is split by leaf once per set."""
+(point, cell) once, a batch of points is split by leaf once per set, and
+translated windows read one hashed box."""
 import itertools
 from unittest import mock
 
 import numpy as np
 
 from folnerlab import ergodic, families, groups, systems, tiling
-from folnerlab.ergodic import kingman_run, nu_estimate
+from folnerlab.ergodic import greedy_cover, kingman_run, nu_estimate
 from folnerlab.families import AdditiveFamily, classify
 from folnerlab.folner import make_folner
 from folnerlab.groups import CyclicSum, ZPower, ZSum, product_set, union, zsum_box
@@ -143,3 +144,45 @@ def test_nu_estimate_splits_each_set_once():
     assert splits == [1000]
     assert len(loops) == 2 and sum(n for n, _ in loops) == 1000
     assert all(cells == 256 for _, cells in loops)
+
+
+def test_greedy_cover_reads_one_hashed_box_per_window():
+    # the 64 core translates of F_1, F_2, F_3 on the sum of Z/2s: each window
+    # is one batch whose sum box has 64 cells, fewer than its 128 to 512
+    # (point, cell) pairs, so it hashes that box once and gathers from it,
+    # with no sort of distinct cells and no searchsorted; the value at F_6 of
+    # the untranslated point reads F_6's own keys
+    grp = CyclicSum((2,))
+    seq = make_folner(grp, "cyclic_prefix")
+    system = BernoulliShift(grp, (0.7, 0.3), seed=5)
+    fam = AdditiveFamily(indicator_symbol(1))
+    y = system.substream_points(3, np.arange(1))
+    inside, box_cells, words, sparse = [False], [], [], []
+
+    def window(self, batch, F, _orig=BernoulliShift.window_uniforms):
+        inside[0] = True
+        try:
+            return _orig(self, batch, F)
+        finally:
+            inside[0] = False
+
+    def count(fn, out, name=None):
+        def run(*args, **kw):
+            res = fn(*args, **kw)
+            if inside[0]:
+                out.append(res.size if name is None else name)
+            return res
+        return run
+
+    with mock.patch.object(BernoulliShift, "window_uniforms", window), \
+            mock.patch.object(systems, "_box_keys",
+                              count(systems._box_keys, box_cells)), \
+            mock.patch.object(systems, "words_from_premixed",
+                              count(systems.words_from_premixed, words)), \
+            mock.patch.object(systems, "_unique", count(systems._unique, sparse, "sort")), \
+            mock.patch.object(np, "searchsorted", count(np.searchsorted, sparse, "search")):
+        rep = greedy_cover(fam, system, y, seq, 6, 0.6, 3)
+    assert rep.covered
+    assert sparse == []
+    assert box_cells == [64] * 3
+    assert words == [64 * 2, 64 * 4, 64 * 8, 64]
