@@ -19,23 +19,21 @@ from .families import (AdditiveFamily, AdditivePlus, ClassifyReport,
                        ConcaveCardinality, DerivedPrime, DerivedPrimeM,
                        Family, GAMMAS, MaxFamily, MaxOfAdditives,
                        MinusCardSquared, PROPERTIES, Truncated, classify,
-                       box_core_decomposition, family_from_json,
-                       indicator_decomposition_check)
+                       family_from_json)
 from .folner import (FolnerSeq, defect_profile, folner_defect,
                      invariance_check, make_folner, ratios_look_divergent,
                      tempelman_report, tempered_report)
 from .groups import (BudgetError, CyclicSum, EnumBudget, FinSet, Group,
-                     GroupMismatchError, ZPower, ZSum, diff, enumerate_finsets,
-                     erode, intersect, inverse_set, is_subset, multiplicity,
-                     product_set, symdiff, translate_left, translate_right,
-                     union)
+                     GroupMismatchError, ZPower, ZSum, enumerate_finsets, erode,
+                     intersect, inverse_set, is_subset, multiplicity,
+                     product_set, symdiff, translate_right, union)
 from .systems import (BernoulliShift, FiniteMixture, Observable, System,
                       TorusRotation, UnsupportedObservable,
                       conditional_expectation, indicator_symbol, neg_pow_run,
                       observable_from_json, scaled, symbol_value,
                       torus_coordinate)
 from .tiling import (TilingCert, TilingOverlapError, compose,
-                     composed_seq_check, condition_b_witness, enumerate_tiles,
-                     standard_cert, tiles_window_report, window_set)
+                     condition_b_witness, enumerate_tiles, standard_cert,
+                     tiles_window_report, window_set)
 
 __version__ = VERSION

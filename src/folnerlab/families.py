@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._config import _INT, _NUM, _OBJ, _POS_INT, _TWO_OBJS, _get, _kind, _one_of
-from .groups import FinSet, Group, _widen, erode, multiplicity, translate_right
+from .groups import FinSet, Group, _widen, translate_right
 from .systems import Observable, Points, System, observable_from_json, split_leaves
 from .tiling import TilingCert, compose, window_set
 
@@ -282,9 +281,7 @@ class DerivedPrimeM(Family):
     subgroup, so `act` routes translations through the isomorphism.
     """
 
-    def __init__(self, base: Family, cert: Optional[TilingCert]):
-        if cert is None or cert.iso is None:
-            raise ValueError("derived_prime_m needs a self-similar tiling certificate")
+    def __init__(self, base: Family, cert: TilingCert):
         self.prime = DerivedPrime(base)
         self.cert = cert
         self.name = f"derived_prime_m({base.name},|T|={len(cert.tile)})"
@@ -353,8 +350,8 @@ GAMMAS = {
 }
 
 
-def family_from_json(d: dict, cert: Optional[TilingCert] = None) -> Family:
-    return _kind(d, _FAMILY_KINDS)(d, cert)
+def family_from_json(d: dict) -> Family:
+    return _kind(d, _FAMILY_KINDS)(d)
 
 
 def _gamma_from_json(d: dict, default) -> dict:
@@ -366,25 +363,23 @@ def _obs_from_json(d: dict) -> Observable:
     return observable_from_json(_get(d, "observable", ..., *_OBJ))
 
 
-def _base_from_json(d: dict, cert: Optional[TilingCert]) -> Family:
-    return family_from_json(_get(d, "base", ..., *_OBJ), cert)
+def _base_from_json(d: dict) -> Family:
+    return family_from_json(_get(d, "base", ..., *_OBJ))
 
 
 _FAMILY_KINDS = {
-    "additive": lambda d, cert: AdditiveFamily(_obs_from_json(d)),
-    "max": lambda d, cert: MaxFamily(_obs_from_json(d)),
-    "concave_cardinality": lambda d, cert: ConcaveCardinality(
+    "additive": lambda d: AdditiveFamily(_obs_from_json(d)),
+    "max": lambda d: MaxFamily(_obs_from_json(d)),
+    "concave_cardinality": lambda d: ConcaveCardinality(
         **_gamma_from_json(d, ...)),
-    "additive_plus": lambda d, cert: AdditivePlus(
+    "additive_plus": lambda d: AdditivePlus(
         _obs_from_json(d), beta=_get(d, "beta", 1.0, *_NUM),
         **_gamma_from_json(d, "sqrt")),
-    "max_of_additives": lambda d, cert: MaxOfAdditives(
+    "max_of_additives": lambda d: MaxOfAdditives(
         *map(observable_from_json, _get(d, "observables", ..., *_TWO_OBJS))),
-    "truncated": lambda d, cert: Truncated(_base_from_json(d, cert),
-                                           _get(d, "N", ..., *_INT)),
-    "derived_prime": lambda d, cert: DerivedPrime(_base_from_json(d, cert)),
-    "derived_prime_m": lambda d, cert: DerivedPrimeM(_base_from_json(d, None), cert),
-    "minus_card_squared": lambda d, cert: MinusCardSquared(_base_from_json(d, cert)),
+    "truncated": lambda d: Truncated(_base_from_json(d), _get(d, "N", ..., *_INT)),
+    "derived_prime": lambda d: DerivedPrime(_base_from_json(d)),
+    "minus_card_squared": lambda d: MinusCardSquared(_base_from_json(d)),
 }
 
 
@@ -518,7 +513,7 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
     }
     if {"invariant", "bi_invariant"} & set(properties):
         acted = split_leaves(system, fam.act(system, ys, group.dense_rows(gs)))
-        # g.E: as in translate_left, the translate by g read on either side
+        # g.E: as in translate_right, the translate by g read on either side
         vEg, vE_gy, vgE = (_batch_values(fam, p, W, m)
                            for p, m in ((parts, Eg), (acted, E), (parts, Eg)))
         inv_ok = np.abs(vEg - vE_gy) <= tol
@@ -532,57 +527,3 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
         checks["supadditive"] = [(vU, split, vU >= split - tol, made)]
 
     return _report(fam.name, checks, properties, W, E, F, gs, seed, fam.declared)
-
-
-# ---------------------------------------------------------------------------
-# Indicator decompositions
-
-
-def box_core_decomposition(F: FinSet, T: FinSet):
-    """Exact decomposition 1_F = (1/|T|) * sum over core g of 1_{Tg} plus a
-    layer-cake residual, returned as [(coefficient, set)] with Fraction
-    coefficients."""
-    core = erode(F, T)
-    terms = [(Fraction(1, len(T)), translate_right(T, g)) for g in core.elems]
-    residual = [1 - Fraction(m, len(T)) for m in multiplicity(T, core, F).tolist()]
-    if any(w < 0 for w in residual):
-        raise ValueError("core translates overflow the target set")
-    levels = sorted({w for w in residual if w > 0}, reverse=True)
-    # peel superlevel sets from the top so coefficients stay positive
-    for j, w in enumerate(levels):
-        layer = F.take([wx >= w for wx in residual])
-        coeff = w - (levels[j + 1] if j + 1 < len(levels) else Fraction(0))
-        terms.append((coeff, layer))
-    return terms
-
-
-def indicator_identity_holds(E: FinSet, terms) -> bool:
-    """Exact check that the weighted indicator sum reproduces 1_E."""
-    support: dict = {}
-    for a, Ei in terms:
-        for x in Ei.elems:
-            support[x] = support.get(x, 0) + Fraction(a)
-    want = dict.fromkeys(E.elems, 1)
-    return (want.keys() <= support.keys()
-            and all(w == want.get(x, 0) for x, w in support.items()))
-
-
-_DECOMPOSITION_SAMPLES = 50
-_DECOMPOSITION_SEED = 11
-
-
-def indicator_decomposition_check(fam: Family, system: System, E: FinSet,
-                                  terms) -> dict:
-    """Validate 1_E = sum a_i 1_{E_i} exactly, then test the induced value
-    inequality d_E(y) <= sum a_i d_{E_i}(y) on sampled points."""
-    if not indicator_identity_holds(E, terms):
-        raise ValueError("indicator identity does not hold; decomposition bug")
-    rng = np.random.default_rng(_DECOMPOSITION_SEED)
-    pts = system.sample([rng] * _DECOMPOSITION_SAMPLES)  # one shared generator
-    rhs = np.zeros(len(pts))
-    for a, Ei in terms:  # summed term by term, in order
-        rhs = rhs + float(a) * fam.sample_values(system, Ei, pts)
-    gaps = fam.sample_values(system, E, pts) - rhs
-    tol = 0.0 if fam.exact_values else 1e-9
-    return {"ok": bool((gaps <= tol).all()), "max_violation": float(gaps.max()),
-            "samples": _DECOMPOSITION_SAMPLES}

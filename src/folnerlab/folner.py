@@ -199,9 +199,9 @@ def ratios_look_divergent(ratios) -> bool:
     return growing and rs[-1] > 2 * rs[0]
 
 
-def defect_profile(seq: FolnerSeq, indices, gens=None) -> list:
+def defect_profile(seq: FolnerSeq, indices) -> list:
     """Per-generator defects |F triangle gF|/|F| along the sequence."""
-    gens = list(gens) if gens is not None else seq.group.generators()
+    gens = seq.group.generators()
     out = []
     for n in indices:
         F = seq.generate(n)

@@ -477,16 +477,12 @@ def _require_same_group(*sets: FinSet):
     return g0
 
 
-def translate_left(g, F: FinSet) -> FinSet:
-    """g*F, which is also F*g: every group here is abelian."""
+def translate_right(F: FinSet, g) -> FinSet:
+    """F*g, which is also g*F: every group here is abelian."""
     grp = F.group
     w = max(F.width, grp.dense_width([g]))
     return FinSet.from_rows(grp, grp.translate_rows(F._key_rows(w),
                                                     grp.dense_rows([g], w))[0])
-
-
-def translate_right(F: FinSet, g) -> FinSet:
-    return translate_left(g, F)
 
 
 def inverse_set(F: FinSet) -> FinSet:
@@ -517,10 +513,6 @@ def union(E: FinSet, F: FinSet) -> FinSet:
 
 def intersect(E: FinSet, F: FinSet) -> FinSet:
     return _combine(lambda a, b: a[_member(a, b)], E, F)
-
-
-def diff(E: FinSet, F: FinSet) -> FinSet:
-    return _combine(lambda a, b: a[~_member(a, b)], E, F)
 
 
 def symdiff(E: FinSet, F: FinSet) -> FinSet:

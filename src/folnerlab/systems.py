@@ -541,10 +541,12 @@ class CondExp:
         return sum(w * m for w, _, m, _ in self.components)
 
 
-def conditional_expectation(system: System, obs: Observable,
-                            samples: int = 4000, seed: int = 7) -> CondExp:
+_CE_SAMPLES = 4000
+
+
+def conditional_expectation(system: System, obs: Observable, seed: int = 7) -> CondExp:
     """Per-component expectation of an observable; exact when the observable
-    declares a closed form, Monte Carlo otherwise."""
+    declares a closed form, Monte Carlo on ``_CE_SAMPLES`` points otherwise."""
     comps = []
     leaf_means = {}
     for k, (w, leaf) in enumerate(system.components()):
@@ -552,11 +554,11 @@ def conditional_expectation(system: System, obs: Observable,
         se = 0.0
         if m is None:
             rng = np.random.default_rng([seed, k])
-            batch = leaf.sample([rng] * samples)
+            batch = leaf.sample([rng] * _CE_SAMPLES)
             origin = FinSet(leaf.group, [leaf.group.identity()])
             vals = obs.window_values(leaf, batch, origin)[:, 0]
             m = float(vals.mean())
-            se = float(vals.std(ddof=1) / np.sqrt(samples))
+            se = float(vals.std(ddof=1) / np.sqrt(_CE_SAMPLES))
         comps.append((w, id(leaf), float(m), se))
         leaf_means[id(leaf)] = float(m)
     return CondExp(tuple(comps), leaf_means)

@@ -12,14 +12,13 @@ each window cell must be hit exactly once.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .folner import _CARD_CAP, FolnerSeq, folner_defect
+from .folner import _CARD_CAP, FolnerSeq
 from .groups import (
     BudgetError,
     CyclicSum,
@@ -204,12 +203,10 @@ def condition_b_witness(seq: FolnerSeq, m: int, p: int,
     up to some n.  A composed set has exactly |F_m| * |F_n| cells, so n1 is
     at least n0, the least n <= p with |F_m| * |F_n| >= |F_p|, which a
     bisection over the sizes of F_1, ..., F_p finds without composing.  n1 is
-    then found by galloping n = n0, n0 + 2, n0 + 6, n0 + 14, ... and
-    bisecting, and n2 by bisecting below it: each n is composed at most
-    once, none past 2 * n1 - n0, which is n1 itself where n1 = n0 (as on
-    ``z_boxes`` and ``cyclic_prefix``).  Budgets are monotone on nested
-    sets, so a probe over budget counts as "from n1 on"; it is raised when
-    it is n1, and then a scan over n = 1, 2, ... would raise too.
+    the first n from n0 up, and n2 the first from n1 down, so on boxes and
+    prefixes, where n1 = n0, each is one or two compositions.  Budgets are
+    monotone on nested sets, so a probe over budget counts as "from n1 on";
+    it is raised when it is n1.
 
     The reported gap is (|F_n1| - |F_n2|) * |F_m| / |F_p|, the normalized
     quantity that must vanish for pointwise convergence transfer.
@@ -236,25 +233,11 @@ def condition_b_witness(seq: FolnerSeq, m: int, p: int,
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if len(cert.tile) * len(seq.generate(mid)) >= len(Fp) else (mid, hi)
-    # n1: the first n with probe(n)[1] (limit + 1 for none), galloping from
-    # n0 to a bracket (lo, hi] and bisecting it
-    lo = hi - 1
-    while hi <= limit and not probe(hi)[1]:
-        lo, hi = hi, (min(3 * hi - 2 * lo, limit) if hi < limit else limit + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if probe(mid)[1] else (mid, hi)
-    n1 = hi if hi <= limit else None
+    # n1: the first n >= n0 with probe(n)[1]; n2: the last n <= n1 with probe(n)[0]
+    n1 = next((n for n in range(hi, limit + 1) if probe(n)[1]), None)
     if n1 is not None and isinstance(probed[n1][1], BudgetError):
         raise probed[n1][1]
-    # n2: the last n <= top with probe(n)[0], bisecting on [lo, hi]
-    top = n1 if n1 is not None else limit
-    lo = max([n for n, (sub, _) in probed.items() if sub and n <= top], default=0)
-    hi = min([n - 1 for n, (sub, _) in probed.items() if not sub] + [top])
-    while hi > lo:
-        mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if probe(mid)[0] else (lo, mid - 1)
-    n2 = lo or None
+    n2 = next((n for n in range(n1 or limit, 0, -1) if probe(n)[0]), None)
     if n1 is None or n2 is None:
         return WitnessB(m, p, n1, n2, None, False)
     sizes = (len(seq.generate(n1)), len(seq.generate(n2)))
@@ -267,8 +250,7 @@ def condition_b_witness(seq: FolnerSeq, m: int, p: int,
 
 
 def enumerate_tiles(group: Group, max_card: int,
-                    max_index: Optional[int] = None,
-                    include_arithmetic: bool = True) -> list:
+                    max_index: Optional[int] = None) -> list:
     """Deterministic list of certified tiles, smallest first: the boxes at
     the origin, then on Z the arithmetic progressions."""
     if isinstance(group, ZPower):
@@ -283,7 +265,7 @@ def enumerate_tiles(group: Group, max_card: int,
         shapes = [shape for shape in _box_shapes(range(1, top + 1), max_card, max_card)
                   if len(shape) == 1 or shape[-1] > 1]
     tiles = [_box_cert(_box_at(group, (0,) * len(shape), shape)) for shape in shapes]
-    if isinstance(group, ZPower) and group.d == 1 and include_arithmetic:
+    if isinstance(group, ZPower) and group.d == 1:
         for step in range(2, 5):
             for m in range(2, max_card // step + 1):
                 elems = tuple((i * step,) for i in range(m))
@@ -291,68 +273,3 @@ def enumerate_tiles(group: Group, max_card: int,
                 centers = LatticeCenters(group, (m * step,), offsets)
                 tiles.append(TilingCert(FinSet(group, elems), centers))
     return tiles
-
-
-# ---------------------------------------------------------------------------
-# Composed tiling Folner sequences inside a center subgroup
-
-
-@dataclass(frozen=True)
-class ComposedSeqReport:
-    tile_in_subgroup: bool
-    partition_ok: bool
-    defects: tuple
-    tilings: tuple
-
-    @property
-    def ok(self) -> bool:
-        return (self.tile_in_subgroup and self.partition_ok
-                and all(self.tilings)
-                and all(b <= a for a, b in zip(self.defects, self.defects[1:])))
-
-
-def composed_seq_check(cert1: TilingCert, cert2: TilingCert, T: FinSet,
-                       seq: FolnerSeq, indices: Sequence[int],
-                       radius: int = 24) -> ComposedSeqReport:
-    """Check that T (tiling the center subgroup of cert1 with centers from
-    cert2) composed with the images of a Folner sequence yields a Folner
-    sequence of that subgroup, tiling it along the way.
-
-    Implemented for ZPower lattice certificates and for the degenerate
-    prefix cases on CyclicSum.
-    """
-    grp = T.group
-    tile_in = bool(cert1.centers.contains_rows(T.rows()).all())
-
-    window = window_set(grp, radius)
-    sub_window = window.take(cert1.centers.contains_rows(window.rows()))
-    part_cert = TilingCert(T, cert2.centers)
-    partition_ok, _, _ = tiles_window_report(part_cert, sub_window)
-
-    gens = grp.generators()
-    if isinstance(grp, ZPower):
-        gens = [Iso(grp, cert1.centers.moduli).apply(g) for g in gens]
-
-    defects = []
-    tilings = []
-    for n in indices:
-        Fn = seq.generate(n)
-        composed = product_set(T, cert2.iso.image_set(Fn))
-        defects.append(sum((folner_defect(FinSet(grp, [g]), composed) for g in gens),
-                           start=Fraction(0)))
-        centers = _image_centers(cert2, standard_cert(seq, n))
-        tilings.append(centers is not None and tiles_window_report(
-            TilingCert(composed, centers), sub_window)[0])
-    return ComposedSeqReport(tile_in, partition_ok, tuple(defects), tuple(tilings))
-
-
-def _image_centers(outer: TilingCert, inner: Optional[TilingCert]):
-    """Centers of a composed tile: the image of the inner centers under the
-    outer iso, the lattice of the first ``shift`` periods and the inner
-    moduli scaled."""
-    if inner is None:
-        return None
-    iso, c = outer.iso, inner.centers
-    pairs = itertools.zip_longest(c.moduli, iso.scale, fillvalue=1)
-    return LatticeCenters(c.group, tuple(c.group.period(j) for j in range(iso.shift))
-                          + tuple(m * s for m, s in pairs))

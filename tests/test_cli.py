@@ -14,10 +14,6 @@ import pytest
 from folnerlab import cli, families, systems
 from folnerlab._bits import HASH_VERSION
 from folnerlab.cli import _COMMANDS, _THEOREM_TABLE, VERSION, main
-from folnerlab.families import family_from_json
-from folnerlab.folner import make_folner
-from folnerlab.groups import ZPower
-from folnerlab.tiling import standard_cert
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -613,6 +609,11 @@ def _converge_cfg(**over):
     ("verify-folner", _folner_cfg(group={"kind": "z_sum"},
                                   sequence={"kind": "zsum_boxes", "anchors": "squares"}),
      "bad sequence: zsum_boxes takes no anchors"),
+    # a config cannot carry the tiling certificate that derived_prime_m needs
+    ("check-family",
+     _family_cfg(family={"kind": "derived_prime_m",
+                         "base": {"kind": "additive", "observable": {"kind": "symbol_value"}}}),
+     "bad family: kind must be one of"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
         "folner-growth-str", "folner-growth-bool", "folner-growth-one",
@@ -635,11 +636,12 @@ def _converge_cfg(**over):
         "decompose-plain-family-box-budget", "birkhoff-tempered-budget",
         "system-probs-nan", "additive-plus-beta-nan", "additive-plus-beta-inf",
         "maximal-alpha-inf", "maximal-alpha-past-float", "maximal-M-inf",
-        "maximal-nu-term-inf", "cyclic-prefix-anchors", "zsum-boxes-anchors"])
+        "maximal-nu-term-inf", "cyclic-prefix-anchors", "zsum-boxes-anchors",
+        "family-derived-prime-m"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
-    code, summary, _ = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
+    code, summary, csv = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1
-    assert summary is None
+    assert summary is None and csv is None
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert message in err
@@ -918,11 +920,6 @@ def test_readme_nested_keys_are_what_the_parsers_read(tmp_path):
         for part in ("group", "sequence", "system", "family", "observable"):
             if part in cfg:
                 _kind_reads(cfg[part], part, reads)
-    # the CLI has no tiling certificate to build this one on
-    cert = standard_cert(make_folner(ZPower(1), "z_boxes"), 3)
-    family = _load(tmp_path, {"kind": "derived_prime_m", "base": _ADDITIVE})
-    family_from_json(family, cert)
-    _kind_reads(family, "family", reads)
 
     readme = {}
     for obj, kinds, keys, _, _ in _readme_table("Nested keys"):

@@ -75,11 +75,14 @@ def test_defect_profile_rows_shrink():
     ]
 
 
-def test_defect_profile_custom_generators():
-    seq = _boxes()
-    rows = defect_profile(seq, [6, 12], gens=[(3,)])
-    assert rows[0]["defect_0"] == Fraction(1, 1)
-    assert rows[1]["defect_0"] == Fraction(1, 2)
+def test_defect_profile_has_a_column_per_generator():
+    # on Z^2 the generators are the two unit vectors, and a square of side n
+    # moves 2n of its n^2 cells along either
+    rows = defect_profile(_boxes(ZPower(2)), [6, 12])
+    assert rows == [
+        {"index": 6, "size": 36, "defect_0": Fraction(1, 3), "defect_1": Fraction(1, 3)},
+        {"index": 12, "size": 144, "defect_0": Fraction(1, 6), "defect_1": Fraction(1, 6)},
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def _case(case):
         }[name]()
         return system, sample_points(system, 60, 21)
     if kind == "shared":
-        # as indicator_decomposition_check draws: one generator, in turn
+        # as lemma_checks.indicator_decomposition_check draws: one generator, in turn
         system = _nested()
         return system, system.sample([np.random.default_rng(11)] * 50)
     return _translated({"cyclic": CyclicSum((2, 3)), "zsum": ZSum()}[name])

@@ -364,7 +364,7 @@ def test_conditional_expectation_rejects_unsupported_leaves():
 
 def test_conditional_expectation_monte_carlo_errors_are_reported():
     obs = neg_pow_run(2.0, cap=12)
-    ce = conditional_expectation(_bernoulli(), obs, samples=2000, seed=7)
+    ce = conditional_expectation(_bernoulli(), obs, seed=7)
     weight, _, mean, stderr = ce.components[0]
     assert weight == 1.0 and stderr > 0
     # E[-2^R] with run length R geometric: sum_k -2^k (0.3^k) 0.7 = -0.7/(1-0.6) * ... ;
