@@ -7,8 +7,9 @@ mix64(k ^ c) is the finalizer's tail on p(k) ^ p(c): sampling keeps its
 keys premixed and pays p once per key, not once per (key, configuration)
 cell.
 ``pcg64_outputs`` computes the raw outputs of many
-``np.random.default_rng([seed, i])`` generators at once, bit for bit; tests
-compare it with numpy's own generators.
+``np.random.default_rng([seed, i])`` generators at once, bit for bit, and
+``trial_generators`` sets one generator to their start states in turn;
+tests compare both with numpy's own generators.
 """
 from __future__ import annotations
 
@@ -103,10 +104,10 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return hi + inc_hi + (lo < inc_lo), lo
 
 
-def pcg64_outputs(seed: int, idx: np.ndarray, k: int) -> np.ndarray:
-    """The first k raw outputs of ``np.random.default_rng([seed, i])`` for each
-    i of ``idx``, as a (len(idx), k) uint64 array: SeedSequence's entropy
-    mixing and ``generate_state(4, uint64)``, PCG64's seeding, then k steps."""
+def _pcg64_states(seed: int, idx: np.ndarray) -> tuple:
+    """(hi, lo, inc_hi, inc_lo): the PCG64 state and increment, as uint64 limbs,
+    that ``np.random.default_rng([seed, i])`` starts from for each i of ``idx``:
+    SeedSequence's mixing and ``generate_state(4, uint64)``, PCG64's seeding."""
     if (seed := operator.index(seed)) < 0:
         raise ValueError("expected non-negative integer")
     idx = np.asarray(idx, dtype=np.uint64)
@@ -141,13 +142,28 @@ def pcg64_outputs(seed: int, idx: np.ndarray, k: int) -> np.ndarray:
     const = 0x8B51F9DD
     half = [hashmix(pool[j % 4], 0x58F38DED) for j in range(8)]
     s_hi, s_lo, i_hi, i_lo = (half[2 * j] | (half[2 * j + 1] << _S32) for j in range(4))
-    del entropy, pool, half  # a smaller peak while the states step
     inc_hi, inc_lo = (i_hi << _S1) | (i_lo >> _S63), (i_lo << _S1) | _S1
     lo = inc_lo + s_lo  # state 0, one step (to inc), plus the seed state
-    hi, lo = _pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo)
-    out = np.empty((len(idx), k), dtype=np.uint64)
+    return (*_pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def pcg64_outputs(seed: int, idx: np.ndarray, k: int) -> np.ndarray:
+    """The first k raw outputs of ``np.random.default_rng([seed, i])`` for each
+    i of ``idx``, as a (len(idx), k) uint64 array: k steps from its state."""
+    hi, lo, inc_hi, inc_lo = _pcg64_states(seed, idx)
+    out = np.empty((len(hi), k), dtype=np.uint64)
     for j in range(k):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         v, rot = hi ^ lo, hi >> _S58
         out[:, j] = (v >> rot) | (v << ((np.uint64(64) - rot) & _S63))
     return out
+
+
+def trial_generators(seed: int, idx):
+    """One ``np.random.Generator``, yielded for each i of ``idx`` set to draw what
+    ``np.random.default_rng([seed, i])`` would: its start, no buffered half."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for hi, lo, ih, il in zip(*(a.tolist() for a in _pcg64_states(seed, idx))):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": hi << 64 | lo, "inc": ih << 64 | il}}
+        yield rng

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._bits import trial_generators
 from .families import (AdditiveFamily, ClassifyReport, DerivedPrimeM, Family,
                        Truncated, _report, _trial_masks, classify)
 from .folner import (FolnerSeq, _inverse_unions, make_folner, tempelman_report,
@@ -190,8 +191,7 @@ def setfn_classify(f: SetFunction, group: Group, seed: int = 5) -> ClassifyRepor
     trials, max_card, span = 200, 6, 3
     ground = window_set(group, span, 3)
     picks, gs = [], []
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
+    for rng in trial_generators(seed, range(trials)):
         ks = [min(int(rng.integers(1, max_card + 1)), len(ground)) for _ in "EF"]
         picks.append([rng.choice(len(ground), k, replace=False) for k in ks])
         gs.append(group.random_elem(rng, span))
@@ -396,15 +396,15 @@ def greedy_cover(fam: Family, system: System, y: Points, seq: FolnerSeq, n: int,
     rows = core.rows(width)
 
     # first-exceedance classes over the core, as positions in core order;
-    # values[i][c] is d_{F_i} at the translate of y by core element c
+    # values[i][c] is d_{F_i} at y moved by core element c, sampled while c is free
     pts = y[np.zeros(len(core), dtype=np.int64)].moved(grp, rows)
     free = np.ones(len(core), dtype=bool)
     class_pos, values = [], []
     for Fi in windows:
-        values.append(fam.sample_values(system, Fi, pts))
-        hit = free & (values[-1] / len(Fi) > alpha)
-        free &= ~hit
-        class_pos.append(np.flatnonzero(hit))
+        values.append(np.zeros(len(core)))
+        values[-1][free] = fam.sample_values(system, Fi, pts[free])
+        class_pos.append(np.flatnonzero(free & (values[-1] / len(Fi) > alpha)))
+        free[class_pos[-1]] = False
 
     # backward greedy maximal disjoint packings, on one occupancy array over
     # the keys of a box that holds core * (F_1 u ... u F_N)

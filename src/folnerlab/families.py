@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._bits import trial_generators
 from ._config import _INT, _NUM, _OBJ, _POS_INT, _TWO_OBJS, _get, _kind, _one_of
 from .groups import FinSet, Group, _widen, translate_right
 from .systems import Observable, Points, System, observable_from_json, split_leaves
@@ -441,9 +442,11 @@ def _trial_masks(group: Group, ground: FinSet, picks: list, gs: list) -> tuple:
     W = FinSet.from_rows(group, np.concatenate((rows, shifted)))
     home, moved = W.index(rows), W.index(shifted).reshape(len(slot), len(ground))
     E, F, Eg = (np.zeros((len(gs), len(W)), dtype=bool) for _ in range(3))
-    for t, ((e, f), g) in enumerate(zip(picks, gs)):
-        E[t, home[e]] = F[t, home[f]] = True
-        Eg[t, moved[slot[g], e]] = True
+    # every trial's picked positions of E and of F, flat, and their trials
+    te, tf = (np.repeat(np.arange(len(picks)), [len(p[r]) for p in picks]) for r in (0, 1))
+    e, f = (np.concatenate([np.zeros(0, np.int64), *(p[r] for p in picks)]) for r in (0, 1))
+    E[te, home[e]] = F[tf, home[f]] = True
+    Eg[te, moved[np.array([slot[g] for g in gs], dtype=np.int64)[te], e]] = True
     return W, E, F, Eg
 
 
@@ -489,13 +492,15 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
     span = 2  # radius of the sets' window and of the random translations
     ground = window_set(group, span, 3)
     tol = 0.0 if fam.exact_values else 1e-12
-    picks, gs, rngs = [], [], []
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        picks.append([_random_positions(rng, len(ground), max_card) for _ in "EF"])
-        gs.append(group.random_elem(rng, span))
-        rngs.append(rng)
-    ys = system.sample(rngs)  # each trial's point comes after its E, F and g
+    picks, gs = [], []
+
+    def drawn():  # each trial's point comes after its E, F and g
+        for rng in trial_generators(seed, range(trials)):
+            picks.append([_random_positions(rng, len(ground), max_card) for _ in "EF"])
+            gs.append(group.random_elem(rng, span))
+            yield rng
+
+    ys = system.sample(drawn())
     W, E, F, Eg = _trial_masks(group, ground, picks, gs)
     I, Fd = E & F, F & ~E
     parts = split_leaves(system, ys)

@@ -274,12 +274,14 @@ def _decode(lo: tuple, ext: tuple, keys: np.ndarray) -> np.ndarray:
     return keys[:, None] // strides % extent + np.asarray(lo, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=1)  # consecutive slabs of one window share their box
 def _box_keys(grp: Group, lo: tuple, ext: tuple) -> np.ndarray:
-    """``grp.keys_for_rows`` of every cell of the box (lo, ext), in key order:
-    coordinate j is one hash step over (prefix hashes) x (its values)."""
+    """Read-only ``grp.keys_for_rows`` of every cell of the box (lo, ext), in key
+    order: coordinate j is one hash step over (prefix hashes) x (its values)."""
     h = np.full(1, GOLDEN64, dtype=np.uint64)
     for j, (a, e) in enumerate(zip(lo, ext)):
         h = grp._hash_step(h[:, None], j, np.arange(a, a + e, dtype=np.int64)).ravel()
+    h.flags.writeable = False
     return h
 
 
@@ -552,15 +554,22 @@ def _sum_box(grp: Group, kbox: tuple, fbox: tuple) -> tuple:
 def _key_sums(grp: Group, a: np.ndarray, b: np.ndarray, lo: tuple, ext: tuple) -> np.ndarray:
     """(len(a), len(b)): the keys of the products of the dense rows ``a`` and
     ``b`` (reduced on CyclicSum) in a ``_sum_box`` (lo, ext) of their boxes.
-    On CyclicSum (where lo is 0) each coordinate on which ``b`` is not all
-    zero subtracts the period where the digits reach it."""
+    On CyclicSum (lo 0) a row of ``a`` adds its digits off J, the coordinates
+    where ``b`` is not all zero, to its row of a table over a's digit vectors
+    on J (all, or the distinct ones if fewer) of their wrapped sums with ``b``."""
     strides = _radix(ext)[0]
-    sums = ((a - np.asarray(lo)) @ strides)[:, None] + (b @ strides)[None, :]
-    if isinstance(grp, CyclicSum):
-        for j in np.flatnonzero(b.any(axis=0)):
-            np.subtract(sums, ext[j] * strides[j], out=sums,
-                        where=a[:, j, None] >= ext[j] - b[None, :, j])
-    return sums
+    if not isinstance(grp, CyclicSum):
+        return ((a - np.asarray(lo)) @ strides)[:, None] + (b @ strides)[None, :]
+    J = np.flatnonzero(b.any(axis=0)).tolist()
+    jext = tuple(ext[j] for j in J)
+    code = a[:, J] @ _radix(jext)[0]  # a's digits on J, as keys of their box
+    dense = math.prod(jext) <= len(a)
+    vecs = np.arange(math.prod(jext)) if dense else _unique(code)
+    table = np.zeros((len(vecs), len(b)), dtype=np.int64)
+    for j, digits in zip(J, _decode((0,) * len(J), jext, vecs).T):
+        table += (digits[:, None] + b[:, j]) % ext[j] * strides[j]
+    return ((a @ strides - a[:, J] @ strides[J])[:, None]
+            + table[code if dense else np.searchsorted(vecs, code)])
 
 
 def _product(K: FinSet, F: FinSet) -> tuple:

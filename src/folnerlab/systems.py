@@ -89,8 +89,9 @@ class System:
     i])`` would: ``substream_points`` computes that for all points at once,
     each kind decoding its draws from the generator's first ``_outputs`` raw
     outputs with ``_decode``, as numpy's ``Generator`` would.  ``sample`` draws
-    with ``_draw(rng)`` from generators that points share or that other draws
-    have advanced."""
+    with ``_draw(rng)`` from each item of an iterable of generators: one
+    that points share, or one generator yielded again after other draws
+    (the classifier's ``trial_generators``, reseeded per trial)."""
 
     group: Group
     seed: int
@@ -192,7 +193,8 @@ class BernoulliShift(System):
         A batch whose offsets are all the identity reads F's own cell keys,
         hashed once per set.  Otherwise the cells are keys of one ``_sum_box``,
         hashed whole (``_box_keys``) when it has no more cells than the batch
-        has (point, cell) pairs, else each distinct cell once."""
+        has (point, cell) pairs, else each distinct cell once; on the box, a
+        batch with one configuration key hashes it into words once and gathers."""
         cfgs = premix_np(batch.cfgs)
         if not batch.offsets.any() or F.is_empty:
             return words_from_premixed(F.cell_keys(), cfgs)
@@ -203,7 +205,10 @@ class BernoulliShift(System):
         lo, ext = _sum_box(grp, kbox, (_pad(F.lo, width, 0), _pad(F.ext, width, 1)))
         keys = _key_sums(grp, offsets, F.rows(width), lo, ext)
         if math.prod(ext) <= keys.size:  # keys rebound on both paths: one (P, |F|) array less
-            keys = premix_np(_box_keys(grp, lo, ext))[keys]
+            box = premix_np(_box_keys(grp, lo, ext))
+            if (cfgs == cfgs[0]).all():  # one key: the box's words, gathered
+                return words_from_premixed(box, cfgs[:1])[0][keys]
+            keys = box[keys]
         else:
             cells = _unique(keys)
             keys = premix_np(grp.keys_for_rows(_decode(lo, ext, cells)))[

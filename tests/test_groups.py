@@ -541,6 +541,34 @@ def _subsets(grp, ranges, sizes, seed):
     return [box.take(np.sort(rng.choice(len(box), n, replace=False))) for n in sizes]
 
 
+def _looped_key_sums(grp, a, b, ext):
+    """The digit loop on CyclicSum: each coordinate where b is not all zero
+    subtracts its period from the sums whose digits reach it."""
+    strides = groups._radix(ext)[0]
+    sums = (a @ strides)[:, None] + (b @ strides)[None, :]
+    for j in np.flatnonzero(b.any(axis=0)):
+        sums[a[:, j, None] + b[None, :, j] >= ext[j]] -= ext[j] * strides[j]
+    return sums
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cyclic_key_sums_match_the_digit_loop(seed):
+    # rows of a and b on mixed periods, with coordinates that only one of
+    # them uses; a from 0 to 60 rows takes both the dense and the sorted
+    # table of digit vectors
+    rng = np.random.default_rng(seed)
+    w = int(rng.integers(1, 7))
+    grp = CyclicSum(tuple(int(p) for p in rng.integers(2, 5, size=w)))
+    periods = grp.periods_vector(w)
+    a = rng.integers(0, 60, size=(int(rng.integers(0, 60)), w)) % periods
+    b = rng.integers(0, 60, size=(int(rng.integers(1, 12)), w)) % periods
+    a[:, rng.random(w) < 0.3] = 0
+    b[:, rng.random(w) < 0.4] = 0
+    ext = tuple(int(periods[j]) if a[:, j].any() or b[:, j].any() else 1 for j in range(w))
+    got = groups._key_sums(grp, a, b, (0,) * w, ext)
+    assert np.array_equal(got, _looped_key_sums(grp, a, b, ext))
+
+
 def _sorted_product(K, F):
     """``_product``'s sort branch: every key sum at once, sorted and counted."""
     w = max(K.width, F.width)

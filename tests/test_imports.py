@@ -3,7 +3,8 @@ every module-level function, class or constant and every method has a
 caller outside the tests, every gate refusal with a literal hypothesis has
 a pinned case, finite sets stay in their one representation, config
 parsers read only through the checked reader, the dense product counts
-import no scipy, and the package states one version.
+import no scipy, numpy generators are built only in the listed functions,
+and the package states one version.
 
 No linter is part of the toolchain, so this is the check.  ``__init__.py``
 is exempt from the import check: its imports are the package's re-exports.
@@ -337,6 +338,46 @@ def test_grid_products_import_no_scipy():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
+
+
+# the functions of src/ that build a numpy generator, each with why
+_GENERATOR_SITES_OK = {
+    "systems.conditional_expectation": "one generator per leaf draws its Monte Carlo points",
+    "_bits.trial_generators": "the one generator that the classifiers reseed per trial",
+}
+
+
+def _generator_sites(tree: ast.Module, where: str) -> list:
+    """The enclosing ``module.function`` of each ``default_rng(...)`` or
+    ``Generator(...)`` call, in source order."""
+    out = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out += _generator_sites(node, f"{where}.{node.name}")
+            continue
+        if isinstance(node, ast.Call):
+            fn = node.func
+            if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) in (
+                    "default_rng", "Generator"):
+                out.append(where)
+        out += _generator_sites(node, where)
+    return out
+
+
+def test_numpy_generators_are_built_only_where_listed():
+    # a generator per trial or per point that comes back fails here
+    sites = [s for m in MODULES
+             for s in _generator_sites(ast.parse((SRC / m).read_text()), m[:-3])]
+    assert sorted(sites) == sorted(_GENERATOR_SITES_OK)
+
+
+def test_generator_site_scan_catches_each_form():
+    src = ("def f(t):\n    return [np.random.default_rng([1, t])]\n"
+           "class C:\n    def g(self):\n"
+           "        return numpy.random.Generator(np.random.PCG64(0))\n"
+           "def h():\n    def k():\n        return default_rng(0)\n    return k\n"
+           "x = np.random.default_rng(0)\nrng.integers(3)\n")
+    assert _generator_sites(ast.parse(src), "m") == ["m.f", "m.C.g", "m.h.k", "m"]
 
 
 def test_package_version_is_stated_once():

@@ -1,17 +1,20 @@
 """The all-points substream draw is numpy's stream: the raw outputs and the
 points of ``System.substream_points`` equal those of one
-``np.random.default_rng([seed, i])`` per point, bit for bit.  This fails if
-numpy ever changes SeedSequence, PCG64 or the ``integers``/``random`` rules
-that the decoders reproduce."""
+``np.random.default_rng([seed, i])`` per point, bit for bit, and so do the
+draws of the one generator that ``trial_generators`` reseeds per trial.
+This fails if numpy ever changes SeedSequence, PCG64 or the
+``integers``/``random`` rules that the decoders reproduce."""
 
 import math
 
 import numpy as np
 import pytest
 
-from folnerlab._bits import pcg64_outputs
+from folnerlab._bits import pcg64_outputs, trial_generators
+from folnerlab.families import AdditiveFamily, classify
 from folnerlab.groups import CyclicSum, ZPower, ZSum
-from folnerlab.systems import BernoulliShift, FiniteMixture, TorusRotation
+from folnerlab.systems import (BernoulliShift, FiniteMixture, TorusRotation,
+                               indicator_symbol)
 
 ALPHA = (math.sqrt(5) - 1) / 2
 
@@ -28,6 +31,31 @@ def test_raw_outputs_are_numpys(seed):
                      for i in INDICES], dtype=np.uint64)
     assert got.dtype == np.uint64 and got.shape == (len(INDICES), 4)
     assert np.array_equal(got, want)
+
+
+def _trial_draws(rng):
+    # a 64-bit draw, then integers(0, 2), which keeps the other 32-bit half
+    # of its output buffered: a buffer carried into the next trial would
+    # shift that trial's 32-bit draws
+    return (int(rng.integers(0, 2 ** 64, dtype=np.uint64)), int(rng.integers(0, 2)),
+            int(rng.integers(0, 5)), rng.choice(7, size=3, replace=False).tolist(),
+            rng.random())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_generators_draw_the_trial_streams(seed):
+    got = [_trial_draws(rng) for rng in trial_generators(seed, INDICES)]
+    want = [_trial_draws(np.random.default_rng([seed, i])) for i in INDICES]
+    assert got == want
+
+
+def test_trial_generators_cover_no_trials():
+    assert list(trial_generators(3, range(0))) == []
+    grp = ZPower(1)
+    rep = classify(AdditiveFamily(indicator_symbol(1)), grp,
+                   BernoulliShift(grp, (0.5, 0.5)), trials=0)
+    assert all(v.passed and v.trials == 0 and v.max_gap == 0.0
+               and v.counterexample is None for v in rep.verdicts.values())
 
 
 def test_negative_seed_is_refused_as_numpy_does():

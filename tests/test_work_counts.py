@@ -1,14 +1,18 @@
 """Work counts pinned as exact budgets: the closed-form box rules form no
 Minkowski pair and compare no key, a nested trajectory hashes each
-(point, cell) once, a batch of points is split by leaf once per set, and
-translated windows read one hashed box."""
+(point, cell) once, a batch of points is split by leaf once per set,
+translated windows read one hashed box, the classifiers build no generator
+per trial, and the maximal-cover bench ops hash a pinned number of words."""
 import itertools
+import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
-from folnerlab import ergodic, families, groups, systems, tiling
-from folnerlab.ergodic import greedy_cover, kingman_run, nu_estimate
+from folnerlab import cli, ergodic, families, groups, systems, tiling
+from folnerlab.ergodic import (greedy_cover, kingman_run, nu_estimate, setfn_classify,
+                               setfn_registry)
 from folnerlab.families import AdditiveFamily, classify
 from folnerlab.folner import make_folner
 from folnerlab.groups import CyclicSum, ZPower, ZSum, product_set, union, zsum_box
@@ -148,10 +152,12 @@ def test_nu_estimate_splits_each_set_once():
 
 def test_greedy_cover_reads_one_hashed_box_per_window():
     # the 64 core translates of F_1, F_2, F_3 on the sum of Z/2s: each window
-    # is one batch whose sum box has 64 cells, fewer than its 128 to 512
-    # (point, cell) pairs, so it hashes that box once and gathers from it,
-    # with no sort of distinct cells and no searchsorted; the value at F_6 of
-    # the untranslated point reads F_6's own keys
+    # is one batch of the points still free, whose sum box has 64 cells, no
+    # more than its (point, cell) pairs, so it hashes that box once and
+    # gathers from it, with no sort of distinct cells and no searchsorted;
+    # its points share one configuration key, so the box is hashed into 64
+    # words once.  The value at F_6 of the untranslated point reads F_6's
+    # own keys
     grp = CyclicSum((2,))
     seq = make_folner(grp, "cyclic_prefix")
     system = BernoulliShift(grp, (0.7, 0.3), seed=5)
@@ -185,4 +191,58 @@ def test_greedy_cover_reads_one_hashed_box_per_window():
     assert rep.covered
     assert sparse == []
     assert box_cells == [64] * 3
-    assert words == [64 * 2, 64 * 4, 64 * 8, 64]
+    assert words == [64] * 4
+
+
+def test_classifiers_build_no_generator_per_trial():
+    # every trial of classify and setfn_classify draws from one reseeded
+    # generator (trial_generators), not from a default_rng of its own
+    grp = ZPower(1)
+    system = BernoulliShift(grp, (0.5, 0.5), seed=1)
+    with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as built:
+        classify(AdditiveFamily(indicator_symbol(1)), grp, system)
+        setfn_classify(setfn_registry(grp)["card"], grp)
+    assert built.call_count == 0
+
+
+# op -> (words hashed, (point, cell) pairs of translated batches) at seed 0
+_MAXIMAL_COVER = {
+    "maximal-cyclic2": (1_324_256, 444_408),
+    "maximal-line": (231_649, 2_737),
+    "maximal-plane": (350_502, 24_411),
+    "check-family-ceil-half": (21_600, 2_700),
+    "check-family-max-cyclic2": (19_200, 2_400),
+}
+
+
+def test_maximal_cover_ops_hash_pinned_words(tmp_path, monkeypatch):
+    # greedy windows are sampled only at the core points still free, and a
+    # one-key batch hashes its box into words once (2,422,611 words and
+    # 550,967 translated pairs before both)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    counts = {}
+
+    def words(keys, cfg, _orig=systems.words_from_premixed):
+        out = _orig(keys, cfg)
+        counts["words"] += out.size
+        return out
+
+    def window(self, batch, F, _orig=BernoulliShift.window_uniforms):
+        if batch.offsets.any() and not F.is_empty:
+            counts["pairs"] += len(batch) * len(F)
+        return _orig(self, batch, F)
+
+    monkeypatch.setattr(systems, "words_from_premixed", words)
+    monkeypatch.setattr(BernoulliShift, "window_uniforms", window)
+    got = {}
+    for op in workloads.ops_for("maximal-cover", 0):
+        counts.update(words=0, pairs=0)
+        cfg = tmp_path / f"{op.name}.json"
+        cfg.write_text(json.dumps(op.config))
+        code = cli.main([op.command, "--config", str(cfg), "--csv", str(tmp_path / "o.csv"),
+                         "--summary", str(tmp_path / "o.json")])
+        assert code == op.expect, op.name
+        got[op.name] = (counts["words"], counts["pairs"])
+    assert got == _MAXIMAL_COVER
