@@ -6,10 +6,10 @@ first step p(x) = x ^ (x >> 30) (``premix_np``) is GF(2)-linear, so
 mix64(k ^ c) is the finalizer's tail on p(k) ^ p(c): sampling keeps its
 keys premixed and pays p once per key, not once per (key, configuration)
 cell.
-``pcg64_outputs`` computes the raw outputs of many
-``np.random.default_rng([seed, i])`` generators at once, bit for bit, and
-``trial_generators`` sets one generator to their start states in turn;
-tests compare both with numpy's own generators.
+``_Streams`` draws from many ``np.random.default_rng([seed, i])`` streams
+at once, bit for bit, without a generator: raw outputs, 32-bit halves and
+numpy's bounded integers and ``choice``; tests compare it with numpy's own
+generators.
 """
 from __future__ import annotations
 
@@ -89,17 +89,19 @@ def uniform_from_key(key: int, cfg: int) -> float:
 _M32 = np.uint64(0xFFFFFFFF)
 _S1, _S16, _S32, _S58, _S63 = (np.uint64(s) for s in (1, 16, 32, 58, 63))
 _PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_PCG_LO0, _PCG_LO1 = _PCG_LO & _M32, _PCG_LO >> _S32
+
+
+def _mulhi(a, b):
+    """The high 64 bits of the 128-bit products a * b, summed from 32-bit halves."""
+    a0, a1, b0, b1 = a & _M32, a >> _S32, b & _M32, b >> _S32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _S32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
 
 
 def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """state * MULT + inc on 128-bit states held as (hi, lo) uint64 limbs;
-    the high word of lo * MULT's low word is summed from 32-bit halves."""
-    x0, x1 = lo & _M32, lo >> _S32
-    p01, p10 = x0 * _PCG_LO1, x1 * _PCG_LO0
-    mid = ((x0 * _PCG_LO0) >> _S32) + (p01 & _M32) + (p10 & _M32)
-    hi = (x1 * _PCG_LO1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
-          + lo * _PCG_HI + hi * _PCG_LO)
+    """state * MULT + inc on 128-bit states held as (hi, lo) uint64 limbs."""
+    hi = _mulhi(lo, _PCG_LO) + lo * _PCG_HI + hi * _PCG_LO
     lo = lo * _PCG_LO + inc_lo
     return hi + inc_hi + (lo < inc_lo), lo
 
@@ -147,23 +149,71 @@ def _pcg64_states(seed: int, idx: np.ndarray) -> tuple:
     return (*_pcg_step(inc_hi + s_hi + (lo < s_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def pcg64_outputs(seed: int, idx: np.ndarray, k: int) -> np.ndarray:
-    """The first k raw outputs of ``np.random.default_rng([seed, i])`` for each
-    i of ``idx``, as a (len(idx), k) uint64 array: k steps from its state."""
-    hi, lo, inc_hi, inc_lo = _pcg64_states(seed, idx)
-    out = np.empty((len(hi), k), dtype=np.uint64)
-    for j in range(k):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        v, rot = hi ^ lo, hi >> _S58
-        out[:, j] = (v >> rot) | (v << ((np.uint64(64) - rot) & _S63))
-    return out
+class _Streams:
+    """Stream j draws what ``np.random.default_rng([seed, idx[j]])`` would: raw
+    outputs ``block`` at a time, one more block when a cursor reaches the end,
+    and PCG64's buffered 32-bit half.  A draw takes a boolean mask of the
+    streams that draw and returns a uint64 for each stream, 0 off the mask."""
 
+    def __init__(self, seed: int, idx, block: int = 8):
+        self._state, self._block, n = _pcg64_states(seed, idx), block, len(idx)
+        self._raw, self._half = np.empty((n, 0), np.uint64), np.zeros(n, np.uint64)
+        self._at, self._has, self.all = np.zeros(n, np.intp), np.zeros(n, bool), np.ones(n, bool)
 
-def trial_generators(seed: int, idx):
-    """One ``np.random.Generator``, yielded for each i of ``idx`` set to draw what
-    ``np.random.default_rng([seed, i])`` would: its start, no buffered half."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    for hi, lo, ih, il in zip(*(a.tolist() for a in _pcg64_states(seed, idx))):
-        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": hi << 64 | lo, "inc": ih << 64 | il}}
-        yield rng
+    def next64(self, mask: np.ndarray) -> np.ndarray:
+        """The next raw output; the buffered half stays."""
+        if self._at.max(initial=0) == self._raw.shape[1]:
+            hi, lo, inc_hi, inc_lo = self._state
+            out = np.empty((len(hi), self._block), dtype=np.uint64)
+            for j in range(self._block):
+                hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+                v, rot = hi ^ lo, hi >> _S58  # the XSL-RR output
+                out[:, j] = (v >> rot) | (v << ((np.uint64(64) - rot) & _S63))
+            self._state, self._raw = (hi, lo, inc_hi, inc_lo), np.hstack((self._raw, out))
+        self._at += mask  # a stream off the mask reads a value it discards
+        return np.where(mask, self._raw[np.arange(len(mask)), self._at - 1], np.uint64(0))
+
+    def next32(self, mask: np.ndarray) -> np.ndarray:
+        """The low half of a new output, or else the buffered high half."""
+        new = self.next64(fresh := mask & ~self._has)
+        out = np.where(self._has, self._half, new & _M32) * mask
+        self._half, self._has = np.where(fresh, new >> _S32, self._half), self._has ^ mask
+        return out
+
+    def bounded(self, r, mask: np.ndarray) -> np.ndarray:
+        """``integers(0, r + 1)`` by Lemire's rule, r < 2**64 - 1 per stream or shared:
+        nothing drawn if r = 0, else ``next32`` if r < 2**32, else ``next64``, until accepted."""
+        r = np.array(r, dtype=np.uint64, ndmin=1)  # an array: its arithmetic wraps silently
+        wide, excl, out = r > _M32, r + _S1, np.zeros(len(mask), dtype=np.uint64)
+        # a 32-bit draw x is read as x * 2**32, its leftover and threshold too
+        cut = np.where(wide, (0 - excl) % excl, ((_M32 + _S1 - excl) % excl) << _S32)
+        todo = mask & (r > 0)
+        while todo.any():
+            x = np.where(wide, self.next64(todo & wide), self.next32(todo & ~wide) << _S32)
+            out = np.where(todo, _mulhi(x, excl) if wide.any() else (x >> _S32) * excl >> _S32, out)
+            todo &= x * excl < cut
+        return out
+
+    def choice(self, n: int, k: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """``choice(n, k[j], replace=False)`` on stream j, as rows padded with -1:
+        Floyd's algorithm (v on [0, j] for j = n - k ... n - 1, v unless taken,
+        else j), then a shuffle; for n > 10,000 and k > n // 50, the tail of
+        a shuffled arange(n)."""
+        k, rows = np.where(mask, k, 0).astype(np.int64), np.arange(len(mask))
+        tail, width = (n > 10_000) & (k > n // 50), k.max(initial=0)
+        perm = np.tile(np.arange(n if tail.any() else width), (len(mask), 1))
+        taken = np.zeros((len(mask), n), dtype=bool)
+        for s in range(width):
+            on, j = ~tail & (k > s), n - k + s
+            v = self.bounded(j, on).astype(np.int64)
+            perm[on, s] = v = np.where(taken[rows, v], j, v)[on]
+            taken[rows[on], v] = True
+        # swap position i and a draw on [0, i], for i = top - 1 down to first
+        top, first = np.where(tail, n, k), np.where(tail, np.maximum(n - k, 1), 1)
+        for s in range((top - first).max(initial=0)):
+            on = (i := top - 1 - s) >= first
+            j = self.bounded(np.where(on, i, 0), on).astype(np.int64)
+            r, i, j = rows[on], i[on], j[on]
+            perm[r, i], perm[r, j] = perm[r, j], perm[r, i]
+        at = np.minimum((top - k)[:, None] + np.arange(width), perm.shape[1] - 1)
+        return np.where(np.arange(width) < k[:, None], perm[rows[:, None], at], -1)

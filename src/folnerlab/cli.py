@@ -27,6 +27,7 @@ the calling thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -382,7 +383,8 @@ _THEOREM_TABLE = [
 ]
 
 
-def main(argv: Optional[list] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="folner-lab",
         description="Averaging-theorem experiments on amenable groups")
@@ -392,7 +394,11 @@ def main(argv: Optional[list] = None) -> int:
         for flag in ("--config", "--csv", "--summary"):
             p.add_argument(flag, required=flag == "--config")
     sub.add_parser("list-theorems")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list] = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "list-theorems":
         width = max(len(r[0]) for r in _THEOREM_TABLE)

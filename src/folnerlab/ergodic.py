@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._bits import trial_generators
+from ._bits import _Streams
 from .families import (AdditiveFamily, ClassifyReport, DerivedPrimeM, Family,
                        Truncated, _report, _trial_masks, classify)
 from .folner import (FolnerSeq, _inverse_unions, make_folner, tempelman_report,
@@ -185,16 +185,16 @@ def setfn_classify(f: SetFunction, group: Group, seed: int = 5) -> ClassifyRepor
     """Exact randomized checks of right-invariance and (strong)
     sub-additivity for a deterministic set function: 200 trials, sets of at
     most 6 elements from the radius-3 window, translations of span 3.  Trial
-    t draws |E|, |F|, E, F and g from its stream [seed, t]; the sets are
-    masks over one window, as in ``classify``, and f is evaluated once per
-    distinct set (in Fractions when exact, the empty set read as 0)."""
+    t draws |E|, |F|, E, F and g from its stream [seed, t], all at once; the
+    sets are masks over one window, as in ``classify``, and f is evaluated
+    once per distinct set (in Fractions when exact, the empty set read as 0)."""
     trials, max_card, span = 200, 6, 3
     ground = window_set(group, span, 3)
-    picks, gs = [], []
-    for rng in trial_generators(seed, range(trials)):
-        ks = [min(int(rng.integers(1, max_card + 1)), len(ground)) for _ in "EF"]
-        picks.append([rng.choice(len(ground), k, replace=False) for k in ks])
-        gs.append(group.random_elem(rng, span))
+    streams = _Streams(seed, np.arange(trials))
+    on, n = streams.all, len(ground)
+    ks = [np.minimum(streams.bounded(max_card - 1, on) + 1, n) for _ in "EF"]
+    picks = [streams.choice(n, k, on) for k in ks]
+    gs = group.random_elems(streams, span, on)
     W, E, F, Eg = _trial_masks(group, ground, picks, gs)
     Fd = F & ~E
     rows = np.concatenate((E, F, Eg, E | F, E & F, Fd))

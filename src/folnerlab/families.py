@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._bits import trial_generators
+from ._bits import _Streams
 from ._config import _INT, _NUM, _OBJ, _POS_INT, _TWO_OBJS, _get, _kind, _one_of
 from .groups import FinSet, Group, _widen, translate_right
 from .systems import Observable, Points, System, observable_from_json, split_leaves
@@ -425,12 +425,6 @@ class ClassifyReport:
         return all(self.passed(p) for p in checked)
 
 
-def _random_positions(rng, n: int, max_card: int) -> np.ndarray:
-    """Positions of a random subset of 1..max_card of n ground elements."""
-    k = min(int(rng.integers(1, max_card + 1)), n)
-    return rng.choice(n, size=k, replace=False)
-
-
 def _trial_masks(group: Group, ground: FinSet, picks: list, gs: list) -> tuple:
     """(W, E, F, Eg): the window W of the ground and its translates by the
     distinct g's, and each trial's E, F and E.g as boolean rows over W
@@ -442,9 +436,8 @@ def _trial_masks(group: Group, ground: FinSet, picks: list, gs: list) -> tuple:
     W = FinSet.from_rows(group, np.concatenate((rows, shifted)))
     home, moved = W.index(rows), W.index(shifted).reshape(len(slot), len(ground))
     E, F, Eg = (np.zeros((len(gs), len(W)), dtype=bool) for _ in range(3))
-    # every trial's picked positions of E and of F, flat, and their trials
-    te, tf = (np.repeat(np.arange(len(picks)), [len(p[r]) for p in picks]) for r in (0, 1))
-    e, f = (np.concatenate([np.zeros(0, np.int64), *(p[r] for p in picks)]) for r in (0, 1))
+    # E's and F's picked positions (rows padded with -1), flat, with their trials
+    (te, e), (tf, f) = ((np.nonzero(p >= 0)[0], p[p >= 0]) for p in picks)
     E[te, home[e]] = F[tf, home[f]] = True
     Eg[te, moved[np.array([slot[g] for g in gs], dtype=np.int64)[te], e]] = True
     return W, E, F, Eg
@@ -481,7 +474,7 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
              properties: Sequence[str] = PROPERTIES) -> ClassifyReport:
     """Randomized exact property check with counterexample emission.
 
-    Each trial t draws (E, F, g, y) from its own stream [seed, t].  Every set
+    Trial t draws (E, F, g, y) from its stream [seed, t], all at once.  Every set
     a trial touches is a boolean row over one window W, the ground window
     joined with its translates by the drawn g's: unions, intersections and
     differences are bitwise, translations are index maps on W.  Each set
@@ -492,15 +485,13 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
     span = 2  # radius of the sets' window and of the random translations
     ground = window_set(group, span, 3)
     tol = 0.0 if fam.exact_values else 1e-12
-    picks, gs = [], []
-
-    def drawn():  # each trial's point comes after its E, F and g
-        for rng in trial_generators(seed, range(trials)):
-            picks.append([_random_positions(rng, len(ground), max_card) for _ in "EF"])
-            gs.append(group.random_elem(rng, span))
-            yield rng
-
-    ys = system.sample(drawn())
+    streams = _Streams(seed, np.arange(trials))
+    on, n = streams.all, len(ground)
+    # |E| then E, |F| then F, g, then the point, as each trial's generator draws them
+    picks = [streams.choice(n, np.minimum(streams.bounded(max_card - 1, on) + 1, n), on)
+             for _ in "EF"]
+    gs = group.random_elems(streams, span, on)
+    ys = system._points(*system._decode(streams, on))
     W, E, F, Eg = _trial_masks(group, ground, picks, gs)
     I, Fd = E & F, F & ~E
     parts = split_leaves(system, ys)

@@ -67,7 +67,7 @@ class Group:
     JSON; set inverses are ``inverse_set``), dense rows for the array paths
     (``dense_width``, ``dense_rows``, ``rows_to_elems``, ``add_rows``), the
     seed-free 64-bit cell keys of sampling (``elem_key``; ``keys_for_rows``,
-    equal to it, one ``_hash_step`` per coordinate) and ``random_elem``."""
+    equal to it, one ``_hash_step`` per coordinate) and ``random_elems``."""
 
     kind: str = ""
 
@@ -135,8 +135,9 @@ class ZPower(Group):
     def generators(self) -> list:
         return [tuple(int(i == j) for j in range(self.d)) for i in range(self.d)]
 
-    def random_elem(self, rng, span: int = 3):
-        return tuple(int(x) for x in rng.integers(-span, span + 1, size=self.d))
+    def random_elems(self, streams, span: int, mask: np.ndarray) -> list:
+        cols = [streams.bounded(2 * span, mask).astype(np.int64) - span for _ in range(self.d)]
+        return self.rows_to_elems(np.stack(cols, 1))
 
 
 class _SparseSumBase(Group):
@@ -145,17 +146,6 @@ class _SparseSumBase(Group):
 
     def _reduce(self, i: int, v: int) -> int:
         return v
-
-    def _canon(self, pairs) -> tuple:
-        d = {}
-        for i, v in pairs:
-            i = int(i)
-            if i < 0:
-                raise ValueError("support indices must be >= 0")
-            v = self._reduce(i, int(v))
-            if v != 0:
-                d[i] = v
-        return tuple(sorted(d.items()))
 
     def identity(self):
         return ()
@@ -166,9 +156,13 @@ class _SparseSumBase(Group):
             d[i] = self._reduce(i, d.get(i, 0) + v)
         return tuple(sorted((i, v) for i, v in d.items() if v))
 
-    def random_elem(self, rng, span: int = 3):
-        return self._canon([self._random_pair(rng, span)
-                            for _ in range(int(rng.integers(0, 3)))])
+    def random_elems(self, streams, span: int, mask: np.ndarray) -> list:
+        count, rows = streams.bounded(2, mask), np.zeros((len(mask), max(span + 1, 4)), np.int64)
+        for on in (count > 0, count > 1):  # 0 to 2 pairs; a later nonzero value wins
+            i, v = self._random_pairs(streams, span, on)
+            on &= v != 0
+            rows[on, i[on]] = v[on]
+        return self.rows_to_elems(rows)
 
     def elem_to_json(self, e):
         return [[i, v] for i, v in e]
@@ -225,17 +219,18 @@ class CyclicSum(_SparseSumBase):
     def add_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a + b) % self.periods_vector(a.shape[-1])
 
-    def _random_pair(self, rng, span: int) -> tuple:
-        i = int(rng.integers(0, span + 1))
-        return i, int(rng.integers(0, self.period(i)))
+    def _random_pairs(self, streams, span: int, mask: np.ndarray) -> tuple:
+        i = streams.bounded(span, mask).astype(np.int64)
+        return i, streams.bounded(self.periods_vector(span + 1)[i] - 1, mask).astype(np.int64)
 
 
 @dataclass(frozen=True)
 class ZSum(_SparseSumBase):
     kind: str = "z_sum"
 
-    def _random_pair(self, rng, span: int) -> tuple:
-        return int(rng.integers(0, 4)), int(rng.integers(-span, span + 1))
+    def _random_pairs(self, streams, span: int, mask: np.ndarray) -> tuple:
+        i = streams.bounded(3, mask).astype(np.int64)
+        return i, streams.bounded(2 * span, mask).astype(np.int64) - span
 
 
 _GROUP_KINDS = {

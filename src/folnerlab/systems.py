@@ -32,8 +32,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._bits import (GOLDEN64, TWO_NEG_64, mix64, mix64_np, pcg64_outputs,
-                    premix_np, uniform_from_key, words_from_premixed)
+from ._bits import (GOLDEN64, TWO_NEG_64, _Streams, mix64, mix64_np, premix_np,
+                    uniform_from_key, words_from_premixed)
 from ._config import (_INT, _NONNEG_INT, _NUM, _NUMS, _OBJ, _OBJS, _get,
                       _kind)
 from .groups import (FinSet, Group, ZPower, _box, _box_keys, _decode, _key_sums, _pad,
@@ -86,12 +86,11 @@ class GenericBatch:
 
 class System:
     """Base class.  Point i of a run draws what ``np.random.default_rng([seed,
-    i])`` would: ``substream_points`` computes that for all points at once,
-    each kind decoding its draws from the generator's first ``_outputs`` raw
-    outputs with ``_decode``, as numpy's ``Generator`` would.  ``sample`` draws
-    with ``_draw(rng)`` from each item of an iterable of generators: one
-    that points share, or one generator yielded again after other draws
-    (the classifier's ``trial_generators``, reseeded per trial)."""
+    i])`` would: ``substream_points`` draws all points at once, each kind
+    drawing with ``_decode(streams, mask)`` from ``_bits._Streams`` (at most
+    ``_outputs`` raw outputs each), as the classifiers draw their trials'
+    points.  ``sample`` draws with ``_draw(rng)`` from each item of an
+    iterable of numpy generators, such as one that points share."""
 
     group: Group
     seed: int
@@ -116,7 +115,7 @@ class System:
 
     def substream_points(self, seed: int, idx: np.ndarray) -> Points:
         """Point j as ``np.random.default_rng([seed, idx[j]])`` draws it."""
-        return self._points(*self._decode(pcg64_outputs(seed, idx, self._outputs)))
+        return self._points(*self._decode(s := _Streams(seed, idx, self._outputs), s.all))
 
     def sample(self, rngs) -> Points:
         """One point from each generator of the iterable ``rngs``, in order."""
@@ -170,12 +169,11 @@ class BernoulliShift(System):
         word = int(rng.integers(0, 1 << 63)) | (int(rng.integers(0, 2)) << 63)
         return 0, mix64(mix64(self.seed ^ GOLDEN64) ^ word), None
 
-    def _decode(self, raw: np.ndarray) -> tuple:
-        # integers(0, 2**63) is output 0 >> 1 and integers(0, 2) is bit 31 of
-        # output 1: Lemire's method never rejects on a power-of-two range
-        word = (raw[:, 0] >> np.uint64(1)) | (raw[:, 1] >> np.uint64(31) << np.uint64(63))
+    def _decode(self, streams, mask: np.ndarray) -> tuple:
+        # integers(0, 2**63) is a raw output >> 1, and keeps the buffered half
+        word = (streams.next64(mask) >> np.uint64(1)) | (streams.bounded(1, mask) << np.uint64(63))
         word ^= np.uint64(mix64(self.seed ^ GOLDEN64))
-        return np.zeros(len(raw), dtype=np.int64), mix64_np(word), np.zeros((len(raw), 0))
+        return np.zeros(len(mask), dtype=np.int64), mix64_np(word), np.zeros((len(mask), 0))
 
     def uniform_at(self, y: Points, h=None) -> float:
         """The uniform of the one cell h*offset of the first point of ``y``
@@ -243,9 +241,9 @@ class TorusRotation(System):
     def _draw(self, rng) -> tuple:
         return 0, 0, rng.random(self.group.d)
 
-    def _decode(self, raw: np.ndarray) -> tuple:
-        return (np.zeros(len(raw), dtype=np.int64), np.zeros(len(raw), dtype=np.uint64),
-                _doubles(raw[:, :self.group.d]))
+    def _decode(self, streams, mask: np.ndarray) -> tuple:
+        return (np.zeros(len(mask), dtype=np.int64), np.zeros(len(mask), dtype=np.uint64),
+                np.stack([_doubles(streams.next64(mask)) for _ in range(self.group.d)], 1))
 
 
 class FiniteMixture(System):
@@ -278,15 +276,15 @@ class FiniteMixture(System):
         k, cfg, base = self.parts[idx][1]._draw(rng)
         return self._first[idx] + k, cfg, base
 
-    def _decode(self, raw: np.ndarray) -> tuple:
-        # output 0 picks the part as _draw does; the part decodes the rest
-        part = self._part(_doubles(raw[:, 0]))
-        leaf, cfgs = np.zeros(len(raw), dtype=np.int64), np.zeros(len(raw), dtype=np.uint64)
-        bases = np.zeros((len(raw), self._dim()))
+    def _decode(self, streams, mask: np.ndarray) -> tuple:
+        # a double picks the part as _draw does; the part draws the rest
+        part = self._part(_doubles(streams.next64(mask)))
+        leaf, cfgs = np.zeros(len(mask), dtype=np.int64), np.zeros(len(mask), dtype=np.uint64)
+        bases = np.zeros((len(mask), self._dim()))
         for i, (_, s) in enumerate(self.parts):
-            sel = np.flatnonzero(part == i)
-            k, cfgs[sel], bases[sel, :s._dim()] = s._decode(raw[sel, 1:])
-            leaf[sel] = self._first[i] + k
+            sel = mask & (part == i)
+            k, c, b = s._decode(streams, sel)
+            leaf[sel], cfgs[sel], bases[sel, :s._dim()] = self._first[i] + k[sel], c[sel], b[sel]
         return leaf, cfgs, bases
 
     def components(self):

@@ -1,6 +1,10 @@
 """The scalar rules of observables and families, one point at a time: the
 oracle that the window and batch paths of ``folnerlab`` are checked
 against, as ``TupleRef`` in ``test_groups.py`` is for the set algebra.
+The classifiers' trial draws are here too, one numpy generator per trial:
+trial t of ``classify`` and ``setfn_classify`` draws what
+``classify_draws`` and ``setfn_classify_draws`` draw from
+``np.random.default_rng([seed, t])``.
 
 Each rule follows the definition alone, at one point ``y``: a one-point
 ``Points``, moved by one group element at a time.  A Bernoulli symbol is the
@@ -18,8 +22,8 @@ from folnerlab.families import (AdditiveFamily, AdditivePlus,
                                 ConcaveCardinality, DerivedPrime,
                                 DerivedPrimeM, MaxFamily, MaxOfAdditives,
                                 MinusCardSquared, Truncated)
-from folnerlab.groups import FinSet
-from folnerlab.tiling import compose
+from folnerlab.groups import CyclicSum, FinSet, ZPower
+from folnerlab.tiling import compose, window_set
 
 
 def act(system, g, y):
@@ -112,3 +116,66 @@ def _value(fam, system, F, y):
     if isinstance(fam, MinusCardSquared):
         return _value(fam.base, system, F, y) - float(len(F)) ** 2
     raise TypeError(f"no scalar rule for family {fam.name!r}")
+
+
+def canon(group, pairs) -> tuple:
+    """The element of a direct sum with these (index, value) pairs: values
+    reduced, zeros dropped, a later nonzero value replacing an earlier one."""
+    d = {}
+    for i, v in pairs:
+        i = int(i)
+        if i < 0:
+            raise ValueError("support indices must be >= 0")
+        v = group._reduce(i, int(v))
+        if v != 0:
+            d[i] = v
+    return tuple(sorted(d.items()))
+
+
+def _random_pair(group, rng, span: int) -> tuple:
+    if isinstance(group, CyclicSum):
+        i = int(rng.integers(0, span + 1))
+        return i, int(rng.integers(0, group.period(i)))
+    return int(rng.integers(0, 4)), int(rng.integers(-span, span + 1))
+
+
+def random_elem(group, rng, span: int = 3):
+    """A random element: d coordinates in [-span, span] on Z^d; on a direct
+    sum, 0 to 2 pairs of ``_random_pair``."""
+    if isinstance(group, ZPower):
+        return tuple(int(x) for x in rng.integers(-span, span + 1, size=group.d))
+    return canon(group, [_random_pair(group, rng, span)
+                         for _ in range(int(rng.integers(0, 3)))])
+
+
+def _random_positions(rng, n: int, max_card: int) -> np.ndarray:
+    """Positions of a random subset of 1..max_card of n ground elements."""
+    k = min(int(rng.integers(1, max_card + 1)), n)
+    return rng.choice(n, size=k, replace=False)
+
+
+def trial_generators(seed: int, idx):
+    """Trial i's generator, ``np.random.default_rng([seed, i])``, for each i of ``idx``."""
+    return (np.random.default_rng([seed, i]) for i in idx)
+
+
+def classify_draws(group, system, trials: int, max_card: int, seed: int) -> tuple:
+    """(picks, gs, points): each trial's E and F positions in the ground,
+    its g and its point, as ``classify`` draws them."""
+    ground, picks, gs, rngs = window_set(group, 2, 3), [], [], []
+    for rng in trial_generators(seed, range(trials)):
+        picks.append([_random_positions(rng, len(ground), max_card) for _ in "EF"])
+        gs.append(random_elem(group, rng, 2))
+        rngs.append(rng)
+    return picks, gs, system.sample(rngs)
+
+
+def setfn_classify_draws(group, seed: int) -> tuple:
+    """(picks, gs): each trial's E and F positions in the ground and its g,
+    as ``setfn_classify`` draws them."""
+    ground, picks, gs = window_set(group, 3, 3), [], []
+    for rng in trial_generators(seed, range(200)):
+        ks = [min(int(rng.integers(1, 7)), len(ground)) for _ in "EF"]
+        picks.append([rng.choice(len(ground), k, replace=False) for k in ks])
+        gs.append(random_elem(group, rng, 3))
+    return picks, gs

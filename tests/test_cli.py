@@ -387,6 +387,28 @@ def test_theorem_table_lists_real_subcommands(capsys):
         assert cmd.split()[0] in _COMMANDS
 
 
+def test_main_calls_share_nothing_but_the_parser(tmp_path, capsys):
+    # one process, several calls: the cached parser must not carry a command,
+    # a flag or a path from one call into the next
+    seq = {"group": _z_group(), "sequence": {"kind": "z_boxes"}}
+    folner = _write(tmp_path, "folner.json", {**seq, "indices": [2, 4]})
+    code, summary, csv = _run("verify-folner", folner, tmp_path, "-a")
+    assert code == 0 and csv is not None and summary is not None
+    capsys.readouterr()
+    tiling = _write(tmp_path, "tiling.json", {**seq, "indices": [1, 2], "window_radius": 4})
+    assert main(["verify-tiling", "--config", tiling]) == 0  # no --csv, no --summary
+    out = capsys.readouterr().out
+    assert json.loads(out)["windows_checked"] == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "folner.json", "out-a.csv", "out-a.json", "tiling.json"]
+    assert main(["list-theorems"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(_THEOREM_TABLE)
+    with pytest.raises(SystemExit):  # --config is still required
+        main(["verify-folner", "--csv", str(tmp_path / "x.csv")])
+    assert "--config" in capsys.readouterr().err
+    assert cli._parser() is cli._parser()
+
+
 def test_module_entry_point_writes_nothing_to_stderr():
     # the package must not import folnerlab.cli, or `python -m` warns that
     # the module was imported before it ran

@@ -18,6 +18,7 @@ from folnerlab._bits import (GOLDEN64, HASH_VERSION, MASK64, TWO_NEG_64, mix64,
                              mix64_np, premix_np, uniform_from_key,
                              words_from_premixed)
 from folnerlab.systems import BernoulliShift
+from scalar_oracle import canon, random_elem
 
 Z1 = ZPower(1)
 Z2 = ZPower(2)
@@ -32,7 +33,7 @@ def _inv(grp, a):
     coordinate (reduced by the period on the cyclic sums)."""
     if isinstance(grp, ZPower):
         return tuple(-x for x in a)
-    return grp._canon((i, -v) for i, v in a)
+    return canon(grp, [(i, -v) for i, v in a])
 
 
 def elems_strategy(grp, span=4, top=3):
@@ -42,7 +43,7 @@ def elems_strategy(grp, span=4, top=3):
     # sparse (index, value) pairs, normalized through the group itself
     return st.lists(
         st.tuples(st.integers(0, top), st.integers(-span, span)),
-        max_size=3).map(grp._canon)
+        max_size=3).map(lambda pairs: canon(grp, pairs))
 
 
 @pytest.mark.parametrize("grp", GROUPS, ids=lambda g: g.kind)
@@ -50,9 +51,9 @@ def test_group_laws_random(grp):
     rng = np.random.default_rng(42)
     e = grp.identity()
     for _ in range(200):
-        a = grp.random_elem(rng)
-        b = grp.random_elem(rng)
-        c = grp.random_elem(rng)
+        a = random_elem(grp, rng)
+        b = random_elem(grp, rng)
+        c = random_elem(grp, rng)
         assert grp.mul(grp.mul(a, b), c) == grp.mul(a, grp.mul(b, c))
         assert grp.mul(a, e) == a
         assert grp.mul(e, a) == a
@@ -93,7 +94,7 @@ def test_finset_dedup_and_order():
 ], ids=["z_power", "cyclic_sum", "z_sum"])
 def test_finset_membership_matches_elems(grp, absent, foreign):
     rng = np.random.default_rng(3)
-    elems = [grp.random_elem(rng, 6) for _ in range(200)]
+    elems = [random_elem(grp, rng, 6) for _ in range(200)]
     small, big = FinSet(grp, elems[:3]), FinSet(grp, elems)
     assert len(big) > 16
     for F in (small, big):
@@ -129,8 +130,8 @@ def test_product_grid_matches_naive(grp):
     # elementwise products
     rng = np.random.default_rng(7)
     for trial in range(20):
-        K = FinSet(grp, [grp.random_elem(rng) for _ in range(4)])
-        F = FinSet(grp, [grp.random_elem(rng) for _ in range(5)])
+        K = FinSet(grp, [random_elem(grp, rng) for _ in range(4)])
+        F = FinSet(grp, [random_elem(grp, rng) for _ in range(5)])
         naive = {grp.mul(k, f) for k in K.elems for f in F.elems}
         got = product_set(K, F)
         assert set(got.elems) == naive
@@ -448,7 +449,7 @@ def erosion_pair(draw, grp):
          for j, f in enumerate(full)]
     F = set(grp.rows_to_elems(np.asarray(list(itertools.product(*F)))))
     g = draw(elems_strategy(grp, span=3, top=3))
-    inside = [grp._canon((j, v) for j, v in h if j < width and full[j])
+    inside = [canon(grp, [(j, v) for j, v in h if j < width and full[j]])
               for h in draw(st.lists(elems_strategy(grp, span=3, top=3), min_size=1,
                                      max_size=4))]
     T = {grp.mul(g, h) for h in inside}

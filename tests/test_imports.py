@@ -3,7 +3,8 @@ every module-level function, class or constant and every method has a
 caller outside the tests, every gate refusal with a literal hypothesis has
 a pinned case, finite sets stay in their one representation, config
 parsers read only through the checked reader, the dense product counts
-import no scipy, numpy generators are built only in the listed functions,
+import no scipy, the classifiers import no ``numpy.random``, numpy
+generators are built only in the listed functions,
 and the package states one version.
 
 No linter is part of the toolchain, so this is the check.  ``__init__.py``
@@ -340,10 +341,35 @@ def test_grid_products_import_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+_CLASSIFIERS = """
+import math
+import sys
+from folnerlab import CyclicSum, ZPower
+from folnerlab.ergodic import setfn_classify, setfn_registry
+from folnerlab.families import AdditiveFamily, ConcaveCardinality, classify
+from folnerlab.systems import BernoulliShift, FiniteMixture, TorusRotation, indicator_symbol
+for grp in (ZPower(1), CyclicSum((2,))):
+    system = FiniteMixture([(0.5, BernoulliShift(grp, (0.5, 0.5))),
+                            (0.5, BernoulliShift(grp, (0.2, 0.8)))])
+    assert classify(AdditiveFamily(indicator_symbol(1)), grp, system).passed("invariant")
+    assert setfn_classify(setfn_registry(grp)["card"], grp).passed("subadditive")
+assert classify(ConcaveCardinality(math.sqrt), ZPower(2),
+                TorusRotation(None, (0.3, 0.6))).passed("invariant")
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+
+
+def test_classifiers_import_no_numpy_random():
+    # both classifiers draw their trials from _bits._Streams, with no generator
+    out = subprocess.run([sys.executable, "-c", _CLASSIFIERS], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"
+
+
 # the functions of src/ that build a numpy generator, each with why
 _GENERATOR_SITES_OK = {
     "systems.conditional_expectation": "one generator per leaf draws its Monte Carlo points",
-    "_bits.trial_generators": "the one generator that the classifiers reseed per trial",
 }
 
 

@@ -18,6 +18,7 @@ import pytest
 from folnerlab.ergodic import sample_points
 from folnerlab.groups import CyclicSum, ZPower, ZSum
 from folnerlab.systems import BernoulliShift, FiniteMixture, TorusRotation
+from scalar_oracle import random_elem
 
 ALPHA = (math.sqrt(5) - 1) / 2
 
@@ -56,7 +57,7 @@ def _translated(grp):
     pts = sample_points(system, 30, 5)
     rng = np.random.default_rng(19)
     for _ in range(2):
-        gs = [grp.random_elem(rng, 3) for _ in range(len(pts))]
+        gs = [random_elem(grp, rng, 3) for _ in range(len(pts))]
         pts = pts.moved(grp, grp.dense_rows(gs))
     return system, pts
 

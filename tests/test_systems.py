@@ -25,7 +25,7 @@ from folnerlab.systems import (
     torus_coordinate,
 )
 from folnerlab.tiling import window_set
-from scalar_oracle import act, family_value, obs_value
+from scalar_oracle import act, family_value, obs_value, random_elem
 
 ALPHA = (math.sqrt(5) - 1) / 2  # irrational rotation step
 
@@ -248,7 +248,7 @@ def _translated_case(case):
         "gappy": (ZPower(2), [(0, 0), (3, 1), (-2, 5), (1, 1), (0, 4)]),
     }[case]
     system = BernoulliShift(grp, (0.4, 0.6), seed=33)
-    moves = [grp.random_elem(rng, 5) for _ in range(70)]
+    moves = [random_elem(grp, rng, 5) for _ in range(70)]
     if case == "zsum-wide":
         moves = [grp.mul(g, ((6, int(rng.integers(-4, 5))),)) for g in moves]
     return system, FinSet(grp, F), system.sample([rng] * len(moves)).moved(

@@ -195,14 +195,15 @@ def test_greedy_cover_reads_one_hashed_box_per_window():
 
 
 def test_classifiers_build_no_generator_per_trial():
-    # every trial of classify and setfn_classify draws from one reseeded
-    # generator (trial_generators), not from a default_rng of its own
+    # classify and setfn_classify draw every trial from one _bits._Streams,
+    # with no numpy generator at all
     grp = ZPower(1)
     system = BernoulliShift(grp, (0.5, 0.5), seed=1)
-    with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as built:
+    with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as built, \
+            mock.patch.object(np.random, "Generator", wraps=np.random.Generator) as made:
         classify(AdditiveFamily(indicator_symbol(1)), grp, system)
         setfn_classify(setfn_registry(grp)["card"], grp)
-    assert built.call_count == 0
+    assert built.call_count == 0 and made.call_count == 0
 
 
 # op -> (words hashed, (point, cell) pairs of translated batches) at seed 0
