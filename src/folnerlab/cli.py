@@ -43,7 +43,7 @@ from .ergodic import (GateRefusal, birkhoff_check, ergodic_decomposition_check,
                       maximal_inequality_check, setfn_limit_strong,
                       setfn_limit_tiling, setfn_registry)
 from .families import PROPERTIES, classify, family_from_json
-from .folner import (defect_profile, make_folner, ratios_look_divergent,
+from .folner import (_CARD_CAP, defect_profile, make_folner, ratios_look_divergent,
                      tempelman_report, tempered_report)
 from .groups import BudgetError, EnumBudget, Group
 from .systems import System, UnsupportedObservable, observable_from_json
@@ -174,23 +174,18 @@ def _verify_folner(group, sequence, indices, growth_upto):
 
 
 def _verify_tiling(group, sequence, indices, window_radius, window_max_index):
+    # every sequence kind a config can name has a certificate at each index
     rows = []
     all_ok = True
-    windows_checked = 0
     for n in indices:
         cert = standard_cert(sequence, n)
-        if cert is None:
-            all_ok = False
-            rows.append((n, "tiles_window", 0))
-            continue
         window = window_set(group, window_radius, window_max_index)
         ok, uncovered, multi = tiles_window_report(cert, window)
-        windows_checked += 1
         all_ok &= ok
         rows.append((n, "tiles_window", ok))
         rows.append((n, "uncovered_cells", len(uncovered)))
         rows.append((n, "multicovered_cells", len(multi)))
-    return (0 if all_ok else 4), rows, {"windows_checked": windows_checked}
+    return (0 if all_ok else 4), rows, {"windows_checked": len(indices)}
 
 
 def _check_family(group, system, family, seed, expect, **opts):
@@ -319,7 +314,10 @@ _COMMANDS = {
         ("indices", [1, 2, 3, 4], *_INDICES), ("window_radius", 6, *_NONNEG_INT),
         ("window_max_index", 3, *_POS_INT)), _verify_tiling),
     "check-family": (("system", "family"), (
-        _SEED, ("trials", 300, *_POS_INT), ("max_card", 6, *_POS_INT),
+        _SEED, ("trials", 300, *_POS_INT),
+        # no window holds more cells, and |E|, |F| are drawn as 64-bit integers
+        ("max_card", 6, lambda x: _POS_INT[0](x) and x <= _CARD_CAP,
+         f"a positive integer <= {_CARD_CAP}"),
         ("expect", lambda v: sorted(v["family"].declared),
          lambda x: isinstance(x, list) and all(p in PROPERTIES for p in x),
          f"a list of properties from {', '.join(PROPERTIES)}")), _check_family),

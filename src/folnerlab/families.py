@@ -258,10 +258,7 @@ class DerivedPrime(Family):
         self.base = base
         self.name = f"derived_prime({base.name})"
         self.declared = frozenset({"nonnegative", "supadditive"}
-                                  | ({"invariant"} if "invariant" in base.declared
-                                     else set())
-                                  | ({"bi_invariant"}
-                                     if "bi_invariant" in base.declared else set()))
+                                  | ({"invariant", "bi_invariant"} & base.declared))
         self.exact_values = base.exact_values
 
     def leaf_values(self, leaf, batch, F, mask=None):
@@ -481,6 +478,8 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
     role is evaluated over all trials in one batch, and each comparison
     uses tolerance 0 for exactly-representable families and 1e-12
     otherwise; the first failing comparison in trial order is reported.
+    The group is abelian, so the translate E.g is g.E as well: bi-invariance
+    is the invariance comparison, reported under both names.
     """
     span = 2  # radius of the sets' window and of the random translations
     ground = window_set(group, span, 3)
@@ -509,12 +508,11 @@ def classify(fam: Family, group: Group, system: System, trials: int = 300,
     }
     if {"invariant", "bi_invariant"} & set(properties):
         acted = split_leaves(system, fam.act(system, ys, group.dense_rows(gs)))
-        # g.E: as in translate_right, the translate by g read on either side
-        vEg, vE_gy, vgE = (_batch_values(fam, p, W, m)
-                           for p, m in ((parts, Eg), (acted, E), (parts, Eg)))
+        # every group here is abelian: g.E = E.g, so bi-invariance is invariance
+        vEg, vE_gy = _batch_values(fam, parts, W, Eg), _batch_values(fam, acted, W, E)
         inv_ok = np.abs(vEg - vE_gy) <= tol
         checks["invariant"] = [(vEg, vE_gy, inv_ok, every)]
-        checks["bi_invariant"] = [(vgE, vEg, inv_ok & (np.abs(vgE - vEg) <= tol), every)]
+        checks["bi_invariant"] = [(vEg, vEg, inv_ok, every)]
     if {"subadditive", "supadditive"} & set(properties):
         # E u (F \ E) is E u F, already evaluated
         split = vE + _batch_values(fam, parts, W, Fd)

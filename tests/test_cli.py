@@ -90,16 +90,18 @@ def test_converge_ladder_switch_exit_zero(tmp_path):
 
 
 def test_verify_folner_exit_zero(tmp_path):
-    cfg = _write(tmp_path, "cfg.json", {
-        "group": _z_group(),
-        "sequence": {"kind": "z_boxes"},
-        "indices": [2, 4, 8, 16],
-    })
-    code, summary, csv = _run("verify-folner", cfg, tmp_path)
-    assert code == 0
-    assert not summary["ratios_divergent"]
-    stats = {line.split(",")[1] for line in csv.splitlines()[2:]}
-    assert {"defect_0", "tempelman_ratio", "tempered_ratio"} <= stats
+    # on the sum groups the defects are along the base generator e_0
+    for group, kind, indices in [
+            (_z_group(), "z_boxes", [2, 4, 8, 16]),
+            ({"kind": "cyclic_sum", "periods": [2]}, "cyclic_prefix", [1, 2, 3]),
+            ({"kind": "z_sum"}, "zsum_boxes", [1, 2, 3])]:
+        cfg = _write(tmp_path, "cfg.json", {
+            "group": group, "sequence": {"kind": kind}, "indices": indices})
+        code, summary, csv = _run("verify-folner", cfg, tmp_path)
+        assert code == 0, kind
+        assert not summary["ratios_divergent"]
+        stats = {line.split(",")[1] for line in csv.splitlines()[2:]}
+        assert {"defect_0", "tempelman_ratio", "tempered_ratio"} <= stats
 
 
 def test_verify_tiling_exit_zero(tmp_path):
@@ -186,13 +188,19 @@ def test_oversized_window_exit_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("inner", ["minus_card_squared", "derived_prime"])
+_INDICATOR = {"kind": "additive",
+              "observable": {"kind": "indicator_symbol", "symbol": 1}}
+
+
+@pytest.mark.parametrize("inner", [
+    {"kind": "minus_card_squared", "base": _INDICATOR},
+    {"kind": "derived_prime", "base": _INDICATOR},
+    {"kind": "concave_cardinality", "gamma": "sqrt"},
+    {"kind": "truncated", "N": 2, "base": _INDICATOR},
+], ids=["minus_card_squared", "derived_prime", "concave_cardinality", "truncated"])
 def test_nested_defect_family_runs(tmp_path, inner):
     # the defect of a family needs that family's singleton window
-    additive = {"kind": "additive",
-                "observable": {"kind": "indicator_symbol", "symbol": 1}}
-    cfg = _maximal_cfg(family={"kind": "derived_prime",
-                               "base": {"kind": inner, "base": additive}})
+    cfg = _maximal_cfg(family={"kind": "derived_prime", "base": inner})
     code, summary, _ = _run("maximal", _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code in (0, 4), summary
 
@@ -493,6 +501,11 @@ def _converge_cfg(**over):
      "window_radius must be a non-negative integer"),
     ("check-family", _family_cfg(max_card="x"),
      "max_card must be a positive integer"),
+    # |E| and |F| are drawn as 64-bit integers, and no window is this large
+    ("check-family", _family_cfg(max_card=2 ** 63),
+     "max_card must be a positive integer <= 5000000"),
+    ("check-family", _family_cfg(max_card=2 ** 64 + 1),
+     "max_card must be a positive integer <= 5000000"),
     ("check-family", _family_cfg(expect=3), "expect must be a list of properties"),
     ("limit-setfn", _setfn_cfg(max_card="x"), "max_card must be a positive integer"),
     ("limit-setfn", _setfn_cfg(route="strong", budget={"max_card": "x"}),
@@ -636,11 +649,17 @@ def _converge_cfg(**over):
      _family_cfg(family={"kind": "derived_prime_m",
                          "base": {"kind": "additive", "observable": {"kind": "symbol_value"}}}),
      "bad family: kind must be one of"),
+    ("verify-folner", [_folner_cfg()], "config root must be a JSON object"),
+    # 5^8 ground cells on the integer sum, once the boxes of the stream run out
+    ("limit-setfn", _setfn_cfg(group={"kind": "z_sum"}, sequence={"kind": "zsum_boxes"},
+                               route="strong", budget={"max_index": 8}),
+     "enumeration ground set too large"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
         "folner-growth-str", "folner-growth-bool", "folner-growth-one",
         "tiling-radius",
-        "family-max-card", "family-expect", "setfn-max-card",
+        "family-max-card", "family-max-card-2^63", "family-max-card-2^64+1",
+        "family-expect", "setfn-max-card",
         "setfn-budget-max-card", "setfn-name-list", "converge-tol",
         "converge-nu-floor", "birkhoff-tail", "maximal-M",
         "maximal-greedy-instances", "output-not-object", "tiling-window-cyclic",
@@ -659,7 +678,7 @@ def _converge_cfg(**over):
         "system-probs-nan", "additive-plus-beta-nan", "additive-plus-beta-inf",
         "maximal-alpha-inf", "maximal-alpha-past-float", "maximal-M-inf",
         "maximal-nu-term-inf", "cyclic-prefix-anchors", "zsum-boxes-anchors",
-        "family-derived-prime-m"])
+        "family-derived-prime-m", "config-root-array", "setfn-ground-set-budget"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, csv = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1

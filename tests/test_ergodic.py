@@ -28,6 +28,7 @@ from folnerlab.ergodic import (
     truncation_ladder,
 )
 from folnerlab.families import (
+    GAMMAS,
     AdditiveFamily,
     AdditivePlus,
     PROPERTIES,
@@ -395,10 +396,15 @@ def test_kingman_additive_on_lattice_passes():
     assert rep.converged_frac >= 0.95
     assert rep.within_frac >= 0.95
     assert rep.terminal.mean == pytest.approx(0.5, abs=0.01)
-    assert rep.gates["route"] in ("bi_invariant", "strongly_subadditive",
-                                  "subgroup_product")
+    assert rep.gates["route"] == "bi_invariant"
     gaps = [row["gap"] for row in rep.gates["condition_b_gaps"]]
     assert gaps[-1] <= gaps[0]
+
+
+def test_kingman_l1_chain_needs_each_set_composed_from_the_last():
+    # F_5 = [0, 5) is no composition of the tile [0, 2) with a box
+    rep = kingman_run(_additive(), _seq(), _system(), [2, 5], samples=20, seed=7)
+    assert rep.gates["l1_chain"] is False
 
 
 def test_kingman_mixture_splits_exact_leaf_targets():
@@ -541,6 +547,16 @@ def test_dprime_diagnostics_closed_form():
     assert not out["vanishing_trend"]
 
 
+def test_dprime_diagnostics_flags_a_rising_trend():
+    # with gamma(k) = ceil(k/2) the refined defect at F_n is
+    # gamma(m)/m - gamma(mn)/(mn): 1/2 - 4/8 = 0 at m = 2, 2/3 - 6/12 at m = 3
+    fam = AdditivePlus(symbol_value(), GAMMAS["ceil_half"], 1.0, "ceil_half")
+    out = dprime_m_diagnostics(fam, _seq(), _system(), [2, 3], 4, samples=50)
+    means = [row["estimate"]["mean"] for row in out["rows"]]
+    assert means == pytest.approx([0.0, 1 / 6], abs=1e-12)
+    assert not out["decreasing"] and not out["ok"]
+
+
 # ---------------------------------------------------------------------------
 # refusal strings: they reach the CLI summary verbatim
 
@@ -564,11 +580,6 @@ def _anchored_boxes():
     return make_folner(_z(), "z_boxes", anchors="squares")
 
 
-def _plane():
-    return (make_folner(ZPower(2), "z_boxes"),
-            BernoulliShift(ZPower(2), (0.7, 0.3), seed=5))
-
-
 def _diagonal_cubes():
     zs = ZSum()
     return make_folner(zs, "zsum_boxes"), BernoulliShift(zs, (0.7, 0.3), seed=5)
@@ -586,8 +597,6 @@ _MAXIMAL_DETAIL = ("maximal inequality needs a non-negative sup-additive "
 _DIVERGE_DETAIL = "growth ratios diverge at the budget"
 _NU_DETAIL = ("need (sub/sup-additive + invariant) or strongly "
               "sub/sup-additive + invariant")
-_ROUTE_DETAIL = ("family is neither bi-invariant nor strongly sub-additive "
-                 "and no subgroup-product witness exists")
 
 _REFUSALS = {
     "maximal-nonnegative": (
@@ -633,11 +642,6 @@ _REFUSALS = {
                             report=_report()),
         "sandwich witnesses",
         "composition gap not shrinking along the schedule", {"gaps"}),
-    "kingman-route": (
-        lambda: kingman_run(_additive(), *_plane(), [2, 4], 10,
-                            report=_report("bi_invariant",
-                                           "strongly_subadditive")),
-        "invariance route", _ROUTE_DETAIL, set()),
     "limsup-bi-invariant-family": (
         lambda: limsup_identity_check(
             _additive(), _seq(), _system(), "bi_invariant", [2, 4], 10,
@@ -718,28 +722,7 @@ def test_setfn_refusal_witnesses_the_failed_property():
 
 
 # ---------------------------------------------------------------------------
-# invariance route and narrowed exception handling
-
-
-def _route_certs(seq, schedule):
-    return {n: standard_cert(seq, n) for n in schedule}
-
-
-@pytest.mark.parametrize("group, kind, schedule, route", [
-    (ZPower(1), "z_boxes", [2, 3], "subgroup_product"),
-    (ZPower(2), "z_boxes", [2, 4], None),
-    (CyclicSum((2,)), "cyclic_prefix", [1, 2], None),
-    (ZSum(), "zsum_boxes", [2, 3], "subgroup_product"),
-], ids=["z-coprime", "z-shared-factor", "cyclic-prefix", "zsum-coprime"])
-def test_route_gate_subgroup_product_branch(group, kind, schedule, route):
-    report = _report("bi_invariant", "strongly_subadditive")
-    certs = _route_certs(make_folner(group, kind), schedule)
-    if route is not None:
-        assert ergodic._route_gate(report, certs, schedule) == route
-    else:
-        with pytest.raises(GateRefusal) as exc:
-            ergodic._route_gate(report, certs, schedule)
-        assert exc.value.hypothesis == "invariance route"
+# narrowed exception handling
 
 
 def _raise_arithmetic(*args, **kwargs):
@@ -754,7 +737,7 @@ def test_tempered_gate_lets_unexpected_errors_through(monkeypatch):
 
 def test_composition_chain_lets_unexpected_errors_through(monkeypatch):
     schedule = [2, 4]
-    certs = _route_certs(_seq(), schedule)
+    certs = {n: standard_cert(_seq(), n) for n in schedule}
     assert ergodic._composition_chain_ok(_seq(), schedule, certs)
     monkeypatch.setattr(ergodic, "compose", _raise_arithmetic)
     with pytest.raises(ArithmeticError):

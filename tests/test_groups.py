@@ -82,7 +82,7 @@ def test_zsum_law_hypothesis(a, b):
 
 def test_finset_dedup_and_order():
     F = FinSet(Z1, [(3,), (1,), (3,), (2,)])
-    assert F.elems == ((1,), (2,), (3,))
+    assert F.elems == ((1,), (2,), (3,)) == tuple(F)
     assert len(F) == 3 and not F.is_empty
     assert FinSet(Z1, []).is_empty
 

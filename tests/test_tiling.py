@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from folnerlab import ergodic, tiling
+from folnerlab import tiling
 from folnerlab.folner import make_folner
 from folnerlab.groups import (BudgetError, CyclicSum, FinSet, ZPower, ZSum, _box,
                               product_set, zsum_box)
@@ -603,24 +603,3 @@ def test_image_centers_keep_the_old_formulas(grp, kind):
             want = [member(e) for e in grp.rows_to_elems(rows)]
             assert any(want) and not all(want)
             assert centers.contains_rows(rows).tolist() == want
-
-
-@pytest.mark.parametrize("grp, kind", [
-    (Z1, "z_boxes"), (Z2, "z_boxes"), (K23, "cyclic_prefix"), (C2, "cyclic_prefix"),
-    (ZS, "zsum_boxes"),
-], ids=["z1", "z2", "cyclic23", "cyclic2", "zsum"])
-def test_subgroup_product_keeps_the_old_formulas(grp, kind):
-    # coprime lattice moduli on Z^d and on the integer sum's shapes (1 past
-    # their ends); prefix-shift centers never generate a cyclic sum
-    seq = make_folner(grp, kind)
-    for m, p in itertools.combinations(range(1, 7), 2):
-        if isinstance(grp, ZPower):
-            want = all(math.gcd(x, y) == 1 for x, y in zip((m,) * grp.d, (p,) * grp.d))
-        elif isinstance(grp, CyclicSum):
-            want = False
-        else:
-            get = lambda s, i: s[i] if i < len(s) else 1
-            want = all(math.gcd(get((m,) * m, i), get((p,) * p, i)) == 1 for i in range(p))
-        certs = standard_cert(seq, m), standard_cert(seq, p)
-        assert ergodic._subgroup_product_full(*certs) == want
-        assert ergodic._subgroup_product_full(*certs[::-1]) == want
