@@ -28,9 +28,8 @@ from .groups import (BudgetError, CyclicSum, EnumBudget, FinSet, Group,
                      intersect, inverse_set, is_subset, multiplicity,
                      product_set, symdiff, translate_right, union)
 from .systems import (BernoulliShift, FiniteMixture, Observable, System,
-                      TorusRotation, UnsupportedObservable,
-                      conditional_expectation, indicator_symbol, neg_pow_run,
-                      observable_from_json, scaled, symbol_value,
+                      TorusRotation, UnsupportedObservable, indicator_symbol,
+                      neg_pow_run, observable_from_json, scaled, symbol_value,
                       torus_coordinate)
 from .tiling import (TilingCert, TilingOverlapError, compose,
                      condition_b_witness, enumerate_tiles, standard_cert,

@@ -301,6 +301,8 @@ _SAMPLED = ("sequence", "system", "family")
 _SEED = ("seed", 7, *_NONNEG_INT)
 _SAMPLES = (("samples", ..., *_INT_GE_2), _SEED)
 _SCHEDULED = ("n_schedule", ..., *_SCHEDULE)
+# no window or enumerated set holds more cells
+_CARD = (lambda x: _POS_INT[0](x) and x <= _CARD_CAP, f"a positive integer <= {_CARD_CAP}")
 _TOL = ("tolerances.tol", 0.05, *_NONNEG_NUM)
 _TAIL = (("tolerances.tail", 3, *_POS_INT),
          ("tolerances.osc_tol", None, *_OPT_NONNEG_NUM))
@@ -315,9 +317,8 @@ _COMMANDS = {
         ("window_max_index", 3, *_POS_INT)), _verify_tiling),
     "check-family": (("system", "family"), (
         _SEED, ("trials", 300, *_POS_INT),
-        # no window holds more cells, and |E|, |F| are drawn as 64-bit integers
-        ("max_card", 6, lambda x: _POS_INT[0](x) and x <= _CARD_CAP,
-         f"a positive integer <= {_CARD_CAP}"),
+        # |E|, |F| are drawn as 64-bit integers
+        ("max_card", 6, *_CARD),
         ("expect", lambda v: sorted(v["family"].declared),
          lambda x: isinstance(x, list) and all(p in PROPERTIES for p in x),
          f"a list of properties from {', '.join(PROPERTIES)}")), _check_family),
@@ -325,8 +326,8 @@ _COMMANDS = {
         ("setfn", ..., lambda v: _one_of(setfn_registry(v["group"]))),
         _SCHEDULED,
         ("route", "tiling", {
-            "tiling": (("max_card", 12, *_POS_INT), ("max_index", 4, *_POS_INT)),
-            "strong": (("budget.lo", -2, *_INT), ("budget.max_card", 4, *_POS_INT),
+            "tiling": (("max_card", 12, *_CARD), ("max_index", 4, *_POS_INT)),
+            "strong": (("budget.lo", -2, *_INT), ("budget.max_card", 4, *_CARD),
                        ("budget.hi", 2, lambda v: (
                            lambda x: type(x) is int and x >= v["lo"],
                            "an integer >= budget.lo")),

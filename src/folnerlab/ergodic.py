@@ -29,8 +29,7 @@ from .folner import (FolnerSeq, _inverse_unions, make_folner, tempelman_report,
 from .groups import (EnumBudget, FinSet, Group, _box_shell, _key_sums, _padded_boxes,
                      _sum_box, enumerate_finsets, erode, intersect, is_subset,
                      product_set, union)
-from .systems import (Observable, Points, System, conditional_expectation,
-                      split_leaves)
+from .systems import Observable, Points, System, split_leaves
 from .tiling import compose, enumerate_tiles, standard_cert, window_set
 
 
@@ -562,16 +561,17 @@ def birkhoff_check(obs: Observable, seq: FolnerSeq, system: System,
                    tol: float = 0.05, tail: int = 3,
                    osc_tol: Optional[float] = None) -> ConvergenceReport:
     """Pointwise averaging check: trajectories of window averages against the
-    per-component expectation."""
+    per-component expectation, each component's ``_leaf_target`` on the
+    one-cell set {e}."""
     schedule = _validate_schedule(schedule)
     witness = _tempered_gate(seq, schedule)
     fam = AdditiveFamily(obs)
     pts = sample_points(system, samples, seed)
     V = trajectory_matrix(fam, system, seq, schedule, pts)
-    ce = conditional_expectation(system, obs, seed=seed + 1)
-    targets = np.empty(len(pts))
-    for leaf, idx, _ in split_leaves(system, pts):
-        targets[idx] = ce.leaf_means[id(leaf)]
+    origin = [FinSet(system.group, [system.group.identity()])]
+    comps = [(w, _leaf_target(fam, leaf, origin, seed + 1 + 1009 * (k + 1))[0])
+             for k, (w, leaf) in enumerate(system.components())]
+    targets = np.array([m for _, m in comps])[pts.leaf]
     dev = np.abs(V - targets[:, None])
     within = float((dev[:, -1] <= tol).mean())
     l1 = dev.mean(axis=0)
@@ -584,8 +584,7 @@ def birkhoff_check(obs: Observable, seq: FolnerSeq, system: System,
         kind="pointwise_average", schedule=tuple(schedule),
         col_means=tuple(V.mean(axis=0)), terminal=term,
         converged_frac=conv_frac, osc_tol=osc_tol_v,
-        target_summary={"mean": ce.mean,
-                        "components": [(w, m) for w, _, m, _ in ce.components]},
+        target_summary={"mean": sum(w * m for w, m in comps), "components": comps},
         within_frac=within, tol=tol, l1=tuple(l1), l1_decreasing=l1_dec,
         gates=gates, passed=bool(passed))
 
@@ -625,6 +624,20 @@ _LADDER_LEVELS = (1, 2, 4, 8)  # kingman_run's truncations below its nu floor
 _TEMPELMAN_CAP = 256.0  # kingman_run's bound on the scheduled growth ratios
 
 
+def _leaf_target(fam: Family, leaf: System, candidates, seed: int):
+    """(inf, stabilized) on one leaf: the observable's exact mean where an
+    additive family has one, since every candidate's normalized mean is then
+    exactly that integral; else the anytime infimum over candidate sets of
+    the normalized mean on ``_CONC_SAMPLES`` points of substream ``seed``."""
+    m0 = fam.obs.exact_mean(leaf) if isinstance(fam, AdditiveFamily) else None
+    if m0 is not None:
+        return float(m0), True
+    lpts = sample_points(leaf, _CONC_SAMPLES, seed)
+    inf, _, stabilized = _anytime_min(
+        float(fam.sample_values(leaf, T, lpts).mean()) / len(T) for T in candidates)
+    return inf, stabilized
+
+
 def _leaf_targets(fam: Family, system: System, pts, candidates, seed: int):
     """Per-point infimum targets via the leaf decomposition: on each leaf,
     the anytime infimum over candidate sets of the normalized mean.
@@ -634,15 +647,7 @@ def _leaf_targets(fam: Family, system: System, pts, candidates, seed: int):
     targets = np.full(len(pts), np.nan)
     infos = []
     for k, (leaf, idx, _) in enumerate(split_leaves(system, pts)):
-        m0 = fam.obs.exact_mean(leaf) if isinstance(fam, AdditiveFamily) else None
-        if m0 is not None:
-            # every candidate has normalized mean exactly the integral
-            inf, stabilized = float(m0), True
-        else:
-            lpts = sample_points(leaf, _CONC_SAMPLES, seed + 1009 * (k + 1))
-            inf, _, stabilized = _anytime_min(
-                float(fam.sample_values(leaf, T, lpts).mean()) / len(T)
-                for T in candidates)
+        inf, stabilized = _leaf_target(fam, leaf, candidates, seed + 1009 * (k + 1))
         infos.append({"n_points": int(len(idx)), "inf": inf,
                       "stabilized": stabilized, "ergodic": leaf.ergodic})
         targets[np.asarray(idx)] = inf

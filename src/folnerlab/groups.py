@@ -806,7 +806,7 @@ def enumerate_finsets(grp: Group, budget: EnumBudget) -> Iterator[FinSet]:
     def candidates():
         yield from ((fs.elems, fs) for fs in _boxes(grp, budget))
         ground = _ground_set(grp, budget)  # only once the boxes run out
-        for card in range(1, budget.max_card + 1):
+        for card in range(1, min(budget.max_card, len(ground)) + 1):
             yield from ((combo, None) for combo in itertools.combinations(ground, card))
 
     def fresh():

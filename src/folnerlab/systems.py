@@ -89,8 +89,8 @@ class System:
     i])`` would: ``substream_points`` draws all points at once, each kind
     drawing with ``_decode(streams, mask)`` from ``_bits._Streams`` (at most
     ``_outputs`` raw outputs each), as the classifiers draw their trials'
-    points.  ``sample`` draws with ``_draw(rng)`` from each item of an
-    iterable of numpy generators, such as one that points share."""
+    points.  No numpy generator is built: the tests' scalar oracle holds the
+    one-generator-per-point draw that these streams reproduce."""
 
     group: Group
     seed: int
@@ -116,13 +116,6 @@ class System:
     def substream_points(self, seed: int, idx: np.ndarray) -> Points:
         """Point j as ``np.random.default_rng([seed, idx[j]])`` draws it."""
         return self._points(*self._decode(s := _Streams(seed, idx, self._outputs), s.all))
-
-    def sample(self, rngs) -> Points:
-        """One point from each generator of the iterable ``rngs``, in order."""
-        draws = [self._draw(rng) for rng in rngs]
-        pad = (0.0,) * self._dim()
-        return self._points([k for k, _, _ in draws], [c for _, c, _ in draws],
-                            [pad if b is None else b for _, _, b in draws])
 
     @staticmethod
     def from_json(d: dict, group: Optional[Group] = None) -> "System":
@@ -164,10 +157,6 @@ class BernoulliShift(System):
         # round to the uniform 1.0 read as the last symbol
         cuts = [_word_cut(c) for c in cum[:-1]]
         self._cuts = np.asarray([t for t in cuts if t < 1 << 64], dtype=np.uint64)
-
-    def _draw(self, rng) -> tuple:
-        word = int(rng.integers(0, 1 << 63)) | (int(rng.integers(0, 2)) << 63)
-        return 0, mix64(mix64(self.seed ^ GOLDEN64) ^ word), None
 
     def _decode(self, streams, mask: np.ndarray) -> tuple:
         # integers(0, 2**63) is a raw output >> 1, and keeps the buffered half
@@ -238,9 +227,6 @@ class TorusRotation(System):
         self.ergodic = True  # irrational frequencies assumed (default sqrt(2)-1)
         self._outputs = group.d
 
-    def _draw(self, rng) -> tuple:
-        return 0, 0, rng.random(self.group.d)
-
     def _decode(self, streams, mask: np.ndarray) -> tuple:
         return (np.zeros(len(mask), dtype=np.int64), np.zeros(len(mask), dtype=np.uint64),
                 np.stack([_doubles(streams.next64(mask)) for _ in range(self.group.d)], 1))
@@ -271,13 +257,8 @@ class FiniteMixture(System):
         """The part u picks: the first whose running weight sum exceeds u, else the last."""
         return np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.parts) - 1)
 
-    def _draw(self, rng) -> tuple:
-        idx = int(self._part(rng.random()))
-        k, cfg, base = self.parts[idx][1]._draw(rng)
-        return self._first[idx] + k, cfg, base
-
     def _decode(self, streams, mask: np.ndarray) -> tuple:
-        # a double picks the part as _draw does; the part draws the rest
+        # a double picks the part; the part draws the rest
         part = self._part(_doubles(streams.next64(mask)))
         leaf, cfgs = np.zeros(len(mask), dtype=np.int64), np.zeros(len(mask), dtype=np.uint64)
         bases = np.zeros((len(mask), self._dim()))
@@ -528,40 +509,3 @@ _OBSERVABLE_KINDS = {
     "neg_pow_run": lambda d: neg_pow_run(_get(d, "base", 2.0, *_NUM),
                                          _get(d, "cap", 40, *_NONNEG_INT)),
 }
-
-
-# ---------------------------------------------------------------------------
-# Conditional expectation (constant on each ergodic component)
-
-
-@dataclass(frozen=True)
-class CondExp:
-    components: tuple  # (weight, leaf id, mean, stderr)
-    leaf_means: dict  # leaf id -> mean
-
-    @property
-    def mean(self) -> float:
-        return sum(w * m for w, _, m, _ in self.components)
-
-
-_CE_SAMPLES = 4000
-
-
-def conditional_expectation(system: System, obs: Observable, seed: int = 7) -> CondExp:
-    """Per-component expectation of an observable; exact when the observable
-    declares a closed form, Monte Carlo on ``_CE_SAMPLES`` points otherwise."""
-    comps = []
-    leaf_means = {}
-    for k, (w, leaf) in enumerate(system.components()):
-        m = obs.exact_mean(leaf)
-        se = 0.0
-        if m is None:
-            rng = np.random.default_rng([seed, k])
-            batch = leaf.sample([rng] * _CE_SAMPLES)
-            origin = FinSet(leaf.group, [leaf.group.identity()])
-            vals = obs.window_values(leaf, batch, origin)[:, 0]
-            m = float(vals.mean())
-            se = float(vals.std(ddof=1) / np.sqrt(_CE_SAMPLES))
-        comps.append((w, id(leaf), float(m), se))
-        leaf_means[id(leaf)] = float(m)
-    return CondExp(tuple(comps), leaf_means)

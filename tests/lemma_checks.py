@@ -21,6 +21,7 @@ from folnerlab.groups import (FinSet, ZPower, erode, multiplicity, product_set,
 from folnerlab.systems import System
 from folnerlab.tiling import (Iso, LatticeCenters, TilingCert, standard_cert,
                               tiles_window_report, window_set)
+from scalar_oracle import sample
 
 # ---------------------------------------------------------------------------
 # Composed tiling Folner sequences inside a center subgroup
@@ -131,7 +132,7 @@ def indicator_decomposition_check(fam: Family, system: System, E: FinSet,
     if not indicator_identity_holds(E, terms):
         raise ValueError("indicator identity does not hold; decomposition bug")
     rng = np.random.default_rng(_DECOMPOSITION_SEED)
-    pts = system.sample([rng] * _DECOMPOSITION_SAMPLES)  # one shared generator
+    pts = sample(system, [rng] * _DECOMPOSITION_SAMPLES)  # one shared generator
     rhs = np.zeros(len(pts))
     for a, Ei in terms:  # summed term by term, in order
         rhs = rhs + float(a) * fam.sample_values(system, Ei, pts)

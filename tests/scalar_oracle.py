@@ -1,7 +1,8 @@
 """The scalar rules of observables and families, one point at a time: the
 oracle that the window and batch paths of ``folnerlab`` are checked
 against, as ``TupleRef`` in ``test_groups.py`` is for the set algebra.
-The classifiers' trial draws are here too, one numpy generator per trial:
+Points drawn from numpy generators are here too (``sample``), and so are
+the classifiers' trial draws, one numpy generator per trial:
 trial t of ``classify`` and ``setfn_classify`` draws what
 ``classify_draws`` and ``setfn_classify_draws`` draw from
 ``np.random.default_rng([seed, t])``.
@@ -22,7 +23,9 @@ from folnerlab.families import (AdditiveFamily, AdditivePlus,
                                 ConcaveCardinality, DerivedPrime,
                                 DerivedPrimeM, MaxFamily, MaxOfAdditives,
                                 MinusCardSquared, Truncated)
+from folnerlab._bits import GOLDEN64, mix64
 from folnerlab.groups import CyclicSum, FinSet, ZPower
+from folnerlab.systems import BernoulliShift, TorusRotation
 from folnerlab.tiling import compose, window_set
 
 
@@ -159,6 +162,31 @@ def trial_generators(seed: int, idx):
     return (np.random.default_rng([seed, i]) for i in idx)
 
 
+def _draw(system, rng) -> tuple:
+    """(leaf index, configuration key, base point or None) of one point drawn
+    from ``rng``: a Bernoulli key mixes a 64-bit word, integers(0, 2**63)
+    with integers(0, 2) as its top bit; a torus base is ``random(d)``; a
+    mixture's ``random()`` picks the part, which draws the rest."""
+    if isinstance(system, BernoulliShift):
+        word = int(rng.integers(0, 1 << 63)) | (int(rng.integers(0, 2)) << 63)
+        return 0, mix64(mix64(system.seed ^ GOLDEN64) ^ word), None
+    if isinstance(system, TorusRotation):
+        return 0, 0, rng.random(system.group.d)
+    idx = int(system._part(rng.random()))
+    k, cfg, base = _draw(system.parts[idx][1], rng)
+    return system._first[idx] + k, cfg, base
+
+
+def sample(system, rngs):
+    """One point from each generator of the iterable ``rngs``, in order: the
+    draw that ``System.substream_points`` reproduces for the generators
+    ``np.random.default_rng([seed, i])``."""
+    draws = [_draw(system, rng) for rng in rngs]
+    pad = (0.0,) * system._dim()
+    return system._points([k for k, _, _ in draws], [c for _, c, _ in draws],
+                          [pad if b is None else b for _, _, b in draws])
+
+
 def classify_draws(group, system, trials: int, max_card: int, seed: int) -> tuple:
     """(picks, gs, points): each trial's E and F positions in the ground,
     its g and its point, as ``classify`` draws them."""
@@ -167,7 +195,7 @@ def classify_draws(group, system, trials: int, max_card: int, seed: int) -> tupl
         picks.append([_random_positions(rng, len(ground), max_card) for _ in "EF"])
         gs.append(random_elem(group, rng, 2))
         rngs.append(rng)
-    return picks, gs, system.sample(rngs)
+    return picks, gs, sample(system, rngs)
 
 
 def setfn_classify_draws(group, seed: int) -> tuple:

@@ -26,7 +26,7 @@ from folnerlab.systems import (BernoulliShift, FiniteMixture, TorusRotation,
                                indicator_symbol, neg_pow_run, scaled,
                                split_leaves, symbol_value, torus_coordinate)
 from folnerlab.tiling import standard_cert, window_set
-from scalar_oracle import family_value, random_elem
+from scalar_oracle import family_value, random_elem, sample
 
 TRIALS = 60
 GROUPS = {"z1": ZPower(1), "z2": ZPower(2), "cyclic2": CyclicSum((2,)),
@@ -128,7 +128,7 @@ def test_masked_leaf_values_match_the_oracle(case):
     grp, system, fam = _case(case)
     W = window_set(grp, 2, 2)
     rng = np.random.default_rng(17)
-    ys = system.sample([rng] * 4)
+    ys = sample(system, [rng] * 4)
     gs = [grp.identity()] * 4 + [random_elem(grp, rng, 2) for _ in range(4)]
     pts = ys[np.tile(np.arange(4), 2)].moved(grp, grp.dense_rows(gs))
     mask = rng.random((len(pts), len(W))) < 0.5

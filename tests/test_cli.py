@@ -14,6 +14,7 @@ import pytest
 from folnerlab import cli, families, systems
 from folnerlab._bits import HASH_VERSION
 from folnerlab.cli import _COMMANDS, _THEOREM_TABLE, VERSION, main
+from folnerlab.folner import _CARD_CAP
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -236,6 +237,17 @@ def test_budget_limited_setfn_exit_two(tmp_path):
     assert code == 2
     assert summary["verdict"] == "inconclusive"
     assert summary["gaps"]["limit_vs_inf"] > 0.05
+
+
+def test_strong_setfn_max_card_past_the_ground_set_changes_nothing(tmp_path):
+    # the enumeration ends at the 5-element ground set: the largest bound
+    # the config takes reads as the ground set's size
+    out = []
+    for max_card in (5, _CARD_CAP):
+        cfg = _write(tmp_path, f"cfg{max_card}.json", _setfn_cfg(
+            route="strong", budget={"max_card": max_card, "max_sets": 50}))
+        out.append(_run("limit-setfn", cfg, tmp_path, tag=max_card))
+    assert out[0][0] == 0 and out[0] == out[1]
 
 
 def test_limsup_strong_mode_on_mixture_runs(tmp_path):
@@ -508,8 +520,12 @@ def _converge_cfg(**over):
      "max_card must be a positive integer <= 5000000"),
     ("check-family", _family_cfg(expect=3), "expect must be a list of properties"),
     ("limit-setfn", _setfn_cfg(max_card="x"), "max_card must be a positive integer"),
+    ("limit-setfn", _setfn_cfg(max_card=2 ** 64 + 1),
+     "max_card must be a positive integer <= 5000000"),
     ("limit-setfn", _setfn_cfg(route="strong", budget={"max_card": "x"}),
      "budget.max_card must be a positive integer"),
+    ("limit-setfn", _setfn_cfg(route="strong", budget={"max_card": 2 ** 64 + 1}),
+     "budget.max_card must be a positive integer <= 5000000"),
     ("limit-setfn", _setfn_cfg(setfn=["x"]), "setfn must be one of"),
     ("converge", _converge_cfg(tolerances={"tol": "x"}),
      "tolerances.tol must be a non-negative number"),
@@ -659,8 +675,8 @@ def _converge_cfg(**over):
         "folner-growth-str", "folner-growth-bool", "folner-growth-one",
         "tiling-radius",
         "family-max-card", "family-max-card-2^63", "family-max-card-2^64+1",
-        "family-expect", "setfn-max-card",
-        "setfn-budget-max-card", "setfn-name-list", "converge-tol",
+        "family-expect", "setfn-max-card", "setfn-max-card-2^64+1",
+        "setfn-budget-max-card", "setfn-budget-max-card-2^64+1", "setfn-name-list", "converge-tol",
         "converge-nu-floor", "birkhoff-tail", "maximal-M",
         "maximal-greedy-instances", "output-not-object", "tiling-window-cyclic",
         "tiling-window-plane", "group-d-bool", "group-periods-float",

@@ -29,7 +29,7 @@ from folnerlab.systems import (BernoulliShift, TorusRotation, indicator_symbol,
 from folnerlab.tiling import standard_cert
 from lemma_checks import (box_core_decomposition, indicator_decomposition_check,
                           indicator_identity_holds)
-from scalar_oracle import family_value
+from scalar_oracle import family_value, sample
 
 
 def _group():
@@ -114,7 +114,7 @@ def test_derived_family_of_an_additive_base_vanishes():
     seq = _seq()
     rng = np.random.default_rng(3)
     for n in (2, 5, 9):
-        y = system.sample([rng])
+        y = sample(system, [rng])
         assert fam.sample_values(system, seq.generate(n), y).tolist() == [0.0]
     rep = _classify(fam, trials=80)
     assert all(v.passed for v in rep.verdicts.values())
@@ -175,7 +175,7 @@ def test_wrapped_tile_derived_family_samples_on_its_leaf_path(system, observable
     cert = standard_cert(_seq(), 2)
     fam = Truncated(DerivedPrimeM(MaxOfAdditives(*observables), cert), 3)
     rng = np.random.default_rng(4)
-    ys = system.sample([rng] * 6)
+    ys = sample(system, [rng] * 6)
     moves = np.asarray([[0]] * 6 + [[7]] * 6)
     pts = ys[np.arange(12) % 6].moved(system.group, moves)
     F = _seq().generate(4)
@@ -247,7 +247,7 @@ def test_truncation_clips_at_linear_floor():
     base = AdditivePlus(symbol_value(), lambda k: -3.0 * k, 1.0, "steep_drop")
     fam = Truncated(base, 1)
     F = _seq().generate(4)
-    y = system.sample([np.random.default_rng(0)])
+    y = sample(system, [np.random.default_rng(0)])
     [raw] = base.sample_values(system, F, y)
     assert raw < -4.0
     assert fam.sample_values(system, F, y).tolist() == [-4.0]  # clipped at -N |F|

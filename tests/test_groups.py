@@ -752,6 +752,22 @@ def test_enumerate_finsets_deterministic():
     assert one == two
 
 
+def test_enumerate_finsets_stops_at_the_ground_set():
+    # no cardinality past the 5-element ground has a combination: a stream
+    # that cannot fill max_sets ends there, whatever max_card says
+    calls, itertools_combinations = [], itertools.combinations
+
+    def combinations(ground, card):
+        calls.append(card)
+        assert len(calls) <= len(ground), "combinations past the ground set"
+        return itertools_combinations(ground, card)
+
+    want = [s.elems for s in enumerate_finsets(Z1, EnumBudget(5, -2, 2, max_sets=50))]
+    with mock.patch.object(groups.itertools, "combinations", combinations):
+        got = [s.elems for s in enumerate_finsets(Z1, EnumBudget(10 ** 9, -2, 2, max_sets=50))]
+    assert got == want and len(got) == 31 and calls == [1, 2, 3, 4, 5]
+
+
 def test_group_json_roundtrip():
     configs = [{"kind": "z_power", "d": 1}, {"kind": "z_power", "d": 2},
                {"kind": "cyclic_sum", "periods": [2, 3, 2]}, {"kind": "z_sum"}]

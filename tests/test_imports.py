@@ -3,9 +3,9 @@ every module-level function, class or constant and every method has a
 caller outside the tests, every gate refusal with a literal hypothesis has
 a pinned case, finite sets stay in their one representation, config
 parsers read only through the checked reader, the dense product counts
-import no scipy, the classifiers import no ``numpy.random``, numpy
-generators are built only in the listed functions,
-and the package states one version.
+import no scipy, the classifiers and ``birkhoff_check``'s sampled target
+import no ``numpy.random``, numpy generators are built only in the listed
+functions (none), and the package states one version.
 
 No linter is part of the toolchain, so this is the check.  ``__init__.py``
 is exempt from the import check: its imports are the package's re-exports.
@@ -347,7 +347,10 @@ import sys
 from folnerlab import CyclicSum, ZPower
 from folnerlab.ergodic import setfn_classify, setfn_registry
 from folnerlab.families import AdditiveFamily, ConcaveCardinality, classify
-from folnerlab.systems import BernoulliShift, FiniteMixture, TorusRotation, indicator_symbol
+from folnerlab.ergodic import birkhoff_check
+from folnerlab.folner import make_folner
+from folnerlab.systems import (BernoulliShift, FiniteMixture, TorusRotation, indicator_symbol,
+                               neg_pow_run)
 for grp in (ZPower(1), CyclicSum((2,))):
     system = FiniteMixture([(0.5, BernoulliShift(grp, (0.5, 0.5))),
                             (0.5, BernoulliShift(grp, (0.2, 0.8)))])
@@ -355,12 +358,16 @@ for grp in (ZPower(1), CyclicSum((2,))):
     assert setfn_classify(setfn_registry(grp)["card"], grp).passed("subadditive")
 assert classify(ConcaveCardinality(math.sqrt), ZPower(2),
                 TorusRotation(None, (0.3, 0.6))).passed("invariant")
+# no exact mean: birkhoff's target is sampled
+birkhoff_check(neg_pow_run(2.0, 12), make_folner(ZPower(1), "z_boxes"),
+               BernoulliShift(ZPower(1), (0.7, 0.3)), [4, 16], 20)
 print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
 """
 
 
 def test_classifiers_import_no_numpy_random():
-    # both classifiers draw their trials from _bits._Streams, with no generator
+    # both classifiers draw their trials, and birkhoff_check its sampled
+    # target, from _bits._Streams, with no generator
     out = subprocess.run([sys.executable, "-c", _CLASSIFIERS], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
@@ -368,9 +375,7 @@ def test_classifiers_import_no_numpy_random():
 
 
 # the functions of src/ that build a numpy generator, each with why
-_GENERATOR_SITES_OK = {
-    "systems.conditional_expectation": "one generator per leaf draws its Monte Carlo points",
-}
+_GENERATOR_SITES_OK = {}
 
 
 def _generator_sites(tree: ast.Module, where: str) -> list:

@@ -18,7 +18,7 @@ import pytest
 from folnerlab.ergodic import sample_points
 from folnerlab.groups import CyclicSum, ZPower, ZSum
 from folnerlab.systems import BernoulliShift, FiniteMixture, TorusRotation
-from scalar_oracle import random_elem
+from scalar_oracle import random_elem, sample
 
 ALPHA = (math.sqrt(5) - 1) / 2
 
@@ -86,7 +86,7 @@ def _case(case):
     if kind == "shared":
         # as lemma_checks.indicator_decomposition_check draws: one generator, in turn
         system = _nested()
-        return system, system.sample([np.random.default_rng(11)] * 50)
+        return system, sample(system, [np.random.default_rng(11)] * 50)
     return _translated({"cyclic": CyclicSum((2, 3)), "zsum": ZSum()}[name])
 
 

@@ -6,7 +6,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from folnerlab import families, systems
+from folnerlab import ergodic, families, systems
+from folnerlab.families import AdditiveFamily
+from folnerlab.folner import make_folner
 from folnerlab.groups import CyclicSum, FinSet, ZPower, ZSum
 from folnerlab.systems import (
     BernoulliShift,
@@ -15,7 +17,6 @@ from folnerlab.systems import (
     System,
     TorusRotation,
     UnsupportedObservable,
-    conditional_expectation,
     indicator_symbol,
     neg_pow_run,
     observable_from_json,
@@ -25,7 +26,7 @@ from folnerlab.systems import (
     torus_coordinate,
 )
 from folnerlab.tiling import window_set
-from scalar_oracle import act, family_value, obs_value, random_elem
+from scalar_oracle import act, family_value, obs_value, random_elem, sample
 
 ALPHA = (math.sqrt(5) - 1) / 2  # irrational rotation step
 
@@ -62,7 +63,7 @@ def test_action_composes(make):
     system = make()
     rng = np.random.default_rng(11)
     grp = ZPower(1)
-    y = system.sample([rng])
+    y = sample(system, [rng])
     for g, h in [((2,), (5,)), ((-3,), (4,)), ((7,), (-7,))]:
         lhs = act(system, grp.mul(g, h), y)
         rhs = act(system, g, act(system, h, y))
@@ -72,14 +73,14 @@ def test_action_composes(make):
 @pytest.mark.parametrize("make", [_bernoulli, _torus, _mixture])
 def test_identity_acts_trivially(make):
     system = make()
-    y = system.sample([np.random.default_rng(4)])
+    y = sample(system, [np.random.default_rng(4)])
     assert _same(act(system, (0,), y), y)
 
 
 def test_action_on_lattice():
     system = _bernoulli(d=2)
     grp = ZPower(2)
-    y = system.sample([np.random.default_rng(1)])
+    y = sample(system, [np.random.default_rng(1)])
     assert _same(act(system, grp.mul((1, 2), (3, -1)), y),
                  act(system, (1, 2), act(system, (3, -1), y)))
 
@@ -91,7 +92,7 @@ def test_action_on_lattice():
 def test_bernoulli_window_bit_identical():
     system = _bernoulli()
     rng = np.random.default_rng(8)
-    pts = system.sample([rng] * 5)
+    pts = sample(system, [rng] * 5)
     F = _box(system.group, 7)
     obs = indicator_symbol(1)
     mat = obs.window_values(system, pts, F)
@@ -118,7 +119,7 @@ def test_summed_window_values_are_the_row_sums(probs, obs, points, translated):
     # counted indicator sums, and the default row sum of the other
     # observables, equal the matrix's row sums bit for bit
     system = BernoulliShift(ZPower(1), probs, seed=31)
-    pts = system.sample([np.random.default_rng(6)] * points)
+    pts = sample(system, [np.random.default_rng(6)] * points)
     if translated:
         pts = pts.moved(system.group, np.arange(points)[:, None] * 3 - 7)
     for F in (_box(system.group, 13), FinSet(system.group, [(0,), (2,), (3,), (9,)])):
@@ -133,17 +134,17 @@ def _slab_case(case):
         # |F| above the slab budget: every slab holds a single point
         system = _bernoulli(probs=(0.2, 0.5, 0.3))
         F = _box(ZPower(1), families._SLAB_CELLS + 5)
-        pts = system.sample([rng] * 3)
+        pts = sample(system, [rng] * 3)
         return system, F, pts, symbol_value(), [0, 2]
     if case == "mixture":
         system = FiniteMixture([(0.4, _bernoulli(d=2, probs=(0.75, 0.25), seed=21)),
                                 (0.6, _bernoulli(d=2, probs=(0.25, 0.75), seed=22))],
                                seed=23)
-        pts = system.sample([rng] * 150)
+        pts = sample(system, [rng] * 150)
         return system, _box(ZPower(2), 5), pts, indicator_symbol(1), range(150)
     # distinct, non-identity offsets, over more than one slab
     system = _bernoulli(d=2, probs=(0.2, 0.5, 0.3))
-    pts = system.sample([rng] * 90).moved(
+    pts = sample(system, [rng] * 90).moved(
         system.group, np.asarray([(i, -2 * i - 1) for i in range(90)]))
     return system, _box(ZPower(2), 6), pts, symbol_value(), range(90)
 
@@ -160,7 +161,7 @@ def test_sample_values_slabs_bit_identical(case):
 def test_neg_pow_run_window_bit_identical():
     system = _bernoulli(probs=(0.4, 0.6))
     rng = np.random.default_rng(9)
-    pts = system.sample([rng] * 4)
+    pts = sample(system, [rng] * 4)
     F = _box(system.group, 9)
     obs = neg_pow_run(2.0, cap=12)
     mat = obs.window_values(system, pts, F)
@@ -172,7 +173,7 @@ def test_neg_pow_run_window_bit_identical():
 def test_torus_window_matches_scalar():
     system = _torus()
     rng = np.random.default_rng(10)
-    pts = system.sample([rng] * 4)
+    pts = sample(system, [rng] * 4)
     F = _box(system.group, 6)
     obs = torus_coordinate(0)
     mat = obs.window_values(system, pts, F)
@@ -205,7 +206,7 @@ def test_mixed_offsets_stay_bernoulli_batch(grp, name, window):
     obs = {"indicator_symbol": indicator_symbol(1), "symbol_value": symbol_value(),
            "neg_pow_run": neg_pow_run(2.0, cap=12)}[name]
     rng = np.random.default_rng(3)
-    yz = system.sample([rng] * 2)  # y, z; then each move of y and of z
+    yz = sample(system, [rng] * 2)  # y, z; then each move of y and of z
     moves = [grp.identity()] * 2 + [g for g in _MOVES[grp.kind] for _ in (0, 1)]
     pts = yz[np.arange(len(moves)) % 2].moved(grp, grp.dense_rows(moves))
     F = (FinSet(grp, window) if window
@@ -227,7 +228,7 @@ def _translated_case(case):
         grp = CyclicSum((2,))
         system = BernoulliShift(grp, (0.5, 0.2, 0.3), seed=32)
         F, moves = window_set(grp, 3), window_set(grp, 7).rows()
-        return system, F, system.sample([rng])[np.zeros(len(moves), dtype=np.int64)].moved(
+        return system, F, sample(system, [rng])[np.zeros(len(moves), dtype=np.int64)].moved(
             grp, moves)
     if case in ("dense-edge", "sparse-edge"):
         # 4 points x 2 cells of F: the offsets' box is 3 x 2 (a sum box of 4 x 2
@@ -237,7 +238,7 @@ def _translated_case(case):
         system = BernoulliShift(grp, (0.4, 0.6), seed=34)
         moves = {"dense-edge": [(-1, -1), (1, 0), (0, 0), (0, -1)],
                  "sparse-edge": [(-1, -1), (0, 1), (0, 0), (-1, 0)]}[case]
-        return system, FinSet(grp, [(), ((0, 1),)]), system.sample([rng] * 4).moved(
+        return system, FinSet(grp, [(), ((0, 1),)]), sample(system, [rng] * 4).moved(
             grp, np.asarray(moves, dtype=np.int64))
     grp, F = {
         # sums wrap at period 3 on index 0 and at 2 past it
@@ -251,7 +252,7 @@ def _translated_case(case):
     moves = [random_elem(grp, rng, 5) for _ in range(70)]
     if case == "zsum-wide":
         moves = [grp.mul(g, ((6, int(rng.integers(-4, 5))),)) for g in moves]
-    return system, FinSet(grp, F), system.sample([rng] * len(moves)).moved(
+    return system, FinSet(grp, F), sample(system, [rng] * len(moves)).moved(
         grp, grp.dense_rows(moves))
 
 
@@ -288,7 +289,7 @@ def test_bernoulli_marginals_match_probs():
     system = _bernoulli(probs=(0.7, 0.3))
     rng = np.random.default_rng(21)
     n = 4000
-    pts = system.sample([rng] * n)
+    pts = sample(system, [rng] * n)
     obs = indicator_symbol(1)
     vals = obs.window_values(system, pts, _box(system.group, 1))
     sigma = math.sqrt(0.3 * 0.7 / n)
@@ -300,7 +301,7 @@ def test_translation_preserves_marginals():
     system = _bernoulli(probs=(0.7, 0.3))
     rng = np.random.default_rng(22)
     n = 4000
-    pts = system.sample([rng] * n)
+    pts = sample(system, [rng] * n)
     obs = indicator_symbol(1)
     moved = pts.moved(system.group, np.full((n, 1), 137))
     shifted = obs.window_values(system, moved, _box(system.group, 1))
@@ -312,7 +313,7 @@ def test_mixture_component_frequencies():
     system = _mixture()
     rng = np.random.default_rng(23)
     n = 2000
-    pts = system.sample([rng] * n)
+    pts = sample(system, [rng] * n)
     frac = float((pts.leaf == 0).sum()) / n
     sigma = math.sqrt(0.25 * 0.75 / n)
     assert abs(frac - 0.25) <= 4 * sigma
@@ -338,38 +339,43 @@ def test_scaled_refuses_a_non_finite_factor(base, c):
         scaled(base(), c)
 
 
-def test_conditional_expectation_is_exact_on_single_leaves():
-    bern = _bernoulli()
-    ce = conditional_expectation(bern, indicator_symbol(1))
-    assert ce.leaf_means == {id(bern): 0.3}
-    tor = _torus()
-    ce = conditional_expectation(tor, torus_coordinate(0))
-    assert ce.leaf_means == {id(tor): 0.5}
+def _origin(system):
+    return [FinSet(system.group, [system.group.identity()])]
 
 
-def test_conditional_expectation_splits_mixture_by_component():
+def test_leaf_target_is_exact_on_single_leaves():
+    for leaf, obs, mean in ((_bernoulli(), indicator_symbol(1), 0.3),
+                            (_torus(), torus_coordinate(0), 0.5)):
+        assert ergodic._leaf_target(AdditiveFamily(obs), leaf, _origin(leaf), 7) == (mean, True)
+
+
+def test_birkhoff_targets_split_mixture_by_component():
     system = FiniteMixture(
         [(0.5, _bernoulli(probs=(0.75, 0.25))), (0.5, _bernoulli(probs=(0.25, 0.75)))],
         seed=3,
     )
-    ce = conditional_expectation(system, indicator_symbol(1))
-    assert ce.leaf_means == {id(system.parts[0][1]): 0.25, id(system.parts[1][1]): 0.75}
+    rep = ergodic.birkhoff_check(indicator_symbol(1), make_folner(ZPower(1), "z_boxes"),
+                                 system, [4, 16], samples=20)
+    assert rep.target_summary == {"mean": 0.5, "components": [(0.5, 0.25), (0.5, 0.75)]}
 
 
-def test_conditional_expectation_rejects_unsupported_leaves():
-    system = _mixture()
-    with pytest.raises(UnsupportedObservable):
-        conditional_expectation(system, indicator_symbol(1))
+def test_leaf_target_rejects_unsupported_leaves():
+    fam = AdditiveFamily(indicator_symbol(1))
+    _, tor = _mixture().components()[1]
+    with pytest.raises(UnsupportedObservable, match="needs a Bernoulli shift"):
+        ergodic._leaf_target(fam, tor, _origin(tor), 7)
 
 
-def test_conditional_expectation_monte_carlo_errors_are_reported():
-    obs = neg_pow_run(2.0, cap=12)
-    ce = conditional_expectation(_bernoulli(), obs, seed=7)
-    weight, _, mean, stderr = ce.components[0]
-    assert weight == 1.0 and stderr > 0
-    # E[-2^R] with run length R geometric: sum_k -2^k (0.3^k) 0.7 = -0.7/(1-0.6) * ... ;
-    # at p=0.3, base=2 the series is -0.7 * sum (0.6)^k = -1.75
-    assert abs(mean - (-1.75)) <= 5 * stderr + 0.05
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_leaf_target_samples_a_mean_without_a_closed_form(seed):
+    obs, bern = neg_pow_run(2.0, cap=12), _bernoulli()
+    target, _ = ergodic._leaf_target(AdditiveFamily(obs), bern, _origin(bern), seed)
+    # f = -2^min(R, 12) with P(R >= k) = 0.3^k: E f = -0.7 sum_{k<12} 0.6^k - 0.6^12
+    # and E f^2 = 0.7 sum_{k<12} 1.2^k + 1.2^12
+    mean = -1.75 * (1 - 0.6 ** 12) - 0.6 ** 12
+    var = 3.5 * (1.2 ** 12 - 1) + 1.2 ** 12 - mean ** 2
+    assert target != mean
+    assert abs(target - mean) <= 5 * math.sqrt(var / ergodic._CONC_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +385,7 @@ def test_conditional_expectation_monte_carlo_errors_are_reported():
 def test_split_leaves_partitions_indices():
     system = _mixture()
     rng = np.random.default_rng(12)
-    pts = system.sample([rng] * 60)
+    pts = sample(system, [rng] * 60)
     parts = split_leaves(system, pts)
     seen = np.concatenate([idx for _, idx, _ in parts])
     assert sorted(seen.tolist()) == list(range(60))
@@ -393,7 +399,7 @@ def test_split_leaves_partitions_indices():
 
 def test_split_leaves_trivial_on_plain_system():
     system = _bernoulli()
-    pts = system.sample(np.random.default_rng(i) for i in range(3))
+    pts = sample(system, (np.random.default_rng(i) for i in range(3)))
     [(leaf, idx, _)] = split_leaves(system, pts)
     assert leaf is system
     assert idx.tolist() == [0, 1, 2]
@@ -406,8 +412,8 @@ def test_split_leaves_trivial_on_plain_system():
 def test_unsupported_observable_errors():
     bern = _bernoulli()
     tor = _torus()
-    by = bern.sample([np.random.default_rng(0)])
-    ty = tor.sample([np.random.default_rng(0)])
+    by = sample(bern, [np.random.default_rng(0)])
+    ty = sample(tor, [np.random.default_rng(0)])
     with pytest.raises(UnsupportedObservable):
         torus_coordinate(0).window_values(bern, by, _box(bern.group, 1))
     with pytest.raises(UnsupportedObservable):
@@ -418,7 +424,7 @@ def test_unsupported_observable_errors():
 def test_indicator_symbol_outside_alphabet_is_unsupported(symbol):
     # the window and exact-mean paths must agree: both refuse
     bern = _bernoulli()
-    pts = bern.sample([np.random.default_rng(0)])
+    pts = sample(bern, [np.random.default_rng(0)])
     obs = indicator_symbol(symbol)
     with pytest.raises(UnsupportedObservable):
         obs.window_values(bern, pts, _box(bern.group, 3))
@@ -429,7 +435,7 @@ def test_indicator_symbol_outside_alphabet_is_unsupported(symbol):
 def test_neg_pow_run_off_the_line_is_unsupported():
     # the window path refuses Z^2
     bern = _bernoulli(d=2)
-    pts = bern.sample([np.random.default_rng(0)])
+    pts = sample(bern, [np.random.default_rng(0)])
     obs = neg_pow_run()
     with pytest.raises(UnsupportedObservable):
         obs.window_values(bern, pts,
@@ -461,15 +467,15 @@ def test_system_json_roundtrip():
                       (mixture, _mixture())):
         back = System.from_json(d)
         assert _state(back) == _state(system)
-        assert _same(back.sample([np.random.default_rng(4)]),
-                     system.sample([np.random.default_rng(4)]))
+        assert _same(sample(back, [np.random.default_rng(4)]),
+                     sample(system, [np.random.default_rng(4)]))
 
 
 def test_observable_json_roundtrip():
     bern = _bernoulli()
     tor = _torus()
-    y = bern.sample([np.random.default_rng(2)])
-    ty = tor.sample([np.random.default_rng(2)])
+    y = sample(bern, [np.random.default_rng(2)])
+    ty = sample(tor, [np.random.default_rng(2)])
     for d, obs, system, pt in [
         ({"kind": "indicator_symbol", "symbol": 1}, indicator_symbol(1), bern, y),
         ({"kind": "symbol_value"}, symbol_value(), bern, y),
@@ -500,7 +506,7 @@ def test_mixture_weights_must_be_nonnegative_and_sum_to_one(weights):
 
 def test_points_refuse_an_integer_index():
     # a lone integer would give a batch of 0-d arrays; one point is [i:i + 1]
-    pts = _bernoulli().sample([np.random.default_rng(0)] * 3)
+    pts = sample(_bernoulli(), [np.random.default_rng(0)] * 3)
     with pytest.raises(TypeError):
         pts[0]
     with pytest.raises(TypeError):
@@ -510,6 +516,6 @@ def test_points_refuse_an_integer_index():
 
 def test_sampling_is_deterministic_given_rng_seed():
     system = _mixture()
-    a = system.sample(np.random.default_rng(5) for _ in range(3))
-    b = system.sample(np.random.default_rng(5) for _ in range(3))
+    a = sample(system, (np.random.default_rng(5) for _ in range(3)))
+    b = sample(system, (np.random.default_rng(5) for _ in range(3)))
     assert _same(a, b)
