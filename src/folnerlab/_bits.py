@@ -14,6 +14,7 @@ generators.
 from __future__ import annotations
 
 import operator
+import threading
 
 import numpy as np
 
@@ -49,9 +50,18 @@ def premix_np(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> _S30)
 
 
+_scratch = threading.local()
+
+
 def _tail_np(x: np.ndarray) -> np.ndarray:
-    # the finalizer after its first step, in place in x, with one scratch array
-    t = np.empty_like(x)
+    # the finalizer after its first step, in place in x, with one scratch
+    # array kept per thread: a fresh one per call doubles what each sampling
+    # slab allocates and frees, and malloc can then hand it back to the
+    # system and fault it in again on every slab
+    t = getattr(_scratch, "t", None)
+    if t is None or t.size < x.size:
+        t = _scratch.t = np.empty(x.size, dtype=np.uint64)
+    t = t[:x.size].reshape(x.shape)
     x *= _A64
     x ^= np.right_shift(x, _S27, out=t)
     x *= _B64

@@ -26,18 +26,22 @@ The keys are sorted, distinct and in [0, prod(ext)), and the bounding box
 of a non-empty set is tight: ``lo`` is the least row and ``lo + ext - 1``
 the greatest, coordinate by coordinate, and the sum kinds carry no trailing
 all-zero coordinate.  So a set is a full box exactly when it has
-``prod(ext)`` keys (``FinSet.is_box``), no other set has its (lo, ext) and
-as many keys, and five fast paths read no key: ``==`` and ``hash`` of a
-box read its (lo, ext); ``is_subset`` decides by the boxes alone when A's
-box leaves B's or B is a box; ``union`` returns an operand that is a box
-holding the other; ``product_set`` of two boxes is the sum box unless a
+``prod(ext)`` keys (``FinSet.is_box``, recorded with its size when the set
+is built), and no other set has its (lo, ext) and as many keys.  A box holds
+no key array until ``keys`` is read, and the box fast paths read none:
+``==`` and ``hash`` of a box read its (lo, ext); ``is_subset`` decides by
+the boxes alone when A's box leaves B's or B is a box; ``union`` returns an
+operand that is a box holding the other; ``product_set`` of two boxes, and
+``inverse_set`` and ``translate_right`` of a box, are boxes unless a
 CyclicSum run wraps; ``erode`` of a box by any set is a box (on ZPower and
 ZSum the erosion by the set's bounding box; on CyclicSum when the box is a
 coset box).  The Boxes section holds the box arithmetic: sums of boxes,
 unions of such sums (``folner``'s inverse unions), tiles composed under a
 scaling or shifting isomorphism (``tiling.compose``), and a box less a box
 inside it as disjoint boxes (``ergodic``'s nested trajectories).  Every box
-is built there from its corners, by one builder (``_box_at``).
+is built there from its corners, by one builder (``_box_at``) that interns
+it: a box built twice is one object, so every array a set caches is
+read-only.
 """
 from __future__ import annotations
 
@@ -338,16 +342,21 @@ def _member(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class FinSet:
-    """A finite subset of ``group``: one sorted, unique int64 array ``keys``
-    of the mixed-radix indices of its elements' dense rows inside its
-    bounding box (``lo``, ``ext``), coordinate 0 most significant.  The sum
-    kinds take the narrowest width that holds every support, so equal sets
-    have equal (lo, ext, keys), and a box, whose keys are all of
-    [0, prod(ext)), is equal to a set with its (lo, ext) exactly when that
-    set has as many keys.  ``elems`` (tuples) and ``rows()`` are decoded on
-    demand, in tuple order (on ZPower, key order)."""
+    """A finite subset of ``group``: the sorted, unique int64 ``keys`` of
+    the mixed-radix indices of its elements' dense rows inside its bounding
+    box (``lo``, ``ext``), coordinate 0 most significant.  The sum kinds take
+    the narrowest width that holds every support, so equal sets have equal
+    (lo, ext, keys), and a box, whose keys are all of [0, prod(ext)), is
+    equal to a set with its (lo, ext) exactly when that set has as many
+    keys.  The size and ``is_box`` are recorded when the set is built; a box
+    built from its corners holds no key array until ``keys`` is read, and the
+    inverse and translates of a box are boxes.  Boxes are shared (``_box_at``
+    interns them), so every array a set caches is read-only.  ``elems``
+    (tuples) and ``rows()`` are decoded on demand, in tuple order (on
+    ZPower, key order)."""
 
-    __slots__ = ("group", "lo", "ext", "keys", "_rows", "_elems", "_cell_keys")
+    __slots__ = ("group", "lo", "ext", "is_box", "_n", "_keys", "_rows", "_elems",
+                 "_cell_keys")
 
     def __init__(self, group: Group, elems: Iterable = ()):
         self._put(group, *_encode(group, group.dense_rows(list(elems))))
@@ -358,7 +367,8 @@ class FinSet:
         return cls._of(group, *_encode(group, rows))
 
     @classmethod
-    def _of(cls, group: Group, lo, ext, keys: np.ndarray) -> "FinSet":
+    def _of(cls, group: Group, lo, ext, keys: Optional[np.ndarray]) -> "FinSet":
+        """The set of ``keys`` in the box (lo, ext); the whole box for None."""
         self = cls.__new__(cls)
         self._put(group, lo, ext, keys)
         return self
@@ -370,11 +380,22 @@ class FinSet:
                 w -= 1
         if w < len(ext) or not w:
             lo, ext = _pad(lo[:w], 1, 0), _pad(ext[:w], 1, 1)
-        self.group, self.lo, self.ext = group, lo, ext
-        self.keys, self._rows, self._elems, self._cell_keys = keys, None, None, None
+        self.group, self.lo, self.ext, cells = group, lo, ext, math.prod(ext)
+        if keys is not None:
+            keys.flags.writeable = False
+        self._n = cells if keys is None else len(keys)
+        self.is_box = self._n == cells
+        self._keys, self._rows, self._elems, self._cell_keys = keys, None, None, None
+
+    @property
+    def keys(self) -> np.ndarray:
+        if self._keys is None:
+            self._keys = np.arange(self._n, dtype=np.int64)
+            self._keys.flags.writeable = False
+        return self._keys
 
     def __len__(self):
-        return len(self.keys)
+        return self._n
 
     def __iter__(self):
         return iter(self.elems)
@@ -390,7 +411,7 @@ class FinSet:
     def __eq__(self, other):
         return self is other or (
             isinstance(other, FinSet) and self.group == other.group
-            and (self.lo, self.ext, len(self)) == (other.lo, other.ext, len(other))
+            and (self.lo, self.ext, self._n) == (other.lo, other.ext, other._n)
             and (self.is_box or np.array_equal(self.keys, other.keys)))
 
     def __hash__(self):  # equal sets are both boxes or both not
@@ -401,16 +422,11 @@ class FinSet:
 
     @property
     def is_empty(self) -> bool:
-        return not len(self.keys)
+        return not self._n
 
     @property
     def width(self) -> int:
         return len(self.ext)
-
-    @property
-    def is_box(self) -> bool:
-        """Every cell of the bounding box is an element."""
-        return len(self.keys) == math.prod(self.ext)
 
     def _key_rows(self, width: int = 0) -> np.ndarray:
         return _widen(_decode(self.lo, self.ext, self.keys), width)
@@ -427,6 +443,7 @@ class FinSet:
                 later = np.logical_or.accumulate(rows[:, ::-1] != 0, axis=1)[:, ::-1]
                 ranked = np.where(rows != 0, rows, np.where(later, big.max, big.min))
                 rows = rows[np.lexsort(ranked.T[::-1])]
+            rows.flags.writeable = False
             self._rows = rows
         return _widen(self._rows, width)
 
@@ -475,14 +492,24 @@ def _require_same_group(*sets: FinSet):
 
 
 def translate_right(F: FinSet, g) -> FinSet:
-    """F*g, which is also g*F: every group here is abelian."""
+    """F*g, which is also g*F: every group here is abelian.  The translate
+    of a box is a box, unless a CyclicSum run wraps (``_reduced_box``)."""
     grp = F.group
     w = max(F.width, grp.dense_width([g]))
-    return FinSet.from_rows(grp, grp.translate_rows(F._key_rows(w),
-                                                    grp.dense_rows([g], w))[0])
+    row = grp.dense_rows([g], w)
+    box = _reduced_box(grp, [a + b for a, b in zip(_pad(F.lo, w, 0), row[0].tolist())],
+                       _pad(F.ext, w, 1)) if F.is_box else None
+    if box is not None:
+        return _box_at(grp, *box)
+    return FinSet.from_rows(grp, grp.translate_rows(F._key_rows(w), row)[0])
 
 
 def inverse_set(F: FinSet) -> FinSet:
+    """F^-1; that of a box is a box, unless a CyclicSum run wraps."""
+    box = _reduced_box(F.group, [-a - x + 1 for a, x in zip(F.lo, F.ext)],
+                       F.ext) if F.is_box else None
+    if box is not None:
+        return _box_at(F.group, *box)
     return FinSet.from_rows(F.group, -F._key_rows())
 
 
@@ -646,12 +673,20 @@ def _box(grp: Group, ranges: Sequence[range]) -> FinSet:
     return _box_at(grp, tuple(r.start for r in ranges), tuple(len(r) for r in ranges))
 
 
-def _box_at(grp: Group, lo: tuple, ext: tuple) -> FinSet:
+def _box_at(grp: Group, lo, ext) -> FinSet:
     """The box of corner ``lo`` and extents ``ext``, empty when one is < 1;
-    it is its own bounding box, so its keys are every cell of it."""
+    it is its own bounding box, so its keys are every cell of it.  The box
+    is interned: numpy integers hash and compare as the Python ints they
+    hold, so they find the same box, and a new box reads them as ints."""
+    return _interned_box(grp, tuple(lo), tuple(ext))
+
+
+@functools.lru_cache(maxsize=4096)
+def _interned_box(grp: Group, lo: tuple, ext: tuple) -> FinSet:
+    lo, ext = tuple(map(int, lo)), tuple(map(int, ext))
     if ext and min(ext) < 1:
         return FinSet(grp)
-    return FinSet._of(grp, lo, ext, np.arange(math.prod(ext), dtype=np.int64))
+    return FinSet._of(grp, lo, ext, None)
 
 
 def _box_shell(F: FinSet, E: FinSet) -> list:
@@ -666,19 +701,27 @@ def _box_shell(F: FinSet, E: FinSet) -> list:
             if t > s]
 
 
+def _reduced_box(grp: Group, lo: Sequence[int], ext: Sequence[int]) -> Optional[tuple]:
+    """(lo, ext) of the box whose coordinate j runs over ext[j] values from
+    lo[j]; on CyclicSum, where values are mod p, a run of p or more values
+    is [0, p), and None when another run wraps past p - 1."""
+    if not isinstance(grp, CyclicSum):
+        return tuple(lo), tuple(ext)
+    box = [(0, p) if x >= p else (a % p, x)
+           for p, a, x in zip(map(grp.period, range(len(ext))), lo, ext)]
+    return None if any(s + x > grp.period(j) for j, (s, x) in enumerate(box)) \
+        else tuple(zip(*box))
+
+
 def _product_box(K: FinSet, F: FinSet) -> Optional[tuple]:
     """(lo, ext) of the box K*F of boxes K and F: coordinate j's x + y - 1
-    sums, which on CyclicSum fill [0, p) or run from (a + b) mod p; None when
-    such a run wraps, or K or F is no box."""
+    sums from a + b; None when such a CyclicSum run wraps, or K or F is no
+    box."""
     if not (K.is_box and F.is_box):
         return None
-    grp, boxes = K.group, _padded_boxes(K, F)
-    if not isinstance(grp, CyclicSum):
-        return _sum_box(grp, *boxes)
-    ps = [grp.period(j) for j in range(len(boxes[0][0]))]
-    box = [(0, p) if x + y > p else ((a + b) % p, x + y - 1)
-           for p, a, x, b, y in zip(ps, *boxes[0], *boxes[1])]
-    return None if any(s + n > p for (s, n), p in zip(box, ps)) else tuple(zip(*box))
+    (klo, kext), (flo, fext) = _padded_boxes(K, F)
+    return _reduced_box(K.group, [a + b for a, b in zip(klo, flo)],
+                        [x + y - 1 for x, y in zip(kext, fext)])
 
 
 def _union_product(Ks: Iterable[FinSet], K: FinSet, F: FinSet) -> FinSet:
@@ -741,7 +784,7 @@ def _prefix_ranges(grp: CyclicSum, n: int, max_card: Optional[int] = None) -> li
 
 def zsum_box(grp: ZSum, shape: Sequence[int]) -> FinSet:
     """The box of finite-support sequences with 0 <= x_i < shape[i]."""
-    return _box_at(grp, (0,) * len(shape), tuple(map(int, shape)))
+    return _box_at(grp, (0,) * len(shape), shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 from bisect import bisect_right
 from collections import Counter
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from folnerlab import (BudgetError, CyclicSum, EnumBudget, FinSet, Group,
-                       GroupMismatchError, ZPower, ZSum, enumerate_finsets,
+                       GroupMismatchError, _bits, ZPower, ZSum, enumerate_finsets,
                        erode, groups, intersect, inverse_set, is_subset,
                        multiplicity, product_set, symdiff, translate_right,
                        union)
@@ -429,6 +430,116 @@ def test_cyclic_box_product_closed_form_matches_key_path(case):
     assert (spy.call_count == 0) == keyed.is_box
 
 
+def _unread_box(grp, lo, ext):
+    """``_box_at``'s box, built afresh: an interned box may have had its keys
+    read by an earlier test."""
+    groups._interned_box.cache_clear()
+    box = groups._box_at(grp, lo, ext)
+    assert box._keys is None
+    return box
+
+
+@pytest.mark.parametrize("grp", BOX_KEY_GROUPS, ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_set_that_fills_a_box_is_the_lazy_box(grp, data):
+    # built key by key, from tuples or rows, it is the box built from its
+    # corners, which compares and hashes without building its keys
+    lo, ext = data.draw(key_boxes(grp))
+    box = _unread_box(grp, lo, ext)
+    rows = groups._decode(lo, ext, np.arange(math.prod(ext)))
+    same = [FinSet(grp, grp.rows_to_elems(rows[::-1])), FinSet.from_rows(grp, rows)]
+    for X in same:
+        assert X == box and box == X and hash(X) == hash(box)
+        assert X.is_box and box.is_box and len(X) == len(box) and not box.is_empty
+    assert box._keys is None
+    for X in same:
+        assert np.array_equal(X.keys, box.keys) and X.keys.dtype == box.keys.dtype
+        assert np.array_equal(X.rows(), box.rows()) and X.elems == box.elems
+        assert np.array_equal(X.cell_keys(), box.cell_keys())
+
+
+@pytest.mark.parametrize("grp, lo, ext", [
+    (Z1, (3,), (0,)),
+    (Z2, (1, -2), (2, 0)),
+    (Z2, (0, 0), (-1, 3)),
+    (K2, (1, 0), (1, 0)),
+    (CyclicSum((3,)), (0,), (0,)),
+    (ZS, (2, -1, 0), (1, 2, -3)),
+], ids=lambda v: str(v))
+def test_a_box_with_an_extent_below_one_is_empty(grp, lo, ext):
+    E = groups._box_at(grp, lo, ext)
+    assert E == FinSet(grp) and hash(E) == hash(FinSet(grp))
+    assert E.is_empty and len(E) == 0 and not E.is_box and E.elems == ()
+
+
+@pytest.mark.parametrize("grp", BOX_KEY_GROUPS, ids=str)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_a_box_built_twice_is_one_object(grp, data):
+    # numpy corners are read as Python ints before the lookup, so they key
+    # the same box and never become its corners
+    lo, ext = data.draw(key_boxes(grp))
+    groups._interned_box.cache_clear()
+    box = groups._box_at(grp, np.asarray(lo), np.asarray(ext, dtype=np.int32))
+    assert all(type(v) is int for v in box.lo + box.ext)
+    assert groups._box_at(grp, lo, ext) is box
+    assert groups._box_at(grp, list(lo), list(ext)) is box
+
+
+@pytest.mark.parametrize("grp", FIVE_GROUPS, ids=lambda g: g.kind)
+def test_the_arrays_a_set_caches_are_read_only(grp):
+    width = grp.d if isinstance(grp, ZPower) else 2
+    box = groups._box_at(grp, (0,) * width, (2,) * width)
+    near = FinSet.from_rows(grp, box.rows()[1:])
+    for X in (box, near):
+        for arr in (X.keys, X.rows(), X.cell_keys()):
+            with pytest.raises(ValueError):
+                arr[0] = arr[-1]
+    # the next build of the box is the same object, with its keys intact
+    again = groups._box_at(grp, (0,) * width, (2,) * width)
+    assert again is box and again.keys.tolist() == list(range(len(box)))
+
+
+def _check_box_inverse_and_translate(grp, lo, ext, g):
+    # a box's inverse and translate, read off its corners, against the sets
+    # of the inverse and translated tuples; only a CyclicSum run that wraps
+    # takes the decode path, and then the result is no box
+    box = groups._box_at(grp, lo, ext)
+    with mock.patch.object(groups, "_decode", wraps=groups._decode) as decodes:
+        out = [inverse_set(box), translate_right(box, g)]
+    refs = [FinSet(grp, [_inv(grp, e) for e in box.elems]),
+            FinSet(grp, [grp.mul(e, g) for e in box.elems])]
+    for X, ref in zip(out, refs):
+        assert X == ref and (X.lo, X.ext, X.is_box) == (ref.lo, ref.ext, ref.is_box)
+        assert np.array_equal(X.keys, ref.keys)
+    assert decodes.call_count == sum(not ref.is_box for ref in refs)
+    if not isinstance(grp, CyclicSum):
+        assert all(ref.is_box for ref in refs)
+
+
+@pytest.mark.parametrize("grp", BOX_KEY_GROUPS, ids=str)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_box_inverse_and_translate_match_the_tuple_sets(grp, data):
+    _check_box_inverse_and_translate(grp, *data.draw(key_boxes(grp)),
+                                     data.draw(elems_strategy(grp, top=5)))
+
+
+@pytest.mark.parametrize("grp, lo, ext, g", [
+    (Z2, (-3, 2), (2, 5), (7, -9)),
+    (CyclicSum((5,)), (0,), (2,), ((0, 4),)),         # both wrap: {0, 4}
+    (CyclicSum((5,)), (1,), (2,), ((0, 3),)),         # -F is {3, 4}, F*g is {4, 0}
+    (CyclicSum((5,)), (2,), (2,), ((0, 1),)),         # neither wraps
+    (CyclicSum((3, 2)), (0, 1), (3, 1), ((1, 1), (3, 1))),  # a full period; g widens
+    (CyclicSum((3, 2)), (1, 0, 0), (1, 1, 2), ()),     # the identity
+    (ZS, (-2, 0, 3), (4, 1, 1), ((4, -3),)),          # crosses 0; g widens
+    (ZS, (0, 3), (2, 1), ((1, -3),)),                 # g clears the last coordinate
+], ids=lambda v: str(v))
+def test_box_inverse_and_translate_at_the_edges(grp, lo, ext, g):
+    _check_box_inverse_and_translate(grp, lo, ext, g)
+
+
 @st.composite
 def erosion_pair(draw, grp):
     """(F, T) element sets that the closed-form erosion takes: two boxes on
@@ -659,6 +770,29 @@ def test_mix64_vector_matches_scalar():
     assert not np.array_equal(vec, xs)
     for i in (0, 1, 17, 9999):
         assert int(vec[i]) == mix64(int(xs[i]))
+
+
+def test_mix64_vector_keeps_one_scratch_per_thread():
+    # the scratch array is kept and reused at any smaller size or shape, so
+    # hashing a slab allocates only its result; each thread has its own
+    xs = np.arange(1 << 14, dtype=np.uint64) * np.uint64(2654435761)
+    ref = [mix64(x) for x in xs.tolist()]
+    for n, shape in ((1 << 14, (1 << 14,)), (17, (17,)), (1 << 12, (64, 64)), (0, (3, 0))):
+        assert mix64_np(xs[:n].reshape(shape).copy()).ravel().tolist() == ref[:n]
+    scratch = _bits._scratch.t
+    assert mix64_np(xs[:100].copy()).tolist() == ref[:100] and _bits._scratch.t is scratch
+    out = {}
+
+    def run(k):
+        out[k] = all(mix64_np(xs.copy()).tolist() == ref for _ in range(20))
+        out[k] = out[k] and _bits._scratch.t is not scratch
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert out == {0: True, 1: True, 2: True}
 
 
 def _premix_independent(x):

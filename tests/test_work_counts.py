@@ -5,6 +5,7 @@ translated windows read one hashed box, the classifiers build no generator
 per trial, and the maximal-cover bench ops hash a pinned number of words."""
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +15,7 @@ from folnerlab import cli, ergodic, families, groups, systems, tiling
 from folnerlab.ergodic import (greedy_cover, kingman_run, nu_estimate, setfn_classify,
                                setfn_registry)
 from folnerlab.families import AdditiveFamily, classify
-from folnerlab.folner import make_folner
+from folnerlab.folner import make_folner, tempelman_report
 from folnerlab.groups import CyclicSum, ZPower, ZSum, product_set, union, zsum_box
 from folnerlab.systems import BernoulliShift, FiniteMixture, indicator_symbol
 from folnerlab.tiling import Iso, LatticeCenters, TilingCert, compose
@@ -25,14 +26,17 @@ SHAPES = [t for n in (1, 2, 3) for t in itertools.product(range(1, 5), repeat=n)
 def test_zsum_box_identities_form_no_product_pair():
     # every shape pair (a, b) with len(a) <= len(b), a padded with ones:
     # tile(a) . iso_a(box b) is box(a * b), box a . box b is box(a + b - 1),
-    # and box a u box b is box b itself when a <= b entrywise
+    # and box a u box b is box b itself when a <= b entrywise; a box is built
+    # once per distinct (lo, ext) it is asked for, and no key array is built
     g = ZSum()
+    groups._interned_box.cache_clear()
     boxes = {s: zsum_box(g, s) for s in SHAPES}
     certs = {s: TilingCert(boxes[s], LatticeCenters(g, s), Iso(g, s))
              for s in SHAPES}
     pairs = unions = 0
     with mock.patch.object(groups, "_product", wraps=groups._product) as products, \
-            mock.patch.object(np, "array_equal", wraps=np.array_equal) as key_compares:
+            mock.patch.object(np, "array_equal", wraps=np.array_equal) as key_compares, \
+            mock.patch.object(np, "arange", wraps=np.arange) as key_arrays:
         for a, b in itertools.product(SHAPES, SHAPES):
             if len(a) > len(b):
                 continue
@@ -46,8 +50,31 @@ def test_zsum_box_identities_form_no_product_pair():
                 assert U is boxes[b] or (U is boxes[a] and U == boxes[b])
                 unions += 1
             pairs += 1
+        assert key_arrays.call_count == 0
+        boxes[(2, 3)].keys  # the spy sees a box's keys built once they are read
+        assert key_arrays.call_count == 1
     assert (pairs, unions) == (5712, 1710)
     assert products.call_count == 0 and key_compares.call_count == 0
+    builds = groups._interned_box.cache_info()
+    assert (builds.hits + builds.misses, builds.misses) == (22932, 1063)
+
+
+def test_plane_tempelman_gate_builds_no_key_array():
+    # the README plane schedule: each F_k^-1, each inverse union and each
+    # U_n = [1 - n, n - 1]^2 is a box read off corners, and nothing decodes
+    grp = ZPower(2)
+    schedule = [2, 4, 8, 16, 32, 64, 128, 256]
+    groups._interned_box.cache_clear()
+    seq = make_folner(grp, "z_boxes")
+    sub = make_folner(grp, "explicit", sets=tuple(seq.generate(n) for n in schedule))
+    with mock.patch.object(np, "arange", wraps=np.arange) as key_arrays, \
+            mock.patch.object(groups, "_decode", wraps=groups._decode) as decodes, \
+            mock.patch.object(groups, "_product", wraps=groups._product) as products:
+        report = tempelman_report(sub, len(schedule))
+    assert (key_arrays.call_count, decodes.call_count, products.call_count) == (0, 0, 0)
+    assert report.ratios == tuple(Fraction((2 * n - 1) ** 2, n * n) for n in schedule)
+    # the eight boxes, their inverses and the eight products U_n
+    assert groups._interned_box.cache_info().misses == 24
 
 
 def test_box_certificates_compose_without_a_product():
