@@ -6,6 +6,11 @@ deterministic set-function limits.  Statistical layers: sampled dynamical
 systems, value families over finite index sets, and convergence runners with
 machine-checked hypothesis gates.
 """
+import os
+
+# before numpy loads: the lab never calls BLAS, and an idle worker only spins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from ._bits import HASH_VERSION, VERSION
 from .ergodic import (ConvergenceReport, Estimate, GateRefusal,
                       GreedyCoverReport, LimitReport, MaximalReport,

@@ -296,13 +296,23 @@ def _birkhoff(group, sequence, system, observable, samples, seed, n_schedule, **
 # Subcommands: (parts built on the group, keys as `_read` reads them, run)
 
 
+def _at_most(spec: tuple, cap: int, what: str = "") -> tuple:
+    """``spec``'s check, bounded above by ``cap``."""
+    check = spec[0]
+    return (lambda x: check(x) and x <= cap, what or f"{spec[1]} <= {cap}")
+
+
 _OUTPUT = (("output.csv", None, *_PATH), ("output.summary", None, *_PATH))
 _SAMPLED = ("sequence", "system", "family")
 _SEED = ("seed", 7, *_NONNEG_INT)
-_SAMPLES = (("samples", ..., *_INT_GE_2), _SEED)
+# run sizes are capped far above every shipped config (10,000 samples and
+# trials, 3 greedy instances), so a huge one is a config error, not a crash
+_SAMPLES_CAP, _TRIALS_CAP, _GREEDY_CAP = 1_000_000, 100_000, 1_000
+_SAMPLES = (("samples", ..., *_at_most(_INT_GE_2, _SAMPLES_CAP,
+                                       f"an integer from 2 to {_SAMPLES_CAP}")), _SEED)
 _SCHEDULED = ("n_schedule", ..., *_SCHEDULE)
 # no window or enumerated set holds more cells
-_CARD = (lambda x: _POS_INT[0](x) and x <= _CARD_CAP, f"a positive integer <= {_CARD_CAP}")
+_CARD = _at_most(_POS_INT, _CARD_CAP)
 _TOL = ("tolerances.tol", 0.05, *_NONNEG_NUM)
 _TAIL = (("tolerances.tail", 3, *_POS_INT),
          ("tolerances.osc_tol", None, *_OPT_NONNEG_NUM))
@@ -316,7 +326,7 @@ _COMMANDS = {
         ("indices", [1, 2, 3, 4], *_INDICES), ("window_radius", 6, *_NONNEG_INT),
         ("window_max_index", 3, *_POS_INT)), _verify_tiling),
     "check-family": (("system", "family"), (
-        _SEED, ("trials", 300, *_POS_INT),
+        _SEED, ("trials", 300, *_at_most(_POS_INT, _TRIALS_CAP)),
         # |E|, |F| are drawn as 64-bit integers
         ("max_card", 6, *_CARD),
         ("expect", lambda v: sorted(v["family"].declared),
@@ -342,7 +352,7 @@ _COMMANDS = {
     "maximal": (_SAMPLED, (
         *_SAMPLES, ("alpha", ..., *_POS_NUM), ("N", 3, *_POS_INT),
         ("M", None, *_OPT_POS_NUM), ("nu_term", None, *_OPT_NONNEG_NUM),
-        ("greedy_instances", 3, *_NONNEG_INT)), _maximal),
+        ("greedy_instances", 3, *_at_most(_NONNEG_INT, _GREEDY_CAP))), _maximal),
     "decompose": (_SAMPLED, (*_SAMPLES, ("n", 32, *_POS_INT)), _decompose),
     "birkhoff": (("sequence", "system", "observable"),
                  (*_SAMPLES, _SCHEDULED, _TOL, *_TAIL), _birkhoff),

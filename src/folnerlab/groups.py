@@ -252,6 +252,18 @@ def _pad(t: tuple, w: int, fill: int) -> tuple:
     return t + (fill,) * (w - len(t))
 
 
+def _narrowest(group: Group, lo: tuple, ext: tuple) -> tuple:
+    """(lo, ext) at width >= 1 without the trailing (0, 1) coordinates, which
+    carry no digit on the sum kinds."""
+    w = len(ext)
+    if not isinstance(group, ZPower):
+        while w > 1 and lo[w - 1] == 0 and ext[w - 1] == 1:
+            w -= 1
+    if w < len(ext) or not w:
+        lo, ext = _pad(lo[:w], 1, 0), _pad(ext[:w], 1, 1)
+    return lo, ext
+
+
 def _widen(rows: np.ndarray, w: int) -> np.ndarray:
     """Rows zero-padded to at least ``w`` columns."""
     return rows if w <= rows.shape[1] else np.pad(rows, ((0, 0), (0, w - rows.shape[1])))
@@ -374,12 +386,7 @@ class FinSet:
         return self
 
     def _put(self, group, lo: tuple, ext: tuple, keys):
-        w = len(ext)
-        if not isinstance(group, ZPower):  # trailing zero coordinates carry no digit
-            while w > 1 and lo[w - 1] == 0 and ext[w - 1] == 1:
-                w -= 1
-        if w < len(ext) or not w:
-            lo, ext = _pad(lo[:w], 1, 0), _pad(ext[:w], 1, 1)
+        lo, ext = _narrowest(group, lo, ext)
         self.group, self.lo, self.ext, cells = group, lo, ext, math.prod(ext)
         if keys is not None:
             keys.flags.writeable = False
@@ -677,7 +684,8 @@ def _box_at(grp: Group, lo, ext) -> FinSet:
     """The box of corner ``lo`` and extents ``ext``, empty when one is < 1;
     it is its own bounding box, so its keys are every cell of it.  The box
     is interned: numpy integers hash and compare as the Python ints they
-    hold, so they find the same box, and a new box reads them as ints."""
+    hold, so they find the same box, and a new box reads them as ints.
+    Corners that differ only in trailing (0, 1) coordinates share the box."""
     return _interned_box(grp, tuple(lo), tuple(ext))
 
 
@@ -686,6 +694,9 @@ def _interned_box(grp: Group, lo: tuple, ext: tuple) -> FinSet:
     lo, ext = tuple(map(int, lo)), tuple(map(int, ext))
     if ext and min(ext) < 1:
         return FinSet(grp)
+    narrow = _narrowest(grp, lo, ext)
+    if narrow != (lo, ext):
+        return _interned_box(grp, *narrow)
     return FinSet._of(grp, lo, ext, None)
 
 

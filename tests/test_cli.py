@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -702,6 +703,26 @@ def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert message in err
+
+
+@pytest.mark.parametrize("value", [2 ** 31, 2 ** 63, 2 ** 64 + 1],
+                         ids=["2^31", "2^63", "2^64+1"])
+@pytest.mark.parametrize("cmd, make, key, cap", [
+    ("converge", _converge_cfg, "samples", cli._SAMPLES_CAP),
+    ("check-family", _family_cfg, "trials", cli._TRIALS_CAP),
+    ("maximal", _maximal_cfg, "greedy_instances", cli._GREEDY_CAP),
+], ids=["converge-samples", "family-trials", "maximal-greedy-instances"])
+def test_a_run_size_past_its_cap_exits_one_at_once(tmp_path, capsys, cmd, make, key,
+                                                   cap, value):
+    # refused while the config is read: no allocation, no loop, no traceback
+    cfg = _write(tmp_path, "cfg.json", make(**{key: value}))
+    start = time.perf_counter()
+    code, summary, csv = _run(cmd, cfg, tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and summary is None and csv is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be") and f"{cap}" in err
+    assert "Traceback" not in err
 
 
 # the typo config: `tolerance` for `tolerances`, `nu_flor`, and a system `sed`

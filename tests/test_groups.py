@@ -487,6 +487,18 @@ def test_a_box_built_twice_is_one_object(grp, data):
     assert groups._box_at(grp, list(lo), list(ext)) is box
 
 
+@pytest.mark.parametrize("grp", [ZS, CyclicSum((3, 4))], ids=str)
+@pytest.mark.parametrize("wide_first", [True, False])
+def test_corners_with_trailing_unit_coordinates_are_one_box(grp, wide_first):
+    # on the sum kinds a trailing (0, 1) coordinate carries no digit, so the
+    # corners with and without it name one set, and one interned object
+    groups._interned_box.cache_clear()
+    corners = [((0, 0), (2, 1)), ((0,), (2,))]
+    first, second = (groups._box_at(grp, *c) for c in corners[::1 if wide_first else -1])
+    assert second is first and (first.lo, first.ext) == ((0,), (2,))
+    assert groups._box_at(grp, (0, 0, 0), (2, 1, 1)) is first
+
+
 @pytest.mark.parametrize("grp", FIVE_GROUPS, ids=lambda g: g.kind)
 def test_the_arrays_a_set_caches_are_read_only(grp):
     width = grp.d if isinstance(grp, ZPower) else 2

@@ -23,13 +23,15 @@ from folnerlab.tiling import Iso, LatticeCenters, TilingCert, compose
 SHAPES = [t for n in (1, 2, 3) for t in itertools.product(range(1, 5), repeat=n)]
 
 
-def test_zsum_box_identities_form_no_product_pair():
+def test_zsum_box_identities_form_no_product_pair(monkeypatch):
     # every shape pair (a, b) with len(a) <= len(b), a padded with ones:
     # tile(a) . iso_a(box b) is box(a * b), box a . box b is box(a + b - 1),
     # and box a u box b is box b itself when a <= b entrywise; a box is built
-    # once per distinct (lo, ext) it is asked for, and no key array is built
+    # once per distinct set it is asked for, and no key array is built
     g = ZSum()
     groups._interned_box.cache_clear()
+    built = mock.Mock(wraps=groups.FinSet._of)
+    monkeypatch.setattr(groups.FinSet, "_of", built)
     boxes = {s: zsum_box(g, s) for s in SHAPES}
     certs = {s: TilingCert(boxes[s], LatticeCenters(g, s), Iso(g, s))
              for s in SHAPES}
@@ -55,8 +57,11 @@ def test_zsum_box_identities_form_no_product_pair():
         assert key_arrays.call_count == 1
     assert (pairs, unions) == (5712, 1710)
     assert products.call_count == 0 and key_compares.call_count == 0
-    builds = groups._interned_box.cache_info()
-    assert (builds.hits + builds.misses, builds.misses) == (22932, 1063)
+    # 1,063 distinct corner pairs hold 947 sets: a trailing (0, 1) corner
+    # looks its narrower twin up once more, and builds nothing
+    lookups = groups._interned_box.cache_info()
+    assert (lookups.hits + lookups.misses, lookups.misses) == (23048, 1063)
+    assert built.call_count == 947
 
 
 def test_plane_tempelman_gate_builds_no_key_array():
