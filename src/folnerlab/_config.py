@@ -16,7 +16,7 @@ class ConfigError(ValueError):
 class _Obj(dict):
     """A config object: ``read`` holds each key ``_get`` asked it for."""
 
-    def __init__(self, pairs=()):
+    def __init__(self, pairs):
         super().__init__(pairs)
         self.read = set()
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._bits import _Streams
 from .families import (AdditiveFamily, ClassifyReport, DerivedPrimeM, Family,
-                       Truncated, _report, _trial_masks, classify)
+                       _report, _trial_masks, classify)
 from .folner import (FolnerSeq, _inverse_unions, make_folner, tempelman_report,
                      tempered_report)
 from .groups import (EnumBudget, FinSet, Group, _box_shell, _key_sums, _padded_boxes,
@@ -109,27 +109,32 @@ def sample_points(system: System, samples: int, seed: int) -> Points:
     return system.substream_points(seed, np.arange(samples))
 
 
-def trajectory_matrix(fam: Family, system: System, seq: FolnerSeq,
-                      schedule: Sequence[int], points: Points) -> np.ndarray:
-    """Normalized values d_{F_n}(y)/|F_n| for each point (row) and scheduled
-    index (column).
+def _set_sums(fam: Family, system: System, sets, points: Points) -> np.ndarray:
+    """d_F(y) for each point (row) and set F of ``sets`` (column).
 
     An additive family whose observable counts its sums (``sum_fn``), on
-    nested boxes (each F_n a box inside the next), evaluates each point on
+    nested boxes (each set a box inside the next), evaluates each point on
     each cell of the last box once: on the shells F_1, F_2 \\ F_1, ..., each
-    a few boxes, whose exact counts add up to each d_{F_n}(y)."""
-    sets = [seq.generate(n) for n in schedule]
+    a few boxes, whose exact counts add up to each d_F(y).  Any other family
+    or sequence samples each set."""
     counted = isinstance(fam, AdditiveFamily) and fam.obs.sum_fn is not None
     if counted and all(F.is_box for F in sets) and all(
             is_subset(E, F) for E, F in zip(sets, sets[1:])):
         # built one at a time, so that only one shell's cell keys are held
         shells = itertools.chain([sets[:1]], map(_box_shell, sets[1:], sets))
-        sums = np.cumsum(np.column_stack([
+        return np.cumsum(np.column_stack([
             sum((fam.sample_values(system, B, points) for B in shell),
                 np.zeros(len(points))) for shell in shells]), axis=1)
-    else:
-        sums = np.column_stack([fam.sample_values(system, F, points) for F in sets])
-    return sums / [len(F) for F in sets]
+    return np.column_stack([fam.sample_values(system, F, points) for F in sets])
+
+
+def trajectory_matrix(fam: Family, system: System, seq: FolnerSeq,
+                      schedule: Sequence[int], points: Points) -> np.ndarray:
+    """Normalized values d_{F_n}(y)/|F_n| for each point (row) and scheduled
+    index (column): ``_set_sums`` on the scheduled sets, each column divided
+    by its set's size."""
+    sets = [seq.generate(n) for n in schedule]
+    return _set_sums(fam, system, sets, points) / [len(F) for F in sets]
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +383,13 @@ def greedy_cover(fam: Family, system: System, y: Points, seq: FolnerSeq, n: int,
     """Exceedance classes and backward maximal disjoint packings, at the
     one point of ``y``.
 
-    Classes assign each core element to its first index whose normalized
-    value exceeds alpha; the packings are built from the last class down,
-    each maximal among translates disjoint from everything already kept.
-    The resulting integer inequality is checked exactly, with the exact
-    Tempelman witness over the first N indices as the constant M.
+    One ``_set_sums`` reads d_{F_i} on F_1, ..., F_N at y moved by every
+    core element; classes assign each core element to its first index whose
+    normalized value exceeds alpha, and the value chain adds up the same
+    sums.  The packings are built from the last class down, each maximal
+    among translates disjoint from everything already kept.  The resulting
+    integer inequality is checked exactly, with the exact Tempelman witness
+    over the first N indices as the constant M.
     """
     grp, Fn = seq.group, seq.generate(n)
     windows = [seq.generate(i) for i in range(1, N + 1)]
@@ -394,15 +401,12 @@ def greedy_cover(fam: Family, system: System, y: Points, seq: FolnerSeq, n: int,
     rows = core.rows(width)
 
     # first-exceedance classes over the core, as positions in core order;
-    # values[i][c] is d_{F_i} at y moved by core element c, sampled while c is free
+    # sums[c, i] is d_{F_{i+1}} at y moved by core element c
     pts = y[np.zeros(len(core), dtype=np.int64)].moved(grp, rows)
-    free = np.ones(len(core), dtype=bool)
-    class_pos, values = [], []
-    for Fi in windows:
-        values.append(np.zeros(len(core)))
-        values[-1][free] = fam.sample_values(system, Fi, pts[free])
-        class_pos.append(np.flatnonzero(free & (values[-1] / len(Fi) > alpha)))
-        free[class_pos[-1]] = False
+    sums = _set_sums(fam, system, windows, pts)
+    over = sums / [len(Fi) for Fi in windows] > alpha
+    first = np.where(over.any(axis=1), over.argmax(axis=1), N)
+    class_pos = [np.flatnonzero(first == i) for i in range(N)]
 
     # backward greedy maximal disjoint packings, on one occupancy array over
     # the keys of a box that holds core * (F_1 u ... u F_N)
@@ -438,10 +442,7 @@ def greedy_cover(fam: Family, system: System, y: Points, seq: FolnerSeq, n: int,
     total_weight = sum(len(w) * len(pos) for w, pos in zip(windows, chosen_pos))
     if total_weight > 0:
         dfn = fam.sample_values(system, Fn, y)[0]
-        picked = 0.0
-        for vals, pos in zip(values, chosen_pos):
-            for c in pos:
-                picked += vals[c]
+        picked = sum(sums[c, i] for i, pos in enumerate(chosen_pos) for c in pos)
         value_chain_ok = bool(dfn >= picked - 1e-9
                               and picked > alpha * total_weight)
 
@@ -498,12 +499,8 @@ def maximal_inequality_check(fam: Family, seq: FolnerSeq, system: System,
                           seed + 1, report)
         nu_term = est.mean + 4.0 * est.stderr  # upper confidence value
     pts = sample_points(system, samples, seed)
-    exceed = np.zeros(len(pts), dtype=bool)
-    for k in range(1, N + 1):
-        Fk = seq.generate(k)
-        vals = fam.sample_values(system, Fk, pts) / len(Fk)
-        exceed |= vals > alpha
-    mass = float(exceed.mean())
+    V = trajectory_matrix(fam, system, seq, range(1, N + 1), pts)
+    mass = float((V > alpha).any(axis=1).mean())
     se = math.sqrt(max(mass * (1 - mass), 1.0 / samples) / samples)
     bound = (M / alpha) * nu_term
     ys = system.substream_points(seed, 10_000 + np.arange(greedy_instances))
@@ -780,34 +777,32 @@ def kingman_run(fam: Family, seq: FolnerSeq, system: System, schedule,
 
 def truncation_ladder(fam: Family, seq: FolnerSeq, system: System, schedule,
                       levels, samples: int, seed: int = 7) -> dict:
-    """Clipped families max(-N|F|, d_F) share points with the base run.
+    """Clipped families max(-N|F|, d_F), one base trajectory for all levels.
 
-    Clipping is pointwise monotone in the level, every normalized mean is
-    bounded below by -N, and the double infimum over (level, index) of the
-    mean matrix is order-independent; all three are checked exactly.
+    The base trajectory V is sampled once and level N reads max(V, -N),
+    which is max(-N|F|, d_F)/|F| float for float: -N|F|/|F| is exactly -N,
+    and rounding a quotient keeps its order.  Clipping is pointwise
+    monotone in the level, every normalized mean is bounded below by -N,
+    and the double infimum over (level, index) of the mean matrix is
+    order-independent; all three are checked exactly.
     """
     schedule = _validate_schedule(schedule)
     levels = sorted(int(N) for N in levels)
     if not levels or levels[0] <= 0:
         raise ValueError("levels must be positive")
-    pts = sample_points(system, samples, seed)
-    mats = []
-    out_levels = []
-    for N in levels:
-        famN = Truncated(fam, N)
-        V = trajectory_matrix(famN, system, seq, schedule, pts)
-        mats.append(V)
-        out_levels.append({"N": N, "col_means": [float(v) for v in V.mean(axis=0)],
-                           "terminal": _estimate(V[:, -1], seed).to_json(),
-                           "floor_ok": bool((V >= -N - 1e-9).all())})
-    monotone = all(bool((mats[i] >= mats[i + 1] - 1e-12).all())
-                   for i in range(len(mats) - 1))
+    base = trajectory_matrix(fam, system, seq, schedule,
+                             sample_points(system, samples, seed))
+    mats = [np.maximum(base, -N) for N in levels]
+    out_levels = [{"N": N, "col_means": [float(v) for v in V.mean(axis=0)],
+                   "terminal": _estimate(V[:, -1], seed).to_json(),
+                   "floor_ok": bool((V >= -N - 1e-9).all())}
+                  for N, V in zip(levels, mats)]
+    monotone = all(bool((A >= B - 1e-12).all()) for A, B in zip(mats, mats[1:]))
     mean_matrix = np.array([lvl["col_means"] for lvl in out_levels])
     inf_by_level = mean_matrix.min(axis=1)
     inf_by_index = mean_matrix.min(axis=0)
     double_inf_ok = bool(abs(inf_by_level.min() - inf_by_index.min()) <= 1e-12)
-    level_infs_decreasing = bool(
-        (np.diff(inf_by_level) <= 1e-12).all())
+    level_infs_decreasing = bool((np.diff(inf_by_level) <= 1e-12).all())
     ok = (monotone and double_inf_ok and level_infs_decreasing
           and all(lvl["floor_ok"] for lvl in out_levels))
     return {"levels": out_levels, "pointwise_monotone": monotone,
@@ -820,7 +815,6 @@ def truncation_ladder(fam: Family, seq: FolnerSeq, system: System, schedule,
 def limsup_identity_check(fam: Family, seq: FolnerSeq, system: System,
                           mode: str, schedule, samples: int, seed: int = 13,
                           tol: float = 0.05,
-                          budget: Optional[EnumBudget] = None,
                           report: Optional[ClassifyReport] = None) -> dict:
     """Tail running maximum of normalized values against the enumerated
     infimum of normalized mean values.
@@ -828,7 +822,8 @@ def limsup_identity_check(fam: Family, seq: FolnerSeq, system: System,
     mode "bi_invariant": needs bi-invariance + sub-additivity and a tempered
     tiling sequence; candidates are tiles.  mode "strongly_subadditive":
     needs strong sub-additivity + invariance and temperedness; candidates are
-    arbitrary finite sets.
+    finite sets, the first 3,000 of at most 4 elements with coordinates in
+    [-2, 2] (on at most 2 coordinates of the sum kinds).
     """
     if mode not in ("bi_invariant", "strongly_subadditive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -841,11 +836,9 @@ def limsup_identity_check(fam: Family, seq: FolnerSeq, system: System,
         _require_tiling(seq, schedule)
         candidates = [c.tile for c in enumerate_tiles(seq.group, *_TILE_BUDGET)]
     else:
-        if budget is None:
-            budget = EnumBudget(max_card=4, lo=-2, hi=2, max_index=2,
-                                max_sets=3000)
         # a list: each leaf of a mixture runs its own infimum over them
-        candidates = list(enumerate_finsets(seq.group, budget))
+        candidates = list(enumerate_finsets(seq.group, EnumBudget(
+            max_card=4, lo=-2, hi=2, max_index=2, max_sets=3000)))
 
     pts = sample_points(system, samples, seed)
     V = trajectory_matrix(fam, system, seq, schedule, pts)

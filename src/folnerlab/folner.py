@@ -6,6 +6,7 @@ witnesses reported here are exact integers divided by exact integers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -63,11 +64,8 @@ class FolnerSeq:
             return _box(self.group, ranges)
         if self.seq_kind == "zsum_boxes":
             shape = self._zsum_shape(index)
-            card = 1
-            for s in shape:
-                card *= s
-                if card > _CARD_CAP:
-                    raise BudgetError("zsum box too large")
+            if math.prod(shape) > _CARD_CAP:
+                raise BudgetError("zsum box too large")
             return zsum_box(self.group, shape)
         if self.seq_kind == "explicit":
             n = int(index)
@@ -93,6 +91,10 @@ class FolnerSeq:
             shape = tuple(int(s) for s in index)
         else:
             n = int(index)
+            # n^n cells, and n^8 > 8^8 is past the cap: a huge n is refused
+            # before its tuple (n,) * n is built
+            if n > 1 and n ** min(n, 8) > _CARD_CAP:
+                raise BudgetError("zsum box too large")
             shape = (n,) * n
         if not shape or any(s < 1 for s in shape):
             raise ValueError("zsum shape entries must be >= 1")

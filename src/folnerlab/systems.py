@@ -315,7 +315,6 @@ class Observable:
     name: str
     window_fn: Callable
     exact_mean_fn: Optional[Callable] = None
-    bound: Optional[float] = None
     nonneg: bool = False
     integer_valued: bool = False
     sum_fn: Optional[Callable] = None  # the row sums, counted exactly, without the matrix
@@ -382,7 +381,6 @@ def indicator_symbol(symbol: int = 1) -> Observable:
         window_fn=window_fn,
         sum_fn=sum_fn,
         exact_mean_fn=exact_mean_fn,
-        bound=1.0,
         nonneg=True,
         integer_valued=True,
     )
@@ -424,7 +422,6 @@ def scaled(base: Observable, c: float) -> Observable:
         name=f"scaled[{c}]({base.name})",
         window_fn=window_fn,
         exact_mean_fn=exact_mean_fn,
-        bound=None if base.bound is None else abs(c) * base.bound,
         nonneg=base.nonneg and c >= 0,
         integer_valued=base.integer_valued and c == int(c),
     )
@@ -449,7 +446,6 @@ def torus_coordinate(i: int = 0) -> Observable:
         name=f"torus_coordinate[{i}]",
         window_fn=window_fn,
         exact_mean_fn=lambda leaf: 0.5,
-        bound=1.0,
         nonneg=True,
     )
 

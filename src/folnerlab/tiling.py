@@ -186,27 +186,28 @@ class WitnessB:
 
     m: int
     p: int
-    n1: Optional[int]
+    n1: int
     n2: Optional[int]
     gap: Optional[Fraction]
     ok: bool
 
 
-def condition_b_witness(seq: FolnerSeq, m: int, p: int,
-                        search_limit: Optional[int] = None) -> WitnessB:
-    """Smallest n1 <= limit with composed superset F_p, and the largest
-    n2 <= n1 (<= limit when there is no n1) with composed subset.
+def condition_b_witness(seq: FolnerSeq, m: int, p: int) -> WitnessB:
+    """Smallest n1 with composed superset F_p, and the largest n2 <= n1 with
+    composed subset.
 
     Every sequence with a self-similar certificate (unanchored ``z_boxes``,
     ``cyclic_prefix``, ``zsum_boxes``) is nested, and so are its composed
     sets: "F_p inside composed_n" holds from n1 on, "composed_n inside F_p"
-    up to some n.  A composed set has exactly |F_m| * |F_n| cells, so n1 is
-    at least n0, the least n <= p with |F_m| * |F_n| >= |F_p|, which a
-    bisection over the sizes of F_1, ..., F_p finds without composing.  n1 is
-    the first n from n0 up, and n2 the first from n1 down, so on boxes and
-    prefixes, where n1 = n0, each is one or two compositions.  Budgets are
-    monotone on nested sets, so a probe over budget counts as "from n1 on";
-    it is raised when it is n1.
+    up to some n.  composed_p holds F_p (the tile holds the origin, and the
+    isomorphism moves each coordinate of F_p outward), so n1 <= p.  A
+    composed set has exactly |F_m| * |F_n| cells, so n1 is at least n0, the
+    least n <= p with |F_m| * |F_n| >= |F_p|, which a bisection over the
+    sizes of F_1, ..., F_p finds without composing.  n1 is the first n from
+    n0 up, and n2 the first from n1 down, so on boxes and prefixes, where
+    n1 = n0, each is one or two compositions.  Budgets are monotone on
+    nested sets, so a probe over budget counts as "from n1 on"; it is
+    raised when it is n1.
 
     The reported gap is (|F_n1| - |F_n2|) * |F_m| / |F_p|, the normalized
     quantity that must vanish for pointwise convergence transfer.
@@ -215,7 +216,6 @@ def condition_b_witness(seq: FolnerSeq, m: int, p: int,
     if cert is None or cert.iso is None:
         raise ValueError("sequence member has no self-similar certificate")
     Fp = seq.generate(p)
-    limit = search_limit if search_limit is not None else max(2 * p, 4)
     probed = {}  # n -> (composed_n inside F_p, F_p inside composed_n or over budget)
 
     def probe(n: int) -> tuple:
@@ -234,12 +234,12 @@ def condition_b_witness(seq: FolnerSeq, m: int, p: int,
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if len(cert.tile) * len(seq.generate(mid)) >= len(Fp) else (mid, hi)
     # n1: the first n >= n0 with probe(n)[1]; n2: the last n <= n1 with probe(n)[0]
-    n1 = next((n for n in range(hi, limit + 1) if probe(n)[1]), None)
-    if n1 is not None and isinstance(probed[n1][1], BudgetError):
+    n1 = next(n for n in range(hi, p + 1) if probe(n)[1])
+    if isinstance(probed[n1][1], BudgetError):
         raise probed[n1][1]
-    n2 = next((n for n in range(n1 or limit, 0, -1) if probe(n)[0]), None)
-    if n1 is None or n2 is None:
-        return WitnessB(m, p, n1, n2, None, False)
+    n2 = next((n for n in range(n1, 0, -1) if probe(n)[0]), None)
+    if n2 is None:
+        return WitnessB(m, p, n1, None, None, False)
     sizes = (len(seq.generate(n1)), len(seq.generate(n2)))
     gap = Fraction(len(seq.generate(m)) * (sizes[0] - sizes[1]), len(Fp))
     return WitnessB(m, p, n1, n2, gap, True)

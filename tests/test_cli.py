@@ -671,6 +671,10 @@ def _converge_cfg(**over):
     ("limit-setfn", _setfn_cfg(group={"kind": "z_sum"}, sequence={"kind": "zsum_boxes"},
                                route="strong", budget={"max_index": 8}),
      "enumeration ground set too large"),
+    # n^n cells at an integer index n, refused before its shape (n,) * n is built
+    ("verify-folner", _folner_cfg(group={"kind": "z_sum"}, sequence={"kind": "zsum_boxes"},
+                                  indices=[10 ** 12]),
+     "zsum box too large"),
 ], ids=["folner-indices", "maximal-N", "symbol-range", "symbol-on-torus",
         "tiling-indices", "setfn-budget", "family-trials", "decompose-n",
         "folner-growth-str", "folner-growth-bool", "folner-growth-one",
@@ -695,7 +699,8 @@ def _converge_cfg(**over):
         "system-probs-nan", "additive-plus-beta-nan", "additive-plus-beta-inf",
         "maximal-alpha-inf", "maximal-alpha-past-float", "maximal-M-inf",
         "maximal-nu-term-inf", "cyclic-prefix-anchors", "zsum-boxes-anchors",
-        "family-derived-prime-m", "config-root-array", "setfn-ground-set-budget"])
+        "family-derived-prime-m", "config-root-array", "setfn-ground-set-budget",
+        "zsum-boxes-huge-index"])
 def test_boundary_errors_exit_one(tmp_path, capsys, cmd, cfg, message):
     code, summary, csv = _run(cmd, _write(tmp_path, "cfg.json", cfg), tmp_path)
     assert code == 1

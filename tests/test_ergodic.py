@@ -37,9 +37,10 @@ from folnerlab.families import (
     Family,
     MaxOfAdditives,
     PropertyVerdict,
+    Truncated,
 )
 from folnerlab.folner import make_folner
-from folnerlab.groups import (CyclicSum, EnumBudget, FinSet, ZPower, ZSum, intersect,
+from folnerlab.groups import (CyclicSum, FinSet, ZPower, ZSum, intersect,
                               union)
 from folnerlab.systems import (
     BernoulliShift,
@@ -47,6 +48,7 @@ from folnerlab.systems import (
     TorusRotation,
     indicator_symbol,
     neg_pow_run,
+    scaled,
     symbol_value,
     torus_coordinate,
 )
@@ -476,6 +478,23 @@ def test_truncation_ladder_exact_structure():
     assert all(b < a for a, b in zip(infs, infs[1:]))
 
 
+@pytest.mark.parametrize("obs", [neg_pow_run(2.0, cap=30), scaled(neg_pow_run(3.0, cap=20), 0.37)],
+                         ids=["neg_pow_run", "scaled"])
+def test_truncation_ladder_levels_are_the_clipped_families(obs):
+    # each level clips the one base trajectory at -N, which must be, float for
+    # float, the trajectory of the clipped family max(-N|F|, d_F)
+    fam, system, schedule = AdditiveFamily(obs), _run_length_system(), [2, 8, 32]
+    out = truncation_ladder(fam, _seq(), system, schedule, levels=(1, 3, 16),
+                            samples=150, seed=5)
+    pts = sample_points(system, 150, 5)
+    base = trajectory_matrix(fam, system, _seq(), schedule, pts)
+    for lvl in out["levels"]:
+        V = trajectory_matrix(Truncated(fam, lvl["N"]), system, _seq(), schedule, pts)
+        assert np.array_equal(np.maximum(base, -lvl["N"]), V)
+        assert lvl["col_means"] == [float(v) for v in V.mean(axis=0)]
+    assert out["inf_by_level"][0] == -1.0 > out["inf_by_level"][-1]
+
+
 def test_kingman_switches_to_ladder_on_divergent_floor():
     rep = kingman_run(_run_length_family(), _seq(), _run_length_system(),
                       [4, 16, 64], samples=120, seed=7)
@@ -501,8 +520,7 @@ def test_limsup_identity_bi_invariant_mode():
 def test_limsup_identity_strong_mode_additive():
     out = limsup_identity_check(_additive(), _seq(), _system(),
                                 "strongly_subadditive", [4, 16, 64, 256, 1024],
-                                samples=200, seed=13,
-                                budget=EnumBudget(4, lo=-2, hi=2))
+                                samples=200, seed=13)
     assert out["passed"]
     assert out["inf_stabilized"]  # exact per-leaf means freeze the infimum
     assert out["within_frac"] >= 0.95
@@ -513,8 +531,7 @@ def test_limsup_identity_reports_budget_drift_honestly():
     # is still out of reach and the check must say so rather than pass
     out = limsup_identity_check(_sqrt_family(), _seq(), _system(),
                                 "strongly_subadditive", [4, 16, 64, 256],
-                                samples=200, seed=13,
-                                budget=EnumBudget(4, lo=-2, hi=2))
+                                samples=200, seed=13)
     assert not out["passed"]
     assert not out["inf_stabilized"]
     assert out["integral_gap"] > 0

@@ -195,6 +195,20 @@ def test_diagonal_cubes_growth_blows_up():
     assert not tempered_report(seq, 5).ok
 
 
+@pytest.mark.parametrize("index", [8, 10 ** 12, (2500, 2001), [5, 1000, 1001]])
+def test_zsum_box_past_the_cap_is_refused(index):
+    # an integer index n has n^n cells and is refused before its shape
+    # (n,) * n is built; a shape index is refused by its product
+    with pytest.raises(groups.BudgetError, match="zsum box too large"):
+        make_folner(ZSum(), "zsum_boxes").generate(index)
+
+
+def test_zsum_box_at_the_cap_is_built():
+    seq = make_folner(ZSum(), "zsum_boxes")
+    assert len(seq.generate(7)) == 7 ** 7
+    assert len(seq.generate((2500, 2000))) == 5_000_000
+
+
 def test_interval_growth_not_flagged_divergent():
     seq = _boxes()
     assert not ratios_look_divergent(tempelman_report(seq, 8).ratios)

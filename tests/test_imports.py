@@ -1,6 +1,7 @@
 """Every name a module of ``folnerlab`` imports is used by that module,
 every module-level function, class or constant and every method has a
-caller outside the tests, every gate refusal with a literal hypothesis has
+caller outside the tests, so does every parameter's default (some call
+passes the parameter), every gate refusal with a literal hypothesis has
 a pinned case, finite sets stay in their one representation, config
 parsers read only through the checked reader, the dense product counts
 import no scipy, the classifiers and ``birkhoff_check``'s sampled target
@@ -188,6 +189,111 @@ def test_unreferenced_method_check_ignores_test_callers(tmp_path):
     flagged = {m.split(".")[1] for mod in MODULES
                for m in _unreferenced_methods(SRC / mod, SCANNED)}
     assert set(_UNREFERENCED_METHODS_OK) <= flagged
+
+
+# parameters with a default that no call in src/, demos/ or bench/ passes,
+# each with why it stays
+_UNPASSED_DEFAULTS_OK = {
+    "limsup_identity_check.report": "a report seam: tests hand in a classifier "
+                                    "report to reach each gate branch",
+    "dprime_m_diagnostics.report": "a report seam: tests hand in a classifier "
+                                   "report to reach each gate branch",
+    "setfn_classify.seed": "a library runner's seed: tests rerun the classifier "
+                           "at other seeds (pins, stream independence)",
+    "dprime_m_diagnostics.seed": "a library runner's seed: the runner is library "
+                                 "only, and tests set it",
+    "uniform_at.h": "the scalar reading of window_uniforms at h * offset, which "
+                    "the tests' oracle uses; ROADMAP item 4b moves it",
+}
+
+
+def _callee(call: ast.Call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _defaulted(tree: ast.Module) -> list:
+    """(name, parameter, position) of each parameter with a default of each
+    def in ``tree``.  A method's position skips ``self``, ``__init__`` is
+    called by its class's name, and a keyword-only parameter has no position."""
+    classes = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        cls = classes.get(id(fn))
+        shift = cls is not None and "staticmethod" not in {
+            getattr(d, "id", None) for d in fn.decorator_list}
+        name = cls if cls is not None and fn.name == "__init__" else fn.name
+        pos = fn.args.posonlyargs + fn.args.args
+        first = len(pos) - len(fn.args.defaults)
+        out += [(name, p.arg, i - shift) for i, p in enumerate(pos) if i >= first]
+        out += [(name, p.arg, None) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _call_sites(path: Path) -> tuple:
+    """The calls in ``path`` by callee name, and its string literals, each
+    also as the last part of a dotted name (config keys are read that way)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = {}
+    for c in ast.walk(tree):
+        if isinstance(c, ast.Call) and _callee(c):
+            calls.setdefault(_callee(c), []).append(c)
+    words = {w for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+             for w in (n.value, n.value.rpartition(".")[2])}
+    return calls, words
+
+
+def _passes(call: ast.Call, param: str, position, words: set) -> bool:
+    """Whether ``call`` passes ``param``: by name, through a ``**`` splat in
+    a file that names it in a string, or at its position, or through a
+    ``*`` splat."""
+    if any(k.arg == param or (k.arg is None and param in words) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unpassed_defaults(path: Path, scanned: list) -> list:
+    """``name.param`` of each parameter with a default of a def in ``path``
+    that no call to that name in the scanned files passes."""
+    sites = [_call_sites(p) for p in scanned]
+    return sorted(f"{name}.{param}"
+                  for name, param, pos in _defaulted(ast.parse(path.read_text()))
+                  if not any(_passes(c, param, pos, words)
+                             for calls, words in sites for c in calls.get(name, ())))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_default_is_passed_somewhere(module):
+    # a default no caller overrides is a constant with a parameter's cost
+    unpassed = _unpassed_defaults(SRC / module, SCANNED)
+    assert [d for d in unpassed if d not in _UNPASSED_DEFAULTS_OK] == []
+
+
+def test_unpassed_default_check_catches_each_form(tmp_path):
+    files = {"src/pkg/__init__.py": "from .mod import C, f, h\n",
+             "src/pkg/mod.py": "def f(a, b=1, c=2, *, d=3, e=4, g=5):\n    return a\n\n\n"
+                               "class C:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
+                               "    def m(self, u=1, v=2):\n        return u\n\n\n"
+                               "def h(t=0, s=0):\n    return t\n",
+             # b at its position, d by name, e through ** and a dotted key,
+             # x and u past self, t and s through *
+             "demos/demo.py": "from pkg.mod import C, f, h\nKEYS = ('x.e',)\n"
+                              "f(0, 1)\nf(0, d=1)\nf(0, **{})\nC(1).m(1)\nh(*[])\n",
+             "tests/test_mod.py": "from pkg.mod import C, f\nf(0, 1, 2, g=1)\nC(0, 1).m(0, 1)\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert _unpassed_defaults(tmp_path / "src/pkg/mod.py", _scanned(tmp_path)) == [
+        "C.y", "f.c", "f.g", "m.v"]
+    # the allowlist holds only parameters the check would flag
+    flagged = {d for mod in MODULES for d in _unpassed_defaults(SRC / mod, SCANNED)}
+    assert set(_UNPASSED_DEFAULTS_OK) <= flagged
 
 
 def _literal_refusals(tree: ast.Module) -> list:

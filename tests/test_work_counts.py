@@ -183,13 +183,13 @@ def test_nu_estimate_splits_each_set_once():
 
 
 def test_greedy_cover_reads_one_hashed_box_per_window():
-    # the 64 core translates of F_1, F_2, F_3 on the sum of Z/2s: each window
-    # is one batch of the points still free, whose sum box has 64 cells, no
-    # more than its (point, cell) pairs, so it hashes that box once and
-    # gathers from it, with no sort of distinct cells and no searchsorted;
-    # its points share one configuration key, so the box is hashed into 64
-    # words once.  The value at F_6 of the untranslated point reads F_6's
-    # own keys
+    # the 64 core translates of F_1, F_2, F_3 on the sum of Z/2s: each
+    # nested shell F_1, F_2 \\ F_1, F_3 \\ F_2 is one batch of all 64 points,
+    # whose sum box has 64 cells, no more than its (point, cell) pairs, so
+    # it hashes that box once and gathers from it, with no sort of distinct
+    # cells and no searchsorted; its points share one configuration key, so
+    # the box is hashed into 64 words once.  The value at F_6 of the
+    # untranslated point reads F_6's own keys
     grp = CyclicSum((2,))
     seq = make_folner(grp, "cyclic_prefix")
     system = BernoulliShift(grp, (0.7, 0.3), seed=5)
@@ -240,19 +240,21 @@ def test_classifiers_build_no_generator_per_trial():
 
 # op -> (words hashed, (point, cell) pairs of translated batches) at seed 0
 _MAXIMAL_COVER = {
-    "maximal-cyclic2": (1_321_856, 444_408),
-    "maximal-line": (228_949, 2_737),
-    "maximal-plane": (326_202, 24_411),
+    "maximal-cyclic2": (689_568, 264_544),
+    "maximal-line": (78_954, 2_742),
+    "maximal-plane": (316_232, 24_444),
     "check-family-ceil-half": (18_900, 2_700),
     "check-family-max-cyclic2": (16_800, 2_400),
 }
 
 
 def test_maximal_cover_ops_hash_pinned_words(tmp_path, monkeypatch):
-    # greedy windows are sampled only at the core points still free, and a
-    # one-key batch hashes its box into words once (2,422,611 words and
-    # 550,967 translated pairs before both; 1,947,207 words while classify
-    # evaluated the translate E.g twice)
+    # the exceedance and the greedy classes read F_1, ..., F_N on their
+    # nested shells, each cell once per point, the classes at every core
+    # point; a one-key batch hashes its box into words once (1,912,707 words
+    # and 476,656 translated pairs while each set was sampled on its own, at
+    # the core points still free; 2,422,611 and 550,967 before one-key
+    # batches and free points)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import workloads
 
